@@ -24,7 +24,7 @@ from .hopfcore import (
     trivial_A_comodule,
     trivial_a_comodule,
 )
-from .linalg import intertwiner_space, inverse
+from .linalg import intertwiner_space, inverse, nullspace, sparse_columns, spin, transpose
 from .repcore import (
     composition_factors,
     simple_module,
@@ -181,7 +181,6 @@ def linkage_report(window, params, datum) -> Report:
     pred_parts = {}
     for node in graph.nodes:
         pred_parts.setdefault(orb.orbit_key(node), set()).add(node)
-    obs_map = {tuple(sorted(c))[0]: set(c) for c in observed}
     chains_equal = sum(1 for c in observed if pred_parts[orb.orbit_key(next(iter(c)))] == set(c))
     rep.ok("chain-condition",
            f"{chains_equal} of {len(observed)} observed components exhaust "
@@ -259,59 +258,24 @@ def _small_irreducible(L, params) -> bool:
     n = L.dim
     if n == 1:
         return True
+    cols = [sparse_columns(g) for g in gens]
     # every basis vector spins to the whole space
-    from smallq.linalg import RowBasis
     for b in range(n):
-        rb = RowBasis(f)
-        queue = [[f.one if k == b else f.zero for k in range(n)]]
-        rb.add(queue[0])
-        # split by character classes is unnecessary for the spin test: the
-        # generators themselves preserve classes
-        while queue:
-            v = queue.pop()
-            for g in gens:
-                img = [sum((g[r][c] * v[c] for c in range(n) if v[c]), f.zero)
-                       for r in range(n)]
-                if any(img) and rb.add(img):
-                    queue.append(img)
-        if rb.dim != n:
+        seed = [f.one if k == b else f.zero for k in range(n)]
+        if spin(cols, [seed], f).dim != n:
             return False
     # nullity-one witness: F has a one-dimensional kernel; spin its kernel
     # vector and the kernel vector of the transpose
-    from smallq.linalg import nullspace, transpose
     fmat = view.f[0]
     ker = nullspace(fmat, f)
     if len(ker) != 1:
         return True      # spin test already passed on every basis vector
-    rbt = None
     ker_t = nullspace(transpose(fmat), f)
     if len(ker_t) != 1:
         return True
-    from smallq.linalg import RowBasis as RB
-    rb = RB(f)
-    queue = [list(ker[0])]
-    rb.add(queue[0])
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            img = [sum((g[r][c] * v[c] for c in range(n) if v[c]), f.zero)
-                   for r in range(n)]
-            if any(img) and rb.add(img):
-                queue.append(img)
-    if rb.dim != n:
+    if spin(cols, ker, f).dim != n:
         return False
-    gens_t = [transpose(g) for g in gens]
-    rb2 = RB(f)
-    queue = [list(ker_t[0])]
-    rb2.add(queue[0])
-    while queue:
-        v = queue.pop()
-        for g in gens_t:
-            img = [sum((g[r][c] * v[c] for c in range(n) if v[c]), f.zero)
-                   for r in range(n)]
-            if any(img) and rb2.add(img):
-                queue.append(img)
-    return rb2.dim == n
+    return spin([sparse_columns(transpose(g)) for g in gens], ker_t, f).dim == n
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def build_parser():
     return parser
 
 
+SUITES = ("verify", "predict")
+
 _DEFAULTS = {"cartan_type": "A1", "ell": 4, "format": "json", "seed": 0,
              "suite": "verify", "window": None, "out": None,
              "max_weyl": 4, "max_tensor": 2}
@@ -134,13 +136,21 @@ def resolve_config(args):
         for k, v in file_cfg.items():
             key = renames.get(k, k)
             if key in ("ell", "seed", "max_weyl", "max_tensor"):
-                v = int(v)
+                try:
+                    v = int(v)
+                except ValueError:
+                    raise UsageError(f"{k} must be an integer") from None
             cfg[key] = v
     for key in ("cartan_type", "ell", "window", "suite", "seed", "out",
                 "format", "max_weyl", "max_tensor"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if cfg["suite"] not in SUITES:
+        raise UsageError(f"unknown suite {cfg['suite']!r} (use {' or '.join(SUITES)})")
+    for key in ("max_weyl", "max_tensor"):
+        if cfg[key] < 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be non-negative")
     return cfg
 
 

@@ -27,7 +27,9 @@ from .linalg import (
     nullspace,
     zeros,
 )
+from .linalg import _apply
 from .repcore import GenSet, Submodule, WeightModule, mat_sum, tensor_product
+from .repcore import _sparse_generators
 from .report import Report
 from .rootdata import EllForm, build_root_datum
 
@@ -292,15 +294,12 @@ def small_invariants(module: WeightModule, sc: bool = False) -> Submodule:
     sub = Submodule(module, split.sorted_rows(), weights)
     # part (1) of the factorization statement: the subspace is stable under
     # every big-group generator matrix
-    from .repcore import _generator_matrices
     rb = RowBasis(f)
     for row in sub.basis:
         rb.add(list(row))
-    for g in _generator_matrices(module):
+    for cols in _sparse_generators(module):
         for row in sub.basis:
-            img = [sum((g[r][c] * row[c] for c in range(module.dim) if row[c]),
-                       f.zero) for r in range(module.dim)]
-            if not rb.contains(img):
+            if not rb.contains(_apply(cols, row, f.zero)):
                 raise AssertionError(
                     "small-quantum-group invariants are not stable under the big group")
     return sub

@@ -32,8 +32,11 @@ from .linalg import (
     nullspace,
     rank,
     solve,
+    sparse_columns,
+    spin,
     zeros,
 )
+from .linalg import _apply
 from .report import Report
 from .scalars import CycloField
 
@@ -1275,7 +1278,8 @@ def _freeness_witness(T: TripleFD):
     if T.A.dim % T.O.dim != 0:
         return None
     k = T.A.dim // T.O.dim
-    lms = [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]
+    lms = [sparse_columns(T.A.left_mult_matrix(T.iota_vec({j: f.one})))
+           for j in range(T.O.dim)]
 
     candidates = []
     if hasattr(T, "group"):
@@ -1297,10 +1301,7 @@ def _freeness_witness(T: TripleFD):
     basis = RowBasis(f)
     chosen = []
     for label, idx, cand in candidates:
-        cols = []
-        for lm in lms:
-            cols.append([sum((lm[r][c] * cand[c] for c in range(T.A.dim)
-                              if cand[c]), f.zero) for r in range(T.A.dim)])
+        cols = [_apply(lm, cand, f.zero) for lm in lms]
         snapshot_rows = [list(r) for r in basis.rows]
         snapshot_piv = list(basis.pivots)
         added = sum(1 for cvec in cols if basis.add(cvec))
@@ -1336,21 +1337,16 @@ class GroupModule:
         self.mats = mats
         self.dim = len(mats[0]) if mats else 0
         self.name = name
+        self._cols = None
+
+    def _columns(self):
+        """The matrices as sparse columns, built on first use."""
+        if self._cols is None:
+            self._cols = [sparse_columns(m) for m in self.mats]
+        return self._cols
 
     def spin(self, vec):
-        f = self.field
-        rb = RowBasis(f)
-        queue = []
-        if rb.add(list(vec)):
-            queue.append(list(vec))
-        while queue:
-            v = queue.pop()
-            for m in self.mats:
-                img = [sum((m[r][c] * v[c] for c in range(self.dim) if v[c]),
-                           f.zero) for r in range(self.dim)]
-                if any(img) and rb.add(img):
-                    queue.append(img)
-        return rb.sorted_rows()
+        return spin(self._columns(), [vec], self.field).sorted_rows()
 
     def submodule(self, rows, name=""):
         f = self.field
@@ -1359,11 +1355,10 @@ class GroupModule:
             rb.add(list(r))
         base = rb.sorted_rows()
         mats = []
-        for m in self.mats:
+        for cols in self._columns():
             out = zeros(len(base), len(base), f.zero)
             for ci, bvec in enumerate(base):
-                img = [sum((m[r][c] * bvec[c] for c in range(self.dim) if bvec[c]),
-                           f.zero) for r in range(self.dim)]
+                img = _apply(cols, bvec, f.zero)
                 coords = _coords_in_span(base, img, f)
                 if coords is None:
                     raise StructureError("not a submodule")
@@ -1482,6 +1477,7 @@ def group_simples(table: GroupTable, field):
     # matrix has several eigenvalues, so projecting onto one of them cuts a
     # split two-dimensional block down to rank one -- deterministic seeds for
     # the spin, no luck required
+    reg_cols = reg._columns()
     for g in range(table.n):
         o = table.order_of(g)
         if o == 1:
@@ -1493,9 +1489,7 @@ def group_simples(table: GroupTable, field):
                 for t in range(o):
                     phase = f.zeta((-(f.n // o) * j * t) % f.n)
                     v = [a + phase * x for a, x in zip(v, cur)]
-                    cur = [sum((reg.mats[g][r][c] * cur[c]
-                                for c in range(table.n) if cur[c]), f.zero)
-                           for r in range(table.n)]
+                    cur = _apply(reg_cols[g], cur, f.zero)
                 if any(v):
                     candidates.append(v)
     rng = random.Random(11)

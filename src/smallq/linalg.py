@@ -117,6 +117,60 @@ def vec_is_zero(u):
     return all(not a for a in u)
 
 
+def sparse_columns(A):
+    """Column c of A as the list of (row, entry) pairs of its nonzero entries."""
+    cols = [[] for _ in range(len(A[0]) if A else 0)]
+    for r, row in enumerate(A):
+        for c, a in enumerate(row):
+            if a:
+                cols[c].append((r, a))
+    return cols
+
+
+def _apply(cols, vec, zero):
+    """cols * vec for a square matrix given by its sparse columns."""
+    out = [zero] * len(vec)
+    for c, x in enumerate(vec):
+        if x:
+            for r, a in cols[c]:
+                out[r] = out[r] + a * x
+    return out
+
+
+def spin(gens, seeds, field) -> RowBasis:
+    """Smallest subspace containing the seeds and stable under every generator.
+
+    ``gens`` are square matrices given by their sparse columns.  Each vector
+    that enlarges the span is queued and its images under the generators are
+    pushed in turn.  Callers that need a weight-homogeneous span pass
+    weight-homogeneous seeds: graded generators keep them homogeneous.
+
+    When weight spaces are one-dimensional and every generator column has at
+    most one nonzero entry, the image of a basis vector e_b is a nonzero
+    multiple of one basis vector e_r or zero, so the spin of e_b is the
+    coordinate subspace on the indices reachable from b in the graph with an
+    edge b -> r for each nonzero entry (r, b) of a generator.  That
+    reachability is what ``repcore.maximal_proper_submodule`` computes in
+    place of this field arithmetic.
+    """
+    basis = RowBasis(field)
+    queue = []
+
+    def push(vec):
+        if basis.add(vec):
+            queue.append(vec)
+
+    for s in seeds:
+        push(list(s))
+    while queue:
+        vec = queue.pop()
+        for cols in gens:
+            img = _apply(cols, vec, field.zero)
+            if any(img):
+                push(img)
+    return basis
+
+
 class RowBasis:
     """Incrementally maintained reduced row basis over a field."""
 

@@ -31,8 +31,11 @@ from .linalg import (
     mat_pow,
     mat_scale,
     mat_sub,
+    sparse_columns,
+    spin,
     zeros,
 )
+from .linalg import _apply
 from .report import Report
 from .rootdata import DotOrbits, EllForm, build_root_datum
 from .scalars import LatticeError, qbinom_zeta, qfact, qint
@@ -562,40 +565,39 @@ def _weight_components(module, vec):
 
 
 def _generator_matrices(module):
-    gens = []
-    for i in range(module.datum.rank):
-        gens.append(module.z.e(i))
-        gens.append(module.z.f(i))
-        gens.append(module.z.div_e(i))
-        gens.append(module.z.div_f(i))
-    return gens
+    return _pick_generators(module.z, module.datum.rank)
+
+
+def _sparse_generators(module):
+    return _pick_generators(_sparse_families(module), module.datum.rank)
+
+
+def _pick_generators(gens: GenSet, rank):
+    out = []
+    for i in range(rank):
+        out.extend((gens.e(i), gens.f(i), gens.div_e(i), gens.div_f(i)))
+    return out
+
+
+def _sparse_families(module) -> GenSet:
+    """The zeta-layer families as sparse columns, built on first use only:
+    most modules are never spun or restricted."""
+    sp = getattr(module, "_sparse_z", None)
+    if sp is None:
+        sp = GenSet([[sparse_columns(m) for m in fam] for fam in module.z.efam],
+                    [[sparse_columns(m) for m in fam] for fam in module.z.ffam])
+        module._sparse_z = sp
+    return sp
 
 
 def submodule_closure(module: WeightModule, seeds) -> Submodule:
     """Smallest weight-homogeneous subspace containing seeds, stable under
-    all generator matrices."""
-    field = module.params.field
-    basis = RowBasis(field)
-    weights_of_rows = {}
-    queue = []
-    gens = _generator_matrices(module)
-
-    def push(vec):
-        for w, comp in _weight_components(module, vec):
-            before = basis.dim
-            if basis.add(comp):
-                queue.append(comp)
-                weights_of_rows[before] = w
-
-    for s in seeds:
-        push(list(s))
-    while queue:
-        vec = queue.pop()
-        for g in gens:
-            img = [sum((g[r][c] * vec[c] for c in range(module.dim) if vec[c]),
-                       field.zero) for r in range(module.dim)]
-            if any(img):
-                push(img)
+    all generator matrices.  The seeds are split into weight components; the
+    generators are graded (checked at construction), so every image stays
+    weight-homogeneous."""
+    basis = spin(_sparse_generators(module),
+                 [c for s in seeds for _, c in _weight_components(module, s)],
+                 module.params.field)
     rows = basis.sorted_rows()
     row_weights = []
     for row in rows:
@@ -606,34 +608,42 @@ def submodule_closure(module: WeightModule, seeds) -> Submodule:
 
 
 def maximal_proper_submodule(module: WeightModule) -> Submodule:
-    """Sum of the basis-vector closures avoiding the highest-weight line.
+    """Unique maximal proper submodule of a cyclic highest-weight module.
 
-    Requires a cyclic module with one-dimensional weight spaces (A1 Weyl
-    modules); this is the unique maximal proper submodule.
+    Requires one-dimensional weight spaces, as along the A1 Weyl-module peel;
+    a ValueError is raised otherwise.  Then every generator column has at
+    most one nonzero entry (checked), a weight-homogeneous subspace is a
+    coordinate subspace, and the closure of the basis line e_b is the span of
+    the e_r with r reachable from b along the generators' nonzero pattern
+    (see ``linalg.spin``).  The maximal proper submodule is the sum of the
+    closures that miss the top vector.  If b cannot reach the top, neither
+    can anything reachable from b, so that sum is the span of the e_r from
+    which the top is unreachable: one backward search from the top, with no
+    field arithmetic.
     """
-    counts = {}
-    for w in module.weights:
-        counts[w] = counts.get(w, 0) + 1
-    if any(c > 1 for c in counts.values()):
+    if len(set(module.weights)) != module.dim:
         raise ValueError("weight spaces must be one-dimensional")
-    field = module.params.field
     top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
-    basis = RowBasis(field)
-    weights = []
-    for b in range(module.dim):
-        seed = [field.one if k == b else field.zero for k in range(module.dim)]
-        closure = submodule_closure(module, [seed])
-        hits_top = any(row[top] for row in closure.basis)
-        if not hits_top:
-            for row, w in zip(closure.basis, closure.basis_weights):
-                if basis.add(list(row)):
-                    weights.append(w)
-    rows = basis.sorted_rows()
-    row_weights = []
-    for row in rows:
-        comps = _weight_components(module, row)
-        row_weights.append(comps[0][0])
-    return Submodule(module, rows, row_weights)
+    sources = [[] for _ in range(module.dim)]      # sources[r]: b with e_b -> e_r
+    for cols in _sparse_generators(module):
+        for b, col in enumerate(cols):
+            if len(col) > 1:
+                raise AssertionError(
+                    f"generator column {b} of {module.name} has {len(col)} nonzero entries")
+            for r, _ in col:
+                sources[r].append(b)
+    reaches_top = {top}
+    stack = [top]
+    while stack:
+        for b in sources[stack.pop()]:
+            if b not in reaches_top:
+                reaches_top.add(b)
+                stack.append(b)
+    field = module.params.field
+    keep = [r for r in range(module.dim) if r not in reaches_top]
+    rows = [[field.one if k == r else field.zero for k in range(module.dim)]
+            for r in keep]
+    return Submodule(module, rows, [module.weights[r] for r in keep])
 
 
 def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
@@ -644,10 +654,10 @@ def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
     for row in sub.basis:
         rb.add(list(row))
 
-    def restrict(mat):
+    def restrict(cols):
         out = []
         for row in sub.basis:
-            img = _apply(mat, row, field)
+            img = _apply(cols, row, field.zero)
             coords = _coords_in_rowbasis(rb, img, field)
             if coords is None:
                 raise LatticeError("subspace is not stable under a generator")
@@ -657,7 +667,7 @@ def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
         n = len(sub.basis)
         return [[out[c][r] for c in range(n)] for r in range(n)]
 
-    z = parent.z
+    z = _sparse_families(parent)
     efam = [[restrict(m) for m in fam] for fam in z.efam]
     ffam = [[restrict(m) for m in fam] for fam in z.ffam]
     return WeightModule(parent.datum, parent.params, sub.basis_weights,
@@ -700,11 +710,6 @@ def quotient_module(module: WeightModule, sub: Submodule, name=None):
     q = WeightModule(module.datum, module.params, weights, GenSet(efam, ffam),
                      None, name=name or f"{module.name}/sub")
     return q, proj
-
-
-def _apply(mat, vec, field):
-    return [sum((mat[r][c] * vec[c] for c in range(len(vec)) if vec[c]),
-                field.zero) for r in range(len(mat))]
 
 
 def _coords_in_rowbasis(rb: RowBasis, vec, field):
@@ -760,7 +765,7 @@ def _peel(module, factors):
     seed = [field.one if k == top else field.zero for k in range(module.dim)]
     closure = submodule_closure(module, [seed])
     w_mod = submodule_as_module(closure)
-    max_sub = maximal_proper_submodule_general(w_mod)
+    max_sub = maximal_proper_submodule(w_mod)
     hw = module.weights[top]
     factors.append((hw, w_mod.dim - max_sub.dim))
     if max_sub.dim:
@@ -768,32 +773,3 @@ def _peel(module, factors):
     if closure.dim < module.dim:
         quotient, _ = quotient_module(module, closure)
         _peel(quotient, factors)
-
-
-def maximal_proper_submodule_general(module: WeightModule) -> Submodule:
-    """Maximal submodule of a cyclic highest-weight module, via closures of
-    the basis lines avoiding the top.  Correct only when weight spaces are
-    one-dimensional (a weight-homogeneous subspace is then a coordinate
-    subspace), which holds along the A1 Weyl-module peel."""
-    counts = {}
-    for w in module.weights:
-        counts[w] = counts.get(w, 0) + 1
-    if any(c > 1 for c in counts.values()):
-        raise ValueError("peeling requires one-dimensional weight spaces")
-    field = module.params.field
-    top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
-    basis = RowBasis(field)
-    for b in range(module.dim):
-        if b == top:
-            continue
-        seed = [field.one if k == b else field.zero for k in range(module.dim)]
-        closure = submodule_closure(module, [seed])
-        if not any(row[top] for row in closure.basis):
-            for row in closure.basis:
-                basis.add(list(row))
-    rows = basis.sorted_rows()
-    weights = []
-    for row in rows:
-        comps = _weight_components(module, row)
-        weights.append(comps[0][0])
-    return Submodule(module, rows, weights)

@@ -268,9 +268,7 @@ class CycloElem:
             return p
 
         r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1 or (len(r1) == 1 and False):
-            if len(r1) == 1:
-                break
+        while len(r1) > 1:
             # divide r0 by r1
             q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
             rem = list(r0)

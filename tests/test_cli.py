@@ -71,6 +71,32 @@ def test_bad_ell_exit_2(capsys):
     assert code == 2
 
 
+def test_unknown_suite_exit_2(capsys):
+    code, out, err = run_cli(["linkage", "--type", "A1", "--ell", "4",
+                              "--window", "0..7", "--suite", "bogus"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "suite" in err
+
+
+def test_negative_catalog_size_exit_2(capsys):
+    for flag in ("--max-weyl", "--max-tensor"):
+        code, out, err = run_cli(["frobenius-check", "--ell", "4", flag, "-1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+
+def test_non_integer_config_value_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ell=4\nmax_weyl=abc\n")
+    code, out, err = run_cli(["frobenius-check", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "max_weyl" in err
+
+
 def test_frobenius_check_passes(capsys):
     code, out, _ = run_cli(["frobenius-check", "--ell", "4",
                             "--max-weyl", "3", "--max-tensor", "1"], capsys)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from smallq.linalg import mat_eq, mat_pow
+from smallq import repcore
+from smallq.linalg import RowBasis, mat_eq, mat_pow
 from smallq.repcore import (
     composition_factors,
     corrupt_module,
@@ -180,3 +181,60 @@ def test_quotient_relations():
     ms = maximal_proper_submodule(w8)
     q, _ = quotient_module(w8, ms)
     assert relation_check(q).passed
+
+
+def _field_path_maximal_submodule(module):
+    """Sum of the field closures of the basis lines that miss the top."""
+    top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
+    basis = RowBasis(module.params.field)
+    for b in range(module.dim):
+        closure = submodule_closure(module, [basis_vector(module, b)])
+        if not any(row[top] for row in closure.basis):
+            for row in closure.basis:
+                basis.add(row)
+    return basis.sorted_rows()
+
+
+def test_composition_factors_closed_form(monkeypatch):
+    # Lusztig (1990): with lam = lam0 + l' lam1 and 0 <= lam0 < l', W(lam)
+    # is simple when lam1 = 0 or lam0 = l' - 1; otherwise its factors are
+    # L(lam) and L(l' lam1 - lam0 - 2), and dim L(mu) = (mu0 + 1)(mu1 + 1)
+    seen = []
+
+    def recording(module):
+        seen.append(module)
+        return maximal_proper_submodule(module)
+
+    # record every module the peel splits: the Weyl modules and their
+    # peeled quotients and submodules
+    monkeypatch.setattr(repcore, "maximal_proper_submodule", recording)
+    for ell in (4, 6, 8, 10):
+        params = QParams(ell)
+        lp = params.ell_i[0]
+
+        def dim_simple(mu):
+            return (mu % lp + 1) * (mu // lp + 1)
+
+        seen.clear()
+        for lam in range(31):
+            lam0, lam1 = lam % lp, lam // lp
+            if lam1 == 0 or lam0 == lp - 1:
+                expected = [((lam,), lam + 1)]
+            else:
+                mu = lp * lam1 - lam0 - 2
+                expected = sorted([((lam,), dim_simple(lam)), ((mu,), dim_simple(mu))])
+            assert composition_factors(weyl_module(lam, params)) == expected, (ell, lam)
+        if ell not in (4, 6):
+            continue
+        # the reachability result equals the field path on each of them
+        assert len(seen) > 31
+        for module in seen:
+            sub = maximal_proper_submodule(module)
+            assert mat_eq(sub.basis, _field_path_maximal_submodule(module)), module.name
+            one = module.params.field.one
+            assert sub.basis_weights == [module.weights[row.index(one)] for row in sub.basis]
+
+
+def test_maximal_proper_submodule_rejects_repeated_weights():
+    with pytest.raises(ValueError):
+        maximal_proper_submodule(direct_sum(weyl_module(2, P4), weyl_module(2, P4)))
