@@ -31,6 +31,7 @@ from importlib import resources
 from . import blocks as blocks_mod
 from . import frobenius as frob
 from . import hopfcore as hc
+from .linalg import mat_eq
 from .repcore import (
     corrupt_module,
     relation_check,
@@ -338,7 +339,6 @@ def cmd_triple_verify(args):
         for N in objs:
             lhs = hc.twist(T, g2, hc.twist(T, g1, N))
             rhs = hc.twist(T, g12, N)
-            from .linalg import mat_eq
             if not all(mat_eq(lhs.act[i], rhs.act[i]) for i in range(T.O.dim)):
                 coherent = False
     if coherent:

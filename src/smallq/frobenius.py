@@ -423,12 +423,6 @@ class HeckeStructure:
         self.alphas = list(alphas)      # matrices, one per rep
         self.sc = sc
 
-    def alpha_for(self, V):
-        for rep, alpha in zip(self.reps, self.alphas):
-            if rep is V:
-                return alpha
-        raise KeyError("no alpha for that representation")
-
 
 def _underline_tensor(V: DualGroupRep, M: WeightModule) -> WeightModule:
     """V_underline (x) M: dim V copies of M, basis ordered like the kron."""
@@ -636,10 +630,6 @@ class DualTorusPoint:
             diag.append(self.value ** expo)
         return [[diag[i] if i == j else f.zero for j in range(V.dim)]
                 for i in range(V.dim)]
-
-    def compose(self, other: "DualTorusPoint") -> "DualTorusPoint":
-        assert self.value == other.value
-        return DualTorusPoint(self.value, self.power + other.power)
 
 
 def twist_hecke(h: HeckeStructure, point) -> HeckeStructure:

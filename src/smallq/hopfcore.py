@@ -25,13 +25,14 @@ from math import gcd
 
 from .linalg import (
     RowBasis,
+    Span,
     identity,
+    intertwiner_space,
     inverse,
     mat_eq,
     mat_mul,
     nullspace,
     rank,
-    solve,
     sparse_columns,
     spin,
     zeros,
@@ -703,23 +704,6 @@ class TripleObject:
         if validate:
             self._validate()
 
-    def act_vec(self, o_vec, v):
-        f = self.T.field
-        out = [f.zero] * self.dim
-        for o_idx, c in o_vec.items():
-            if not c:
-                continue
-            m = self.act[o_idx]
-            for r in range(self.dim):
-                s = f.zero
-                row = m[r]
-                for cidx, x in enumerate(v):
-                    if x and row[cidx]:
-                        s = s + row[cidx] * x
-                if s:
-                    out[r] = out[r] + c * s
-        return out
-
     def _validate(self):
         T = self.T
         f = T.field
@@ -862,21 +846,12 @@ def cotensor(rho_right, dim_r, rho_left, dim_l, a_dim, field):
     return nullspace(mat, field)
 
 
-def _coords_in_span(basis_vectors, target, field):
-    """Coordinates of target in the span of basis_vectors, or None."""
-    if not basis_vectors:
-        return None if any(target) else []
-    cols = len(basis_vectors)
-    mat = [[basis_vectors[c][r] for c in range(cols)]
-           for r in range(len(target))]
-    return solve(mat, list(target), field)
-
-
 def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     """Ind(M) = (A (x) M)^a with left A-coaction and O-action by left product."""
     f = T.field
     rho_r = a_right_comodule_of_A(T)
     basis = cotensor(rho_r, T.A.dim, M.rho, M.dim, T.a.dim, f)
+    span = Span(basis, f)
     nb = len(basis)
     # A-coaction: (Delta (x) id) restricted to the subspace
     rho = [dict() for _ in range(nb)]
@@ -893,7 +868,7 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
         for b, sl in sorted(slices.items()):
             if not any(sl):
                 continue
-            coords = _coords_in_span(basis, sl, f)
+            coords = span.coords(sl)
             if coords is None:
                 raise StructureError("induced coaction leaves the cotensor subspace")
             for s2, c in enumerate(coords):
@@ -914,7 +889,7 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
                     c = lm[b][aa]
                     if c:
                         img[b * M.dim + x] = img[b * M.dim + x] + c * v
-            coords = _coords_in_span(basis, img, f)
+            coords = span.coords(img)
             if coords is None:
                 raise StructureError(
                     "O-action does not preserve the cotensor subspace: condition (ii) fails")
@@ -924,6 +899,7 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
         act.append(m)
     obj = TripleObject(T, act, rho, name=name or f"Ind({M.name})")
     obj.carrier_basis = basis
+    obj.carrier_span = span
     obj.induced_from = M
     return obj
 
@@ -988,7 +964,6 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     f = T.field
     Q, proj = psi(T, N)
     ind = induce(T, Q)
-    basis = ind.carrier_basis
     mat = zeros(ind.dim, N.dim, f.zero)
     for x in range(N.dim):
         img = [f.zero] * (T.A.dim * Q.dim)
@@ -997,7 +972,7 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
                 pv = proj[r][y]
                 if pv:
                     img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
-        coords = _coords_in_span(basis, img, f)
+        coords = ind.carrier_span.coords(img)
         if coords is None:
             rep.fail("lands-in-cotensor", "unit image leaves the subspace",
                      counterexample=f"basis vector {x}")
@@ -1349,17 +1324,15 @@ class GroupModule:
         return spin(self._columns(), [vec], self.field).sorted_rows()
 
     def submodule(self, rows, name=""):
+        """The module on the span of ``rows``, an independent basis, in its coordinates."""
         f = self.field
-        rb = RowBasis(f)
-        for r in rows:
-            rb.add(list(r))
-        base = rb.sorted_rows()
+        span = Span(rows, f)
         mats = []
         for cols in self._columns():
-            out = zeros(len(base), len(base), f.zero)
-            for ci, bvec in enumerate(base):
+            out = zeros(len(rows), len(rows), f.zero)
+            for ci, bvec in enumerate(rows):
                 img = _apply(cols, bvec, f.zero)
-                coords = _coords_in_span(base, img, f)
+                coords = span.coords(img)
                 if coords is None:
                     raise StructureError("not a submodule")
                 for ri, c in enumerate(coords):
@@ -1368,11 +1341,9 @@ class GroupModule:
         return GroupModule(self.table, f, mats, name=name)
 
     def end_dim(self):
-        from .linalg import intertwiner_space
         return len(intertwiner_space(self.mats, self.mats, self.field))
 
     def hom_dim(self, other):
-        from .linalg import intertwiner_space
         return len(intertwiner_space(self.mats, other.mats, self.field))
 
 
@@ -1810,6 +1781,7 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
             mat.append(row)
     basis = nullspace(mat, f) if mat else \
         [[f.one if i == j else f.zero for j in range(N.dim)] for i in range(N.dim)]
+    span = Span(basis, f)
     # descended A-coaction on the coinvariants
     rho = [dict() for _ in range(len(basis))]
     for s, vec in enumerate(basis):
@@ -1823,7 +1795,7 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
         for aa, sl in sorted(slices.items()):
             if not any(sl):
                 continue
-            coords = _coords_in_span(basis, sl, f)
+            coords = span.coords(sl)
             if coords is None:
                 raise StructureError(
                     "A-coaction does not preserve the coinvariants: "

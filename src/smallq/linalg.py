@@ -37,16 +37,8 @@ def mat_mul(A, B, zero):
     return C
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
 
 
 def mat_scale(A, s):
@@ -103,14 +95,6 @@ def kron(A, B, zero):
 
 def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(u, s):
-    return [s * a for a in u]
 
 
 def vec_is_zero(u):
@@ -195,8 +179,9 @@ class RowBasis:
         vec = self.reduce(vec)
         for p, c in enumerate(vec):
             if c:
-                inv = c.inverse()
-                vec = [inv * a for a in vec]
+                if c != self.field.one:
+                    inv = c.inverse()
+                    vec = [inv * a for a in vec]
                 # back-substitute into existing rows
                 for i, row in enumerate(self.rows):
                     d = row[p]
@@ -217,6 +202,71 @@ class RowBasis:
     def sorted_rows(self):
         order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
         return [self.rows[i] for i in order]
+
+
+class Span:
+    """The span of linearly independent vectors, factored once for coordinates.
+
+    Precondition: the input vectors b_0..b_{k-1} are linearly independent;
+    dependent inputs raise ``ValueError``.  Each b_i enters one ``RowBasis``
+    elimination as ``b_i | e_i``.  A reduced row ``r | t`` then satisfies
+    r = sum_j t_j b_j, and a residual whose first nonzero entry lies in the
+    tail would be a dependency.  The reduced rows r are in reduced row-echelon
+    form: 1 at their own pivot, 0 at every other row's pivot.
+
+    ``coords(v)`` reads the coefficient of each r straight from v at its
+    pivot, subtracts those multiples at the off-pivot entries, and returns
+    None unless the residual vanishes.  Otherwise v = sum_i v[p_i] r_i =
+    sum_j (sum_i v[p_i] t_ij) b_j.  Since the b_j are independent these
+    coordinates are the only ones, so they equal what any exact solver of
+    B x = v returns, with B the matrix whose columns are the b_j.  No
+    elimination and no field inverse happen per target.
+    """
+
+    def __init__(self, vectors, field):
+        self.field = field
+        k = len(vectors)
+        zero, one = field.zero, field.one
+        rb = RowBasis(field)
+        n = None
+        for i, vec in enumerate(vectors):
+            n = len(vec)
+            tail = [zero] * k
+            tail[i] = one
+            rb.add(list(vec) + tail)
+            if rb.pivots[-1] >= n:
+                raise ValueError("Span needs linearly independent vectors")
+        # per reduced row: (pivot, off-pivot (col, entry) pairs, combination)
+        # with the combination an input index when it is a unit vector
+        self._rows = []
+        for row, p in zip(rb.rows, rb.pivots):
+            off = [(c, a) for c, a in enumerate(row[:n]) if a and c != p]
+            comb = [(j, a) for j, a in enumerate(row[n:]) if a]
+            if len(comb) == 1 and comb[0][1] == one:
+                comb = comb[0][0]
+            self._rows.append((p, off, comb))
+        self.dim = k
+
+    def coords(self, vec):
+        """Coordinates of vec with respect to the input vectors, or None."""
+        zero = self.field.zero
+        res = list(vec)
+        out = [zero] * self.dim
+        for p, off, comb in self._rows:
+            c = vec[p]
+            if not c:
+                continue
+            res[p] = zero
+            for col, a in off:
+                res[col] = res[col] - c * a
+            if isinstance(comb, int):
+                out[comb] = out[comb] + c if out[comb] else c
+            else:
+                for j, t in comb:
+                    out[j] = out[j] + c * t
+        if any(res):
+            return None
+        return out
 
 
 def rref(A, field):
@@ -254,22 +304,6 @@ def nullspace(A, field):
                 x[p] = -c
         basis.append(x)
     return basis
-
-
-def solve(A, b, field):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not A:
-        return None
-    n = len(A[0])
-    aug = [row + [bi] for row, bi in zip(A, b)]
-    rows, pivots = rref(aug, field)
-    zero = field.zero
-    x = [zero] * n
-    for row, p in zip(rows, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
 
 
 def inverse(A, field):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .linalg import (
     RowBasis,
+    Span,
     identity,
     kron,
     mat_eq,
@@ -531,7 +532,7 @@ class Submodule:
 
     def __init__(self, parent: WeightModule, basis_rows, basis_weights):
         self.parent = parent
-        self.basis = basis_rows            # reduced row vectors over the field
+        self.basis = basis_rows            # independent row vectors over the field
         self.basis_weights = basis_weights
 
     @property
@@ -650,15 +651,13 @@ def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
     """The subspace as a WeightModule in its own basis (zeta layer only)."""
     parent = sub.parent
     field = parent.params.field
-    rb = RowBasis(field)
-    for row in sub.basis:
-        rb.add(list(row))
+    span = Span(sub.basis, field)
 
     def restrict(cols):
         out = []
         for row in sub.basis:
             img = _apply(cols, row, field.zero)
-            coords = _coords_in_rowbasis(rb, img, field)
+            coords = span.coords(img)
             if coords is None:
                 raise LatticeError("subspace is not stable under a generator")
             out.append(coords)
@@ -710,22 +709,6 @@ def quotient_module(module: WeightModule, sub: Submodule, name=None):
     q = WeightModule(module.datum, module.params, weights, GenSet(efam, ffam),
                      None, name=name or f"{module.name}/sub")
     return q, proj
-
-
-def _coords_in_rowbasis(rb: RowBasis, vec, field):
-    """Coordinates of vec in the row basis, or None if outside the span."""
-    vec = list(vec)
-    coords = [field.zero] * rb.dim
-    for i, (row, p) in enumerate(zip(rb.rows, rb.pivots)):
-        c = vec[p]
-        if c:
-            coords[i] = c
-            for j in range(len(vec)):
-                if row[j]:
-                    vec[j] = vec[j] - c * row[j]
-    if any(vec):
-        return None
-    return coords
 
 
 def head_module(module: WeightModule):

@@ -170,11 +170,6 @@ def dot_reflect(datum: RootDatum, i: int, lam) -> tuple:
     return tuple(x - 1 for x in s)
 
 
-def dot_translate(form: EllForm, lam, mu_y) -> tuple:
-    t = form.phi(mu_y)
-    return tuple(l + x for l, x in zip(lam, t))
-
-
 def _hnf_rows(rows):
     """Hermite normal form (upper triangular, positive pivots) of a full-rank
     integer row lattice basis."""
@@ -240,11 +235,6 @@ class DotOrbits:
         """Canonical representative of lam + rho modulo W and phi(Y)."""
         nu = tuple(l + 1 for l in lam)
         return min(self._coset_rep(apply_matrix(w, nu)) for w in self.weyl)
-
-    def canonical_weight(self, lam) -> tuple:
-        """A distinguished weight in the dot orbit of lam."""
-        key = self.orbit_key(lam)
-        return tuple(k - 1 for k in key)
 
     def is_singular(self, lam) -> bool:
         """Nontrivial stabilizer in W_aff under the dot action."""

@@ -33,12 +33,6 @@ class LatticeError(ArithmeticError):
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _zx_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _zx_div_exact(a, b):
     """Exact division of integer polynomials, b monic up to sign."""
     a = list(a)
@@ -147,10 +141,6 @@ class CycloField:
     def from_int(self, a: int) -> "CycloElem":
         d = self.degree
         return CycloElem(self, tuple(a if j == 0 else 0 for j in range(d)), 1)
-
-    def from_fraction(self, fr: Fraction) -> "CycloElem":
-        d = self.degree
-        return CycloElem(self, tuple(fr.numerator if j == 0 else 0 for j in range(d)), fr.denominator)
 
     def elem(self, nums, den=1) -> "CycloElem":
         nums = list(nums) + [0] * (self.degree - len(nums))
@@ -319,11 +309,6 @@ class CycloElem:
             base = base * base
             k >>= 1
         return out
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         if not self:
@@ -900,22 +885,5 @@ def matrix_divide_exact(matrix, s: LaurentPoly):
             except OutsideLocalizationError as exc:
                 raise LatticeError(
                     f"entry ({i}, {j}) leaves the localization: {exc}") from exc
-        out.append(new_row)
-    return out
-
-
-def matrix_divide_exact_poly(matrix, s: LaurentPoly):
-    """Divide every entry by s, requiring exact polynomial quotients."""
-    if not s.c:
-        raise ZeroDivisionError("division of a matrix by the zero polynomial")
-    out = []
-    for i, row in enumerate(matrix):
-        new_row = []
-        for j, entry in enumerate(row):
-            try:
-                new_row.append(entry.exact_div(s))
-            except ExactDivisionError as exc:
-                raise LatticeError(
-                    f"entry ({i}, {j}) is not divisible by the q-factorial") from exc
         out.append(new_row)
     return out

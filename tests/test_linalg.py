@@ -1,0 +1,118 @@
+"""Span: factor-once coordinates over the cyclotomic fields at ell 4 and 6."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from smallq.linalg import RowBasis, Span, nullspace, rank, rref
+from smallq.scalars import QParams
+
+FIELDS = {ell: QParams(ell).field for ell in (4, 6)}
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def elems(draw, field):
+    if draw(st.integers(0, 2)) == 0:
+        return field.zero
+    nums = draw(st.lists(st.integers(-3, 3), min_size=field.degree,
+                         max_size=field.degree))
+    return field.elem(nums, draw(st.integers(1, 3)))
+
+
+@st.composite
+def vectors(draw, field, n):
+    return [draw(elems(field)) for _ in range(n)]
+
+
+@st.composite
+def span_case(draw, min_k=0, spare=0):
+    """(field, n, independent vectors b_0..b_{k-1}) with k <= n - spare."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(max(1, min_k + spare), 5))
+    k = draw(st.integers(min_k, n - spare))
+    basis = [draw(vectors(field, n)) for _ in range(k)]
+    assume(rank(basis, field) == k)
+    return field, n, basis
+
+
+def combine(field, n, basis, coeffs):
+    out = [field.zero] * n
+    for c, b in zip(coeffs, basis):
+        for j, x in enumerate(b):
+            out[j] = out[j] + c * x
+    return out
+
+
+def old_solve(basis, target, field):
+    """The solver Span replaces: one rref of [B | target] per target."""
+    if not basis:
+        return None if any(target) else []
+    k = len(basis)
+    aug = [[b[r] for b in basis] + [target[r]] for r in range(len(target))]
+    rows, pivots = rref(aug, field)
+    x = [field.zero] * k
+    for row, p in zip(rows, pivots):
+        if p == k:
+            return None
+        x[p] = row[k]
+    return x
+
+
+@SETTINGS
+@given(st.data())
+def test_coords_recovers_coefficients(data):
+    field, n, basis = data.draw(span_case())
+    coeffs = data.draw(vectors(field, len(basis)))
+    assert Span(basis, field).coords(combine(field, n, basis, coeffs)) == coeffs
+
+
+@SETTINGS
+@given(st.data())
+def test_coords_outside_span_is_none(data):
+    field, n, basis = data.draw(span_case(spare=1))
+    coeffs = data.draw(vectors(field, len(basis)))
+    rb = RowBasis(field)
+    for b in basis:
+        rb.add(b)
+    # a coordinate vector outside the span exists because len(basis) < n
+    outside = next(e for e in ([field.one if i == j else field.zero for i in range(n)]
+                               for j in range(n)) if not rb.contains(e))
+    scale = data.draw(elems(field))
+    assume(scale)
+    vec = combine(field, n, basis + [outside], coeffs + [scale])
+    assert Span(basis, field).coords(vec) is None
+
+
+@SETTINGS
+@given(st.data())
+def test_dependent_inputs_raise(data):
+    field, n, basis = data.draw(span_case())
+    coeffs = data.draw(vectors(field, len(basis)))
+    at = data.draw(st.integers(0, len(basis)))
+    dependent = basis[:at] + [combine(field, n, basis, coeffs)] + basis[at:]
+    with pytest.raises(ValueError):
+        Span(dependent, field)
+
+
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+def test_empty_span(ell):
+    field = FIELDS[ell]
+    span = Span([], field)
+    assert span.coords([field.zero] * 3) == []
+    assert span.coords([field.zero, field.one, field.zero]) is None
+
+
+@SETTINGS
+@given(st.data())
+def test_coords_match_rref_solve_on_nullspace_basis(data):
+    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 5))
+    A = [data.draw(vectors(field, n)) for _ in range(m)]
+    basis = nullspace(A, field)
+    span = Span(basis, field)
+    coeffs = data.draw(vectors(field, len(basis)))
+    inside = combine(field, n, basis, coeffs)
+    assert span.coords(inside) == old_solve(basis, inside, field) == coeffs
+    anything = data.draw(vectors(field, n))
+    assert span.coords(anything) == old_solve(basis, anything, field)

@@ -141,6 +141,20 @@ def test_submodule_as_module_passes_relations():
     assert rep.passed, rep.failures()
 
 
+def test_submodule_as_module_unreduced_basis():
+    # basis rows 2*e_i span all of W; in those coordinates the generators act
+    # by W's own matrices, so restricting must give them back unchanged
+    w = weyl_module(3, P4)
+    two = w.params.field.from_int(2)
+    rows = [[two * x for x in basis_vector(w, k)] for k in range(w.dim)]
+    m = submodule_as_module(repcore.Submodule(w, rows, list(w.weights)))
+    for fam, sub_fam in ((w.z.efam, m.z.efam), (w.z.ffam, m.z.ffam)):
+        assert len(sub_fam) == len(fam)
+        for mats, sub_mats in zip(fam, sub_fam):
+            assert len(sub_mats) == len(mats)
+            assert all(mat_eq(a, b) for a, b in zip(mats, sub_mats))
+
+
 def test_composition_factors():
     assert composition_factors(weyl_module(2, P4)) == [((2,), 3)]
     assert composition_factors(weyl_module(4, P4)) == [((2,), 3), ((4,), 2)]
