@@ -24,8 +24,10 @@ import random
 from math import gcd
 
 from .linalg import (
+    Quotient,
     RowBasis,
     Span,
+    combine,
     identity,
     intertwiner_space,
     inverse,
@@ -34,6 +36,7 @@ from .linalg import (
     nullspace,
     rank,
     sparse_columns,
+    sparse_nullspace,
     spin,
     zeros,
 )
@@ -388,63 +391,39 @@ class ComoduleFD:
                 raise StructureError(f"{self.name}: coaction counit law fails")
 
 
+def coaction_matrices(rho, cdim, field):
+    """The coaction as one matrix per coalgebra basis element c:
+    R_c[y][x] = coefficient of c (x) y in rho(x).
+
+    A comodule over C is a module over the dual algebra C* through these
+    matrices, so the comodule maps M1 -> M2 are the X with X R1_c = R2_c X.
+    """
+    n = len(rho)
+    mats = [zeros(n, n, field.zero) for _ in range(cdim)]
+    for x, coact in enumerate(rho):
+        for (c, y), v in coact.items():
+            mats[c][y][x] = v
+    return mats
+
+
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
     """Basis of comodule maps M1 -> M2 over the shared coalgebra."""
-    f = M1.coalg.field
-    n1, n2 = M1.dim, M2.dim
-    nv = n2 * n1
-    zero = f.zero
-    eqs = RowBasis(f)
-    cdim = M1.coalg.dim
-    for x1 in range(n1):
-        for a in range(cdim):
-            for y2 in range(n2):
-                row = [zero] * nv
-                touched = False
-                for (c, y1), v in M1.rho[x1].items():
-                    if c == a:
-                        row[y2 * n1 + y1] = row[y2 * n1 + y1] + v
-                        touched = True
-                for x2 in range(n2):
-                    v = M2.rho[x2].get((a, y2))
-                    if v:
-                        row[x2 * n1 + x1] = row[x2 * n1 + x1] - v
-                        touched = True
-                if touched:
-                    eqs.add(row)
-    sols = nullspace(eqs.sorted_rows(), f) if eqs.dim else \
-        [[f.one if i == j else zero for j in range(nv)] for i in range(nv)]
-    out = []
-    for s in sols:
-        X = [[zero] * n1 for _ in range(n2)]
-        for y2 in range(n2):
-            for y1 in range(n1):
-                X[y2][y1] = s[y2 * n1 + y1]
-        out.append(X)
-    return out
+    C = M1.coalg
+    return intertwiner_space(coaction_matrices(M1.rho, C.dim, C.field),
+                             coaction_matrices(M2.rho, C.dim, C.field), C.field)
 
 
-def find_iso(homs, field, seed=0):
-    """An invertible element of a Hom space, or None."""
+def find_iso(homs, field):
+    """An invertible element of the basis ``homs`` of a Hom space, or None.
+
+    A matrix returned is a certificate of "isomorphic" whatever the objects.
+    None is certified when the source is simple: by Schur's lemma every
+    nonzero map from a simple object is injective, so a basis element is
+    invertible exactly when source and target are isomorphic.
+    """
     for X in homs:
         if X and inverse(X, field) is not None:
             return X
-    if not homs:
-        return None
-    n = len(homs[0])
-    acc = homs[0]
-    for X in homs[1:]:
-        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, X)]
-        if inverse(acc, field) is not None:
-            return acc
-    rng = random.Random(seed)
-    for _ in range(32):
-        acc = zeros(n, len(homs[0][0]), field.zero)
-        for X in homs:
-            c = field.from_int(rng.randint(-3, 3))
-            acc = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, X)]
-        if inverse(acc, field) is not None:
-            return acc
     return None
 
 
@@ -701,8 +680,15 @@ class TripleObject:
         self.rho = rho              # list over carrier of {(a_idx, y): v}
         self.dim = len(rho)
         self.name = name or f"object(dim={self.dim})"
+        self._cols = None
         if validate:
             self._validate()
+
+    def act_sum(self, terms):
+        """sum_k c_k act[k] over the (k, c_k) terms, from sparse columns."""
+        if self._cols is None:
+            self._cols = [sparse_columns(m) for m in self.act]
+        return combine(terms, self._cols, self.dim, self.T.field.zero)
 
     def _validate(self):
         T = self.T
@@ -710,24 +696,11 @@ class TripleObject:
         O = T.O
         n = self.dim
         # unit and associativity of the action
-        ident = identity(n, f.one, f.zero)
-        acc = zeros(n, n, f.zero)
-        for k, c in O.unit.items():
-            for r in range(n):
-                for s in range(n):
-                    if self.act[k][r][s]:
-                        acc[r][s] = acc[r][s] + c * self.act[k][r][s]
-        if not mat_eq(acc, ident):
+        if not mat_eq(self.act_sum(O.unit.items()), identity(n, f.one, f.zero)):
             raise StructureError(f"{self.name}: unit does not act as identity")
         for i in range(O.dim):
             for j in range(O.dim):
-                prod = O.product_vec({i: f.one}, {j: f.one})
-                lhs = zeros(n, n, f.zero)
-                for k, c in prod.items():
-                    for r in range(n):
-                        for s in range(n):
-                            if self.act[k][r][s]:
-                                lhs[r][s] = lhs[r][s] + c * self.act[k][r][s]
+                lhs = self.act_sum(O.product_vec({i: f.one}, {j: f.one}).items())
                 rhs = mat_mul(self.act[i], self.act[j], f.zero)
                 if not mat_eq(lhs, rhs):
                     raise StructureError(f"{self.name}: action not associative")
@@ -758,22 +731,7 @@ class TripleObject:
 
 def object_O(T: TripleFD) -> TripleObject:
     """O with left multiplication and the coaction (iota (x) id) Delta_O."""
-    f = T.field
-    O = T.O
-    act = []
-    for i in range(O.dim):
-        m = zeros(O.dim, O.dim, f.zero)
-        for j in range(O.dim):
-            for k, c in O.product_vec({i: f.one}, {j: f.one}).items():
-                m[k][j] = c
-        act.append(m)
-    rho = [dict() for _ in range(O.dim)]
-    for x in range(O.dim):
-        for (j, k), c in O.delta[x].items():
-            for aa, ca in T.iota_vec({j: f.one}).items():
-                _acc(rho[x], (aa, k), c * ca)
-        rho[x] = _strip(rho[x])
-    return TripleObject(T, act, rho, name="O")
+    return object_O_tensor(T, trivial_A_comodule(T), name="O")
 
 
 def object_A(T: TripleFD) -> TripleObject:
@@ -823,27 +781,17 @@ def cotensor(rho_right, dim_r, rho_left, dim_l, a_dim, field):
     rho_right[x] = {(y, c): v}, rho_left[w] = {(c, z): v}.  Returns basis
     vectors over the flattened index x * dim_l + w.
     """
-    zero = field.zero
-    rows = {}
+    eqs = {}
     for x in range(dim_r):
         for w in range(dim_l):
             col = x * dim_l + w
             for (y, c), v in rho_right[x].items():
-                key = (y, c, w)
-                rows.setdefault(key, {})[col] = rows.setdefault(key, {}).get(col, zero) + v
+                eqs.setdefault((y, c, w), []).append((col, v))
             for (c, z), v in rho_left[w].items():
-                key = (x, c, z)
-                rows.setdefault(key, {})[col] = rows.setdefault(key, {}).get(col, zero) - v
-    n = dim_r * dim_l
-    mat = []
-    for key in sorted(rows):
-        row = [zero] * n
-        for col, v in rows[key].items():
-            row[col] = v
-        mat.append(row)
-    if not mat:
-        mat = [[zero] * n]
-    return nullspace(mat, field)
+                eqs.setdefault((x, c, z), []).append((col, -v))
+    # sorted keys: the order changes only the elimination cost, and this
+    # order measured cheaper than the order the keys were met in
+    return sparse_nullspace([eqs[k] for k in sorted(eqs)], dim_r * dim_l, field)
 
 
 def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
@@ -904,30 +852,32 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     return obj
 
 
+def augmentation_quotient(T: TripleFD, act) -> Quotient:
+    """N / m.N for an O-action on N given by one matrix per O-basis element.
+
+    m.N is spanned by the augmentation vectors act[i] e_x - eps_i e_x.
+    """
+    n = len(act[0])
+    vecs = []
+    for i, eps_i in enumerate(T.O.eps):
+        for x in range(n):
+            vec = [act[i][r][x] for r in range(n)]
+            vec[x] = vec[x] - eps_i
+            if any(vec):
+                vecs.append(vec)
+    return Quotient(vecs, n, T.field)
+
+
 def psi(T: TripleFD, N: TripleObject, name=""):
     """Psi(N) = N / m.N with the descended a-coaction.
 
-    Returns (a-comodule Q, projection matrix Q x N).
+    Returns (a-comodule Q, the ``Quotient`` N -> Q).
     """
     f = T.field
-    O = T.O
-    rb = RowBasis(f)
-    aug_kill = []
-    for i in range(O.dim):
-        eps_i = O.eps[i]
-        for x in range(N.dim):
-            vec = [N.act[i][r][x] for r in range(N.dim)]
-            vec[x] = vec[x] - eps_i
-            if any(vec):
-                aug_kill.append(vec)
-                rb.add(vec)
-    pivots = set(rb.pivots)
-    free = [j for j in range(N.dim) if j not in pivots]
-    proj = [[f.zero] * N.dim for _ in range(len(free))]
-    for j in range(N.dim):
-        res = rb.reduce([f.one if k == j else f.zero for k in range(N.dim)])
-        for r, fc in enumerate(free):
-            proj[r][j] = res[fc]
+    quot = augmentation_quotient(T, N.act)
+    proj = quot.proj
+    nq = len(quot.free)
+
     # descended a-coaction: (pi (x) proj) rho, checked to vanish on m.N
     def a_coact(vec):
         out = {}
@@ -938,21 +888,21 @@ def psi(T: TripleFD, N: TripleObject, name=""):
                 for c in range(T.a.dim):
                     pw = T.pi[c][aa]
                     if pw:
-                        for r in range(len(free)):
+                        for r in range(nq):
                             pv = proj[r][y]
                             if pv:
                                 _acc(out, (c, r), v * w * pw * pv)
         return _strip(out)
 
-    for z in aug_kill:
+    for z in quot.sub.rows:
         if a_coact(z):
             raise StructureError("a-coaction does not descend to Psi: compatibility bug")
     rho_q = []
-    for r, fc in enumerate(free):
+    for fc in quot.free:
         basis_vec = [f.one if k == fc else f.zero for k in range(N.dim)]
         rho_q.append(a_coact(basis_vec))
     Q = ComoduleFD(T.a, rho_q, name=name or f"Psi({N.name})")
-    return Q, proj
+    return Q, quot
 
 
 def adjunction_unit(T: TripleFD, N: TripleObject):
@@ -962,14 +912,14 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     """
     rep = Report(f"unit[{N.name}]")
     f = T.field
-    Q, proj = psi(T, N)
+    Q, quot = psi(T, N)
     ind = induce(T, Q)
     mat = zeros(ind.dim, N.dim, f.zero)
     for x in range(N.dim):
         img = [f.zero] * (T.A.dim * Q.dim)
         for (aa, y), v in N.rho[x].items():
             for r in range(Q.dim):
-                pv = proj[r][y]
+                pv = quot.proj[r][y]
                 if pv:
                     img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
         coords = ind.carrier_span.coords(img)
@@ -1011,6 +961,21 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     return mat, ind, rep
 
 
+def counit_on_carrier(T: TripleFD, ind: TripleObject):
+    """eps_A (x) id on the carrier of ind = Ind(M), as a dim M x dim ind matrix."""
+    f = T.field
+    m = ind.induced_from.dim
+    out = zeros(m, ind.dim, f.zero)
+    for s, vec in enumerate(ind.carrier_basis):
+        for idx, v in enumerate(vec):
+            if v:
+                aa, x = divmod(idx, m)
+                e = T.A.eps[aa]
+                if e:
+                    out[x][s] = out[x][s] + e * v
+    return out
+
+
 def adjunction_counit(T: TripleFD, M: ComoduleFD):
     """The map Psi(Ind(M)) -> M as an explicit matrix, with checks.
 
@@ -1019,27 +984,11 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     rep = Report(f"counit[{M.name}]")
     f = T.field
     ind = induce(T, M)
-    basis = ind.carrier_basis
-    Q2, proj2 = psi(T, ind)
-    # counit on the subspace: eps_A (x) id
-    c_on_s = zeros(M.dim, ind.dim, f.zero)
-    for s, vec in enumerate(basis):
-        for idx, v in enumerate(vec):
-            if v:
-                aa, x = divmod(idx, M.dim)
-                e = T.A.eps[aa]
-                if e:
-                    c_on_s[x][s] = c_on_s[x][s] + e * v
-    # must kill m.Ind(M): c_on_s factors through proj2
-    # build section: proj2 comes from free coordinates
-    rbp = RowBasis(f)
-    for i in range(T.O.dim):
-        for x in range(ind.dim):
-            vec = [ind.act[i][r][x] for r in range(ind.dim)]
-            vec[x] = vec[x] - T.O.eps[i]
-            if any(vec):
-                rbp.add(vec)
-    for row in rbp.rows:
+    Q2, quot = psi(T, ind)
+    c_on_s = counit_on_carrier(T, ind)
+    # must kill m.Ind(M), whose reduced basis psi has built; it then factors
+    # through the free coordinates of the quotient
+    for row in quot.sub.rows:
         img = [sum((c_on_s[y][s] * row[s] for s in range(ind.dim) if row[s]),
                    f.zero) for y in range(M.dim)]
         if any(img):
@@ -1047,9 +996,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
                      counterexample=M.name)
             return None, Q2, rep
     rep.ok("descends")
-    pivots = set(rbp.pivots)
-    free = [j for j in range(ind.dim) if j not in pivots]
-    mat = [[c_on_s[y][fc] for fc in free] for y in range(M.dim)]
+    mat = [[c_on_s[y][fc] for fc in quot.free] for y in range(M.dim)]
     # a-colinearity
     lhs = [dict() for _ in range(Q2.dim)]
     for q in range(Q2.dim):
@@ -1074,51 +1021,11 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
 
 
 def hom_cat(T: TripleFD, N1: TripleObject, N2: TripleObject):
-    """Basis of Cat-morphisms: O-equivariant, A-colinear maps."""
+    """Basis of Cat-morphisms: the maps that intertwine the coaction matrices
+    of A (so they are A-colinear) and the O-action (O-equivariant)."""
     f = T.field
-    as_comod_1 = ComoduleFD(T.A, N1.rho, validate=False)
-    as_comod_2 = ComoduleFD(T.A, N2.rho, validate=False)
-    homs = comodule_hom_space(as_comod_1, as_comod_2)
-    out = []
-    for X in homs:
-        if all(mat_eq(mat_mul(X, N1.act[i], f.zero),
-                      mat_mul(N2.act[i], X, f.zero))
-               for i in range(T.O.dim)):
-            out.append(X)
-    # the subset closed under the linear conditions: re-solve inside the span
-    if len(out) == len(homs):
-        return homs
-    # build the linear subspace properly: solve combined system
-    nv = len(homs)
-    if nv == 0:
-        return []
-    rows = RowBasis(f)
-    n2, n1 = N2.dim, N1.dim
-    for i in range(T.O.dim):
-        for r in range(n2):
-            for c in range(n1):
-                row = []
-                for X in homs:
-                    lhs = sum((X[r][k] * N1.act[i][k][c] for k in range(n1)
-                               if X[r][k] and N1.act[i][k][c]), f.zero)
-                    rhs = sum((N2.act[i][r][k] * X[k][c] for k in range(n2)
-                               if X[k][c] and N2.act[i][r][k]), f.zero)
-                    row.append(lhs - rhs)
-                if any(row):
-                    rows.add(row)
-    sols = nullspace(rows.sorted_rows(), f) if rows.dim else \
-        [[f.one if i == j else f.zero for j in range(nv)] for i in range(nv)]
-    combined = []
-    for s in sols:
-        X = zeros(n2, n1, f.zero)
-        for k, c in enumerate(s):
-            if c:
-                for r in range(n2):
-                    for cc in range(n1):
-                        if homs[k][r][cc]:
-                            X[r][cc] = X[r][cc] + c * homs[k][r][cc]
-        combined.append(X)
-    return combined
+    return intertwiner_space(coaction_matrices(N1.rho, T.A.dim, f) + N1.act,
+                             coaction_matrices(N2.rho, T.A.dim, f) + N2.act, f)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,50 +1061,27 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
                  counterexample=f"O basis index {j}")
 
     # (ii): invariants of the right a-comodule structure on A
+    # x is invariant when rho_r(x) = x (x) g: one equation per (y, c)
     rho_r = a_right_comodule_of_A(T)
-    rows = []
+    eqs = {}
     for x in range(T.A.dim):
-        row_dict = {}
-        for (y, c), v in rho_r[x].items():
-            _acc(row_dict, (y, c), v)
+        for key, v in rho_r[x].items():
+            eqs.setdefault(key, []).append((x, v))
         for c, v in gl.items():
-            _acc(row_dict, (x, c), -v)
-        rows.append(row_dict)
-    # build equations: for each (y, c) coordinate, one linear condition on x-coefficients
-    eq_rows = {}
-    for x, rd in enumerate(rows):
-        for key, v in rd.items():
-            eq_rows.setdefault(key, {})[x] = v
-    mat = []
-    for key in sorted(eq_rows):
-        row = [f.zero] * T.A.dim
-        for x, v in eq_rows[key].items():
-            row[x] = v
-        mat.append(row)
-    inv_basis = nullspace(mat, f) if mat else []
-    iota_cols = [[T.iota[i][j] for i in range(T.A.dim)] for j in range(T.O.dim)]
+            eqs.setdefault((x, c), []).append((x, -v))
+    inv_basis = sparse_nullspace(eqs.values(), T.A.dim, f)
     span = RowBasis(f)
-    for cvec in iota_cols:
-        span.add(cvec)
-    inv_span = RowBasis(f)
-    for v in inv_basis:
-        inv_span.add(v)
-    if inv_span.dim == span.dim and all(span.contains(v) for v in inv_basis):
-        rep.ok("ii", f"A^a has dimension {inv_span.dim} = dim O")
+    for j in range(T.O.dim):
+        span.add([T.iota[i][j] for i in range(T.A.dim)])
+    if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
+        rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
     else:
         rep.fail("ii", "A^a differs from the image of O",
-                 counterexample=f"dim A^a = {inv_span.dim}, dim O = {span.dim}")
+                 counterexample=f"dim A^a = {len(inv_basis)}, dim O = {span.dim}")
 
     # (iii): m.A vs ker(pi)
-    maug = RowBasis(f)
-    for j in range(T.O.dim):
-        eps_j = T.O.eps[j]
-        lm = T.A.left_mult_matrix(T.iota_vec({j: f.one}))
-        for x in range(T.A.dim):
-            vec = [lm[r][x] for r in range(T.A.dim)]
-            vec[x] = vec[x] - eps_j
-            if any(vec):
-                maug.add(vec)
+    maug = augmentation_quotient(
+        T, [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]).sub
     ker_pi = nullspace(T.pi, f)
     ker_span = RowBasis(f)
     for v in ker_pi:
@@ -1432,15 +1316,10 @@ def group_simples(table: GroupTable, field):
         return simples
     # complement of the one-dimensional isotypics inside the regular module
     inv = f.from_int(table.n).inverse()
-    proj_sum = zeros(table.n, table.n, f.zero)
-    for chi in chars:
-        for g in range(table.n):
-            coeff = chi[rep_of[table.inverse[g]]] * inv
-            m = reg.mats[g]
-            for r in range(table.n):
-                for c in range(table.n):
-                    if m[r][c]:
-                        proj_sum[r][c] = proj_sum[r][c] + coeff * m[r][c]
+    reg_cols = reg._columns()
+    proj_sum = combine(((g, chi[rep_of[table.inverse[g]]] * inv)
+                        for chi in chars for g in range(table.n)),
+                       reg_cols, table.n, f.zero)
     # kernel of the summed projector is the remaining isotypic part
     comp = nullspace(proj_sum, f)
     candidates = list(comp)
@@ -1448,7 +1327,6 @@ def group_simples(table: GroupTable, field):
     # matrix has several eigenvalues, so projecting onto one of them cuts a
     # split two-dimensional block down to rank one -- deterministic seeds for
     # the spin, no luck required
-    reg_cols = reg._columns()
     for g in range(table.n):
         o = table.order_of(g)
         if o == 1:
@@ -1667,19 +1545,8 @@ def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
     unit_val = sum((c * gamma[k] for k, c in _strip(dict(T.O.unit)).items()), f.zero)
     if unit_val != f.one:
         raise StructureError("gamma does not preserve the unit")
-    act = []
-    for i in range(T.O.dim):
-        m = zeros(N.dim, N.dim, f.zero)
-        for (j, k), c in T.O.delta[i].items():
-            g = gamma[j]
-            if g:
-                coeff = c * g
-                mk = N.act[k]
-                for r in range(N.dim):
-                    for s in range(N.dim):
-                        if mk[r][s]:
-                            m[r][s] = m[r][s] + coeff * mk[r][s]
-        act.append(m)
+    act = [N.act_sum((k, c * gamma[j]) for (j, k), c in T.O.delta[i].items() if gamma[j])
+           for i in range(T.O.dim)]
     return TripleObject(T, act, N.rho, name=name or f"twist({N.name})")
 
 
@@ -1765,22 +1632,14 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     N = E.N
     O = T.O
     unit = _strip(dict(O.unit))
-    rows = {}
+    # x is coinvariant when rho_o(x) = 1 (x) x: one equation per (o, y)
+    eqs = {}
     for x in range(N.dim):
-        for (o, y), v in E.rho_o[x].items():
-            rows.setdefault((o, y), {})[x] = rows.setdefault((o, y), {}).get(x, f.zero) + v
+        for key, v in E.rho_o[x].items():
+            eqs.setdefault(key, []).append((x, v))
         for o, u in unit.items():
-            key = (o, x)
-            rows.setdefault(key, {})[x] = rows.setdefault(key, {}).get(x, f.zero) - u
-    mat = []
-    for key in sorted(rows):
-        row = [f.zero] * N.dim
-        for x, v in rows[key].items():
-            row[x] = v
-        if any(row):
-            mat.append(row)
-    basis = nullspace(mat, f) if mat else \
-        [[f.one if i == j else f.zero for j in range(N.dim)] for i in range(N.dim)]
+            eqs.setdefault((o, x), []).append((x, -u))
+    basis = sparse_nullspace(eqs.values(), N.dim, f)
     span = Span(basis, f)
     # descended A-coaction on the coinvariants
     rho = [dict() for _ in range(len(basis))]
@@ -1827,17 +1686,8 @@ def verify_ideal_prop(T: TripleFD, a_catalog=None) -> Report:
     if a_catalog is None:
         a_catalog = a_simples(T)
     for M in a_catalog:
-        ind = induce(T, M)
         # Res(Ind(M)) -> M: counit of the plain adjunction
-        c_mat = zeros(M.dim, ind.dim, f.zero)
-        for s, vec in enumerate(ind.carrier_basis):
-            for idx, v in enumerate(vec):
-                if v:
-                    aa, x = divmod(idx, M.dim)
-                    e = T.A.eps[aa]
-                    if e:
-                        c_mat[x][s] = c_mat[x][s] + e * v
-        if rank(c_mat, f) == M.dim:
+        if rank(counit_on_carrier(T, induce(T, M)), f) == M.dim:
             rep.ok(f"surjective[{M.name}]")
         else:
             rep.fail(f"surjective[{M.name}]", "Res(Ind(M)) -> M not surjective",

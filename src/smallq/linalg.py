@@ -111,6 +111,17 @@ def sparse_columns(A):
     return cols
 
 
+def combine(terms, cols, n, zero):
+    """sum_k c_k M_k over the (k, c_k) terms, the n x n M_k given by their
+    sparse columns; a dense result."""
+    out = [[zero] * n for _ in range(n)]
+    for k, c in terms:
+        for s, col in enumerate(cols[k]):
+            for r, a in col:
+                out[r][s] = out[r][s] + c * a
+    return out
+
+
 def _apply(cols, vec, zero):
     """cols * vec for a square matrix given by its sparse columns."""
     out = [zero] * len(vec)
@@ -285,30 +296,85 @@ def rank(A, field):
     return basis.dim
 
 
-def nullspace(A, field):
-    """Basis of the right nullspace of A (vectors x with A x = 0)."""
-    if not A:
-        return []
-    n = len(A[0])
-    rows, pivots = rref(A, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    zero, one = field.zero, field.one
-    for fcol in free:
+def _null_basis(basis, n):
+    """The x in field^n killed by every row of a filled RowBasis.
+
+    Its rows are reduced, so x is free on the columns without a pivot: one
+    vector per free column f, with 1 at f and -row[f] at each row's pivot.
+    This is the basis read off the reduced row-echelon form, which depends
+    only on the span of the rows, not on the order they arrived in.
+    """
+    zero, one = basis.field.zero, basis.field.one
+    pivot_set = set(basis.pivots)
+    out = []
+    for fcol in range(n):
+        if fcol in pivot_set:
+            continue
         x = [zero] * n
         x[fcol] = one
-        for row, p in zip(rows, pivots):
+        for row, p in zip(basis.rows, basis.pivots):
             c = row[fcol]
             if c:
                 x[p] = -c
-        basis.append(x)
-    return basis
+        out.append(x)
+    return out
+
+
+def nullspace(A, field):
+    """Basis of the right nullspace of A (vectors x with A x = 0)."""
+    basis = RowBasis(field)
+    for row in A:
+        basis.add(row)
+    return _null_basis(basis, len(A[0]) if A else 0)
+
+
+def sparse_nullspace(equations, n, field):
+    """Basis of the x in field^n that satisfy every equation sum_c a_c x_c = 0.
+
+    Each equation is a sparse row: (column, coefficient) pairs, repeated
+    columns summed.  The equations fill one RowBasis and the basis is read
+    straight off it, as ``nullspace`` reads it off the dense system.  No
+    equations leave the whole space: the unit vectors.
+    """
+    zero = field.zero
+    basis = RowBasis(field)
+    for eq in equations:
+        row = [zero] * n
+        for c, a in eq:
+            row[c] = row[c] + a if row[c] else a
+        basis.add(row)
+    return _null_basis(basis, n)
+
+
+class Quotient:
+    """field^n modulo the span of some vectors, on the free columns.
+
+    The vectors fill one RowBasis ``sub``.  The columns without a pivot
+    (``free``) index a basis of the quotient: a vector reduced against
+    ``sub`` has its image in the free entries of the residual.  ``proj`` is
+    the projection as a len(free) x n matrix.
+    """
+
+    def __init__(self, vectors, n, field):
+        self.sub = RowBasis(field)
+        for vec in vectors:
+            self.sub.add(vec)
+        pivots = set(self.sub.pivots)
+        self.free = [j for j in range(n) if j not in pivots]
+        units = identity(n, field.one, field.zero)
+        self.proj = transpose([self.project(e) for e in units])
+
+    def project(self, vec):
+        """The image of vec in the quotient, in free-column coordinates."""
+        res = self.sub.reduce(vec)
+        return [res[c] for c in self.free]
 
 
 def inverse(A, field):
-    """Matrix inverse over a field; None if singular."""
+    """Matrix inverse over a field; None if A is singular or not square."""
     n = len(A)
+    if any(len(row) != n for row in A):
+        return None
     aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
            for i, row in enumerate(A)]
     rows, pivots = rref(aug, field)
@@ -322,7 +388,8 @@ def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=Non
 
     Optional block labels (one per basis vector) restrict X to entries whose
     source and target labels agree, which is how grading constraints enter.
-    Returns a list of matrices forming a basis of the space.
+    Returns a list of matrices forming a basis of the space: the
+    ``sparse_nullspace`` basis over the allowed entries in row-major order.
     """
     ns = len(src_gens[0]) if src_gens else 0
     nt = len(tgt_gens[0]) if tgt_gens else 0
@@ -330,38 +397,36 @@ def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=Non
         src_blocks = [0] * ns
     if tgt_blocks is None:
         tgt_blocks = [0] * nt
-    variables = [(t, s) for t in range(nt) for s in range(ns)
-                 if tgt_blocks[t] == src_blocks[s]]
-    var_index = {v: i for i, v in enumerate(variables)}
-    nv = len(variables)
-    zero = field.zero
-    eqs = RowBasis(field)
-    for S, T in zip(src_gens, tgt_gens):
-        # (X S - T X)[t, s] = 0
-        for t in range(nt):
-            for s in range(ns):
-                row = [zero] * nv
-                touched = False
-                for k in range(ns):
-                    c = S[k][s]
-                    if c and (t, k) in var_index:
-                        row[var_index[(t, k)]] = row[var_index[(t, k)]] + c
-                        touched = True
-                for k in range(nt):
-                    c = T[t][k]
-                    if c and (k, s) in var_index:
-                        row[var_index[(k, s)]] = row[var_index[(k, s)]] - c
-                        touched = True
-                if touched:
-                    eqs.add(row)
-    system = eqs.sorted_rows()
-    sols = nullspace(system, field) if system else [
-        [field.one if i == j else zero for j in range(nv)] for i in range(nv)]
+    # var[t][s]: the unknown X[t][s], or None where the labels differ
+    var = [[None] * ns for _ in range(nt)]
+    entries = []
+    for t in range(nt):
+        for s in range(ns):
+            if tgt_blocks[t] == src_blocks[s]:
+                var[t][s] = len(entries)
+                entries.append((t, s))
+
+    # (X S - T X)[t, s] = sum_k X[t][k] S[k][s] - sum_k T[t][k] X[k][s].
+    # The basis does not depend on the order of the equations; grouping them
+    # by s first measured cheaper than going generator by generator.
+    pairs = [(sparse_columns(S), sparse_columns(transpose(T)))
+             for S, T in zip(src_gens, tgt_gens)]
+
+    def equations():
+        for s in range(ns):
+            for s_cols, t_rows in pairs:
+                for t in range(nt):
+                    var_t = var[t]
+                    eq = [(var_t[k], c) for k, c in s_cols[s] if var_t[k] is not None]
+                    eq += [(var[k][s], -c) for k, c in t_rows[t] if var[k][s] is not None]
+                    if eq:
+                        yield eq
+
     out = []
-    for sol in sols:
-        X = [[zero] * ns for _ in range(nt)]
-        for (t, s), i in var_index.items():
-            if sol[i]:
-                X[t][s] = sol[i]
+    for sol in sparse_nullspace(equations(), len(entries), field):
+        X = [[field.zero] * ns for _ in range(nt)]
+        for (t, s), x in zip(entries, sol):
+            if x:
+                X[t][s] = x
         out.append(X)
     return out

@@ -21,6 +21,7 @@ layers.
 from __future__ import annotations
 
 from .linalg import (
+    Quotient,
     RowBasis,
     Span,
     identity,
@@ -34,6 +35,7 @@ from .linalg import (
     mat_sub,
     sparse_columns,
     spin,
+    transpose,
     zeros,
 )
 from .linalg import _apply
@@ -679,36 +681,18 @@ def quotient_module(module: WeightModule, sub: Submodule, name=None):
 
     Returns (quotient module, projection matrix).
     """
-    field = module.params.field
-    rb = RowBasis(field)
-    for row in sub.basis:
-        rb.add(list(row))
-    pivots = set(rb.pivots)
-    free = [j for j in range(module.dim) if j not in pivots]
-    # projection: e_j maps to its residual expressed on the free coordinates
-    proj_rows = []
-    for j in range(module.dim):
-        res = rb.reduce([field.one if k == j else field.zero
-                         for k in range(module.dim)])
-        proj_rows.append([res[fc] for fc in free])
-    proj = [[proj_rows[j][r] for j in range(module.dim)] for r in range(len(free))]
+    quot = Quotient(sub.basis, module.dim, module.params.field)
 
     def induced(mat):
-        out = zeros(len(free), len(free), field.zero)
-        for c_i, j in enumerate(free):
-            img = [mat[r][j] for r in range(module.dim)]
-            red = rb.reduce(img)
-            for r_i, fc in enumerate(free):
-                out[r_i][c_i] = red[fc]
-        return out
+        return transpose([quot.project([row[j] for row in mat]) for j in quot.free])
 
-    weights = [module.weights[j] for j in free]
+    weights = [module.weights[j] for j in quot.free]
     z = module.z
     efam = [[induced(m) for m in fam] for fam in z.efam]
     ffam = [[induced(m) for m in fam] for fam in z.ffam]
     q = WeightModule(module.datum, module.params, weights, GenSet(efam, ffam),
                      None, name=name or f"{module.name}/sub")
-    return q, proj
+    return q, quot.proj
 
 
 def head_module(module: WeightModule):

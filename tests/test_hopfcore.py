@@ -9,12 +9,16 @@ from smallq.hopfcore import (
     A_simples,
     CoalgebraFD,
     ComoduleFD,
+    GroupModule,
     StructureError,
     a_simples,
     adjunction_counit,
     adjunction_unit,
     check_conditions,
+    coaction_matrices,
+    comodule_direct_sum,
     comodule_hom_space,
+    comodule_tensor,
     cotensor,
     degenerate_triple_aac,
     degenerate_triple_all_equal,
@@ -25,6 +29,7 @@ from smallq.hopfcore import (
     group_simples,
     identity_point,
     induce,
+    module_to_comodule,
     object_A,
     object_O,
     object_O_tensor,
@@ -40,7 +45,7 @@ from smallq.hopfcore import (
     verify_equivalence,
     verify_ideal_prop,
 )
-from smallq.linalg import inverse, mat_eq
+from smallq.linalg import inverse, kron, mat_eq, mat_mul, zeros
 from smallq.scalars import CycloField
 
 
@@ -189,6 +194,70 @@ def test_psi_examples(z4_triple):
     N = A_simples(T)[1]
     Q3, _ = psi(T, object_O_tensor(T, N))
     assert find_iso(comodule_hom_space(Q3, res_a_comodule(T, N)), T.field) is not None
+
+
+def test_find_iso_negative_control(z4_triple, s3_triple):
+    # distinct one-dimensional characters of Z/4: simple, same dimension,
+    # not isomorphic -- the answer must be a certified None
+    T = z4_triple
+    chars = A_simples(T)
+    assert len(chars) == 4 and all(S.dim == 1 for S in chars)
+    for S1, S2 in itertools.permutations(chars, 2):
+        assert find_iso(comodule_hom_space(S1, S2), T.field) is None
+    # a simple into a larger object: the Hom space is nonzero, no iso
+    S = chars[1]
+    homs = comodule_hom_space(S, comodule_direct_sum(S, S))
+    assert len(homs) == 2 and find_iso(homs, T.field) is None
+    # the two-dimensional simple of S3 and a copy in another basis: the
+    # isomorphism found is invertible and intertwines the coactions
+    T = s3_triple
+    f = T.field
+    V = next(s for s in group_simples(T.group, f) if s.dim == 2)
+    P = [[f.one, f.one], [f.zero, f.one]]
+    P_inv = inverse(P, f)
+    W = GroupModule(T.group, f, [mat_mul(mat_mul(P_inv, m, f.zero), P, f.zero)
+                                 for m in V.mats], name="V'")
+    M1, M2 = module_to_comodule(T, V), module_to_comodule(T, W)
+    X = find_iso(comodule_hom_space(M1, M2), f)
+    assert X is not None and inverse(X, f) is not None
+    for R1, R2 in zip(coaction_matrices(M1.rho, T.A.dim, f),
+                      coaction_matrices(M2.rho, T.A.dim, f)):
+        assert mat_eq(mat_mul(X, R1, f.zero), mat_mul(R2, X, f.zero))
+
+
+def _block_diag(m1, m2, zero):
+    n1, n2 = len(m1), len(m2)
+    out = zeros(n1 + n2, n1 + n2, zero)
+    for r in range(n1):
+        out[r][:n1] = m1[r]
+    for r in range(n2):
+        out[n1 + r][n1:] = m2[r]
+    return out
+
+
+def test_comodule_hom_space_character_oracle(z4_triple, s3_triple):
+    # dim Hom(M1, M2) = (1/|G|) sum_g chi1(g^-1) chi2(g), with the characters
+    # taken as traces of the group-module matrices
+    for T in (z4_triple, s3_triple):
+        f, G = T.field, T.group
+        simples = [(s, module_to_comodule(T, s)) for s in group_simples(G, f)]
+        objs = list(simples)
+        for (s1, c1), (s2, c2) in itertools.combinations_with_replacement(simples, 2):
+            mod = GroupModule(G, f, [_block_diag(a, b, f.zero)
+                                     for a, b in zip(s1.mats, s2.mats)])
+            objs.append((mod, comodule_direct_sum(c1, c2)))
+        # the last simple is the largest: 2 (x) 2 = 1 + 1' + 2 on S3
+        s, c = simples[-1]
+        objs.append((GroupModule(G, f, [kron(m, m, f.zero) for m in s.mats]),
+                     comodule_tensor(c, c, T.A)))
+        chars = [[sum((m[i][i] for i in range(mod.dim)), f.zero) for m in mod.mats]
+                 for mod, _ in objs]
+        order_inv = f.from_int(G.n).inverse()
+        for (_, c1), chi1 in zip(objs, chars):
+            for (_, c2), chi2 in zip(objs, chars):
+                inner = sum((chi1[G.inverse[g]] * chi2[g] for g in range(G.n)),
+                            f.zero) * order_inv
+                assert f.from_int(len(comodule_hom_space(c1, c2))) == inner
 
 
 def test_verify_equivalence_fixtures(z4_triple, s3_triple):

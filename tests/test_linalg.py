@@ -1,10 +1,24 @@
-"""Span: factor-once coordinates over the cyclotomic fields at ell 4 and 6."""
+"""Span coordinates and intertwiner spaces over the cyclotomic fields at ell 4 and 6."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smallq.linalg import RowBasis, Span, nullspace, rank, rref
+from smallq.linalg import (
+    RowBasis,
+    Span,
+    identity,
+    intertwiner_space,
+    inverse,
+    kron,
+    mat_eq,
+    mat_mul,
+    mat_sub,
+    nullspace,
+    rank,
+    rref,
+    transpose,
+)
 from smallq.scalars import QParams
 
 FIELDS = {ell: QParams(ell).field for ell in (4, 6)}
@@ -103,6 +117,16 @@ def test_empty_span(ell):
     assert span.coords([field.zero, field.one, field.zero]) is None
 
 
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+def test_inverse_rejects_non_square(ell):
+    field = FIELDS[ell]
+    one = field.one
+    # [[1], [1]] once came back with an "inverse": its pivots fill [0, n)
+    assert inverse([[one], [one]], field) is None
+    assert inverse([[one, one]], field) is None
+    assert inverse([[one, field.zero], [one, one]], field) is not None
+
+
 @SETTINGS
 @given(st.data())
 def test_coords_match_rref_solve_on_nullspace_basis(data):
@@ -116,3 +140,58 @@ def test_coords_match_rref_solve_on_nullspace_basis(data):
     assert span.coords(inside) == old_solve(basis, inside, field) == coeffs
     anything = data.draw(vectors(field, n))
     assert span.coords(anything) == old_solve(basis, anything, field)
+
+
+# ---------------------------------------------------------------------------
+# intertwiner_space against the dense Kronecker system, over Q(zeta_8)
+# ---------------------------------------------------------------------------
+
+ZETA8 = FIELDS[4]
+
+
+@st.composite
+def sparse_square(draw, field, n):
+    """An n x n matrix with about two thirds of its entries zero."""
+    return [[draw(elems(field)) if draw(st.integers(0, 2)) == 0 else field.zero
+             for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def intertwiner_case(draw):
+    field = ZETA8
+    ns, nt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        S = draw(sparse_square(field, ns))
+        # equal generators on both sides make the identity an intertwiner
+        T = S if ns == nt and draw(st.booleans()) else draw(sparse_square(field, nt))
+        pairs.append((S, T))
+    blocks = None, None
+    if draw(st.booleans()):
+        blocks = (draw(st.lists(st.integers(0, 1), min_size=ns, max_size=ns)),
+                  draw(st.lists(st.integers(0, 1), min_size=nt, max_size=nt)))
+    return field, ns, nt, pairs, blocks
+
+
+@SETTINGS
+@given(intertwiner_case())
+def test_intertwiner_space_matches_kronecker_nullity(case):
+    field, ns, nt, pairs, (src_blocks, tgt_blocks) = case
+    zero, one = field.zero, field.one
+    homs = intertwiner_space([S for S, _ in pairs], [T for _, T in pairs], field,
+                             src_blocks=src_blocks, tgt_blocks=tgt_blocks)
+    allowed = [t * ns + s for t in range(nt) for s in range(ns)
+               if src_blocks is None or src_blocks[s] == tgt_blocks[t]]
+    for X in homs:
+        for S, T in pairs:
+            assert mat_eq(mat_mul(X, S, zero), mat_mul(T, X, zero))
+        flat = [x for row in X for x in row]
+        assert not any(flat[i] for i in range(nt * ns) if i not in allowed)
+    assert rank([[x for row in X for x in row] for X in homs], field) == len(homs)
+    # vec(X S - T X) = (kron(I, S^T) - kron(T, I)) vec(X), X flattened row-major
+    system = []
+    for S, T in pairs:
+        K = mat_sub(kron(identity(nt, one, zero), transpose(S), zero),
+                    kron(T, identity(ns, one, zero), zero))
+        system.extend([row[i] for i in allowed] for row in K)
+    assert len(homs) == len(allowed) - rank(system, field)
