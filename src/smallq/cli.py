@@ -15,6 +15,12 @@ Reports are emitted as JSON (default) or text.  With a fixed config and seed
 the JSON output is byte-identical across runs; timing is only included when
 --timing is passed, precisely so that default reports stay stable.
 
+frobenius-check refuses a catalog beyond its budget with exit 2: --max-weyl
+at most 40 and --max-tensor at most 8, whether the size comes from a flag or
+from --config.  At ell 6 each cap alone takes about 7 s (W(0..40)) and 11 s
+(every W(a) (x) W(b) with a, b <= 8) on a 2-core x86 VM, and the cost grows
+steeply with the size.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error.
 """
@@ -123,6 +129,10 @@ def build_parser():
 
 
 SUITES = ("verify", "predict")
+
+# frobenius-check catalog budget: larger sizes are refused with exit 2
+MAX_WEYL = 40
+MAX_TENSOR = 8
 
 _DEFAULTS = {"cartan_type": "A1", "ell": 4, "format": "json", "seed": 0,
              "suite": "verify", "window": None, "out": None,
@@ -239,14 +249,21 @@ def cmd_frobenius_check(args):
     rep = Report("frobenius-check")
     max_weyl = int(cfg["max_weyl"])
     max_tensor = int(cfg["max_tensor"])
+    for key, size, cap in (("max_weyl", max_weyl, MAX_WEYL),
+                           ("max_tensor", max_tensor, MAX_TENSOR)):
+        if size > cap:
+            raise UsageError(f"--{key.replace('_', '-')} {size} is above the "
+                             f"catalog budget of {cap}")
 
-    modules = []
-    for lam in range(0, max_weyl + 1):
-        modules.append(weyl_module(lam, params, datum))
+    # each W(lam) is built once and shared by the catalog, the tensor
+    # factors and the Hecke structure; --corrupt replaces a catalog entry by
+    # a corrupted copy, so the shared modules stay clean
+    weyl = [weyl_module(lam, params, datum)
+            for lam in range(max(max_weyl, max_tensor, 1) + 1)]
+    modules = weyl[:max_weyl + 1]
     for lam in range(0, max_tensor + 1):
         for mu in range(0, max_tensor + 1):
-            modules.append(tensor_product(weyl_module(lam, params, datum),
-                                          weyl_module(mu, params, datum)))
+            modules.append(tensor_product(weyl[lam], weyl[mu]))
     if args.corrupt and modules:
         modules[min(1, len(modules) - 1)] = corrupt_module(
             modules[min(1, len(modules) - 1)])
@@ -271,7 +288,7 @@ def cmd_frobenius_check(args):
             rep.fail(f"roundtrip[{V.name}]", "reconstruction does not round-trip",
                      counterexample=V.name)
     # Hecke structures
-    h, hrep = frob.build_hecke_structure(weyl_module(1, params, datum), reps_adj)
+    h, hrep = frob.build_hecke_structure(weyl[1], reps_adj)
     _summarize(rep, hrep, "hecke[W(1)]")
     if h is None:
         rep.fail("hecke-exists", "no Hecke structure on W(1)",

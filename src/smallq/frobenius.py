@@ -24,11 +24,12 @@ from .linalg import (
     mat_is_zero,
     mat_mul,
     mat_sub,
+    mat_sum,
     nullspace,
     zeros,
 )
 from .linalg import _apply
-from .repcore import GenSet, Submodule, WeightModule, mat_sum, tensor_product
+from .repcore import GenSet, Submodule, WeightModule, tensor_product
 from .repcore import _sparse_generators
 from .report import Report
 from .rootdata import EllForm, build_root_datum

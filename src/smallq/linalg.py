@@ -2,9 +2,11 @@
 
 Matrices are plain lists of rows.  The generic helpers work for any scalar
 with +, -, * and truthiness (zero test); the elimination routines need a
-field (CycloElem) because they invert pivots.  Multiplication skips zero
+field (CycloElem) because they invert pivots.  The dense helpers skip zero
 entries, which matters a lot here: generator matrices are weight-graded and
-extremely sparse.
+extremely sparse.  Products and Kronecker products list the nonzero entries
+of each row of B once and loop over those only; sums, differences and
+scalings do no scalar arithmetic where an entry is zero.
 """
 
 from __future__ import annotations
@@ -18,31 +20,42 @@ def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _row_nonzeros(A, zero):
+    """Each row of A as the list of (column, entry) pairs of its nonzero entries.
+
+    Entries that are the shared ``zero`` object are dropped by an identity
+    test; every other entry gets the scalar's own zero test.
+    """
+    return [[(j, a) for j, a in enumerate(row) if a is not zero and a] for row in A]
+
+
 def mat_mul(A, B, zero):
-    n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    C = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Ci = C[i]
-        for t in range(k):
-            a = Ai[t]
-            if not a:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if b:
-                    Ci[j] = Ci[j] + a * b
+    Bnz = _row_nonzeros(B, zero)
+    C = []
+    for Ai in A:
+        Ci = [zero] * m
+        for t, a in enumerate(Ai):
+            if a is not zero and a:
+                for j, b in Bnz[t]:
+                    c = Ci[j]
+                    Ci[j] = c + a * b if c else a * b
+        C.append(Ci)
     return C
 
 
 def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
+
+
+def mat_sum(A, B):
+    return [[(a + b if a else b) if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
 
 
 def mat_scale(A, s):
-    return [[s * a for a in row] for row in A]
+    return [[s * a if a else a for a in row] for row in A]
 
 
 def mat_eq(A, B):
@@ -62,9 +75,10 @@ def mat_is_zero(A):
 
 
 def mat_pow(A, k, one, zero):
-    n = len(A)
-    out = identity(n, one, zero)
-    for _ in range(k):
+    if k == 0:
+        return identity(len(A), one, zero)
+    out = [list(row) for row in A]
+    for _ in range(k - 1):
         out = mat_mul(out, A, zero)
     return out
 
@@ -74,22 +88,19 @@ def transpose(A):
 
 
 def kron(A, B, zero):
-    ma, na = len(A), len(A[0]) if A else 0
-    mb, nb = len(B), len(B[0]) if B else 0
-    C = [[zero] * (na * nb) for _ in range(ma * mb)]
-    for i in range(ma):
-        for j in range(na):
-            a = A[i][j]
-            if not a:
-                continue
-            for k in range(mb):
-                Brow = B[k]
-                Crow = C[i * mb + k]
+    nb = len(B[0]) if B else 0
+    n = (len(A[0]) if A else 0) * nb
+    Bnz = _row_nonzeros(B, zero)
+    C = []
+    for Ai in A:
+        block = [[zero] * n for _ in Bnz]
+        for j, a in enumerate(Ai):
+            if a is not zero and a:
                 base = j * nb
-                for l in range(nb):
-                    b = Brow[l]
-                    if b:
+                for Crow, nz in zip(block, Bnz):
+                    for l, b in nz:
                         Crow[base + l] = a * b
+        C.extend(block)
     return C
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     mat_pow,
     mat_scale,
     mat_sub,
+    mat_sum,
     sparse_columns,
     spin,
     transpose,
@@ -145,23 +146,26 @@ def _check_grading(module):
     """Every nonzero entry must connect weights differing by the right root."""
     datum = module.datum
     params = module.params
-    for layer in (module.z, module.g):
+    for layer, zero in ((module.z, params.field.zero), (module.g, params.vring.zero)):
         if layer is None:
             continue
         for i in range(datum.rank):
             alpha = datum.alpha[i]
             for a, mat in enumerate(layer.efam[i]):
-                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
+                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})", zero)
             for a, mat in enumerate(layer.ffam[i]):
-                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
+                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})", zero)
 
 
-def _check_shift(module, mat, shift, label):
-    for r in range(module.dim):
-        for c in range(module.dim):
-            if mat[r][c]:
-                expected = tuple(w + s for w, s in zip(module.weights[c], shift))
-                if module.weights[r] != expected:
+def _check_shift(module, mat, shift, label, zero):
+    # most zero entries are the layer's shared zero object: an identity test
+    # settles those, every other entry gets the scalar's own zero test
+    weights = module.weights
+    for r, row in enumerate(mat):
+        for c, a in enumerate(row):
+            if a is not zero and a:
+                expected = tuple(w + s for w, s in zip(weights[c], shift))
+                if weights[r] != expected:
                     raise LatticeError(
                         f"{label} entry ({r},{c}) violates the grading on {module.name}")
 
@@ -194,7 +198,8 @@ def divided_power_chain(mat, n_max, d, ring):
 
 
 def _specialize(gens: GenSet, field) -> GenSet:
-    ev = lambda m: mat_map(m, lambda p: p.eval_zeta())
+    zero = field.zero
+    ev = lambda m: mat_map(m, lambda p: p.eval_zeta() if p else zero)
     return GenSet([[ev(m) for m in fam] for fam in gens.efam],
                   [[ev(m) for m in fam] for fam in gens.ffam])
 
@@ -298,10 +303,6 @@ def tensor_product(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
                             gens, name=label)
     zgens = _tensor_zeta_gens(M, N)
     return WeightModule(datum, params, weights, zgens, None, name=label)
-
-
-def mat_sum(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _tensor_zeta_gens(M: WeightModule, N: WeightModule) -> GenSet:

@@ -87,7 +87,7 @@ class CycloField:
 
     _instances: dict[int, "CycloField"] = {}
 
-    __slots__ = ("n", "phi", "degree", "_red", "_zeta_rows", "zero", "one")
+    __slots__ = ("n", "phi", "degree", "_red", "_zeta_rows", "_zero_tail", "zero", "one")
 
     def __new__(cls, n: int):
         inst = cls._instances.get(n)
@@ -134,13 +134,13 @@ class CycloField:
                     row[j] += top * first[j]
             rows[k] = tuple(row)
         inst._zeta_rows = rows
+        inst._zero_tail = (0,) * (d - 1)
         inst.zero = CycloElem(inst, (0,) * d, 1)
         inst.one = CycloElem(inst, tuple(1 if j == 0 else 0 for j in range(d)), 1)
         return inst
 
     def from_int(self, a: int) -> "CycloElem":
-        d = self.degree
-        return CycloElem(self, tuple(a if j == 0 else 0 for j in range(d)), 1)
+        return CycloElem(self, (a,) + self._zero_tail, 1)
 
     def elem(self, nums, den=1) -> "CycloElem":
         nums = list(nums) + [0] * (self.degree - len(nums))

@@ -116,6 +116,41 @@ def test_frobenius_check_corrupt_negative_control(capsys):
                "commutator" in c["name"] for c in fails)
 
 
+def test_frobenius_check_corrupt_leaves_shared_weyl_clean(capsys):
+    # W(1) is built once and shared by the catalog, the tensor factors and
+    # the Hecke structure: only the catalog entry may be corrupted
+    code, out, _ = run_cli(["frobenius-check", "--ell", "4", "--corrupt",
+                            "--max-weyl", "2", "--max-tensor", "1"], capsys)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert sorted(n for n, s in status.items() if s == "fail") == [
+        "commutator[W(1)+corrupted]", "relations[W(1)+corrupted]"]
+    assert status["relations[W(1)(x)W(1)]"] == "pass"
+    assert status["commutator[W(1)(x)W(1)]"] == "pass"
+    assert status["hecke[W(1)]"] == "pass"
+
+
+def _refused_catalog(capsys, tmp_path, key, size, cap):
+    """A catalog size above its cap exits 2 from a flag and from --config."""
+    flag = f"--{key.replace('_', '-')}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"ell=6\n{key}={size}\n")
+    for argv in (["frobenius-check", "--ell", "6", flag, str(size)],
+                 ["frobenius-check", "--config", str(cfg)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err and str(cap) in err
+
+
+def test_max_weyl_above_budget_exit_2(capsys, tmp_path):
+    _refused_catalog(capsys, tmp_path, "max_weyl", 41, 40)
+
+
+def test_max_tensor_above_budget_exit_2(capsys, tmp_path):
+    _refused_catalog(capsys, tmp_path, "max_tensor", 9, 8)
+
+
 def test_triple_verify_fixture(capsys):
     code, out, _ = run_cli(["triple-verify", "--fixture", "z4_z2"], capsys)
     assert code == 0

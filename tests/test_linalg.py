@@ -1,4 +1,5 @@
-"""Span coordinates and intertwiner spaces over the cyclotomic fields at ell 4 and 6."""
+"""Span coordinates and intertwiner spaces over the cyclotomic fields at ell 4
+and 6, and the dense matrix helpers against naive references."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +14,17 @@ from smallq.linalg import (
     kron,
     mat_eq,
     mat_mul,
+    mat_pow,
+    mat_scale,
     mat_sub,
+    mat_sum,
     nullspace,
     rank,
     rref,
     transpose,
 )
-from smallq.scalars import QParams
+from smallq.repcore import GenSet, _specialize
+from smallq.scalars import LaurentPoly, QParams
 
 FIELDS = {ell: QParams(ell).field for ell in (4, 6)}
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -195,3 +200,124 @@ def test_intertwiner_space_matches_kronecker_nullity(case):
                     kron(T, identity(ns, one, zero), zero))
         system.extend([row[i] for i in allowed] for row in K)
     assert len(homs) == len(allowed) - rank(system, field)
+
+
+# ---------------------------------------------------------------------------
+# the dense helpers against naive all-entries references, over Q(zeta_8) and
+# over the Laurent ring
+# ---------------------------------------------------------------------------
+
+LAURENT = QParams(4).vring
+
+
+@st.composite
+def laurents(draw):
+    """A Laurent polynomial with integer or cyclotomic coefficients, zero
+    (the shared ``ring.zero`` or a fresh zero) a third of the time."""
+    ring = LAURENT
+    pick = draw(st.integers(0, 5))
+    if pick == 0:
+        return ring.zero
+    if pick == 1:
+        return LaurentPoly(ring, {})
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        return ring.from_int_dict({e: draw(st.integers(-3, 3)) for e in exps})
+    coeffs = {e: draw(elems(ring.field)) for e in exps}
+    return LaurentPoly(ring, {e: c for e, c in coeffs.items() if c})
+
+
+@st.composite
+def scalar_kind(draw):
+    """(scalar strategy, zero, one): Q(zeta_8) or its Laurent ring."""
+    if draw(st.booleans()):
+        return elems(ZETA8), ZETA8.zero, ZETA8.one
+    return laurents(), LAURENT.zero, LAURENT.one
+
+
+@st.composite
+def matrices(draw, entries, zero, m, n):
+    """An m x n matrix; some rows and some columns are zero throughout."""
+    zero_rows = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    zero_cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [[zero if zero_rows[i] or zero_cols[j] else draw(entries)
+             for j in range(n)] for i in range(m)]
+
+
+def naive_mul(A, B, zero):
+    out = [[zero] * len(B[0]) for _ in A]
+    for i, row in enumerate(A):
+        for j in range(len(B[0])):
+            for t, a in enumerate(row):
+                out[i][j] = out[i][j] + a * B[t][j]
+    return out
+
+
+def naive_kron(A, B):
+    mb, nb = len(B), len(B[0])
+    return [[A[r // mb][c // nb] * B[r % mb][c % nb]
+             for c in range(len(A[0]) * nb)] for r in range(len(A) * mb)]
+
+
+@SETTINGS
+@given(st.data())
+def test_mat_mul_matches_naive(data):
+    entries, zero, _ = data.draw(scalar_kind())
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = data.draw(matrices(entries, zero, n, k))
+    B = data.draw(matrices(entries, zero, k, m))
+    assert mat_eq(mat_mul(A, B, zero), naive_mul(A, B, zero))
+
+
+@SETTINGS
+@given(st.data())
+def test_kron_matches_naive(data):
+    entries, zero, _ = data.draw(scalar_kind())
+    ma, na, mb, nb = (data.draw(st.integers(1, 3)) for _ in range(4))
+    A = data.draw(matrices(entries, zero, ma, na))
+    B = data.draw(matrices(entries, zero, mb, nb))
+    assert mat_eq(kron(A, B, zero), naive_kron(A, B))
+
+
+@SETTINGS
+@given(st.data())
+def test_entrywise_helpers_match_naive(data):
+    entries, zero, _ = data.draw(scalar_kind())
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A = data.draw(matrices(entries, zero, m, n))
+    B = data.draw(matrices(entries, zero, m, n))
+    s = data.draw(entries)
+    assert mat_eq(mat_sub(A, B), [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+    assert mat_eq(mat_sum(A, B), [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+    assert mat_eq(mat_scale(A, s), [[s * a for a in row] for row in A])
+
+
+@SETTINGS
+@given(st.data())
+def test_mat_pow_matches_naive(data):
+    entries, zero, one = data.draw(scalar_kind())
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    A = data.draw(matrices(entries, zero, n, n))
+    expected = identity(n, one, zero)
+    for _ in range(k):
+        expected = naive_mul(expected, A, zero)
+    power = mat_pow(A, k, one, zero)
+    assert mat_eq(power, expected)
+    assert power is not A
+
+
+@SETTINGS
+@given(st.data())
+def test_specialize_matches_eval_zeta(data):
+    ring = LAURENT
+    n = data.draw(st.integers(1, 3))
+    fams = [[[data.draw(matrices(laurents(), ring.zero, n, n))
+              for _ in range(data.draw(st.integers(1, 3)))]
+             for _ in range(data.draw(st.integers(1, 2)))] for _ in range(2)]
+    out = _specialize(GenSet(*fams), ring.field)
+    for fam_in, fam_out in zip(fams, (out.efam, out.ffam)):
+        assert len(fam_in) == len(fam_out)
+        for mats_in, mats_out in zip(fam_in, fam_out):
+            assert len(mats_in) == len(mats_out)
+            for M, Z in zip(mats_in, mats_out):
+                assert mat_eq(Z, [[p.eval_zeta() for p in row] for row in M])

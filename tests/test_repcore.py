@@ -61,6 +61,17 @@ def test_relation_check_negative_control():
     assert any("commutator" in n for n in names)
 
 
+def test_corrupt_module_leaves_its_input_clean():
+    # frobenius-check corrupts a W(1) that tensor products and the Hecke
+    # structure share: the corrupted module must be a copy
+    w = weyl_module(1, P4)
+    before = [[list(row) for row in m] for fam in w.z.efam + w.z.ffam for m in fam]
+    assert not relation_check(corrupt_module(w)).passed
+    after = [m for fam in w.z.efam + w.z.ffam for m in fam]
+    assert all(mat_eq(a, b) for a, b in zip(before, after))
+    assert relation_check(w).passed
+
+
 def test_tensor_with_trivial_is_identity():
     w3 = weyl_module(3, P4)
     t = tensor_product(w3, trivial_module(P4))

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smallq.scalars import (
     ExactDivisionError,
     LatticeError,
+    LaurentPoly,
     LocalScalar,
     OutsideLocalizationError,
     QParams,
@@ -277,3 +280,99 @@ def test_qparams_validation():
     p = QParams(6, (1, 3))
     assert p.ell_i == (6, 2)
     assert p.n == 12
+
+
+# ---------------------------------------------------------------------------
+# hypothesis properties of the scalar tower at ell 4 and 6
+# ---------------------------------------------------------------------------
+
+TOWER = {4: P4, 6: P6}
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def cyclo(draw, field):
+    if draw(st.integers(0, 3)) == 0:
+        return field.zero
+    nums = draw(st.lists(st.integers(-4, 4), min_size=field.degree,
+                         max_size=field.degree))
+    return field.elem(nums, draw(st.integers(1, 4)))
+
+
+@st.composite
+def laurent(draw, ring):
+    """Integer coefficients (the integer fast paths) or cyclotomic ones."""
+    exps = draw(st.lists(st.integers(-4, 4), max_size=4, unique=True))
+    if draw(st.booleans()):
+        return ring.from_int_dict({e: draw(st.integers(-4, 4)) for e in exps})
+    coeffs = {e: draw(cyclo(ring.field)) for e in exps}
+    return LaurentPoly(ring, {e: c for e, c in coeffs.items() if c})
+
+
+ell_values = st.sampled_from(sorted(TOWER))
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.integers(-50, 50))
+def test_from_int_matches_elem(ell, a):
+    field = TOWER[ell].field
+    x = field.from_int(a)
+    assert x == field.elem([a]) and x.is_rational
+    assert bool(x) == bool(a)
+
+
+def _ring_axioms(a, b, c, zero, one):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a - a == zero and a + (-a) == zero
+    assert (a - b) + b == a
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_cyclo_ring_axioms_property(ell, data):
+    field = TOWER[ell].field
+    a, b, c = (data.draw(cyclo(field)) for _ in range(3))
+    _ring_axioms(a, b, c, field.zero, field.one)
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_laurent_ring_axioms_property(ell, data):
+    ring = TOWER[ell].vring
+    a, b, c = (data.draw(laurent(ring)) for _ in range(3))
+    _ring_axioms(a, b, c, ring.zero, ring.one)
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_cyclo_inverse_property(ell, data):
+    field = TOWER[ell].field
+    x = data.draw(cyclo(field))
+    assume(x)
+    assert x * x.inverse() == field.one
+    assert x.inverse() * x == 1
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_exact_div_undoes_product(ell, data):
+    ring = TOWER[ell].vring
+    p, q = data.draw(laurent(ring)), data.draw(laurent(ring))
+    assume(q)
+    assert (p * q).exact_div(q) == p
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_eval_zeta_is_ring_homomorphism(ell, data):
+    ring = TOWER[ell].vring
+    p, q = data.draw(laurent(ring)), data.draw(laurent(ring))
+    assert (p + q).eval_zeta() == p.eval_zeta() + q.eval_zeta()
+    assert (p * q).eval_zeta() == p.eval_zeta() * q.eval_zeta()
+    assert ring.one.eval_zeta() == ring.field.one
+    assert ring.v.eval_zeta() == ring.field.zeta()
