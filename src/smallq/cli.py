@@ -19,7 +19,10 @@ frobenius-check refuses a catalog beyond its budget with exit 2: --max-weyl
 at most 40 and --max-tensor at most 8, whether the size comes from a flag or
 from --config.  At ell 6 each cap alone takes about 7 s (W(0..40)) and 11 s
 (every W(a) (x) W(b) with a, b <= 8) on a 2-core x86 VM, and the cost grows
-steeply with the size.
+steeply with the size.  In the same way linkage --type A1 --suite verify
+refuses a window whose top is above 80 (MAX_A1_WINDOW).  The window 0..80
+takes about 7 s at ell 4, 12 s at ell 6 and 25 s at ell 10 on the same VM
+(0..60: 4 s, 5 s and 11 s); the prediction alone (--suite predict) has no cap.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error.
@@ -133,6 +136,8 @@ SUITES = ("verify", "predict")
 # frobenius-check catalog budget: larger sizes are refused with exit 2
 MAX_WEYL = 40
 MAX_TENSOR = 8
+# linkage --type A1 --suite verify budget: a larger window top exits 2
+MAX_A1_WINDOW = 80
 
 _DEFAULTS = {"cartan_type": "A1", "ell": 4, "format": "json", "seed": 0,
              "suite": "verify", "window": None, "out": None,
@@ -219,10 +224,14 @@ def cmd_linkage(args):
     if cfg["window"] is None:
         raise UsageError("linkage requires --window")
     window = parse_window(cfg["window"], datum.rank)
+    observe = datum.cartan_type == "A1" and cfg["suite"] == "verify" and window[0][1] >= 0
+    if observe and window[0][1] > MAX_A1_WINDOW:
+        raise UsageError(f"--window top {window[0][1]} is above the A1 verify "
+                         f"budget of {MAX_A1_WINDOW}")
     rep = Report("linkage")
     table = blocks_mod.predicted_blocks(window, params, datum)
     rep.ok("predicted-blocks", f"{len(table.blocks())} blocks in the window")
-    if datum.cartan_type == "A1" and cfg["suite"] == "verify" and window[0][1] >= 0:
+    if observe:
         obs = blocks_mod.linkage_report(window, params, datum)
         rep.extend(obs, prefix="observed/")
     emit(payload_from_report("linkage", cfg, rep,
@@ -264,9 +273,17 @@ def cmd_frobenius_check(args):
     for lam in range(0, max_tensor + 1):
         for mu in range(0, max_tensor + 1):
             modules.append(tensor_product(weyl[lam], weyl[mu]))
-    if args.corrupt and modules:
-        modules[min(1, len(modules) - 1)] = corrupt_module(
-            modules[min(1, len(modules) - 1)])
+    if args.corrupt:
+        # the first entry after W(0) on which some generator acts
+        for k in range(1, len(modules)):
+            try:
+                modules[k] = corrupt_module(modules[k])
+                break
+            except ValueError:
+                continue
+        else:
+            raise UsageError("--corrupt: nothing in the catalog can be corrupted "
+                             "(every generator acts by zero on every entry)")
 
     for m in modules:
         r = relation_check(m)

@@ -6,12 +6,16 @@ through the grading, and the K-binomial elements act on a weight-lam vector
 by the exact scalar [<coroot_i, lam> + m over t]_{d_i} evaluated at zeta.
 
 Matrices are built generically (Laurent polynomials in v) whenever possible
-and specialized late; divided powers are produced by iterated exact division
-E^(a) = E^(a-1) * E / [a], which stays inside the integral lattice.  Modules
-obtained by pulling back along the quantum Frobenius, or by quotients, carry
-only the specialized layer; tensor products of such modules get their divided
-powers from the coproduct expansion of E^(n) in terms of the factors'
-divided-power families (cross-checked against the division route in tests).
+and specialized late.  Every divided power comes from one of two formulas:
+the closed form on a Weyl module, F^(a) v_k = [k+a over a] v_{k+a} and
+E^(a) v_k = [lam-k+a over a] v_{k-a}, and on a tensor product the coproduct
+expansion of E^(n) and F^(n) in the factors' divided-power families.  The
+expansion runs in the generic layer when both factors carry one and at zeta
+otherwise (modules pulled back along the quantum Frobenius, or quotients,
+carry only the specialized layer).  relation_check re-derives the divided
+powers from plain powers in the generic layer; the tests compare both
+formulas with the exact division into the local ring
+(``scalars.matrix_divide_exact``).
 
 Explicit Weyl modules are provided for A1, which is where all matrix-level
 verification happens; higher-rank types only exercise the combinatorial
@@ -20,11 +24,12 @@ layers.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .linalg import (
     Quotient,
     RowBasis,
     Span,
-    identity,
     kron,
     mat_eq,
     mat_is_zero,
@@ -42,7 +47,7 @@ from .linalg import (
 from .linalg import _apply
 from .report import Report
 from .rootdata import DotOrbits, EllForm, build_root_datum
-from .scalars import LatticeError, qbinom_zeta, qfact, qint
+from .scalars import LatticeError, LaurentPoly, qbinom, qbinom_zeta, qfact, qint
 
 
 class GenSet:
@@ -101,12 +106,6 @@ class WeightModule:
         for b in range(self.dim):
             diag.append(f.zeta(power * d * self.pairing(i, b)))
         return _diag(diag, f.zero)
-
-    def k_diag_generic(self, i, power=1):
-        ring = self.params.vring
-        d = self.params.d[i]
-        diag = [ring.monomial(power * d * self.pairing(i, b)) for b in range(self.dim)]
-        return _diag(diag, ring.zero)
 
     def kbinom_diag(self, i, m, t):
         """Diagonal action of [K_i; m over t]_{d_i} at zeta."""
@@ -170,33 +169,6 @@ def _check_shift(module, mat, shift, label, zero):
                         f"{label} entry ({r},{c}) violates the grading on {module.name}")
 
 
-def divided_power_chain(mat, n_max, d, ring):
-    """[mat^a / [a]_d! for a = 0..n_max] by successive exact division."""
-    dim = len(mat)
-    out = [identity(dim, ring.one, ring.zero)]
-    cur = out[0]
-    for a in range(1, n_max + 1):
-        cur = mat_mul(cur, mat, ring.zero)
-        div = qint(a, d, ring)
-        new = []
-        for r_i, row in enumerate(cur):
-            new_row = []
-            for c_i, entry in enumerate(row):
-                if entry:
-                    try:
-                        new_row.append(entry.exact_div(div))
-                    except Exception as exc:
-                        raise LatticeError(
-                            f"divided power left the lattice at ({r_i},{c_i}): {exc}"
-                        ) from exc
-                else:
-                    new_row.append(ring.zero)
-            new.append(new_row)
-        cur = new
-        out.append(cur)
-    return out
-
-
 def _specialize(gens: GenSet, field) -> GenSet:
     zero = field.zero
     ev = lambda m: mat_map(m, lambda p: p.eval_zeta() if p else zero)
@@ -211,9 +183,11 @@ def _specialize(gens: GenSet, field) -> GenSet:
 def weyl_module(lam, params, datum=None, name=None) -> WeightModule:
     """Cyclic highest-weight module of dimension lam+1 for A1, built generically.
 
-    Basis v_0..v_lam with v_k of weight lam - k*alpha; F acts down the string
-    by [k+1], E is derived from the defining commutator relation, and the
-    divided powers come from iterated exact division of powers.
+    Basis v_0..v_lam with v_k of weight lam - k*alpha.  Every divided power
+    has a closed form (Lusztig 1990; Jantzen 1996, ch. 5):
+    F^(a) v_k = [k+a over a]_d v_{k+a} and E^(a) v_k = [lam-k+a over a]_d v_{k-a},
+    filled in from the cached ``qbinom`` in the generic layer and from
+    ``qbinom_zeta`` at zeta.
     """
     if datum is None:
         datum = build_root_datum("A1")
@@ -224,30 +198,30 @@ def weyl_module(lam, params, datum=None, name=None) -> WeightModule:
         raise ValueError("highest weight must be dominant")
     ring = params.vring
     d = params.d[0]
-    n = lam + 1
-    zero = ring.zero
-    fmat = zeros(n, n, zero)
-    for k in range(lam):
-        fmat[k + 1][k] = qint(k + 1, d, ring)
-    # E v_{k+1} = c_{k+1} v_k with [k+1] c_{k+1} = [k] c_k + [lam - 2k]
-    emat = zeros(n, n, zero)
-    c_prev = zero
-    for k in range(lam):
-        rhs = c_prev * qint(k, d, ring) + qint(lam - 2 * k, d, ring)
-        c_next = rhs.exact_div(qint(k + 1, d, ring))
-        emat[k][k + 1] = c_next
-        c_prev = c_next
     li = params.ell_i[0]
-    efam = divided_power_chain(emat, li, d, ring)
-    ffam = divided_power_chain(fmat, li, d, ring)
-    gens = GenSet([efam], [ffam])
-    weights = [(lam - 2 * k,) for k in range(n)]
-    module = WeightModule(datum, params, weights, _specialize(gens, params.field),
-                          gens, name=name or f"W({lam})")
+    gens = _weyl_families(lam, li, qbinom, d, ring, ring.zero)
+    zgens = _weyl_families(lam, li, qbinom_zeta, d, ring, params.field.zero)
+    weights = [(lam - 2 * k,) for k in range(lam + 1)]
+    module = WeightModule(datum, params, weights, zgens, gens, name=name or f"W({lam})")
     # postcondition: the highest-weight vector is killed by E and its divided power
-    assert all(not module.z.e(0)[r][0] for r in range(n))
-    assert all(not module.z.div_e(0)[r][0] for r in range(n))
+    assert all(not module.z.e(0)[r][0] for r in range(lam + 1))
+    assert all(not module.z.div_e(0)[r][0] for r in range(lam + 1))
     return module
+
+
+def _weyl_families(lam, li, binom, d, ring, zero) -> GenSet:
+    """E^(a), F^(a) on W(lam) for a = 0..li, with binom(m, a, d, ring) =
+    [m over a]_d in the layer whose zero is ``zero``."""
+    n = lam + 1
+    efam, ffam = [], []
+    for a in range(li + 1):
+        emat, fmat = zeros(n, n, zero), zeros(n, n, zero)
+        for k in range(n - a):
+            fmat[k + a][k] = binom(k + a, a, d, ring)
+            emat[k][k + a] = binom(lam - k, a, d, ring)
+        efam.append(emat)
+        ffam.append(fmat)
+    return GenSet([efam], [ffam])
 
 
 def trivial_module(params, datum=None) -> WeightModule:
@@ -271,11 +245,10 @@ def trivial_module(params, datum=None) -> WeightModule:
 def tensor_product(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
     """Tensor product with the coproduct action.
 
-    E acts by E (x) 1 + K (x) E and F by F (x) K^{-1} + 1 (x) F.  When both
-    factors carry generic matrices the divided powers are computed by exact
-    division of powers; otherwise they come from the coproduct expansion
-    E^(n) = sum_{a+b=n} v^{d a b} E^(a) K^b (x) E^(b) (and its F-side mirror)
-    applied to the factors' divided-power families at zeta.
+    E acts by E (x) 1 + K (x) E and F by F (x) K^{-1} + 1 (x) F.  Every
+    divided power comes from the coproduct expansion of the factors'
+    divided-power families (``_coproduct_families``): in the generic layer,
+    then specialized, when both factors carry one, and at zeta otherwise.
     """
     if M.params != N.params or M.datum is not N.datum and M.datum != N.datum:
         raise ValueError("tensor factors must share params and root datum")
@@ -284,57 +257,55 @@ def tensor_product(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
                for im in range(M.dim) for jn in range(N.dim)]
     label = name or f"{M.name}(x){N.name}"
     if M.has_generic() and N.has_generic():
-        ring = params.vring
-        zero, one = ring.zero, ring.one
-        efam, ffam = [], []
-        for i in range(datum.rank):
-            d = params.d[i]
-            li = params.ell_i[i]
-            idm = identity(M.dim, one, zero)
-            idn = identity(N.dim, one, zero)
-            et = mat_sum(kron(M.g.e(i), idn, zero),
-                         kron(M.k_diag_generic(i), N.g.e(i), zero))
-            ft = mat_sum(kron(M.g.f(i), N.k_diag_generic(i, -1), zero),
-                         kron(idm, N.g.f(i), zero))
-            efam.append(divided_power_chain(et, li, d, ring))
-            ffam.append(divided_power_chain(ft, li, d, ring))
-        gens = GenSet(efam, ffam)
+        gens = _coproduct_families(M, N, "g")
         return WeightModule(datum, params, weights, _specialize(gens, params.field),
                             gens, name=label)
-    zgens = _tensor_zeta_gens(M, N)
-    return WeightModule(datum, params, weights, zgens, None, name=label)
+    return WeightModule(datum, params, weights, _coproduct_families(M, N, "z"), None,
+                        name=label)
 
 
-def _tensor_zeta_gens(M: WeightModule, N: WeightModule) -> GenSet:
+def _coproduct_families(M, N, layer) -> GenSet:
+    """Divided powers on M (x) N from the factors' families in one layer:
+
+        E^(n) = sum_{a+b=n} v^{d a b} E^(a) K^b (x) E^(b),
+        F^(n) = sum_{a+b=n} v^{d a b} F^(a) (x) F^(b) K^{-a}.
+
+    layer "g" is the generic one, where x v^k is a shift of a Laurent
+    polynomial; layer "z" is the specialization, where it is x zeta^k.  K
+    and v^{dab} act on the columns of one factor, so they are folded into one
+    column twist of that factor before the kron.
+    """
     params = M.params
-    f = params.field
-    zero = f.zero
-    efam_out, ffam_out = [], []
+    if layer == "g":
+        mg, ng, zero, twist = M.g, N.g, params.vring.zero, LaurentPoly.shift
+    else:
+        field = params.field
+        mg, ng, zero = M.z, N.z, field.zero
+        twist = lambda x, k: x * field.zeta(k)
+    efam, ffam = [], []
     for i in range(M.datum.rank):
         d = params.d[i]
-        li = params.ell_i[i]
-        efam, ffam = [], []
-        for n in range(li + 1):
-            acc_e = zeros(M.dim * N.dim, M.dim * N.dim, zero)
-            acc_f = zeros(M.dim * N.dim, M.dim * N.dim, zero)
-            for a in range(n + 1):
-                b = n - a
-                coeff = f.zeta(d * a * b)
-                # E^(a) K^b on the first factor, E^(b) on the second
-                left = mat_mul(M.z.efam[i][a], M.k_diag_zeta(i, b), zero) if b \
-                    else M.z.efam[i][a]
-                term = kron(left, N.z.efam[i][b], zero)
-                acc_e = mat_sum(acc_e, mat_scale(term, coeff))
-                # F^(a) on the first factor, F^(b) K^{-a} on the second
-                right = mat_mul(N.z.ffam[i][b], N.k_diag_zeta(i, -a), zero) if a \
-                    else N.z.ffam[i][b]
-                term = kron(M.z.ffam[i][a], right, zero)
-                acc_f = mat_sum(acc_f, mat_scale(term, coeff))
-            efam.append(acc_e)
-            ffam.append(acc_f)
-        efam_out.append(efam)
-        ffam_out.append(ffam)
-    return GenSet(efam_out, ffam_out)
+        me, mf, ne, nf = mg.efam[i], mg.ffam[i], ng.efam[i], ng.ffam[i]
+        mw = [M.pairing(i, c) for c in range(M.dim)]
+        nw = [N.pairing(i, c) for c in range(N.dim)]
+        # column c of v^{dab} E^(a) K^b gains v^{d b (a + <alpha, wt c>)}, column
+        # c of v^{dab} F^(b) K^{-a} gains v^{d a (b - <alpha, wt c>)}
+        efam.append([reduce(mat_sum, (
+            kron(_twist_columns(me[a], [d * (n - a) * (a + w) for w in mw], twist, zero),
+                 ne[n - a], zero) for a in range(n + 1)))
+            for n in range(params.ell_i[i] + 1)])
+        ffam.append([reduce(mat_sum, (
+            kron(mf[a], _twist_columns(nf[n - a], [d * a * (n - a - w) for w in nw],
+                                       twist, zero), zero) for a in range(n + 1)))
+            for n in range(params.ell_i[i] + 1)])
+    return GenSet(efam, ffam)
+
+
+def _twist_columns(mat, exps, twist, zero):
+    if not any(exps):
+        return mat
+    return [[twist(x, k) if x is not zero and x else x for x, k in zip(row, exps)]
+            for row in mat]
 
 
 def direct_sum(M: WeightModule, N: WeightModule, name=None) -> WeightModule:

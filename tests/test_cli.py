@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from smallq.cli import main, parse_window, UsageError
+from smallq.cli import MAX_A1_WINDOW, main, parse_window, UsageError
 
 
 def run_cli(argv, capsys):
@@ -128,6 +128,51 @@ def test_frobenius_check_corrupt_leaves_shared_weyl_clean(capsys):
     assert status["relations[W(1)(x)W(1)]"] == "pass"
     assert status["commutator[W(1)(x)W(1)]"] == "pass"
     assert status["hecke[W(1)]"] == "pass"
+
+
+def test_frobenius_check_corrupt_empty_catalog_exit_2(capsys):
+    # W(0) and W(0) (x) W(0): every generator acts by zero, nothing to corrupt
+    code, out, err = run_cli(["frobenius-check", "--ell", "4", "--corrupt",
+                              "--max-weyl", "0", "--max-tensor", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nothing in the catalog can be corrupted" in err
+    # with a tensor factor W(1) the first entry a generator acts on is corrupted
+    code, out, _ = run_cli(["frobenius-check", "--ell", "4", "--corrupt",
+                            "--max-weyl", "0", "--max-tensor", "1"], capsys)
+    assert code == 1
+    fails = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert fails == ["relations[W(0)(x)W(1)+corrupted]",
+                     "commutator[W(0)(x)W(1)+corrupted]"]
+
+
+def _refused_linkage(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--window" in err and str(MAX_A1_WINDOW) in err
+
+
+def test_linkage_window_above_budget_flag_exit_2(capsys):
+    top = MAX_A1_WINDOW + 1
+    _refused_linkage(capsys, ["linkage", "--type", "A1", "--ell", "4",
+                              "--window", f"0..{top}"])
+    _refused_linkage(capsys, ["linkage", "--type", "A1", "--ell", "6", "--suite",
+                              "verify", "--window", f"{top}..{top}"])
+    # the budget itself is accepted (a one-weight window keeps this quick)
+    code, _, _ = run_cli(["linkage", "--type", "A1", "--ell", "4", "--window",
+                          f"{MAX_A1_WINDOW}..{MAX_A1_WINDOW}"], capsys)
+    assert code == 0
+    # prediction alone has no A1 budget
+    code, _, _ = run_cli(["linkage", "--type", "A1", "--ell", "4", "--suite",
+                          "predict", "--window", f"0..{top}"], capsys)
+    assert code == 0
+
+
+def test_linkage_window_above_budget_config_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"type=A1\nell=4\nsuite=verify\nwindow=0..{MAX_A1_WINDOW + 1}\n")
+    _refused_linkage(capsys, ["linkage", "--config", str(cfg)])
 
 
 def _refused_catalog(capsys, tmp_path, key, size, cap):

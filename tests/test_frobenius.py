@@ -2,6 +2,7 @@
 
 import pytest
 
+from smallq import frobenius
 from smallq.frobenius import (
     DualTorusPoint,
     build_hecke_structure,
@@ -9,6 +10,7 @@ from smallq.frobenius import (
     factorization_reconstruct,
     frobenius_pullback,
     hom_big,
+    hom_small,
     pullback_roundtrip_equal,
     rep_direct_sum,
     rep_tensor,
@@ -20,6 +22,7 @@ from smallq.frobenius import (
 )
 from smallq.linalg import inverse, mat_eq
 from smallq.repcore import (
+    corrupt_module,
     relation_check,
     tensor_product,
     trivial_module,
@@ -153,6 +156,25 @@ def test_hecke_structure_adjoint():
         f = P4.field
         for alpha in h.alphas:
             assert inverse(alpha, f) is not None
+
+
+def test_hecke_structure_negative_control(monkeypatch):
+    # a corrupted target: the identity is no longer a small intertwiner, and
+    # the report fails on alpha[V] for the first V alone, with the dimension
+    # of the Hom space as the counterexample
+    underline = frobenius._underline_tensor
+    monkeypatch.setattr(frobenius, "_underline_tensor",
+                        lambda V, M: corrupt_module(underline(V, M)))
+    reps = [trivial_rep(P4), dual_irrep_sl2(2, P4, form="adjoint")]
+    module = weyl_module(1, P4)
+    h, rep = build_hecke_structure(module, reps)
+    assert h is None and not rep.passed
+    assert [c.name for c in rep.failures()] == [f"alpha[{reps[0].name}]"]
+    fail = rep.failures()[0]
+    assert fail.details == "the identity is not a small intertwiner"
+    src = tensor_product(frobenius_pullback(reps[0]), module)
+    dim = len(hom_small(src, frobenius._underline_tensor(reps[0], module)))
+    assert fail.counterexample == f"dim Hom = {dim}"
 
 
 def test_hecke_structure_sc():

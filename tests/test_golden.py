@@ -1,0 +1,29 @@
+"""CLI reports against stored golden files, byte for byte.
+
+The files under tests/golden/ were written by the CLI before the divided
+powers were rebuilt from their closed forms; the windows reach modules well
+beyond the bench's (A1 Weyl modules up to W(40), tensor products of W(0..2)),
+so any change in a matrix entry that reaches a report shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from smallq.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("linkage_A1_ell4_0-40.json",
+     ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "4"]),
+    ("linkage_A1_ell6_0-40.json",
+     ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "6"]),
+    ("frobenius-check_ell4.json", ["frobenius-check", "--ell", "4"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -18,7 +18,7 @@ from smallq.repcore import (
     trivial_module,
     weyl_module,
 )
-from smallq.repcore import _tensor_zeta_gens
+from smallq.repcore import _coproduct_families, _specialize
 from smallq.rootdata import DotOrbits, build_root_datum
 from smallq.scalars import QParams, matrix_divide_exact, qfact
 
@@ -97,7 +97,7 @@ def test_tensor_relation_check():
 
 def test_matrix_divide_exact_tensor_oracle():
     # (E_tensor)^4 / [4]! on W(1) (x) W(1) at ell=4 lies in the localization,
-    # and agrees with the incremental divided-power route
+    # and agrees with the coproduct expansion
     M = tensor_product(weyl_module(1, P4), weyl_module(1, P4))
     ring = P4.vring
     e4 = mat_pow(M.g.e(0), 4, ring.one, ring.zero)
@@ -112,10 +112,70 @@ def test_zeta_route_matches_division_route():
     for params in (P4, P6):
         M, N = weyl_module(2, params), weyl_module(1, params)
         gen_route = tensor_product(M, N)
-        z = _tensor_zeta_gens(M, N)
+        z = _coproduct_families(M, N, "z")
         for a in range(params.ell_i[0] + 1):
             assert mat_eq(z.efam[0][a], gen_route.z.efam[0][a])
             assert mat_eq(z.ffam[0][a], gen_route.z.ffam[0][a])
+
+
+def _divided_by_factorial(mat, a, d, ring):
+    """mat^a / [a]_d! through the local ring; every entry must be a polynomial."""
+    quotient = matrix_divide_exact(mat_pow(mat, a, ring.one, ring.zero), qfact(a, d, ring))
+    assert all(x.is_polynomial() for row in quotient for x in row)
+    return [[x.as_poly() for x in row] for row in quotient]
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_divided_powers_match_exact_division(ell):
+    # the Weyl closed form and the generic coproduct expansion against the
+    # plain power divided by [a]! in the local ring, for every a = 0..ell_i
+    params = QParams(ell)
+    ring, field = params.vring, params.field
+    d, li = params.d[0], params.ell_i[0]
+    weyl = [weyl_module(lam, params) for lam in range(21)]
+    tensors = [tensor_product(weyl[a], weyl[b]) for a in range(5) for b in range(5)]
+    for m in weyl + tensors:
+        for fam in (m.g.efam[0], m.g.ffam[0]):
+            for a in range(li + 1):
+                assert mat_eq(fam[a], _divided_by_factorial(fam[1], a, d, ring)), (m.name, a)
+        specialized = _specialize(m.g, field)
+        for fam, spec in ((m.z.efam, specialized.efam), (m.z.ffam, specialized.ffam)):
+            assert all(mat_eq(x, y) for x, y in zip(fam[0], spec[0])), m.name
+    # the relation check still re-derives the divided powers generically
+    for m in (weyl[20], tensors[-1]):
+        rep = relation_check(m)
+        names = {c.name for c in rep.checks}
+        assert {"divided-power[E_0]", "divided-power[F_0]",
+                "commutator-generic[E_0,F_0]"} <= names
+        assert rep.passed, (m.name, rep.failures())
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_zeta_layer_coproduct_matches_generic_route(ell):
+    # a direct-sum factor has no generic layer, so its tensor products take
+    # the zeta route; (A (+) B) (x) C and C (x) (A (+) B) are, up to the
+    # order of the basis, direct sums of generic-route tensor products
+    params = QParams(ell)
+    weyl = [weyl_module(lam, params) for lam in range(4)]
+    for a, b, c in ((1, 2, 3), (3, 0, 2), (2, 2, 1)):
+        A, B, C = weyl[a], weyl[b], weyl[c]
+        left = tensor_product(direct_sum(A, B), C)
+        right = tensor_product(C, direct_sum(A, B))
+        assert not left.has_generic() and not right.has_generic()
+        expected = direct_sum(tensor_product(A, C), tensor_product(B, C))
+        _assert_same_families(left, expected, list(range(left.dim)))
+        expected = direct_sum(tensor_product(C, A), tensor_product(C, B))
+        # basis vector (i, j) of C (x) (A (+) B) sits in C (x) A or C (x) B
+        perm = [i * A.dim + j if j < A.dim else C.dim * A.dim + i * B.dim + j - A.dim
+                for i in range(C.dim) for j in range(A.dim + B.dim)]
+        _assert_same_families(right, expected, perm)
+
+
+def _assert_same_families(M, N, perm):
+    for fam_m, fam_n in ((M.z.efam[0], N.z.efam[0]), (M.z.ffam[0], N.z.ffam[0])):
+        for a, (x, y) in enumerate(zip(fam_m, fam_n)):
+            moved = [[y[perm[r]][perm[c]] for c in range(M.dim)] for r in range(M.dim)]
+            assert mat_eq(x, moved), (M.name, a)
 
 
 def test_submodule_closure_examples():
