@@ -463,6 +463,8 @@ class TripleFD:
         self.ract = ract            # list over A-basis of dim a x dim a matrices
         self.name = name or "triple"
         self.field = A.field
+        self._induced = {}          # coaction value -> Ind object; see ``induce``
+        self._simples = {}          # "a" / "A" -> simple comodules; see ``a_simples``
         if validate:
             self._validate()
 
@@ -795,7 +797,30 @@ def cotensor(rho_right, dim_r, rho_left, dim_l, a_dim, field):
 
 
 def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
-    """Ind(M) = (A (x) M)^a with left A-coaction and O-action by left product."""
+    """Ind(M) = (A (x) M)^a with left A-coaction and O-action by left product.
+
+    Each triple stores the objects it has induced, keyed by the value of the
+    coaction of M.  The first M of a value is built and validated; a later M
+    of the same value gets an object that shares the stored ``act``, ``rho``,
+    ``carrier_basis`` and ``carrier_span`` and carries its own name and
+    ``induced_from``.  Callers must not mutate what ``induce`` returns.
+    """
+    name = name or f"Ind({M.name})"
+    key = (M.dim, tuple(tuple(sorted((k, v) for k, v in d.items() if v))
+                        for d in M.rho))
+    built = T._induced.get(key)
+    if built is None:
+        obj = T._induced[key] = _build_induced(T, M, name)
+    else:
+        obj = TripleObject(T, built.act, built.rho, name=name, validate=False)
+        obj.carrier_basis = built.carrier_basis
+        obj.carrier_span = built.carrier_span
+    obj.induced_from = M
+    return obj
+
+
+def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
+    """Ind(M) built from the cotensor, validated; see ``induce``."""
     f = T.field
     rho_r = a_right_comodule_of_A(T)
     basis = cotensor(rho_r, T.A.dim, M.rho, M.dim, T.a.dim, f)
@@ -845,10 +870,9 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
                 if c:
                     m[s2][s] = c
         act.append(m)
-    obj = TripleObject(T, act, rho, name=name or f"Ind({M.name})")
+    obj = TripleObject(T, act, rho, name=name)
     obj.carrier_basis = basis
     obj.carrier_span = span
-    obj.induced_from = M
     return obj
 
 
@@ -1088,11 +1112,9 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
         ker_span.add(v)
     if maug.dim == ker_span.dim and all(ker_span.contains(r) for r in maug.rows):
         rep.ok("iii", f"m.A = Ker(pi), dimension {maug.dim}")
-        T._maug_equals_kerpi = True
     else:
         rep.fail("iii", "m.A differs from Ker(pi)",
                  counterexample=f"dim m.A = {maug.dim}, dim Ker(pi) = {ker_span.dim}")
-        T._maug_equals_kerpi = False
 
     # (iv a): freeness witness
     witness = _freeness_witness(T)
@@ -1108,20 +1130,17 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     else:
         okb = True
         detail = []
-        for M in simples:
-            ind = induce(T, M)
-            if M.dim > 0 and ind.dim == 0:
+        dims = [induce(T, M).dim for M in simples]
+        for M, d in zip(simples, dims):
+            if M.dim > 0 and d == 0:
                 okb = False
                 detail.append(f"Ind({M.name}) = 0")
         # additivity on split exact sequences from pairs
         for i1 in range(len(simples)):
             for i2 in range(i1, len(simples)):
                 M1, M2 = simples[i1], simples[i2]
-                s = comodule_direct_sum(M1, M2)
-                d_sum = induce(T, s).dim
-                d1 = induce(T, M1).dim
-                d2 = induce(T, M2).dim
-                if d_sum != d1 + d2:
+                d_sum = induce(T, comodule_direct_sum(M1, M2)).dim
+                if d_sum != dims[i1] + dims[i2]:
                     okb = False
                     detail.append(f"Ind not additive on {M1.name}(+){M2.name}")
         if okb:
@@ -1392,13 +1411,22 @@ def module_to_comodule(T: TripleFD, mod: GroupModule, side="A") -> ComoduleFD:
 
 
 def a_simples(T: TripleFD):
-    return [module_to_comodule(T, s, side="a")
-            for s in group_simples(T.a_table, T.field)]
+    """The simple a-comodules, built once per triple; a fresh list per call."""
+    return list(_simples(T, "a"))
 
 
 def A_simples(T: TripleFD):
-    return [module_to_comodule(T, s, side="A")
-            for s in group_simples(T.group, T.field)]
+    """The simple A-comodules, built once per triple; a fresh list per call."""
+    return list(_simples(T, "A"))
+
+
+def _simples(T: TripleFD, side):
+    out = T._simples.get(side)
+    if out is None:
+        table = T.group if side == "A" else T.a_table
+        out = T._simples[side] = [module_to_comodule(T, s, side=side)
+                                  for s in group_simples(table, T.field)]
+    return out
 
 
 def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
@@ -1446,11 +1474,7 @@ def trivial_A_comodule(T: TripleFD) -> ComoduleFD:
 def standard_catalogs(T: TripleFD):
     """(a-comodule catalog, Cat-object catalog) per the verification contract."""
     a_cat = a_simples(T) + [regular_a_comodule(T), trivial_a_comodule(T)]
-    A_simp = A_simples(T)
-    cat = [object_O(T), object_A(T)]
-    for N in A_simp:
-        cat.append(object_O_tensor(T, N))
-    T._A_simples = A_simp
+    cat = [object_O(T), object_A(T)] + [object_O_tensor(T, N) for N in A_simples(T)]
     return a_cat, cat
 
 
@@ -1482,11 +1506,11 @@ def verify_equivalence(T: TripleFD, catalogs=None) -> Report:
                      f"dim M = {M.dim}, dim Psi(Ind(M)) = {Q2.dim}",
                      counterexample=M.name)
     # adjunction on hom-spaces: dim Hom_Cat(N, Ind(M)) = dim Hom_a(Psi(N), M)
+    inds = [induce(T, M) for M in a_cat]
     for N in cat:
-        for M in a_cat:
-            ind = induce(T, M)
+        Q, _ = psi(T, N)
+        for M, ind in zip(a_cat, inds):
             lhs = len(hom_cat(T, N, ind))
-            Q, _ = psi(T, N)
             rhs = len(comodule_hom_space(Q, M))
             if lhs == rhs:
                 rep.ok(f"hom-adjunction[{N.name},{M.name}]", f"dim = {lhs}")

@@ -2,9 +2,12 @@
 
 import itertools
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from smallq import blocks, hopfcore
+from smallq.cli import main
 from smallq.hopfcore import (
     A_simples,
     CoalgebraFD,
@@ -40,6 +43,7 @@ from smallq.hopfcore import (
     regular_a_comodule,
     res_a_comodule,
     shrunk_triple,
+    standard_catalogs,
     trivial_a_comodule,
     twist,
     verify_equivalence,
@@ -419,3 +423,128 @@ def test_quaternion_triple_stress():
     assert all(c.status != "fail" for c in rep.checks), rep.failures()
     rep = verify_equivalence(T)
     assert rep.passed, rep.failures()[:3]
+
+
+# ---------------------------------------------------------------------------
+# the per-triple Ind store
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _coaction_key(M):
+    """The value of a comodule's coaction, computed apart from ``induce``."""
+    return (M.dim, tuple(frozenset((k, v) for k, v in d.items() if v) for d in M.rho))
+
+
+def _count_builds(monkeypatch):
+    """Count ``induce`` calls, their distinct coactions and the objects built."""
+    seen = {"calls": 0, "builds": 0, "keys": set()}
+    build, ind = hopfcore._build_induced, hopfcore.induce
+
+    def counting_build(*args, **kwargs):
+        seen["builds"] += 1
+        return build(*args, **kwargs)
+
+    def counting_induce(T, M, name=""):
+        seen["calls"] += 1
+        seen["keys"].add(_coaction_key(M))
+        return ind(T, M, name)
+
+    monkeypatch.setattr(hopfcore, "_build_induced", counting_build)
+    monkeypatch.setattr(hopfcore, "induce", counting_induce)
+    monkeypatch.setattr(blocks, "induce", counting_induce)
+    return seen
+
+
+def test_ind_store_builds_each_coaction_once_s3(monkeypatch):
+    table, sub = load_fixture("s3_a3")
+    T = finite_group_triple(table, sub)
+    seen = _count_builds(monkeypatch)
+    assert verify_equivalence(T).passed
+    assert seen["builds"] == len(seen["keys"]) < seen["calls"]
+
+
+def test_ind_store_builds_each_coaction_once_d4(monkeypatch, capsys):
+    # one relabelled D4 table through the CLI: 25 distinct coactions, where
+    # a build per call made 166 objects
+    seen = _count_builds(monkeypatch)
+    assert main(["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]) == 0
+    capsys.readouterr()
+    assert seen["builds"] == len(seen["keys"]) == 25
+    assert seen["calls"] > seen["builds"]
+
+
+def _assert_same_induced(got, fresh):
+    assert len(got.act) == len(fresh.act)
+    assert all(mat_eq(x, y) for x, y in zip(got.act, fresh.act))
+    assert got.rho == fresh.rho
+    assert got.carrier_basis == fresh.carrier_basis
+
+
+def test_ind_store_hit_equals_fresh_build(z4_triple, s3_triple):
+    for T in (z4_triple, s3_triple):
+        a_cat, _ = standard_catalogs(T)
+        for M in a_cat:
+            induce(T, M)
+        stored = len(T._induced)
+        for M in a_cat:
+            # an equal-valued twin under a new name hits the store
+            twin = ComoduleFD(M.coalg, [dict(d) for d in M.rho], name=f"twin-{M.name}")
+            for src, name in ((M, "Ind-caller"), (twin, "")):
+                got = induce(T, src, name=name)
+                _assert_same_induced(got, hopfcore._build_induced(T, src, "fresh"))
+                assert got.name == (name or f"Ind({src.name})")
+                assert got.induced_from is src
+        assert len(T._induced) == stored
+
+
+def test_ind_store_negative_control():
+    # over a = functions on Z/2 the trivial and the sign comodule differ in
+    # exactly one coefficient: the second must miss and induce differently
+    table, sub = load_fixture("z4_z2")
+    T = finite_group_triple(table, sub)
+    C = trivial_a_comodule(T)
+    ind_c = induce(T, C)
+    (key, v), = [(k, v) for k, v in C.rho[0].items() if k[0] != T.a_table.identity]
+    rho = [dict(C.rho[0])]
+    rho[0][key] = -v
+    sign = ComoduleFD(T.a, rho, name="sign")
+    ind_s = induce(T, sign)
+    assert len(T._induced) == 2
+    assert ind_s.rho != ind_c.rho
+    _assert_same_induced(ind_s, hopfcore._build_induced(T, sign, "fresh"))
+    _assert_same_induced(induce(T, C), ind_c)
+
+
+class _NoStore(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_ind_store_leaves_reports_unchanged():
+    # every check of the equivalence report, details included, is the same
+    # whether induce builds each call or hits the store
+    table, sub = load_fixture("s3_a3")
+    stored, unstored = finite_group_triple(table, sub), finite_group_triple(table, sub)
+    unstored._induced = _NoStore()
+    reps = [verify_equivalence(T) for T in (stored, unstored)]
+    assert len(stored._induced) > 0 and len(unstored._induced) == 0
+    assert ([(c.name, c.status, c.details) for c in reps[0].checks]
+            == [(c.name, c.status, c.details) for c in reps[1].checks])
+
+
+def test_simples_built_once_per_triple(monkeypatch):
+    table, sub = load_fixture("s3_a3")
+    T = finite_group_triple(table, sub)
+    calls = []
+    real = hopfcore.group_simples
+    monkeypatch.setattr(hopfcore, "group_simples",
+                        lambda *args: calls.append(args) or real(*args))
+    for simples in (a_simples, A_simples):
+        first = simples(T)
+        first.append(None)
+        again = simples(T)
+        assert None not in again and again is not first
+        assert all(x is y for x, y in zip(first, again))
+    assert len(calls) == 2
