@@ -6,13 +6,19 @@ windows reach modules well beyond the bench's (A1 Weyl modules up to W(40),
 tensor products of W(0..2)), so any change in a matrix entry that reaches a
 report shows up here. The triple-verify files were written before the triple
 engine stored its induced objects; the D4 table next to them is a seeded
-relabelling of the dihedral group over its rotations.
+relabelling of the dihedral group over its rotations. triple-details.json
+holds every check of the triple engine's suites on the same three triples;
+it was written before the triple engine's restrictions and comodule-map
+checks went through the ``linalg.restrict`` / ``intertwines`` kernels.
 """
 
+import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from smallq import blocks, hopfcore
 from smallq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,3 +40,35 @@ CASES = [
 def test_report_matches_golden(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# Every check of the triple engine's suites, details included. The CLI folds
+# verify_equivalence, finite_block_bijection and verify_ideal_prop into one
+# "N checks" line each, so a wrong Hom or Ind dimension that still passes
+# would not change the triple-verify reports above; it changes this file.
+TRIPLE_DETAILS = GOLDEN / "triple-details.json"
+TRIPLE_CASES = {
+    "z4_z2": lambda: resources.files("smallq").joinpath("fixtures/z4_z2.group").read_text(),
+    "s3_a3": lambda: resources.files("smallq").joinpath("fixtures/s3_a3.group").read_text(),
+    "D4_seed0": lambda: (GOLDEN / "triple-verify_D4_seed0.group").read_text(),
+}
+
+
+def triple_details(case):
+    """{suite: [[name, status, details], ...]} for one triple."""
+    table, sub = hopfcore.parse_group_text(TRIPLE_CASES[case]())
+    T = hopfcore.finite_group_triple(table, sub)
+    reports = {
+        "check_conditions": hopfcore.check_conditions(T, catalog=hopfcore.a_simples(T)),
+        "verify_equivalence": hopfcore.verify_equivalence(T),
+        "finite_block_bijection": blocks.finite_block_bijection(T),
+        "verify_ideal_prop": hopfcore.verify_ideal_prop(T),
+    }
+    return {suite: [[c.name, c.status, c.details] for c in rep.checks]
+            for suite, rep in reports.items()}
+
+
+@pytest.mark.parametrize("case", sorted(TRIPLE_CASES))
+def test_triple_details_match_golden(case):
+    stored = json.loads(TRIPLE_DETAILS.read_text())
+    assert triple_details(case) == stored[case]
