@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .frobenius import dual_irrep_sl2, frobenius_pullback, restrict_to_small
 from .hopfcore import (
     A_simples,
-    ComoduleFD,
     O_comodule_pullback,
     a_simples,
     comodule_hom_space,
@@ -351,10 +350,8 @@ def finite_block_bijection(T) -> Report:
     witness = None
     for j, S in enumerate(a_simp):
         indS = induce(T, S)
-        ind_comod = ComoduleFD(T.A, indS.rho, name=f"Ind({S.name})",
-                               validate=False)
         for i, N in enumerate(A_simp):
-            m = len(comodule_hom_space(N, ind_comod))
+            m = len(comodule_hom_space(N, indS.comodule))
             if m and comp_of_A[i] != comp_of_a[j]:
                 ok_b = False
                 witness = (S.name, N.name)

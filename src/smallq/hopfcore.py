@@ -30,14 +30,19 @@ from .linalg import (
     combine,
     identity,
     intertwiner_space,
+    intertwines,
     inverse,
+    kron,
     mat_eq,
+    mat_is_zero,
     mat_mul,
     nullspace,
     rank,
+    restrict,
     sparse_columns,
     sparse_nullspace,
     spin,
+    transpose,
     zeros,
 )
 from .linalg import _apply
@@ -159,13 +164,13 @@ class GroupTable:
         return GroupTable(names, mult)
 
     def commutator_subgroup(self):
-        gens = set()
-        for x in range(self.n):
-            for y in range(self.n):
-                c = self.mult[self.mult[self.mult[x][y]][self.inverse[x]]][self.inverse[y]]
-                gens.add(c)
-        # closure
-        closed = {self.identity} | gens
+        m, inv = self.mult, self.inverse
+        return self.generated(m[m[m[x][y]][inv[x]]][inv[y]]
+                              for x in range(self.n) for y in range(self.n))
+
+    def generated(self, elems):
+        """The subgroup generated by elems, sorted."""
+        closed = {self.identity} | set(elems)
         frontier = list(closed)
         while frontier:
             new = []
@@ -396,7 +401,10 @@ def coaction_matrices(rho, cdim, field):
     R_c[y][x] = coefficient of c (x) y in rho(x).
 
     A comodule over C is a module over the dual algebra C* through these
-    matrices, so the comodule maps M1 -> M2 are the X with X R1_c = R2_c X.
+    matrices.  The engine works with comodules in this form throughout: the
+    comodule maps M1 -> M2 are the X with X R1_c = R2_c X, a coaction
+    restricts to a subspace or descends to a quotient as these matrices do,
+    and ``coaction_from_matrices`` turns the result back into a coaction.
     """
     n = len(rho)
     mats = [zeros(n, n, field.zero) for _ in range(cdim)]
@@ -404,6 +412,32 @@ def coaction_matrices(rho, cdim, field):
         for (c, y), v in coact.items():
             mats[c][y][x] = v
     return mats
+
+
+def coaction_from_matrices(mats, field):
+    """The inverse of ``coaction_matrices``: rho[x] = {(c, y): R_c[y][x]}
+    over the nonzero entries."""
+    n = len(mats[0]) if mats else 0
+    rho = [dict() for _ in range(n)]
+    zero = field.zero
+    for c, R in enumerate(mats):
+        for y, row in enumerate(R):
+            for x, v in enumerate(row):
+                if v is not zero and v:
+                    rho[x][(c, y)] = v
+    return rho
+
+
+def _coaction_columns(rho, cdim, field):
+    """``coaction_matrices`` as sparse columns."""
+    return [sparse_columns(R) for R in coaction_matrices(rho, cdim, field)]
+
+
+def _pushforward(mat, cols, n, field):
+    """The coaction matrices of (mat (x) id) rho, from those of rho given by
+    their sparse columns: sum_j mat[c][j] R_j for each row c of mat."""
+    return [combine(((j, x) for j, x in enumerate(row) if x), cols, n, field.zero)
+            for row in mat]
 
 
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
@@ -470,22 +504,11 @@ class TripleFD:
 
     def iota_vec(self, x):
         """Image of an O coefficient dict in A."""
-        out = {}
-        for j, c in x.items():
-            for i in range(self.A.dim):
-                v = self.iota[i][j]
-                if v:
-                    _acc(out, i, c * v)
-        return _strip(out)
+        return _dict_image(self.iota, x)
 
     def pi_vec(self, x):
-        out = {}
-        for j, c in x.items():
-            for i in range(self.a.dim):
-                v = self.pi[i][j]
-                if v:
-                    _acc(out, i, c * v)
-        return _strip(out)
+        """Image of an A coefficient dict in a."""
+        return _dict_image(self.pi, x)
 
     def group_like(self):
         """pi(1_A): the distinguished group-like element of a."""
@@ -508,33 +531,12 @@ class TripleFD:
                     raise StructureError("iota is not multiplicative")
         if self.iota_vec(self.O.unit) != _strip(dict(self.A.unit)):
             raise StructureError("iota does not preserve the unit")
-        for i in range(self.O.dim):
-            lhs = {}
-            img = self.iota_vec({i: f.one})
-            for k, c in img.items():
-                for (u, v), c2 in self.A.delta[k].items():
-                    _acc(lhs, (u, v), c * c2)
-            rhs = {}
-            for (j, k), c in self.O.delta[i].items():
-                for u, cu in self.iota_vec({j: f.one}).items():
-                    for v, cv in self.iota_vec({k: f.one}).items():
-                        _acc(rhs, (u, v), c * cu * cv)
-            if _strip(lhs) != _strip(rhs):
-                raise StructureError("iota is not a coalgebra map")
+        if not _is_coalgebra_map(self.iota, self.O, self.A):
+            raise StructureError("iota is not a coalgebra map")
         # pi is a coalgebra map and a right-module map
+        if not _is_coalgebra_map(self.pi, self.A, self.a):
+            raise StructureError("pi is not a coalgebra map")
         for i in range(self.A.dim):
-            lhs = {}
-            img = self.pi_vec({i: f.one})
-            for k, c in img.items():
-                for (u, v), c2 in self.a.delta[k].items():
-                    _acc(lhs, (u, v), c * c2)
-            rhs = {}
-            for (j, k), c in self.A.delta[i].items():
-                for u, cu in self.pi_vec({j: f.one}).items():
-                    for v, cv in self.pi_vec({k: f.one}).items():
-                        _acc(rhs, (u, v), c * cu * cv)
-            if _strip(lhs) != _strip(rhs):
-                raise StructureError("pi is not a coalgebra map")
             for j in range(self.A.dim):
                 prod = self.A.product_vec({i: f.one}, {j: f.one})
                 lhs_v = self.pi_vec(prod)
@@ -546,6 +548,36 @@ class TripleFD:
                             _acc(rhs_v, w, c * v)
                 if lhs_v != _strip(rhs_v):
                     raise StructureError("pi does not respect the right module structure")
+
+
+def _dict_image(mat, x):
+    """mat times the coefficient dict x, as a coefficient dict."""
+    out = {}
+    for j, c in x.items():
+        for i, row in enumerate(mat):
+            v = row[j]
+            if v:
+                _acc(out, i, c * v)
+    return _strip(out)
+
+
+def _is_coalgebra_map(mat, src: CoalgebraFD, tgt: CoalgebraFD) -> bool:
+    """Whether the matrix of a map src -> tgt satisfies
+    Delta_tgt . mat = (mat (x) mat) . Delta_src on every basis element."""
+    one = src.field.one
+    for i in range(src.dim):
+        lhs = {}
+        for k, c in _dict_image(mat, {i: one}).items():
+            for (u, v), c2 in tgt.delta[k].items():
+                _acc(lhs, (u, v), c * c2)
+        rhs = {}
+        for (j, k), c in src.delta[i].items():
+            for u, cu in _dict_image(mat, {j: one}).items():
+                for v, cv in _dict_image(mat, {k: one}).items():
+                    _acc(rhs, (u, v), c * cu * cv)
+        if _strip(lhs) != _strip(rhs):
+            return False
+    return True
 
 
 def finite_group_triple(table: GroupTable, subgroup_names, field=None,
@@ -650,15 +682,9 @@ def a_right_comodule_of_A(T: TripleFD):
 
 def res_a_comodule(T: TripleFD, M: ComoduleFD, name="") -> ComoduleFD:
     """Restriction of an A-comodule to a: (pi (x) id) rho."""
-    rho = [dict() for _ in range(M.dim)]
-    for x in range(M.dim):
-        for (aa, y), v in M.rho[x].items():
-            for c in range(T.a.dim):
-                w = T.pi[c][aa]
-                if w:
-                    _acc(rho[x], (c, y), v * w)
-        rho[x] = _strip(rho[x])
-    return ComoduleFD(T.a, rho, name=name or f"Res({M.name})")
+    mats = _pushforward(T.pi, _coaction_columns(M.rho, T.A.dim, T.field), M.dim, T.field)
+    return ComoduleFD(T.a, coaction_from_matrices(mats, T.field),
+                      name=name or f"Res({M.name})")
 
 
 def trivial_a_comodule(T: TripleFD) -> ComoduleFD:
@@ -674,17 +700,27 @@ def regular_a_comodule(T: TripleFD) -> ComoduleFD:
 
 
 class TripleObject:
-    """Carrier with an O-action and a compatible A-coaction."""
+    """Carrier with an O-action and a compatible A-coaction.
 
-    def __init__(self, T: TripleFD, act, rho, name="", validate=True):
+    The coaction is an A-comodule (``ComoduleFD``) whose laws were checked
+    when it was built; objects that share one, such as twists and the views
+    ``induce`` returns, do not check them again.
+    """
+
+    def __init__(self, T: TripleFD, act, comodule: ComoduleFD, name="", validate=True):
         self.T = T
         self.act = act              # list over O-basis of carrier matrices
-        self.rho = rho              # list over carrier of {(a_idx, y): v}
-        self.dim = len(rho)
+        self.comodule = comodule
+        self.dim = comodule.dim
         self.name = name or f"object(dim={self.dim})"
         self._cols = None
         if validate:
             self._validate()
+
+    @property
+    def rho(self):
+        """The coaction: list over the carrier of {(a_idx, y): v}."""
+        return self.comodule.rho
 
     def act_sum(self, terms):
         """sum_k c_k act[k] over the (k, c_k) terms, from sparse columns."""
@@ -706,29 +742,41 @@ class TripleObject:
                 rhs = mat_mul(self.act[i], self.act[j], f.zero)
                 if not mat_eq(lhs, rhs):
                     raise StructureError(f"{self.name}: action not associative")
-        # coaction laws
-        ComoduleFD(T.A, self.rho, name=self.name, validate=True)
         # compatibility: co-ac(f . m) = Delta(f) . co-ac(m)
-        for o_idx in range(O.dim):
-            for x in range(n):
-                lhs = {}
-                for r in range(n):
-                    c = self.act[o_idx][r][x]
-                    if c:
-                        for (aa, y), v in self.rho[r].items():
-                            _acc(lhs, (aa, y), c * v)
-                rhs = {}
-                for (f1, f2), dc in O.delta[o_idx].items():
-                    i1 = T.iota_vec({f1: f.one})
-                    for (aa, y), v in self.rho[x].items():
-                        prod = T.A.product_vec(i1, {aa: f.one})
-                        for bb, cb in prod.items():
-                            for r in range(n):
-                                c2 = self.act[f2][r][y]
-                                if c2:
-                                    _acc(rhs, (bb, r), dc * v * cb * c2)
-                if _strip(lhs) != _strip(rhs):
-                    raise StructureError(f"{self.name}: action/coaction compatibility fails")
+        if not _respects_action(self.act, self.rho, O, T.A, T.iota):
+            raise StructureError(f"{self.name}: action/coaction compatibility fails")
+
+
+def _respects_action(act, rho, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
+    """Whether rho(f . m) = Delta(f) . rho(m) for every O-basis element f and
+    carrier basis vector m.
+
+    ``act`` is an O-action on the carrier and ``rho`` a coaction over C; O
+    acts on C by left product through the matrix ``embed``, so
+    Delta(f) = sum f1 (x) f2 acts on C (x) carrier as embed(f1) (x) f2.
+    """
+    one = O.field.one
+    n = len(rho)
+    for o_idx in range(O.dim):
+        for x in range(n):
+            lhs = {}
+            for r in range(n):
+                c = act[o_idx][r][x]
+                if c:
+                    for (aa, y), v in rho[r].items():
+                        _acc(lhs, (aa, y), c * v)
+            rhs = {}
+            for (f1, f2), dc in O.delta[o_idx].items():
+                i1 = _dict_image(embed, {f1: one})
+                for (aa, y), v in rho[x].items():
+                    for bb, cb in C.product_vec(i1, {aa: one}).items():
+                        for r in range(n):
+                            c2 = act[f2][r][y]
+                            if c2:
+                                _acc(rhs, (bb, r), dc * v * cb * c2)
+            if _strip(lhs) != _strip(rhs):
+                return False
+    return True
 
 
 def object_O(T: TripleFD) -> TripleObject:
@@ -740,37 +788,23 @@ def object_A(T: TripleFD) -> TripleObject:
     f = T.field
     act = [T.A.left_mult_matrix(T.iota_vec({i: f.one})) for i in range(T.O.dim)]
     rho = [dict(T.A.delta[x]) for x in range(T.A.dim)]
-    return TripleObject(T, act, rho, name="A")
+    return TripleObject(T, act, ComoduleFD(T.A, rho, name="A"), name="A")
 
 
 def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
-    """O (x) N with the action on the first factor and diagonal coaction."""
+    """O (x) N with the action on the first factor and diagonal coaction.
+
+    O coacts on itself through (iota (x) id) Delta_O; the tensor coaction is
+    ``comodule_tensor``'s.
+    """
     f = T.field
     O = T.O
-    n = O.dim * N.dim
-
-    def flat(x, y):
-        return x * N.dim + y
-
-    act = []
-    for i in range(O.dim):
-        m = zeros(n, n, f.zero)
-        for x in range(O.dim):
-            prod = O.product_vec({i: f.one}, {x: f.one})
-            for k, c in prod.items():
-                for y in range(N.dim):
-                    m[flat(k, y)][flat(x, y)] = c
-        act.append(m)
-    rho = [dict() for _ in range(n)]
-    for x in range(O.dim):
-        for y in range(N.dim):
-            for (x1, x2), c in O.delta[x].items():
-                i1 = T.iota_vec({x1: f.one})
-                for (aa, y2), v in N.rho[y].items():
-                    for bb, cb in T.A.product_vec(i1, {aa: f.one}).items():
-                        _acc(rho[flat(x, y)], (bb, flat(x2, y2)), c * v * cb)
-            rho[flat(x, y)] = _strip(rho[flat(x, y)])
-    return TripleObject(T, act, rho, name=name or f"O(x){N.name}")
+    ident = identity(N.dim, f.one, f.zero)
+    act = [kron(O.left_mult_matrix({i: f.one}), ident, f.zero) for i in range(O.dim)]
+    mats = _pushforward(T.iota, _coaction_columns(O.delta, O.dim, f), O.dim, f)
+    coact_O = ComoduleFD(T.A, coaction_from_matrices(mats, f), name="O")
+    return TripleObject(T, act, comodule_tensor(coact_O, N, T.A),
+                        name=name or f"O(x){N.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +835,8 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
 
     Each triple stores the objects it has induced, keyed by the value of the
     coaction of M.  The first M of a value is built and validated; a later M
-    of the same value gets an object that shares the stored ``act``, ``rho``,
-    ``carrier_basis`` and ``carrier_span`` and carries its own name and
+    of the same value gets an object that shares the stored ``act``,
+    ``comodule`` and ``carrier_basis`` and carries its own name and
     ``induced_from``.  Callers must not mutate what ``induce`` returns.
     """
     name = name or f"Ind({M.name})"
@@ -812,67 +846,40 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     if built is None:
         obj = T._induced[key] = _build_induced(T, M, name)
     else:
-        obj = TripleObject(T, built.act, built.rho, name=name, validate=False)
+        obj = TripleObject(T, built.act, built.comodule, name=name, validate=False)
         obj.carrier_basis = built.carrier_basis
-        obj.carrier_span = built.carrier_span
     obj.induced_from = M
     return obj
 
 
 def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
-    """Ind(M) built from the cotensor, validated; see ``induce``."""
+    """Ind(M) built from the cotensor, validated; see ``induce``.
+
+    On A (x) M the A-coaction Delta (x) id is the family of matrices
+    R_b (x) I_M, with R_b the coaction matrices of A on itself, and the
+    O-action is lm_i (x) I_M, with lm_i the left product by iota(e_i).  Both
+    are restricted to the cotensor.
+    """
     f = T.field
-    rho_r = a_right_comodule_of_A(T)
-    basis = cotensor(rho_r, T.A.dim, M.rho, M.dim, T.a.dim, f)
-    span = Span(basis, f)
-    nb = len(basis)
-    # A-coaction: (Delta (x) id) restricted to the subspace
-    rho = [dict() for _ in range(nb)]
-    for s, vec in enumerate(basis):
-        slices = {}
-        for idx, v in enumerate(vec):
-            if not v:
-                continue
-            aa, x = divmod(idx, M.dim)
-            for (b, cc), dv in T.A.delta[aa].items():
-                key = b
-                sl = slices.setdefault(key, [f.zero] * (T.A.dim * M.dim))
-                sl[cc * M.dim + x] = sl[cc * M.dim + x] + v * dv
-        for b, sl in sorted(slices.items()):
-            if not any(sl):
-                continue
-            coords = span.coords(sl)
-            if coords is None:
-                raise StructureError("induced coaction leaves the cotensor subspace")
-            for s2, c in enumerate(coords):
-                if c:
-                    _acc(rho[s], (b, s2), c)
-    # O-action by left multiplication on the A-factor
-    act = []
-    for i in range(T.O.dim):
-        lm = T.A.left_mult_matrix(T.iota_vec({i: f.one}))
-        m = zeros(nb, nb, f.zero)
-        for s, vec in enumerate(basis):
-            img = [f.zero] * (T.A.dim * M.dim)
-            for idx, v in enumerate(vec):
-                if not v:
-                    continue
-                aa, x = divmod(idx, M.dim)
-                for b in range(T.A.dim):
-                    c = lm[b][aa]
-                    if c:
-                        img[b * M.dim + x] = img[b * M.dim + x] + c * v
-            coords = span.coords(img)
-            if coords is None:
-                raise StructureError(
-                    "O-action does not preserve the cotensor subspace: condition (ii) fails")
-            for s2, c in enumerate(coords):
-                if c:
-                    m[s2][s] = c
-        act.append(m)
-    obj = TripleObject(T, act, rho, name=name)
+    m = M.dim
+    basis = cotensor(a_right_comodule_of_A(T), T.A.dim, M.rho, m, T.a.dim, f)
+
+    def lift(mat):
+        """The sparse columns of mat (x) I_M."""
+        return [[(r * m + x, a) for r, a in col] for col in sparse_columns(mat)
+                for x in range(m)]
+
+    coact = [lift(R) for R in coaction_matrices(T.A.delta, T.A.dim, f)]
+    act = [lift(T.A.left_mult_matrix(T.iota_vec({i: f.one}))) for i in range(T.O.dim)]
+    mats = restrict(coact + act, basis, f)
+    if mats is None:
+        if restrict(coact, basis, f) is None:
+            raise StructureError("induced coaction leaves the cotensor subspace")
+        raise StructureError(
+            "O-action does not preserve the cotensor subspace: condition (ii) fails")
+    comodule = ComoduleFD(T.A, coaction_from_matrices(mats[:T.A.dim], f), name=name)
+    obj = TripleObject(T, mats[T.A.dim:], comodule, name=name)
     obj.carrier_basis = basis
-    obj.carrier_span = span
     return obj
 
 
@@ -895,37 +902,18 @@ def augmentation_quotient(T: TripleFD, act) -> Quotient:
 def psi(T: TripleFD, N: TripleObject, name=""):
     """Psi(N) = N / m.N with the descended a-coaction.
 
-    Returns (a-comodule Q, the ``Quotient`` N -> Q).
+    The a-coaction (pi (x) id) rho of N has the matrices
+    S_c = sum_aa pi[c][aa] R_aa over the coaction matrices R of N; each S_c
+    must map m.N into itself, and descends to the quotient.  Returns
+    (a-comodule Q, the ``Quotient`` N -> Q).
     """
     f = T.field
     quot = augmentation_quotient(T, N.act)
-    proj = quot.proj
-    nq = len(quot.free)
-
-    # descended a-coaction: (pi (x) proj) rho, checked to vanish on m.N
-    def a_coact(vec):
-        out = {}
-        for x, v in enumerate(vec):
-            if not v:
-                continue
-            for (aa, y), w in N.rho[x].items():
-                for c in range(T.a.dim):
-                    pw = T.pi[c][aa]
-                    if pw:
-                        for r in range(nq):
-                            pv = proj[r][y]
-                            if pv:
-                                _acc(out, (c, r), v * w * pw * pv)
-        return _strip(out)
-
-    for z in quot.sub.rows:
-        if a_coact(z):
-            raise StructureError("a-coaction does not descend to Psi: compatibility bug")
-    rho_q = []
-    for fc in quot.free:
-        basis_vec = [f.one if k == fc else f.zero for k in range(N.dim)]
-        rho_q.append(a_coact(basis_vec))
-    Q = ComoduleFD(T.a, rho_q, name=name or f"Psi({N.name})")
+    mats = [quot.induced(sparse_columns(S)) for S in
+            _pushforward(T.pi, _coaction_columns(N.rho, T.A.dim, f), N.dim, f)]
+    if any(m is None for m in mats):
+        raise StructureError("a-coaction does not descend to Psi: compatibility bug")
+    Q = ComoduleFD(T.a, coaction_from_matrices(mats, f), name=name or f"Psi({N.name})")
     return Q, quot
 
 
@@ -938,6 +926,7 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     f = T.field
     Q, quot = psi(T, N)
     ind = induce(T, Q)
+    span = Span(ind.carrier_basis, f)
     mat = zeros(ind.dim, N.dim, f.zero)
     for x in range(N.dim):
         img = [f.zero] * (T.A.dim * Q.dim)
@@ -946,7 +935,7 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
                 pv = quot.proj[r][y]
                 if pv:
                     img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
-        coords = ind.carrier_span.coords(img)
+        coords = span.coords(img)
         if coords is None:
             rep.fail("lands-in-cotensor", "unit image leaves the subspace",
                      counterexample=f"basis vector {x}")
@@ -955,29 +944,13 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
             mat[s][x] = c
     rep.ok("lands-in-cotensor")
     # O-equivariance and A-colinearity
-    ok_act = all(mat_eq(mat_mul(mat, N.act[i], f.zero),
-                        mat_mul(ind.act[i], mat, f.zero))
-                 for i in range(T.O.dim))
-    if ok_act:
+    if intertwines(mat, N.act, ind.act, f):
         rep.ok("O-equivariant")
     else:
         rep.fail("O-equivariant", "unit does not intertwine the O-action",
                  counterexample=N.name)
-    lhs = [dict() for _ in range(N.dim)]
-    for x in range(N.dim):
-        for (aa, y), v in N.rho[x].items():
-            for s in range(ind.dim):
-                c = mat[s][y]
-                if c:
-                    _acc(lhs[x], (aa, s), v * c)
-    rhs = [dict() for _ in range(N.dim)]
-    for x in range(N.dim):
-        for s in range(ind.dim):
-            c = mat[s][x]
-            if c:
-                for (aa, s2), v in ind.rho[s].items():
-                    _acc(rhs[x], (aa, s2), c * v)
-    if all(_strip(lhs[x]) == _strip(rhs[x]) for x in range(N.dim)):
+    if intertwines(mat, coaction_matrices(N.rho, T.A.dim, f),
+                   coaction_matrices(ind.rho, T.A.dim, f), f):
         rep.ok("A-colinear")
     else:
         rep.fail("A-colinear", "unit does not intertwine the A-coaction",
@@ -1012,31 +985,14 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     c_on_s = counit_on_carrier(T, ind)
     # must kill m.Ind(M), whose reduced basis psi has built; it then factors
     # through the free coordinates of the quotient
-    for row in quot.sub.rows:
-        img = [sum((c_on_s[y][s] * row[s] for s in range(ind.dim) if row[s]),
-                   f.zero) for y in range(M.dim)]
-        if any(img):
-            rep.fail("descends", "counit does not kill the augmentation part",
-                     counterexample=M.name)
-            return None, Q2, rep
+    if not mat_is_zero(mat_mul(c_on_s, transpose(quot.sub.rows), f.zero)):
+        rep.fail("descends", "counit does not kill the augmentation part",
+                 counterexample=M.name)
+        return None, Q2, rep
     rep.ok("descends")
     mat = [[c_on_s[y][fc] for fc in quot.free] for y in range(M.dim)]
-    # a-colinearity
-    lhs = [dict() for _ in range(Q2.dim)]
-    for q in range(Q2.dim):
-        for (c, q2), v in Q2.rho[q].items():
-            for y in range(M.dim):
-                w = mat[y][q2]
-                if w:
-                    _acc(lhs[q], (c, y), v * w)
-    rhs = [dict() for _ in range(Q2.dim)]
-    for q in range(Q2.dim):
-        for y in range(M.dim):
-            w = mat[y][q]
-            if w:
-                for (c, y2), v in M.rho[y].items():
-                    _acc(rhs[q], (c, y2), w * v)
-    if all(_strip(lhs[q]) == _strip(rhs[q]) for q in range(Q2.dim)):
+    if intertwines(mat, coaction_matrices(Q2.rho, T.a.dim, f),
+                   coaction_matrices(M.rho, T.a.dim, f), f):
         rep.ok("a-colinear")
     else:
         rep.fail("a-colinear", "counit is not a comodule map",
@@ -1086,17 +1042,9 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
     # (ii): invariants of the right a-comodule structure on A
     # x is invariant when rho_r(x) = x (x) g: one equation per (y, c)
-    rho_r = a_right_comodule_of_A(T)
-    eqs = {}
-    for x in range(T.A.dim):
-        for key, v in rho_r[x].items():
-            eqs.setdefault(key, []).append((x, v))
-        for c, v in gl.items():
-            eqs.setdefault((x, c), []).append((x, -v))
-    inv_basis = sparse_nullspace(eqs.values(), T.A.dim, f)
-    span = RowBasis(f)
-    for j in range(T.O.dim):
-        span.add([T.iota[i][j] for i in range(T.A.dim)])
+    inv_basis = _fixed_vectors(a_right_comodule_of_A(T),
+                               lambda x: (((x, c), v) for c, v in gl.items()), f)
+    span = RowBasis(f, zip(*T.iota))
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
         rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
     else:
@@ -1106,10 +1054,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     # (iii): m.A vs ker(pi)
     maug = augmentation_quotient(
         T, [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]).sub
-    ker_pi = nullspace(T.pi, f)
-    ker_span = RowBasis(f)
-    for v in ker_pi:
-        ker_span.add(v)
+    ker_span = RowBasis(f, nullspace(T.pi, f))
     if maug.dim == ker_span.dim and all(ker_span.contains(r) for r in maug.rows):
         rep.ok("iii", f"m.A = Ker(pi), dimension {maug.dim}")
     else:
@@ -1148,6 +1093,19 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
         else:
             rep.fail("iv_b", "; ".join(detail), counterexample=detail[0])
     return rep
+
+
+def _fixed_vectors(rho, expected, field):
+    """Basis of the vectors v with rho(v) = E(v), for a coaction rho and a
+    linear map E given on each basis vector e_x by ``expected(x)``, its
+    (key, coefficient) pairs.  One sparse equation per key."""
+    eqs = {}
+    for x, coact in enumerate(rho):
+        for key, v in coact.items():
+            eqs.setdefault(key, []).append((x, v))
+        for key, v in expected(x):
+            eqs.setdefault(key, []).append((x, -v))
+    return sparse_nullspace(eqs.values(), len(rho), field)
 
 
 def _freeness_witness(T: TripleFD):
@@ -1228,20 +1186,10 @@ class GroupModule:
 
     def submodule(self, rows, name=""):
         """The module on the span of ``rows``, an independent basis, in its coordinates."""
-        f = self.field
-        span = Span(rows, f)
-        mats = []
-        for cols in self._columns():
-            out = zeros(len(rows), len(rows), f.zero)
-            for ci, bvec in enumerate(rows):
-                img = _apply(cols, bvec, f.zero)
-                coords = span.coords(img)
-                if coords is None:
-                    raise StructureError("not a submodule")
-                for ri, c in enumerate(coords):
-                    out[ri][ci] = c
-            mats.append(out)
-        return GroupModule(self.table, f, mats, name=name)
+        mats = restrict(self._columns(), rows, self.field)
+        if mats is None:
+            raise StructureError("not a submodule")
+        return GroupModule(self.table, self.field, mats, name=name)
 
     def end_dim(self):
         return len(intertwiner_space(self.mats, self.mats, self.field))
@@ -1274,16 +1222,7 @@ def abelian_characters(table: GroupTable, field):
     for x in range(table.n):
         if x not in generated:
             gens.append(x)
-            frontier = [x]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for b in list(generated) + [a]:
-                        for c in (table.mult[a][b], table.mult[b][a]):
-                            if c not in generated:
-                                generated.add(c)
-                                new.append(c)
-                frontier = new
+            generated = set(table.generated(gens))
     choices = []
     for g in gens:
         o = table.order_of(g)
@@ -1395,19 +1334,10 @@ def module_to_comodule(T: TripleFD, mod: GroupModule, side="A") -> ComoduleFD:
     coassociative for nonabelian groups and recovers Delta on the regular
     module.
     """
-    f = T.field
     coalg = T.A if side == "A" else T.a
     table = T.group if side == "A" else T.a_table
-    rho = [dict() for _ in range(mod.dim)]
-    for x in range(mod.dim):
-        for g in range(table.n):
-            act = mod.mats[table.inverse[g]]
-            for r in range(mod.dim):
-                v = act[r][x]
-                if v:
-                    _acc(rho[x], (g, r), v)
-        rho[x] = _strip(rho[x])
-    return ComoduleFD(coalg, rho, name=mod.name)
+    mats = [mod.mats[table.inverse[g]] for g in range(table.n)]
+    return ComoduleFD(coalg, coaction_from_matrices(mats, T.field), name=mod.name)
 
 
 def a_simples(T: TripleFD):
@@ -1433,17 +1363,9 @@ def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
     """O-comodule (module over the quotient group) pushed to an A-comodule."""
     f = T.field
     quot = T.quotient_group
-    rho = [dict() for _ in range(mod.dim)]
-    for x in range(mod.dim):
-        for q in range(quot.n):
-            act = mod.mats[quot.inverse[q]]
-            for r in range(mod.dim):
-                v = act[r][x]
-                if v:
-                    for aa, ca in T.iota_vec({q: f.one}).items():
-                        _acc(rho[x], (aa, r), v * ca)
-        rho[x] = _strip(rho[x])
-    return ComoduleFD(T.A, rho, name=f"F*({mod.name})")
+    cols = mod._columns()
+    mats = _pushforward(T.iota, [cols[quot.inverse[q]] for q in range(quot.n)], mod.dim, f)
+    return ComoduleFD(T.A, coaction_from_matrices(mats, f), name=f"F*({mod.name})")
 
 
 def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> ComoduleFD:
@@ -1571,7 +1493,7 @@ def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
         raise StructureError("gamma does not preserve the unit")
     act = [N.act_sum((k, c * gamma[j]) for (j, k), c in T.O.delta[i].items() if gamma[j])
            for i in range(T.O.dim)]
-    return TripleObject(T, act, N.rho, name=name or f"twist({N.name})")
+    return TripleObject(T, act, N.comodule, name=name or f"twist({N.name})")
 
 
 def identity_point(T: TripleFD):
@@ -1600,36 +1522,13 @@ class EquivariantObject:
         ComoduleFD(CoalgebraFD(f, O.delta, O.eps, name="O", validate=False),
                    self.rho_o, name=self.name)
         # Hopf-module law: rho_o(f.n) = Delta(f) . rho_o(n)
-        for i in range(O.dim):
-            for x in range(self.N.dim):
-                lhs = {}
-                for r in range(self.N.dim):
-                    c = self.N.act[i][r][x]
-                    if c:
-                        for (o, y), v in self.rho_o[r].items():
-                            _acc(lhs, (o, y), c * v)
-                rhs = {}
-                for (f1, f2), dc in O.delta[i].items():
-                    for (o, y), v in self.rho_o[x].items():
-                        for u, cu in O.product_vec({f1: f.one}, {o: f.one}).items():
-                            for r in range(self.N.dim):
-                                c2 = self.N.act[f2][r][y]
-                                if c2:
-                                    _acc(rhs, (u, r), dc * v * cu * c2)
-                if _strip(lhs) != _strip(rhs):
-                    raise StructureError(f"{self.name}: Hopf-module law fails")
-        # commuting coactions
-        for x in range(self.N.dim):
-            lhs = {}
-            for (o, y), v in self.rho_o[x].items():
-                for (aa, z), w in self.N.rho[y].items():
-                    _acc(lhs, (o, aa, z), v * w)
-            rhs = {}
-            for (aa, y), w in self.N.rho[x].items():
-                for (o, z), v in self.rho_o[y].items():
-                    _acc(rhs, (o, aa, z), w * v)
-            if _strip(lhs) != _strip(rhs):
-                raise StructureError(f"{self.name}: coactions do not commute")
+        if not _respects_action(self.N.act, self.rho_o, O, O, identity(O.dim, f.one, f.zero)):
+            raise StructureError(f"{self.name}: Hopf-module law fails")
+        # commuting coactions: every coaction matrix of O commutes with every
+        # one of A
+        RA = coaction_matrices(self.N.rho, T.A.dim, f)
+        if not all(intertwines(R, RA, RA, f) for R in coaction_matrices(self.rho_o, O.dim, f)):
+            raise StructureError(f"{self.name}: coactions do not commute")
 
 
 def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
@@ -1654,39 +1553,16 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     carrying the descended A-coaction.  Returns (A-comodule, inclusion)."""
     f = T.field
     N = E.N
-    O = T.O
-    unit = _strip(dict(O.unit))
-    # x is coinvariant when rho_o(x) = 1 (x) x: one equation per (o, y)
-    eqs = {}
-    for x in range(N.dim):
-        for key, v in E.rho_o[x].items():
-            eqs.setdefault(key, []).append((x, v))
-        for o, u in unit.items():
-            eqs.setdefault((o, x), []).append((x, -u))
-    basis = sparse_nullspace(eqs.values(), N.dim, f)
-    span = Span(basis, f)
+    unit = _strip(dict(T.O.unit))
+    # x is coinvariant when rho_o(x) = 1 (x) x
+    basis = _fixed_vectors(E.rho_o, lambda x: (((o, x), u) for o, u in unit.items()), f)
     # descended A-coaction on the coinvariants
-    rho = [dict() for _ in range(len(basis))]
-    for s, vec in enumerate(basis):
-        slices = {}
-        for x, v in enumerate(vec):
-            if not v:
-                continue
-            for (aa, y), w in N.rho[x].items():
-                sl = slices.setdefault(aa, [f.zero] * N.dim)
-                sl[y] = sl[y] + v * w
-        for aa, sl in sorted(slices.items()):
-            if not any(sl):
-                continue
-            coords = span.coords(sl)
-            if coords is None:
-                raise StructureError(
-                    "A-coaction does not preserve the coinvariants: "
-                    "incompatible equivariance data")
-            for s2, c in enumerate(coords):
-                if c:
-                    _acc(rho[s], (aa, s2), c)
-    P = ComoduleFD(T.A, rho, name=f"fiber({E.name})")
+    mats = restrict(_coaction_columns(N.rho, T.A.dim, f), basis, f)
+    if mats is None:
+        raise StructureError(
+            "A-coaction does not preserve the coinvariants: "
+            "incompatible equivariance data")
+    P = ComoduleFD(T.A, coaction_from_matrices(mats, f), name=f"fiber({E.name})")
     return P, basis
 
 

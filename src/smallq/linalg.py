@@ -104,6 +104,17 @@ def kron(A, B, zero):
     return C
 
 
+def block_diag(A, B, zero):
+    """The square matrix with A and B on its diagonal and zeros elsewhere."""
+    n1, n2 = len(A), len(B)
+    out = zeros(n1 + n2, n1 + n2, zero)
+    for r in range(n1):
+        out[r][:n1] = A[r]
+    for r in range(n2):
+        out[n1 + r][n1:] = B[r]
+    return out
+
+
 def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
 
@@ -178,12 +189,15 @@ def spin(gens, seeds, field) -> RowBasis:
 
 
 class RowBasis:
-    """Incrementally maintained reduced row basis over a field."""
+    """Incrementally maintained reduced row basis over a field, optionally
+    filled with some vectors to start with."""
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows = []          # reduced rows, each with a pivot column
         self.pivots = []        # pivot column per row
+        for vec in vectors:
+            self.add(vec)
 
     def reduce(self, vec):
         vec = list(vec)
@@ -291,20 +305,47 @@ class Span:
         return out
 
 
+def restrict(gens, basis, field):
+    """Each generator on the span of ``basis``, in basis coordinates.
+
+    ``gens`` are square matrices given by their sparse columns; ``basis`` is
+    a list of linearly independent vectors b_0..b_{k-1}, the columns of a
+    matrix B.  Returns one k x k matrix Y per generator g with g B = B Y
+    (g b_s = sum_r Y[r][s] b_r), or None when an image leaves the span.  One
+    ``Span`` serves every generator, and each b_s's nonzero entries are
+    listed once for all of them.
+    """
+    span = Span(basis, field)
+    zero = field.zero
+    k = len(basis)
+    n = len(basis[0]) if basis else 0
+    nonzeros = _row_nonzeros(basis, zero)
+    out = []
+    for cols in gens:
+        Y = [[zero] * k for _ in range(k)]
+        for s, entries in enumerate(nonzeros):
+            img = [zero] * n
+            for c, x in entries:
+                for r, a in cols[c]:
+                    img[r] = img[r] + a * x
+            coords = span.coords(img)
+            if coords is None:
+                return None
+            for r, y in enumerate(coords):
+                Y[r][s] = y
+        out.append(Y)
+    return out
+
+
 def rref(A, field):
     """Reduced row-echelon form; returns (rows, pivot columns)."""
-    basis = RowBasis(field)
-    for row in A:
-        basis.add(row)
+    basis = RowBasis(field, A)
     order = sorted(range(basis.dim), key=lambda i: basis.pivots[i])
     return [basis.rows[i] for i in order], [basis.pivots[i] for i in order]
 
 
 def rank(A, field):
-    basis = RowBasis(field)
-    for row in A:
-        basis.add(row)
-    return basis.dim
+    return RowBasis(field, A).dim
 
 
 def _null_basis(basis, n):
@@ -333,10 +374,7 @@ def _null_basis(basis, n):
 
 def nullspace(A, field):
     """Basis of the right nullspace of A (vectors x with A x = 0)."""
-    basis = RowBasis(field)
-    for row in A:
-        basis.add(row)
-    return _null_basis(basis, len(A[0]) if A else 0)
+    return _null_basis(RowBasis(field, A), len(A[0]) if A else 0)
 
 
 def sparse_nullspace(equations, n, field):
@@ -367,18 +405,47 @@ class Quotient:
     """
 
     def __init__(self, vectors, n, field):
-        self.sub = RowBasis(field)
-        for vec in vectors:
-            self.sub.add(vec)
+        self.field = field
+        self.sub = RowBasis(field, vectors)
         pivots = set(self.sub.pivots)
         self.free = [j for j in range(n) if j not in pivots]
+        # the rows are reduced, so reducing vec subtracts vec[p] times each
+        # row with pivot p: per row, its pivot and its nonzero free entries
+        self._rows = [(p, [(k, row[j]) for k, j in enumerate(self.free) if row[j]])
+                      for row, p in zip(self.sub.rows, self.sub.pivots)]
         units = identity(n, field.one, field.zero)
         self.proj = transpose([self.project(e) for e in units])
 
     def project(self, vec):
         """The image of vec in the quotient, in free-column coordinates."""
-        res = self.sub.reduce(vec)
-        return [res[c] for c in self.free]
+        out = [vec[j] for j in self.free]
+        for p, entries in self._rows:
+            c = vec[p]
+            if c:
+                for k, a in entries:
+                    out[k] = out[k] - c * a
+        return out
+
+    def induced(self, cols):
+        """The endomorphism that a square matrix induces on the quotient.
+
+        ``cols`` are the matrix's sparse columns.  Returns the
+        len(free) x len(free) matrix whose column j is the image of the
+        matrix's column free[j], or None when the matrix does not map the
+        subspace into itself.
+        """
+        zero = self.field.zero
+        n = len(cols)
+        for row in self.sub.rows:
+            if any(self.project(_apply(cols, row, zero))):
+                return None
+        images = []
+        for j in self.free:
+            col = [zero] * n
+            for r, a in cols[j]:
+                col[r] = a if col[r] is zero else col[r] + a
+            images.append(self.project(col))
+        return transpose(images)
 
 
 def inverse(A, field):
@@ -392,6 +459,13 @@ def inverse(A, field):
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in rows[:n]]
+
+
+def intertwines(X, src_gens, tgt_gens, field):
+    """True when X g_src = g_tgt X for every generator pair (dense matrices)."""
+    zero = field.zero
+    return all(mat_eq(mat_mul(X, S, zero), mat_mul(T, X, zero))
+               for S, T in zip(src_gens, tgt_gens))
 
 
 def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=None):

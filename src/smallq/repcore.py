@@ -28,8 +28,7 @@ from functools import reduce
 
 from .linalg import (
     Quotient,
-    RowBasis,
-    Span,
+    block_diag,
     kron,
     mat_eq,
     mat_is_zero,
@@ -39,12 +38,11 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_sum,
+    restrict,
     sparse_columns,
     spin,
-    transpose,
     zeros,
 )
-from .linalg import _apply
 from .report import Report
 from .rootdata import DotOrbits, EllForm, build_root_datum
 from .scalars import LatticeError, LaurentPoly, qbinom, qbinom_zeta, qfact, qint
@@ -74,6 +72,16 @@ class GenSet:
 
     def div_f(self, i):
         return self.ffam[i][-1]
+
+    def matrices(self):
+        """Every family matrix in one list, the E families first."""
+        return [m for fam in self.efam + self.ffam for m in fam]
+
+    def reshaped(self, mats):
+        """A GenSet of this shape holding ``mats``, given in ``matrices`` order."""
+        it = iter(mats)
+        fams = [[next(it) for _ in fam] for fam in self.efam + self.ffam]
+        return GenSet(fams[:len(self.efam)], fams[len(self.efam):])
 
 
 class WeightModule:
@@ -311,23 +319,10 @@ def _twist_columns(mat, exps, twist, zero):
 def direct_sum(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
     datum, params = M.datum, M.params
     weights = M.weights + N.weights
-    f = params.field
-    zero = f.zero
-
-    def block(a, b):
-        n1, n2 = len(a), len(b)
-        out = zeros(n1 + n2, n1 + n2, zero)
-        for r in range(n1):
-            for c in range(n1):
-                out[r][c] = a[r][c]
-        for r in range(n2):
-            for c in range(n2):
-                out[n1 + r][n1 + c] = b[r][c]
-        return out
-
-    efam = [[block(ma, mb) for ma, mb in zip(M.z.efam[i], N.z.efam[i])]
+    zero = params.field.zero
+    efam = [[block_diag(ma, mb, zero) for ma, mb in zip(M.z.efam[i], N.z.efam[i])]
             for i in range(datum.rank)]
-    ffam = [[block(ma, mb) for ma, mb in zip(M.z.ffam[i], N.z.ffam[i])]
+    ffam = [[block_diag(ma, mb, zero) for ma, mb in zip(M.z.ffam[i], N.z.ffam[i])]
             for i in range(datum.rank)]
     return WeightModule(datum, params, weights, GenSet(efam, ffam), None,
                         name=name or f"{M.name}(+){N.name}")
@@ -513,12 +508,6 @@ class Submodule:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, vec):
-        rb = RowBasis(self.parent.params.field)
-        for row in self.basis:
-            rb.add(list(row))
-        return rb.contains(list(vec))
-
     def __repr__(self):
         return f"Submodule(dim={self.dim} of {self.parent.name})"
 
@@ -624,28 +613,12 @@ def maximal_proper_submodule(module: WeightModule) -> Submodule:
 def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
     """The subspace as a WeightModule in its own basis (zeta layer only)."""
     parent = sub.parent
-    field = parent.params.field
-    span = Span(sub.basis, field)
-
-    def restrict(cols):
-        out = []
-        for row in sub.basis:
-            img = _apply(cols, row, field.zero)
-            coords = span.coords(img)
-            if coords is None:
-                raise LatticeError("subspace is not stable under a generator")
-            out.append(coords)
-        # rows currently give images of basis vectors in basis coordinates;
-        # transpose to act on column vectors
-        n = len(sub.basis)
-        return [[out[c][r] for c in range(n)] for r in range(n)]
-
     z = _sparse_families(parent)
-    efam = [[restrict(m) for m in fam] for fam in z.efam]
-    ffam = [[restrict(m) for m in fam] for fam in z.ffam]
+    mats = restrict(z.matrices(), sub.basis, parent.params.field)
+    if mats is None:
+        raise LatticeError("subspace is not stable under a generator")
     return WeightModule(parent.datum, parent.params, sub.basis_weights,
-                        GenSet(efam, ffam), None,
-                        name=name or f"sub({parent.name})")
+                        z.reshaped(mats), None, name=name or f"sub({parent.name})")
 
 
 def quotient_module(module: WeightModule, sub: Submodule, name=None):
@@ -654,15 +627,12 @@ def quotient_module(module: WeightModule, sub: Submodule, name=None):
     Returns (quotient module, projection matrix).
     """
     quot = Quotient(sub.basis, module.dim, module.params.field)
-
-    def induced(mat):
-        return transpose([quot.project([row[j] for row in mat]) for j in quot.free])
-
+    z = _sparse_families(module)
+    mats = [quot.induced(cols) for cols in z.matrices()]
+    if any(m is None for m in mats):
+        raise LatticeError("subspace is not stable under a generator")
     weights = [module.weights[j] for j in quot.free]
-    z = module.z
-    efam = [[induced(m) for m in fam] for fam in z.efam]
-    ffam = [[induced(m) for m in fam] for fam in z.ffam]
-    q = WeightModule(module.datum, module.params, weights, GenSet(efam, ffam),
+    q = WeightModule(module.datum, module.params, weights, z.reshaped(mats),
                      None, name=name or f"{module.name}/sub")
     return q, quot.proj
 

@@ -354,12 +354,6 @@ class LaurentRing:
         inst._qbinom_zeta = {}
         return inst
 
-    def monomial(self, e: int, coeff=None) -> "LaurentPoly":
-        c = self.field.one if coeff is None else coeff
-        if not c:
-            return self.zero
-        return LaurentPoly(self, {e: c})
-
     def from_int(self, a: int) -> "LaurentPoly":
         if a == 0:
             return self.zero

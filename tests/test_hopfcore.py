@@ -49,7 +49,7 @@ from smallq.hopfcore import (
     verify_equivalence,
     verify_ideal_prop,
 )
-from smallq.linalg import inverse, kron, mat_eq, mat_mul, zeros
+from smallq.linalg import intertwines, inverse, kron, mat_eq, mat_mul, zeros
 from smallq.scalars import CycloField
 
 
@@ -548,3 +548,62 @@ def test_simples_built_once_per_triple(monkeypatch):
         assert None not in again and again is not first
         assert all(x is y for x, y in zip(first, again))
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the restrict / descend / intertwines kernels in the triple engine
+# ---------------------------------------------------------------------------
+
+def test_group_submodule_rejects_unstable_span(s3_triple):
+    T = s3_triple
+    f = T.field
+    reg = hopfcore.regular_module(T.group, f)
+    line = [f.one] + [f.zero] * (T.group.n - 1)
+    with pytest.raises(StructureError, match="not a submodule"):
+        reg.submodule([line])
+    # the sum of all group elements spans the trivial submodule
+    trivial = reg.submodule([[f.one] * T.group.n])
+    assert all(mat_eq(m, [[f.one]]) for m in trivial.mats)
+
+
+def _perturbed(mat, field):
+    """A copy of mat with its first nonzero entry raised by one."""
+    out = [list(row) for row in mat]
+    r, c = next((r, c) for r, row in enumerate(out) for c, x in enumerate(row) if x)
+    out[r][c] = out[r][c] + field.one
+    return out
+
+
+def test_intertwines_rejects_perturbed_unit_and_counit(z4_triple, s3_triple):
+    for T in (z4_triple, s3_triple):
+        f = T.field
+        N = object_A(T)
+        mat, ind, rep = adjunction_unit(T, N)
+        assert rep.passed
+        coact_N = coaction_matrices(N.rho, T.A.dim, f)
+        coact_ind = coaction_matrices(ind.rho, T.A.dim, f)
+        assert intertwines(mat, N.act, ind.act, f)
+        assert intertwines(mat, coact_N, coact_ind, f)
+        assert not intertwines(_perturbed(mat, f), coact_N, coact_ind, f)
+        M = regular_a_comodule(T)
+        cmat, Q2, crep = adjunction_counit(T, M)
+        assert crep.passed
+        coact_Q2 = coaction_matrices(Q2.rho, T.a.dim, f)
+        coact_M = coaction_matrices(M.rho, T.a.dim, f)
+        assert intertwines(cmat, coact_Q2, coact_M, f)
+        assert not intertwines(_perturbed(cmat, f), coact_Q2, coact_M, f)
+
+
+def test_twist_reuses_the_validated_coaction(z4_triple, monkeypatch):
+    # the coaction of a twist is its source's comodule, checked once when
+    # the source was built; twisting re-checks only the action laws
+    T = z4_triple
+    N = object_A(T)
+    checked = []
+    real = ComoduleFD._validate
+    monkeypatch.setattr(ComoduleFD, "_validate",
+                        lambda self: checked.append(self) or real(self))
+    for gamma in points_of_O(T):
+        tw = twist(T, gamma, N)
+        assert tw.comodule is N.comodule and tw.rho is N.rho
+    assert checked == []

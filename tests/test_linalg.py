@@ -1,15 +1,19 @@
-"""Span coordinates and intertwiner spaces over the cyclotomic fields at ell 4
-and 6, and the dense matrix helpers against naive references."""
+"""Span coordinates, intertwiner spaces and the restrict / descend /
+intertwines kernels over the cyclotomic fields at ell 4 and 6, and the dense
+matrix helpers against naive references."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallq.linalg import (
+    Quotient,
     RowBasis,
     Span,
+    block_diag,
     identity,
     intertwiner_space,
+    intertwines,
     inverse,
     kron,
     mat_eq,
@@ -20,7 +24,10 @@ from smallq.linalg import (
     mat_sum,
     nullspace,
     rank,
+    restrict,
     rref,
+    sparse_columns,
+    spin,
     transpose,
 )
 from smallq.repcore import GenSet, _specialize
@@ -321,3 +328,100 @@ def test_specialize_matches_eval_zeta(data):
             assert len(mats_in) == len(mats_out)
             for M, Z in zip(mats_in, mats_out):
                 assert mat_eq(Z, [[p.eval_zeta() for p in row] for row in M])
+
+
+# ---------------------------------------------------------------------------
+# restrict, Quotient.induced and intertwines, against dense matrix oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def spun_case(draw):
+    """(field, dense generators, the sorted rows of the spin of some seeds)."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 4))
+    gens = [draw(sparse_square(field, n)) for _ in range(draw(st.integers(1, 2)))]
+    seeds = [draw(vectors(field, n)) for _ in range(draw(st.integers(1, 2)))]
+    basis = spin([sparse_columns(g) for g in gens], seeds, field).sorted_rows()
+    assume(basis)
+    return field, gens, basis
+
+
+@SETTINGS
+@given(spun_case())
+def test_restrict_matches_matrix_oracle(case):
+    # the spin is stable, so every generator restricts: g B^T = B^T Y
+    field, gens, basis = case
+    Bt = transpose(basis)
+    ys = restrict([sparse_columns(g) for g in gens], basis, field)
+    assert ys is not None and len(ys) == len(gens)
+    for g, Y in zip(gens, ys):
+        assert len(Y) == len(basis)
+        assert mat_eq(mat_mul(g, Bt, field.zero), mat_mul(Bt, Y, field.zero))
+
+
+@SETTINGS
+@given(spun_case())
+def test_quotient_induced_matches_matrix_oracle(case):
+    # g e_f - sum_r Y[r][j] e_{free r} lies in the subspace, for f = free[j]
+    field, gens, basis = case
+    n = len(basis[0])
+    quot = Quotient(basis, n, field)
+    for g in gens:
+        Y = quot.induced(sparse_columns(g))
+        assert Y is not None and len(Y) == len(quot.free)
+        for j, fcol in enumerate(quot.free):
+            diff = [g[r][fcol] for r in range(n)]
+            for r, frow in enumerate(quot.free):
+                diff[frow] = diff[frow] - Y[r][j]
+            assert rank(basis + [diff], field) == len(basis)
+
+
+def _shift(field, n):
+    """e_c -> e_{c+1}, e_{n-1} -> 0: no coordinate line but the last is stable."""
+    return [[field.one if r == c + 1 else field.zero for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+def test_restrict_rejects_unstable_span(ell):
+    field = FIELDS[ell]
+    first = [field.one, field.zero, field.zero]
+    cols = [sparse_columns(identity(3, field.one, field.zero)), sparse_columns(_shift(field, 3))]
+    assert restrict(cols[:1], [first], field) == [[[field.one]]]
+    assert restrict(cols, [first], field) is None
+
+
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+def test_quotient_induced_rejects_unstable_subspace(ell):
+    field = FIELDS[ell]
+    shift = sparse_columns(_shift(field, 3))
+    # the last coordinate line is stable under the shift, the first is not
+    stable = Quotient([[field.zero, field.zero, field.one]], 3, field)
+    assert mat_eq(stable.induced(shift), [[field.zero, field.zero], [field.one, field.zero]])
+    assert Quotient([[field.one, field.zero, field.zero]], 3, field).induced(shift) is None
+
+
+@SETTINGS
+@given(intertwiner_case())
+def test_intertwines_matches_intertwiner_space(case):
+    # every basis element of the intertwiner space intertwines; with X[0][0]
+    # raised by one, X S - T X changes by E_00 S - T E_00, which is zero
+    # exactly when S[0][s] = 0 for s > 0, T[t][0] = 0 for t > 0 and
+    # S[0][0] = T[0][0]
+    field, ns, nt, pairs, _ = case
+    src, tgt = [S for S, _ in pairs], [T for _, T in pairs]
+    moved = any(any(S[0][1:]) or any(row[0] for row in T[1:]) or S[0][0] != T[0][0]
+                for S, T in pairs)
+    for X in intertwiner_space(src, tgt, field):
+        assert intertwines(X, src, tgt, field)
+        bad = [list(row) for row in X]
+        bad[0][0] = bad[0][0] + field.one
+        assert intertwines(bad, src, tgt, field) == (not moved)
+
+
+def test_block_diag():
+    f = ZETA8
+    a = [[f.one, f.from_int(2)], [f.zero, f.from_int(3)]]
+    b = [[f.from_int(5)]]
+    assert mat_eq(block_diag(a, b, f.zero),
+                  [[f.one, f.from_int(2), f.zero], [f.zero, f.from_int(3), f.zero],
+                   [f.zero, f.zero, f.from_int(5)]])

@@ -20,7 +20,7 @@ from smallq.repcore import (
 )
 from smallq.repcore import _coproduct_families, _specialize
 from smallq.rootdata import DotOrbits, build_root_datum
-from smallq.scalars import QParams, matrix_divide_exact, qfact
+from smallq.scalars import LatticeError, QParams, matrix_divide_exact, qfact
 
 P4 = QParams(4)
 P6 = QParams(6)
@@ -224,6 +224,21 @@ def test_submodule_as_module_unreduced_basis():
         for mats, sub_mats in zip(fam, sub_fam):
             assert len(sub_mats) == len(mats)
             assert all(mat_eq(a, b) for a, b in zip(mats, sub_mats))
+
+
+def test_restriction_and_quotient_reject_unstable_subspace():
+    # the top line of W(2) is not stable under F: neither the subspace nor
+    # the quotient by it is a module
+    w = weyl_module(2, P4)
+    top = repcore.Submodule(w, [basis_vector(w, 0)], [w.weights[0]])
+    with pytest.raises(LatticeError, match="not stable under a generator"):
+        submodule_as_module(top)
+    with pytest.raises(LatticeError, match="not stable under a generator"):
+        quotient_module(w, top)
+    # the bottom line is killed by F and by F^(ell) but sent up by E
+    bottom = repcore.Submodule(w, [basis_vector(w, 2)], [w.weights[2]])
+    with pytest.raises(LatticeError):
+        submodule_as_module(bottom)
 
 
 def test_composition_factors():
