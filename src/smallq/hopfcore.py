@@ -36,6 +36,8 @@ from .linalg import (
     mat_eq,
     mat_is_zero,
     mat_mul,
+    mat_scale,
+    mat_sum,
     nullspace,
     rank,
     restrict,
@@ -1369,19 +1371,20 @@ def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
 
 
 def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> ComoduleFD:
-    """Tensor of comodules over a bialgebra: diagonal coaction."""
+    """Tensor of comodules over a bialgebra: diagonal coaction.
+
+    Its coaction matrix at b sums c R1_a1 (x) R2_a2 over the products
+    a1 a2 whose coefficient at b is c.
+    """
     f = A.field
+    R1, R2 = coaction_matrices(M1.rho, A.dim, f), coaction_matrices(M2.rho, A.dim, f)
     n = M1.dim * M2.dim
-    rho = [dict() for _ in range(n)]
-    for x1 in range(M1.dim):
-        for x2 in range(M2.dim):
-            src = x1 * M2.dim + x2
-            for (a1, y1), v1 in M1.rho[x1].items():
-                for (a2, y2), v2 in M2.rho[x2].items():
-                    for b, c in A.product_vec({a1: f.one}, {a2: f.one}).items():
-                        _acc(rho[src], (b, y1 * M2.dim + y2), v1 * v2 * c)
-            rho[src] = _strip(rho[src])
-    return ComoduleFD(A, rho, name=f"{M1.name}(x){M2.name}")
+    mats = [zeros(n, n, f.zero) for _ in range(A.dim)]
+    for (a1, a2), prod in A.mult.items():
+        K = kron(R1[a1], R2[a2], f.zero)
+        for b, c in prod.items():
+            mats[b] = mat_sum(mats[b], mat_scale(K, c))
+    return ComoduleFD(A, coaction_from_matrices(mats, f), name=f"{M1.name}(x){M2.name}")
 
 
 def trivial_A_comodule(T: TripleFD) -> ComoduleFD:
@@ -1539,12 +1542,9 @@ def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
     """
     N = object_O_tensor(T, P, name=f"O(x){P.name}")
     f = T.field
-    O = T.O
-    rho_o = [dict() for _ in range(N.dim)]
-    for x in range(O.dim):
-        for y in range(P.dim):
-            for (x1, x2), c in O.delta[x].items():
-                _acc(rho_o[x * P.dim + y], (x1, x2 * P.dim + y), c)
+    ident = identity(P.dim, f.one, f.zero)
+    rho_o = coaction_from_matrices([kron(R, ident, f.zero) for R in
+                                    coaction_matrices(T.O.delta, T.O.dim, f)], f)
     return EquivariantObject(N, rho_o, name=f"equiv({P.name})")
 
 
