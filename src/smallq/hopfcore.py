@@ -875,6 +875,7 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     act = [lift(T.A.left_mult_matrix(T.iota_vec({i: f.one}))) for i in range(T.O.dim)]
     mats = restrict(coact + act, basis, f)
     if mats is None:
+        # the message names the family that leaves the cotensor
         if restrict(coact, basis, f) is None:
             raise StructureError("induced coaction leaves the cotensor subspace")
         raise StructureError(
@@ -993,6 +994,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
         return None, Q2, rep
     rep.ok("descends")
     mat = [[c_on_s[y][fc] for fc in quot.free] for y in range(M.dim)]
+    # a-colinearity
     if intertwines(mat, coaction_matrices(Q2.rho, T.a.dim, f),
                    coaction_matrices(M.rho, T.a.dim, f), f):
         rep.ok("a-colinear")

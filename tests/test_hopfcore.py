@@ -49,7 +49,7 @@ from smallq.hopfcore import (
     verify_equivalence,
     verify_ideal_prop,
 )
-from smallq.linalg import intertwines, inverse, kron, mat_eq, mat_mul, zeros
+from smallq.linalg import identity, intertwines, inverse, kron, mat_eq, mat_mul, zeros
 from smallq.scalars import CycloField
 
 
@@ -607,3 +607,14 @@ def test_twist_reuses_the_validated_coaction(z4_triple, monkeypatch):
         tw = twist(T, gamma, N)
         assert tw.comodule is N.comodule and tw.rho is N.rho
     assert checked == []
+
+
+def test_induce_names_the_family_that_leaves_the_cotensor(s3_triple):
+    # with O = A acting by left product, the O-action does not keep the
+    # cotensor (A (x) M)^a while the coaction still does
+    T = s3_triple
+    f = T.field
+    bad = hopfcore.TripleFD(T.A, T.A, T.a, identity(T.A.dim, f.one, f.zero),
+                            T.pi, T.ract, validate=False)
+    with pytest.raises(StructureError, match=r"O-action does not preserve .* \(ii\) fails"):
+        induce(bad, regular_a_comodule(T))
