@@ -384,10 +384,26 @@ def cmd_triple_verify(args):
     return 0 if rep.passed else CHECK_FAILED
 
 
+def _bind_negative_window(argv):
+    """argv with ``--window -3..3`` joined into ``--window=-3..3``.
+
+    argparse reads a value that starts with a minus sign and is not a plain
+    number as an option, so a window with a negative start would be a usage
+    error in the separate form.  Joined, both forms parse alike.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--window" and len(arg) > 1 and arg[0] == "-" and arg[1].isdigit():
+            out[-1] = f"--window={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_window(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return exc.code if exc.code is not None else USAGE_ERROR

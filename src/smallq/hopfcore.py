@@ -759,6 +759,15 @@ def _respects_action(act, rho, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
     """
     one = O.field.one
     n = len(rho)
+    # embed(f1) . e_aa per (f1, aa), each product formed once
+    products = {}
+
+    def product(f1, aa):
+        out = products.get((f1, aa))
+        if out is None:
+            out = products[f1, aa] = C.product_vec(_dict_image(embed, {f1: one}), {aa: one})
+        return out
+
     for o_idx in range(O.dim):
         for x in range(n):
             lhs = {}
@@ -769,9 +778,8 @@ def _respects_action(act, rho, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
                         _acc(lhs, (aa, y), c * v)
             rhs = {}
             for (f1, f2), dc in O.delta[o_idx].items():
-                i1 = _dict_image(embed, {f1: one})
                 for (aa, y), v in rho[x].items():
-                    for bb, cb in C.product_vec(i1, {aa: one}).items():
+                    for bb, cb in product(f1, aa).items():
                         for r in range(n):
                             c2 = act[f2][r][y]
                             if c2:
@@ -988,7 +996,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     c_on_s = counit_on_carrier(T, ind)
     # must kill m.Ind(M), whose reduced basis psi has built; it then factors
     # through the free coordinates of the quotient
-    if not mat_is_zero(mat_mul(c_on_s, transpose(quot.sub.rows), f.zero)):
+    if not mat_is_zero(mat_mul(c_on_s, transpose(quot.sub.sorted_rows()), f.zero)):
         rep.fail("descends", "counit does not kill the augmentation part",
                  counterexample=M.name)
         return None, Q2, rep
@@ -1059,7 +1067,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     maug = augmentation_quotient(
         T, [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]).sub
     ker_span = RowBasis(f, nullspace(T.pi, f))
-    if maug.dim == ker_span.dim and all(ker_span.contains(r) for r in maug.rows):
+    if maug.dim == ker_span.dim and all(ker_span.contains(r) for r in maug.sorted_rows()):
         rep.ok("iii", f"m.A = Ker(pi), dimension {maug.dim}")
     else:
         rep.fail("iii", "m.A differs from Ker(pi)",
@@ -1141,17 +1149,13 @@ def _freeness_witness(T: TripleFD):
     basis = RowBasis(f)
     chosen = []
     for label, idx, cand in candidates:
-        cols = [_apply(lm, cand, f.zero) for lm in lms]
-        snapshot_rows = [list(r) for r in basis.rows]
-        snapshot_piv = list(basis.pivots)
-        added = sum(1 for cvec in cols if basis.add(cvec))
-        if added == T.O.dim:
+        # try the candidate on a copy; keep the copy only if O.cand is free
+        trial = basis.copy()
+        if sum(1 for lm in lms if trial.add(_apply(lm, cand, f.zero))) == T.O.dim:
+            basis = trial
             chosen.append(f"{label}[{idx}]")
             if len(chosen) == k:
                 return chosen
-        else:
-            basis.rows = snapshot_rows
-            basis.pivots = snapshot_piv
     return None
 
 

@@ -119,10 +119,6 @@ def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
 
 
-def vec_is_zero(u):
-    return all(not a for a in u)
-
-
 def sparse_columns(A):
     """Column c of A as the list of (row, entry) pairs of its nonzero entries."""
     cols = [[] for _ in range(len(A[0]) if A else 0)]
@@ -188,56 +184,101 @@ def spin(gens, seeds, field) -> RowBasis:
     return basis
 
 
+def _add_multiple(target, c, source):
+    """target += c * source for {column: entry} maps of nonzero entries;
+    entries that cancel are dropped.  c is nonzero."""
+    for j, a in source.items():
+        v = target.get(j)
+        if v is None:
+            target[j] = c * a
+        else:
+            v = v + c * a
+            if v:
+                target[j] = v
+            else:
+                del target[j]
+
+
 class RowBasis:
     """Incrementally maintained reduced row basis over a field, optionally
-    filled with some vectors to start with."""
+    filled with some vectors to start with.
+
+    The rows are kept sparse and in reduced row-echelon form: ``_rows`` maps
+    each row's pivot p to the {column: entry} map of its nonzero entries off
+    p (the entry at p is 1), and no row has a nonzero entry at another row's
+    pivot.  A new row's pivot is the first nonzero column of its residual.
+    Reducing, adding and testing membership touch only nonzero entries.
+    Vectors come in dense; the shared ``field.zero`` is skipped by identity
+    before any scalar zero test.
+    """
 
     def __init__(self, field, vectors=()):
         self.field = field
-        self.rows = []          # reduced rows, each with a pivot column
-        self.pivots = []        # pivot column per row
+        self.n = 0              # length of the vectors added
+        self.pivots = []        # pivot column per row, in the order rows arrived
+        self._rows = {}
         for vec in vectors:
             self.add(vec)
 
     def reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                for j in range(len(vec)):
-                    r = row[j]
-                    if r:
-                        vec[j] = vec[j] - c * r
-        return vec
+        """The residual of the dense vector vec against the basis, as the
+        {column: entry} map of its nonzero entries."""
+        zero = self.field.zero
+        res = {j: a for j, a in enumerate(vec) if a is not zero and a}
+        rows = self._rows
+        # a row is 0 at every other pivot, so the coefficient of each row is
+        # vec's entry at its pivot, whatever order the rows are subtracted in
+        for p in [p for p in res if p in rows]:
+            _add_multiple(res, -res.pop(p), rows[p])
+        return res
 
     def add(self, vec):
-        """Reduce vec against the basis; add the residual if nonzero."""
-        vec = self.reduce(vec)
-        for p, c in enumerate(vec):
-            if c:
-                if c != self.field.one:
-                    inv = c.inverse()
-                    vec = [inv * a for a in vec]
-                # back-substitute into existing rows
-                for i, row in enumerate(self.rows):
-                    d = row[p]
-                    if d:
-                        self.rows[i] = [a - d * b for a, b in zip(row, vec)]
-                self.rows.append(vec)
-                self.pivots.append(p)
-                return True
-        return False
+        """Reduce vec against the basis; add the residual if nonzero and
+        return whether it was added."""
+        self.n = len(vec)
+        res = self.reduce(vec)
+        if not res:
+            return False
+        p = min(res)
+        c = res.pop(p)
+        if c != self.field.one:
+            inv = c.inverse()
+            res = {j: inv * a for j, a in res.items()}
+        # back-substitute: clear column p from every existing row
+        for row in self._rows.values():
+            d = row.pop(p, None)
+            if d is not None:
+                _add_multiple(row, -d, res)
+        self._rows[p] = res
+        self.pivots.append(p)
+        return True
 
     def contains(self, vec):
-        return vec_is_zero(self.reduce(vec))
+        return not self.reduce(vec)
+
+    def copy(self):
+        """An independent basis with the same rows."""
+        out = RowBasis(self.field)
+        out.n = self.n
+        out.pivots = list(self.pivots)
+        out._rows = {p: dict(row) for p, row in self._rows.items()}
+        return out
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def sorted_rows(self):
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return [self.rows[i] for i in order]
+        """The rows as dense vectors, in increasing pivot order."""
+        zero, one = self.field.zero, self.field.one
+        out = []
+        for p in sorted(self._rows):
+            row = [zero] * self.n
+            row[p] = one
+            for j, a in self._rows[p].items():
+                row[j] = a
+            out.append(row)
+        return out
 
 
 class Span:
@@ -275,9 +316,9 @@ class Span:
         # per reduced row: (pivot, off-pivot (col, entry) pairs, combination)
         # with the combination an input index when it is a unit vector
         self._rows = []
-        for row, p in zip(rb.rows, rb.pivots):
-            off = [(c, a) for c, a in enumerate(row[:n]) if a and c != p]
-            comb = [(j, a) for j, a in enumerate(row[n:]) if a]
+        for p, row in rb._rows.items():
+            off = [(c, a) for c, a in row.items() if c < n]
+            comb = [(c - n, a) for c, a in row.items() if c >= n]
             if len(comb) == 1 and comb[0][1] == one:
                 comb = comb[0][0]
             self._rows.append((p, off, comb))
@@ -340,8 +381,7 @@ def restrict(gens, basis, field):
 def rref(A, field):
     """Reduced row-echelon form; returns (rows, pivot columns)."""
     basis = RowBasis(field, A)
-    order = sorted(range(basis.dim), key=lambda i: basis.pivots[i])
-    return [basis.rows[i] for i in order], [basis.pivots[i] for i in order]
+    return basis.sorted_rows(), sorted(basis.pivots)
 
 
 def rank(A, field):
@@ -354,20 +394,23 @@ def _null_basis(basis, n):
     Its rows are reduced, so x is free on the columns without a pivot: one
     vector per free column f, with 1 at f and -row[f] at each row's pivot.
     This is the basis read off the reduced row-echelon form, which depends
-    only on the span of the rows, not on the order they arrived in.
+    only on the span of the rows, not on the order they arrived in.  A row's
+    entries off its pivot all lie in free columns, so one pass over them
+    lists, per free column, the rows that meet it.
     """
     zero, one = basis.field.zero, basis.field.one
-    pivot_set = set(basis.pivots)
+    meets = {}
+    for p, row in basis._rows.items():
+        for fcol, c in row.items():
+            meets.setdefault(fcol, []).append((p, c))
     out = []
     for fcol in range(n):
-        if fcol in pivot_set:
+        if fcol in basis._rows:
             continue
         x = [zero] * n
         x[fcol] = one
-        for row, p in zip(basis.rows, basis.pivots):
-            c = row[fcol]
-            if c:
-                x[p] = -c
+        for p, c in meets.get(fcol, ()):
+            x[p] = -c
         out.append(x)
     return out
 
@@ -407,12 +450,13 @@ class Quotient:
     def __init__(self, vectors, n, field):
         self.field = field
         self.sub = RowBasis(field, vectors)
-        pivots = set(self.sub.pivots)
-        self.free = [j for j in range(n) if j not in pivots]
+        self.free = [j for j in range(n) if j not in self.sub._rows]
         # the rows are reduced, so reducing vec subtracts vec[p] times each
-        # row with pivot p: per row, its pivot and its nonzero free entries
-        self._rows = [(p, [(k, row[j]) for k, j in enumerate(self.free) if row[j]])
-                      for row, p in zip(self.sub.rows, self.sub.pivots)]
+        # row with pivot p: per row, its pivot and its nonzero entries, all
+        # in free columns, by their position among the free columns
+        position = {j: k for k, j in enumerate(self.free)}
+        self._rows = [(p, [(position[j], a) for j, a in row.items()])
+                      for p, row in self.sub._rows.items()]
         units = identity(n, field.one, field.zero)
         self.proj = transpose([self.project(e) for e in units])
 
@@ -436,7 +480,7 @@ class Quotient:
         """
         zero = self.field.zero
         n = len(cols)
-        for row in self.sub.rows:
+        for row in self.sub.sorted_rows():
             if any(self.project(_apply(cols, row, zero))):
                 return None
         images = []

@@ -170,7 +170,8 @@ class CycloElem:
         return CycloElem(self.field, num, den)
 
     def __bool__(self):
-        return any(self.num)
+        # num is reduced modulo Phi_n: an entry past the constant term makes it nonzero
+        return not self.is_rational or self.num[0] != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -245,6 +246,12 @@ class CycloElem:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         f = self.field
+        if self.is_rational:
+            # num[0] / den is in lowest terms, so den / num[0] is too
+            a, den = self.num[0], self.den
+            if a < 0:
+                a, den = -a, -den
+            return CycloElem(f, (den,) + f._zero_tail, a)
         # extended Euclid in Q[x] against Phi_n
         a = [Fraction(c, self.den) for c in self.num]
         b = [Fraction(c) for c in f.phi]

@@ -53,6 +53,27 @@ def test_linkage_prediction_only_rank2(capsys):
     assert len(data["artifacts"]["block_table"]["rows"]) == 16
 
 
+def test_linkage_negative_window_joined_form(capsys):
+    code, out, _ = run_cli(["linkage", "--type", "A1", "--ell", "4",
+                            "--window=-3..3"], capsys)
+    assert code == 0
+    rows = json.loads(out)["artifacts"]["block_table"]["rows"]
+    assert [r["weight"] for r in rows] == [[lam] for lam in range(-3, 4)]
+
+
+def test_linkage_negative_window_separate_form(capsys):
+    # argparse alone reads -3..3 as an option and exits 2
+    joined = run_cli(["linkage", "--type", "A1", "--ell", "4", "--window=-3..3"], capsys)
+    separate = run_cli(["linkage", "--type", "A1", "--ell", "4", "--window", "-3..3"], capsys)
+    assert separate == joined and separate[0] == 0
+    rank2 = ["linkage", "--type", "A2", "--ell", "6", "--suite", "predict"]
+    assert (run_cli(rank2 + ["--window", "-2..1x0..1"], capsys)
+            == run_cli(rank2 + ["--window=-2..1x0..1"], capsys))
+    # only a window value is joined: a flag after --window is still a usage error
+    code, out, _ = run_cli(["linkage", "--type", "A1", "--window", "--ell", "4"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_linkage_requires_window(capsys):
     code, _, err = run_cli(["linkage", "--type", "A1", "--ell", "4"], capsys)
     assert code == 2

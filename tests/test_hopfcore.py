@@ -14,6 +14,7 @@ from smallq.hopfcore import (
     ComoduleFD,
     GroupModule,
     StructureError,
+    TripleObject,
     a_simples,
     adjunction_counit,
     adjunction_unit,
@@ -49,7 +50,16 @@ from smallq.hopfcore import (
     verify_equivalence,
     verify_ideal_prop,
 )
-from smallq.linalg import identity, intertwines, inverse, kron, mat_eq, mat_mul, zeros
+from smallq.linalg import (
+    identity,
+    intertwines,
+    inverse,
+    kron,
+    mat_eq,
+    mat_mul,
+    mat_scale,
+    zeros,
+)
 from smallq.scalars import CycloField
 
 
@@ -314,6 +324,20 @@ def test_twist_rejects_non_multiplicative(z4_triple):
     bad = [f.one, f.one]       # not an algebra map (1 at two idempotents)
     with pytest.raises(StructureError):
         twist(T, bad, object_O(T))
+
+
+def test_counit_action_fails_compatibility(z4_triple, s3_triple):
+    # f . a = eps_O(f) a is a valid O-action on A's carrier (eps_O is an
+    # algebra map), so only the compatibility check can reject it:
+    # rho(f . a) = eps_O(f) rho(a), while Delta(f) . rho(a) = iota(f) a_(1) (x) a_(2)
+    for T in (z4_triple, s3_triple):
+        f = T.field
+        A = object_A(T)
+        TripleObject(T, A.act, A.comodule, name="A")
+        unit = identity(A.dim, f.one, f.zero)
+        act = [mat_scale(unit, T.O.eps[i]) for i in range(T.O.dim)]
+        with pytest.raises(StructureError, match="action/coaction compatibility fails"):
+            TripleObject(T, act, A.comodule, name="A with the counit action")
 
 
 def test_equivariant_round_trips(z4_triple, s3_triple):

@@ -1,6 +1,7 @@
 """Span coordinates, intertwiner spaces and the restrict / descend /
-intertwines kernels over the cyclotomic fields at ell 4 and 6, and the dense
-matrix helpers against naive references."""
+intertwines kernels over the cyclotomic fields at ell 4 and 6, the dense
+matrix helpers against naive references, and the sparse-row RowBasis with
+everything built on it against the dense row basis it replaced."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from smallq.linalg import (
     restrict,
     rref,
     sparse_columns,
+    sparse_nullspace,
     spin,
     transpose,
 )
@@ -425,3 +427,219 @@ def test_block_diag():
     assert mat_eq(block_diag(a, b, f.zero),
                   [[f.one, f.from_int(2), f.zero], [f.zero, f.from_int(3), f.zero],
                    [f.zero, f.zero, f.from_int(5)]])
+
+
+# ---------------------------------------------------------------------------
+# the sparse-row RowBasis against the dense one it replaced, over Q(zeta_8)
+# and Q(zeta_12)
+# ---------------------------------------------------------------------------
+
+# back-substitution faults show only on some inputs: draw more of them
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+class DenseRowBasis:
+    """The dense reduced row basis, kept as the oracle of ``RowBasis``: every
+    reduce and back-substitution sweeps all columns of every row."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = vec[p]
+            if c:
+                for j in range(len(vec)):
+                    r = row[j]
+                    if r:
+                        vec[j] = vec[j] - c * r
+        return vec
+
+    def add(self, vec):
+        vec = self.reduce(vec)
+        for p, c in enumerate(vec):
+            if c:
+                if c != self.field.one:
+                    inv = c.inverse()
+                    vec = [inv * a for a in vec]
+                for i, row in enumerate(self.rows):
+                    d = row[p]
+                    if d:
+                        self.rows[i] = [a - d * b for a, b in zip(row, vec)]
+                self.rows.append(vec)
+                self.pivots.append(p)
+                return True
+        return False
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def sorted_rows(self):
+        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
+        return [self.rows[i] for i in order]
+
+    def free(self, n):
+        return [j for j in range(n) if j not in self.pivots]
+
+    def null_basis(self, n):
+        out = []
+        for fcol in self.free(n):
+            x = [self.field.zero] * n
+            x[fcol] = self.field.one
+            for row, p in zip(self.rows, self.pivots):
+                if row[fcol]:
+                    x[p] = -row[fcol]
+            out.append(x)
+        return out
+
+    def project(self, vec, n):
+        res = self.reduce(vec)
+        return [res[j] for j in self.free(n)]
+
+
+def dense_basis(field, vectors):
+    basis = DenseRowBasis(field)
+    accepted = [basis.add(v) for v in vectors]
+    return basis, accepted
+
+
+def dense_coords(basis_vectors, vec, field):
+    """Coordinates of vec on independent vectors from one dense elimination
+    of the columns [b_0 .. b_{k-1} | vec], or None outside their span."""
+    k = len(basis_vectors)
+    aug = [[b[r] for b in basis_vectors] + [vec[r]] for r in range(len(vec))]
+    rb, _ = dense_basis(field, aug)
+    x = [field.zero] * k
+    for row, p in zip(rb.rows, rb.pivots):
+        if p == k:
+            return None
+        x[p] = row[k]
+    return x
+
+
+def dense_induced(field, vectors, n, gen):
+    """The reference for ``Quotient.induced``: None unless gen maps the span
+    into itself, otherwise column j is the projection of gen e_{free j}."""
+    sub, _ = dense_basis(field, vectors)
+    for row in sub.rows:
+        img = [sum((gen[r][c] * row[c] for c in range(n)), field.zero) for r in range(n)]
+        if not sub.contains(img):
+            return None
+    return transpose([sub.project([gen[r][j] for r in range(n)], n) for j in sub.free(n)])
+
+
+@st.composite
+def sparse_elems(draw, field):
+    """About two thirds zero: the shared field.zero or a fresh zero."""
+    pick = draw(st.integers(0, 3))
+    if pick == 0:
+        return field.zero
+    if pick == 1:
+        return field.elem([0] * field.degree)
+    return draw(elems(field))
+
+
+@st.composite
+def oracle_case(draw):
+    """(field, n, vectors): sparse vectors, with all-zero ones and
+    combinations of earlier ones among them."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 7))
+    vecs = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            vecs.append([field.zero] * n)
+        elif kind == 1 and vecs:
+            coeffs = [draw(sparse_elems(field)) for _ in vecs]
+            vecs.append(combine(field, n, vecs, coeffs))
+        else:
+            vecs.append([draw(sparse_elems(field)) for _ in range(n)])
+    return field, n, vecs
+
+
+@st.composite
+def probes(draw, field, n, vecs):
+    """Vectors to test against a span: the inputs, the unit vectors, a
+    combination of the inputs and a random sparse vector."""
+    coeffs = [draw(sparse_elems(field)) for _ in vecs]
+    units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+    return (vecs + units + [combine(field, n, vecs, coeffs)]
+            + [[draw(sparse_elems(field)) for _ in range(n)]])
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_rowbasis_matches_dense_oracle(data):
+    field, n, vecs = data.draw(oracle_case())
+    dense, accepted = dense_basis(field, vecs)
+    sparse = RowBasis(field)
+    assert [sparse.add(v) for v in vecs] == accepted
+    assert sparse.pivots == dense.pivots and sparse.dim == len(dense.rows)
+    assert sparse.sorted_rows() == dense.sorted_rows()
+    assert rref(vecs, field) == (dense.sorted_rows(), sorted(dense.pivots))
+    for vec in data.draw(probes(field, n, vecs)):
+        assert sparse.contains(vec) == dense.contains(vec)
+        assert sparse.reduce(vec) == {j: a for j, a in enumerate(dense.reduce(vec)) if a}
+    copy = sparse.copy()
+    copy.add([field.one] * n)
+    assert sparse.sorted_rows() == dense.sorted_rows()
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_span_coords_match_dense_oracle(data):
+    field, n, vecs = data.draw(oracle_case())
+    _, accepted = dense_basis(field, vecs)
+    independent = [v for v, ok in zip(vecs, accepted) if ok]
+    span = Span(independent, field)
+    for vec in data.draw(probes(field, n, vecs)):
+        assert span.coords(vec) == dense_coords(independent, vec, field)
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_quotient_matches_dense_oracle(data):
+    field, n, vecs = data.draw(oracle_case())
+    dense, _ = dense_basis(field, vecs)
+    quot = Quotient(vecs, n, field)
+    assert quot.free == dense.free(n)
+    for vec in data.draw(probes(field, n, vecs)):
+        assert quot.project(vec) == dense.project(vec, n)
+    gens = [data.draw(sparse_square(field, n)) for _ in range(2)]
+    # a subspace stable under the generators, spun with the dense basis
+    stable = DenseRowBasis(field)
+    queue = [v for v in vecs if stable.add(v)]
+    while queue:
+        vec = queue.pop()
+        for g in gens:
+            img = [sum((g[r][c] * vec[c] for c in range(n)), field.zero) for r in range(n)]
+            if stable.add(img):
+                queue.append(img)
+    for subspace in (vecs, stable.rows):
+        for g in gens:
+            expected = dense_induced(field, subspace, n, g)
+            got = Quotient(subspace, n, field).induced(sparse_columns(g))
+            assert got == expected
+    assert all(Quotient(stable.rows, n, field).induced(sparse_columns(g)) is not None
+               for g in gens)
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_nullspaces_match_dense_oracle(data):
+    field, n, vecs = data.draw(oracle_case())
+    expected = dense_basis(field, vecs)[0].null_basis(n)
+    assert nullspace(vecs, field) == (expected if vecs else [])
+    # each equation as (column, coefficient) pairs, one column split in two
+    equations = []
+    for vec in vecs:
+        eq = [(c, a) for c, a in enumerate(vec) if a]
+        if eq:
+            c, a = eq[0]
+            eq = [(c, a - field.one), (c, field.one)] + eq[1:]
+        equations.append(eq)
+    assert sparse_nullspace(equations, n, field) == expected

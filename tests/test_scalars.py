@@ -158,6 +158,16 @@ def test_inverse_fuzz_across_fields():
             x = field.elem(nums, den)
             if x:
                 assert x * x.inverse() == field.one, (n, nums, den)
+        if n in (8, 12):
+            # rationals take the den / num shortcut, not the extended Euclid
+            for num in [-1, 1, -7, 12] + [rng.randint(-30, 30) for _ in range(20)]:
+                x = field.elem([num], rng.randint(1, 9))
+                if x:
+                    inv = x.inverse()
+                    assert inv.is_rational and inv.den > 0, (n, num, x.den)
+                    assert x * inv == field.one and inv.inverse() == x, (n, num, x.den)
+            with pytest.raises(ZeroDivisionError):
+                field.zero.inverse()
 
 
 def test_pascal_identity_grid():
