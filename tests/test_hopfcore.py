@@ -13,6 +13,7 @@ from smallq.hopfcore import (
     CoalgebraFD,
     ComoduleFD,
     GroupModule,
+    HopfAlgebraFD,
     StructureError,
     TripleObject,
     a_simples,
@@ -45,6 +46,7 @@ from smallq.hopfcore import (
     res_a_comodule,
     shrunk_triple,
     standard_catalogs,
+    trivial_A_comodule,
     trivial_a_comodule,
     twist,
     verify_equivalence,
@@ -642,3 +644,83 @@ def test_induce_names_the_family_that_leaves_the_cotensor(s3_triple):
                             T.pi, T.ract, validate=False)
     with pytest.raises(StructureError, match=r"O-action does not preserve .* \(ii\) fails"):
         induce(bad, regular_a_comodule(T))
+
+
+# ---------------------------------------------------------------------------
+# one message per module law: each input below breaks exactly that law
+# ---------------------------------------------------------------------------
+
+F4 = CycloField(4)
+ONE, ZERO = F4.one, F4.zero
+
+
+def _primitive_coalgebra():
+    """Delta(g) = g (x) g, Delta(x) = x (x) g + g (x) x."""
+    return CoalgebraFD(F4, [{(0, 0): ONE}, {(1, 0): ONE, (0, 1): ONE}], [ONE, ZERO])
+
+
+def _nonassociative_coalgebra():
+    """The dual of the unital algebra on 1, a, b with a a = b, a b = a and
+    b a = 0: both counit laws hold, (a a) a = 0 != a (a a) = a."""
+    delta = [{(0, 0): ONE},
+             {(0, 1): ONE, (1, 0): ONE, (1, 2): ONE},
+             {(0, 2): ONE, (2, 0): ONE, (1, 1): ONE}]
+    return CoalgebraFD(F4, delta, [ONE, ZERO, ZERO])
+
+
+def _swap_coaction():
+    """R_g = I, R_x = [[0, 1], [1, 0]] over the primitive coalgebra: the
+    counit law holds, but R_x R_x = I though no product of the dual algebra
+    has a coefficient at the pair (x, x)."""
+    return ComoduleFD(_primitive_coalgebra(),
+                      [{(0, 0): ONE, (1, 1): ONE}, {(0, 1): ONE, (1, 0): ONE}])
+
+
+def _loop_algebra():
+    """The algebra of the smallest nonassociative loop (order 5, every
+    element its own inverse), its elements group-like: every Hopf law holds
+    except associativity, as (1 1) 2 = 2 and 1 (1 2) = 4."""
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    n = len(loop)
+    mult = {(i, j): {loop[i][j]: ONE} for i in range(n) for j in range(n)}
+    antipode = [[ONE if loop[r][c] == 0 else ZERO for c in range(n)] for r in range(n)]
+    return HopfAlgebraFD(F4, [{(g, g): ONE} for g in range(n)], [ONE] * n,
+                         mult, {0: ONE}, antipode)
+
+
+def _unitless_algebra():
+    """k with 1 = 0 claimed: the only broken law is the unit law (antipode 0
+    makes S(b) b = 0 = eps(b) 1)."""
+    return HopfAlgebraFD(F4, [{(0, 0): ONE}], [ONE], {(0, 0): {0: ONE}}, {}, [[ZERO]])
+
+
+LAW_CASES = [
+    ("comultiplication not coassociative", _nonassociative_coalgebra),
+    (": counit law fails", lambda: CoalgebraFD(F4, [{(0, 0): ONE}], [ZERO])),
+    ("coaction not coassociative", _swap_coaction),
+    ("coaction counit law fails",
+     lambda: ComoduleFD(CoalgebraFD(F4, [{(0, 0): ONE}], [ONE]), [{}])),
+    (": unit law fails", _unitless_algebra),
+    ("multiplication not associative", _loop_algebra),
+]
+
+
+@pytest.mark.parametrize("message,build", LAW_CASES, ids=[c[0] for c in LAW_CASES])
+def test_each_law_has_its_message(message, build):
+    with pytest.raises(StructureError, match=message):
+        build()
+
+
+def test_each_action_law_has_its_message(z4_triple):
+    # O = functions on Z/2 acting on a line with the trivial coaction: the
+    # compatibility law forces act[0] = act[1], so the zero action breaks
+    # only the unit law and act[0] = act[1] = 1/2 only associativity
+    T = z4_triple
+    f = T.field
+    line = trivial_A_comodule(T)
+    half = f.from_int(2).inverse()
+    with pytest.raises(StructureError, match=": unit does not act as identity"):
+        TripleObject(T, [[[f.zero]], [[f.zero]]], line)
+    with pytest.raises(StructureError, match=": action not associative"):
+        TripleObject(T, [[[half]], [[half]]], line)
