@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .frobenius import dual_irrep_sl2, frobenius_pullback, restrict_to_small
+from .frobenius import dual_irrep_sl2, frobenius_pullback, hom_big, restrict_to_small
 from .hopfcore import (
     A_simples,
     O_comodule_pullback,
@@ -25,7 +25,7 @@ from .hopfcore import (
     trivial_A_comodule,
     trivial_a_comodule,
 )
-from .linalg import intertwiner_space, nullspace, sparse_columns, spin, transpose
+from .linalg import nullspace, sparse_columns, spin, transpose
 from .repcore import (
     composition_factors,
     simple_module,
@@ -211,13 +211,11 @@ def steinberg_verify(lam, params, datum=None) -> Report:
     rep.ok("decomposition", f"lam = {lam_t[0]} = {lam1[0]} + phi_sc({mu[0]})")
     # the purely-divisible part on its own: L(lam2) is the pullback of V
     f = params.field
-    from .repcore import _generator_matrices
     lam2 = params.ell_i[0] * mu[0]
     L2 = simple_module(lam2, params, datum)
     FV = frobenius_pullback(V)
     # both sources below are simple, so find_iso's None certifies "no"
-    homs2 = intertwiner_space(_generator_matrices(L2), _generator_matrices(FV),
-                              f, src_blocks=L2.weights, tgt_blocks=FV.weights)
+    homs2 = hom_big(L2, FV)
     if find_iso(homs2, f) is not None:
         rep.ok("pullback-part", f"L({lam2}) = Fr*_sc(V^{mu[0]}) via an "
                                 "explicit intertwiner")
@@ -231,8 +229,7 @@ def steinberg_verify(lam, params, datum=None) -> Report:
                  counterexample=str(lam))
         return rep
     # explicit intertwiner: weight-preserving, equivariant for all families
-    homs = intertwiner_space(_generator_matrices(L), _generator_matrices(right),
-                             f, src_blocks=L.weights, tgt_blocks=right.weights)
+    homs = hom_big(L, right)
     if find_iso(homs, f) is not None:
         rep.ok("intertwiner", f"dim Hom = {len(homs)}, invertible representative found")
     else:

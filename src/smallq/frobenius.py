@@ -538,12 +538,9 @@ def _tensor_compat(module, V1, V2, a1, a2, sc):
     f = module.params.field
     zero = f.zero
     V12 = rep_tensor(V1, V2)
-    src12 = tensor_product(frobenius_pullback(V12), module)
-    # Fr* is monoidal on the nose in this basis: check it, then use it
-    fr1 = frobenius_pullback(V1)
-    fr2 = frobenius_pullback(V2)
-    fr12 = tensor_product(fr1, fr2)
     back = frobenius_pullback(V12)
+    # Fr* is monoidal on the nose in this basis: check it, then use it
+    fr12 = tensor_product(frobenius_pullback(V1), frobenius_pullback(V2))
     for i in range(module.datum.rank):
         for a in range(module.params.ell_i[i] + 1):
             if not mat_eq(fr12.z.efam[i][a], back.z.efam[i][a]):
@@ -551,7 +548,7 @@ def _tensor_compat(module, V1, V2, a1, a2, sc):
             if not mat_eq(fr12.z.ffam[i][a], back.z.ffam[i][a]):
                 return False, "Fr* fails to be monoidal on the nose"
     # alpha for V12: canonical identity candidate, verified directly
-    src = src12
+    src = tensor_product(back, module)
     tgt = _underline_tensor(V12, module)
     alpha12 = identity(src.dim, f.one, zero)
     if not _is_small_intertwiner(alpha12, src, tgt, sc):
@@ -559,15 +556,11 @@ def _tensor_compat(module, V1, V2, a1, a2, sc):
     swap = kron(_swap_matrix(V1.dim, V2.dim, f),
                 identity(module.dim, f.one, zero), zero)
     lhs = mat_mul(swap, alpha12, zero)
-    # right-hand composite: id (x) alpha_2, flip the first two factors,
-    # id (x) alpha_1
-    idv1 = identity(V1.dim, f.one, zero)
-    idv2 = identity(V2.dim, f.one, zero)
-    step1 = kron(idv1, a2, zero)
-    flip = kron(_swap_matrix(V1.dim, V2.dim, f),
-                identity(module.dim, f.one, zero), zero)
-    step3 = kron(idv2, a1, zero)
-    rhs = mat_mul(step3, mat_mul(flip, step1, zero), zero)
+    # right-hand composite: id (x) alpha_2, the same swap of the first two
+    # factors, id (x) alpha_1
+    step1 = kron(identity(V1.dim, f.one, zero), a2, zero)
+    step3 = kron(identity(V2.dim, f.one, zero), a1, zero)
+    rhs = mat_mul(step3, mat_mul(swap, step1, zero), zero)
     if mat_eq(lhs, rhs):
         return True, "composite identities agree as matrices"
     return False, "tensor-compatibility composites disagree"

@@ -2,7 +2,7 @@
 
 Everything is a structure tensor over an exact cyclotomic field: coalgebras
 carry a comultiplication tensor and counit, Hopf algebras add multiplication,
-unit and antipode, comodules carry a coaction tensor.  All axioms are
+unit and antipode, comodules carry their coaction matrices.  All axioms are
 asserted at construction time as exact identities.
 
 The engine realizes the induction functor Ind(M) = (A (x) M)^a as an exact
@@ -27,13 +27,13 @@ from .linalg import (
     Quotient,
     RowBasis,
     Span,
+    block_diag,
     combine,
     identity,
     intertwiner_space,
     intertwines,
     inverse,
     kron,
-    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -244,22 +244,17 @@ class CoalgebraFD:
 
     def _validate(self):
         f = self.field
+        # coassociativity and the left counit law: C coacting on itself
+        # through Delta is a comodule
+        regular = [sparse_columns(R) for R in coaction_matrices(self.delta, self.dim, f)]
+        _check_module(regular, _dual_mult(self), list(enumerate(self.eps)), f.one,
+                      f"{self.name}: comultiplication not coassociative",
+                      f"{self.name}: counit law fails")
         for i in range(self.dim):
-            left = {}
-            right = {}
-            for (j, k), c in self.delta[i].items():
-                for (u, v), c2 in self.delta[j].items():
-                    _acc(left, (u, v, k), c * c2)
-                for (u, v), c2 in self.delta[k].items():
-                    _acc(right, (j, u, v), c * c2)
-            if _strip(left) != _strip(right):
-                raise StructureError(f"{self.name}: comultiplication not coassociative")
-            lcounit = {}
             rcounit = {}
             for (j, k), c in self.delta[i].items():
-                _acc(lcounit, k, c * self.eps[j])
                 _acc(rcounit, j, c * self.eps[k])
-            if _strip(lcounit) != {i: f.one} or _strip(rcounit) != {i: f.one}:
+            if _strip(rcounit) != {i: f.one}:
                 raise StructureError(f"{self.name}: counit law fails")
 
 
@@ -270,6 +265,51 @@ def _acc(d, key, val):
 
 def _strip(d):
     return {k: v for k, v in d.items() if v}
+
+
+def _check_module(cols, mult, unit, one, product_msg, unit_msg):
+    """Raise StructureError unless the matrices M_k are a module over an algebra.
+
+    The M_k are given by their sparse columns, the algebra by its structure
+    constants ``mult`` = {(i, j): {k: c_ij^k}} and the (k, u_k) pairs of its
+    unit.  The laws are M_i M_j = sum_k c_ij^k M_k for every pair (i, j), a
+    pair missing from ``mult`` included, and sum_k u_k M_k = I.  They are
+    checked on nonzero entries, one column x at a time for every pair at
+    once; the column r of the M_i stacked is listed once.
+    """
+    n = len(cols[0])
+    for x in range(n):
+        col = {}
+        for k, u in unit:
+            for s, b in cols[k][x]:
+                _acc(col, s, u * b)
+        if _strip(col) != {x: one}:
+            raise StructureError(unit_msg)
+    stacked = [[(i, s, b) for i, Mi in enumerate(cols) for s, b in Mi[r]] for r in range(n)]
+    consts = {}                 # j -> (i, k, c_ij^k)
+    for (i, j), prod in mult.items():
+        consts.setdefault(j, []).extend((i, k, c) for k, c in prod.items())
+    for x in range(n):
+        lhs, rhs = {}, {}
+        for j, Mj in enumerate(cols):
+            for r, a in Mj[x]:
+                for i, s, b in stacked[r]:
+                    _acc(lhs, (i, j, s), a * b)
+            for i, k, c in consts.get(j, ()):
+                for s, b in cols[k][x]:
+                    _acc(rhs, (i, j, s), c * b)
+        if _strip(lhs) != _strip(rhs):
+            raise StructureError(product_msg)
+
+
+def _dual_mult(C):
+    """Structure constants of the dual algebra C* in the order its coaction
+    matrices multiply: R_w R_u = sum_c delta_c[(u, w)] R_c."""
+    out = {}
+    for c, d in enumerate(C.delta):
+        for (u, w), v in d.items():
+            out.setdefault((w, u), {})[c] = v
+    return out
 
 
 class HopfAlgebraFD(CoalgebraFD):
@@ -310,17 +350,17 @@ class HopfAlgebraFD(CoalgebraFD):
     def _validate_hopf(self):
         f = self.field
         one = self.unit
-        # associativity and unit laws on basis elements
+        # associativity and the left unit law: the algebra acting on itself
+        # by left product is a module
+        left = [sparse_columns(self.left_mult_matrix({i: f.one})) for i in range(self.dim)]
+        _check_module(left, self.mult, one.items(), f.one,
+                      f"{self.name}: multiplication not associative",
+                      f"{self.name}: unit law fails")
+        # the right unit law
         for i in range(self.dim):
             ei = {i: f.one}
-            if self.product_vec(one, ei) != ei or self.product_vec(ei, one) != ei:
+            if self.product_vec(ei, one) != ei:
                 raise StructureError(f"{self.name}: unit law fails")
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    a = self.product_vec(self.product_vec(ei, {j: f.one}), {k: f.one})
-                    b = self.product_vec(ei, self.product_vec({j: f.one}, {k: f.one}))
-                    if a != b:
-                        raise StructureError(f"{self.name}: multiplication not associative")
         # bialgebra: Delta and eps are algebra maps, Delta(1) = 1 (x) 1
         for i in range(self.dim):
             for j in range(self.dim):
@@ -368,45 +408,45 @@ class HopfAlgebraFD(CoalgebraFD):
 
 
 class ComoduleFD:
-    """Left comodule: rho[x] = {(c_idx, y): coeff}, coaction x -> C (x) M."""
+    """Left comodule over a coalgebra C, stored as its coaction matrices.
 
-    def __init__(self, coalg, rho, name="", validate=True):
+    mats[c][y][x] is the coefficient of c (x) y in rho(x): one matrix R_c
+    per basis element c of C.  A C-comodule is a module over the dual
+    algebra C* through these matrices, and the engine works with comodules
+    in this form throughout: the comodule maps M1 -> M2 are the X with
+    X R1_c = R2_c X, and a coaction restricts to a subspace or descends to a
+    quotient as these matrices do.
+    """
+
+    def __init__(self, coalg, mats, name="", validate=True):
         self.coalg = coalg
-        self.dim = len(rho)
-        self.rho = rho
+        self.mats = mats
+        self.dim = len(mats[0])
         self.name = name or f"comod(dim={self.dim})"
+        self._cols = None
         if validate:
             self._validate()
 
+    def _columns(self):
+        """The coaction matrices as sparse columns, built on first use."""
+        if self._cols is None:
+            self._cols = [sparse_columns(R) for R in self.mats]
+        return self._cols
+
     def _validate(self):
         C = self.coalg
-        f = C.field
-        for x in range(self.dim):
-            left = {}
-            right = {}
-            for (c, y), v in self.rho[x].items():
-                for (u, w), v2 in C.delta[c].items():
-                    _acc(left, (u, w, y), v * v2)
-                for (d, z), v2 in self.rho[y].items():
-                    _acc(right, (c, d, z), v * v2)
-            if _strip(left) != _strip(right):
-                raise StructureError(f"{self.name}: coaction not coassociative")
-            counit = {}
-            for (c, y), v in self.rho[x].items():
-                _acc(counit, y, v * C.eps[c])
-            if _strip(counit) != {x: f.one}:
-                raise StructureError(f"{self.name}: coaction counit law fails")
+        _check_module(self._columns(), _dual_mult(C), list(enumerate(C.eps)), C.field.one,
+                      f"{self.name}: coaction not coassociative",
+                      f"{self.name}: coaction counit law fails")
 
 
 def coaction_matrices(rho, cdim, field):
-    """The coaction as one matrix per coalgebra basis element c:
-    R_c[y][x] = coefficient of c (x) y in rho(x).
+    """The coaction matrices of a coaction given term by term.
 
-    A comodule over C is a module over the dual algebra C* through these
-    matrices.  The engine works with comodules in this form throughout: the
-    comodule maps M1 -> M2 are the X with X R1_c = R2_c X, a coaction
-    restricts to a subspace or descends to a quotient as these matrices do,
-    and ``coaction_from_matrices`` turns the result back into a coaction.
+    rho[x] = {(c, y): v} means rho(x) = sum v c (x) y; the result has one
+    matrix per coalgebra basis element c, R_c[y][x] = v.  This turns a
+    literal comultiplication or coaction into the form ``ComoduleFD``
+    stores.
     """
     n = len(rho)
     mats = [zeros(n, n, field.zero) for _ in range(cdim)]
@@ -414,25 +454,6 @@ def coaction_matrices(rho, cdim, field):
         for (c, y), v in coact.items():
             mats[c][y][x] = v
     return mats
-
-
-def coaction_from_matrices(mats, field):
-    """The inverse of ``coaction_matrices``: rho[x] = {(c, y): R_c[y][x]}
-    over the nonzero entries."""
-    n = len(mats[0]) if mats else 0
-    rho = [dict() for _ in range(n)]
-    zero = field.zero
-    for c, R in enumerate(mats):
-        for y, row in enumerate(R):
-            for x, v in enumerate(row):
-                if v is not zero and v:
-                    rho[x][(c, y)] = v
-    return rho
-
-
-def _coaction_columns(rho, cdim, field):
-    """``coaction_matrices`` as sparse columns."""
-    return [sparse_columns(R) for R in coaction_matrices(rho, cdim, field)]
 
 
 def _pushforward(mat, cols, n, field):
@@ -444,9 +465,7 @@ def _pushforward(mat, cols, n, field):
 
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
     """Basis of comodule maps M1 -> M2 over the shared coalgebra."""
-    C = M1.coalg
-    return intertwiner_space(coaction_matrices(M1.rho, C.dim, C.field),
-                             coaction_matrices(M2.rho, C.dim, C.field), C.field)
+    return intertwiner_space(M1.mats, M2.mats, M1.coalg.field)
 
 
 def find_iso(homs, field):
@@ -670,35 +689,30 @@ def degenerate_triple_all_equal(A: HopfAlgebraFD) -> TripleFD:
 # ---------------------------------------------------------------------------
 
 def a_right_comodule_of_A(T: TripleFD):
-    """A as a right a-comodule: (id (x) pi) Delta.  rho[x] = {(y, c): v}."""
-    rho = [dict() for _ in range(T.A.dim)]
-    for x in range(T.A.dim):
-        for (y, z), v in T.A.delta[x].items():
-            for c in range(T.a.dim):
-                w = T.pi[c][z]
-                if w:
-                    _acc(rho[x], (y, c), v * w)
-        rho[x] = _strip(rho[x])
-    return rho
+    """A as a right a-comodule through (id (x) pi) Delta, as one matrix per
+    basis element c of a: S_c[y][x] = coefficient of y (x) c in the coaction
+    of x."""
+    f = T.field
+    # P_z[y][x] = coefficient of y (x) z in Delta(x)
+    flipped = [{(z, y): v for (y, z), v in d.items()} for d in T.A.delta]
+    cols = [sparse_columns(P) for P in coaction_matrices(flipped, T.A.dim, f)]
+    return _pushforward(T.pi, cols, T.A.dim, f)
 
 
 def res_a_comodule(T: TripleFD, M: ComoduleFD, name="") -> ComoduleFD:
     """Restriction of an A-comodule to a: (pi (x) id) rho."""
-    mats = _pushforward(T.pi, _coaction_columns(M.rho, T.A.dim, T.field), M.dim, T.field)
-    return ComoduleFD(T.a, coaction_from_matrices(mats, T.field),
+    return ComoduleFD(T.a, _pushforward(T.pi, M._columns(), M.dim, T.field),
                       name=name or f"Res({M.name})")
 
 
 def trivial_a_comodule(T: TripleFD) -> ComoduleFD:
-    g = T.group_like()
-    rho = [{(c, 0): v for c, v in g.items()}]
-    return ComoduleFD(T.a, rho, name="C_a")
+    rho = [{(c, 0): v for c, v in T.group_like().items()}]
+    return ComoduleFD(T.a, coaction_matrices(rho, T.a.dim, T.field), name="C_a")
 
 
 def regular_a_comodule(T: TripleFD) -> ComoduleFD:
     """a coacting on itself through its comultiplication."""
-    return ComoduleFD(T.a, [{(j, k): c for (j, k), c in T.a.delta[i].items()}
-                            for i in range(T.a.dim)], name="a")
+    return ComoduleFD(T.a, coaction_matrices(T.a.delta, T.a.dim, T.field), name="a")
 
 
 class TripleObject:
@@ -719,46 +733,38 @@ class TripleObject:
         if validate:
             self._validate()
 
-    @property
-    def rho(self):
-        """The coaction: list over the carrier of {(a_idx, y): v}."""
-        return self.comodule.rho
+    def _columns(self):
+        """The O-action matrices as sparse columns, built on first use."""
+        if self._cols is None:
+            self._cols = [sparse_columns(m) for m in self.act]
+        return self._cols
 
     def act_sum(self, terms):
         """sum_k c_k act[k] over the (k, c_k) terms, from sparse columns."""
-        if self._cols is None:
-            self._cols = [sparse_columns(m) for m in self.act]
-        return combine(terms, self._cols, self.dim, self.T.field.zero)
+        return combine(terms, self._columns(), self.dim, self.T.field.zero)
 
     def _validate(self):
         T = self.T
-        f = T.field
         O = T.O
-        n = self.dim
-        # unit and associativity of the action
-        if not mat_eq(self.act_sum(O.unit.items()), identity(n, f.one, f.zero)):
-            raise StructureError(f"{self.name}: unit does not act as identity")
-        for i in range(O.dim):
-            for j in range(O.dim):
-                lhs = self.act_sum(O.product_vec({i: f.one}, {j: f.one}).items())
-                rhs = mat_mul(self.act[i], self.act[j], f.zero)
-                if not mat_eq(lhs, rhs):
-                    raise StructureError(f"{self.name}: action not associative")
+        _check_module(self._columns(), O.mult, O.unit.items(), T.field.one,
+                      f"{self.name}: action not associative",
+                      f"{self.name}: unit does not act as identity")
         # compatibility: co-ac(f . m) = Delta(f) . co-ac(m)
-        if not _respects_action(self.act, self.rho, O, T.A, T.iota):
+        if not _respects_action(self._columns(), self.comodule._columns(), O, T.A, T.iota):
             raise StructureError(f"{self.name}: action/coaction compatibility fails")
 
 
-def _respects_action(act, rho, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
+def _respects_action(act, coact, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
     """Whether rho(f . m) = Delta(f) . rho(m) for every O-basis element f and
     carrier basis vector m.
 
-    ``act`` is an O-action on the carrier and ``rho`` a coaction over C; O
-    acts on C by left product through the matrix ``embed``, so
-    Delta(f) = sum f1 (x) f2 acts on C (x) carrier as embed(f1) (x) f2.
+    ``act`` is an O-action on the carrier and ``coact`` a coaction over C,
+    both as the sparse columns of their matrices; O acts on C by left
+    product through the matrix ``embed``, so Delta(f) = sum f1 (x) f2 acts
+    on C (x) carrier as embed(f1) (x) f2.
     """
     one = O.field.one
-    n = len(rho)
+    n = len(act[0])
     # embed(f1) . e_aa per (f1, aa), each product formed once
     products = {}
 
@@ -771,18 +777,16 @@ def _respects_action(act, rho, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
     for o_idx in range(O.dim):
         for x in range(n):
             lhs = {}
-            for r in range(n):
-                c = act[o_idx][r][x]
-                if c:
-                    for (aa, y), v in rho[r].items():
+            for r, c in act[o_idx][x]:
+                for aa, R in enumerate(coact):
+                    for y, v in R[r]:
                         _acc(lhs, (aa, y), c * v)
             rhs = {}
             for (f1, f2), dc in O.delta[o_idx].items():
-                for (aa, y), v in rho[x].items():
-                    for bb, cb in product(f1, aa).items():
-                        for r in range(n):
-                            c2 = act[f2][r][y]
-                            if c2:
+                for aa, R in enumerate(coact):
+                    for y, v in R[x]:
+                        for bb, cb in product(f1, aa).items():
+                            for r, c2 in act[f2][y]:
                                 _acc(rhs, (bb, r), dc * v * cb * c2)
             if _strip(lhs) != _strip(rhs):
                 return False
@@ -797,8 +801,8 @@ def object_O(T: TripleFD) -> TripleObject:
 def object_A(T: TripleFD) -> TripleObject:
     f = T.field
     act = [T.A.left_mult_matrix(T.iota_vec({i: f.one})) for i in range(T.O.dim)]
-    rho = [dict(T.A.delta[x]) for x in range(T.A.dim)]
-    return TripleObject(T, act, ComoduleFD(T.A, rho, name="A"), name="A")
+    regular = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim, f), name="A")
+    return TripleObject(T, act, regular, name="A")
 
 
 def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
@@ -811,8 +815,8 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
     O = T.O
     ident = identity(N.dim, f.one, f.zero)
     act = [kron(O.left_mult_matrix({i: f.one}), ident, f.zero) for i in range(O.dim)]
-    mats = _pushforward(T.iota, _coaction_columns(O.delta, O.dim, f), O.dim, f)
-    coact_O = ComoduleFD(T.A, coaction_from_matrices(mats, f), name="O")
+    regular = [sparse_columns(R) for R in coaction_matrices(O.delta, O.dim, f)]
+    coact_O = ComoduleFD(T.A, _pushforward(T.iota, regular, O.dim, f), name="O")
     return TripleObject(T, act, comodule_tensor(coact_O, N, T.A),
                         name=name or f"O(x){N.name}")
 
@@ -821,20 +825,25 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
 # cotensor, induction, de-equivariantization, adjunction
 # ---------------------------------------------------------------------------
 
-def cotensor(rho_right, dim_r, rho_left, dim_l, a_dim, field):
+def cotensor(right, left, field):
     """Kernel of rho_r (x) id - id (x) rho_l inside the tensor product.
 
-    rho_right[x] = {(y, c): v}, rho_left[w] = {(c, z): v}.  Returns basis
-    vectors over the flattened index x * dim_l + w.
+    ``right`` and ``left`` are the coaction matrices of a right and a left
+    comodule over one coalgebra, as sparse columns: S_c[y][x] is the
+    coefficient of y (x) c in rho_r(x), R_c[z][w] that of c (x) z in
+    rho_l(w).  Returns basis vectors over the flattened index x * dim_l + w.
     """
+    dim_r, dim_l = len(right[0]), len(left[0])
     eqs = {}
     for x in range(dim_r):
         for w in range(dim_l):
             col = x * dim_l + w
-            for (y, c), v in rho_right[x].items():
-                eqs.setdefault((y, c, w), []).append((col, v))
-            for (c, z), v in rho_left[w].items():
-                eqs.setdefault((x, c, z), []).append((col, -v))
+            for c, S in enumerate(right):
+                for y, v in S[x]:
+                    eqs.setdefault((y, c, w), []).append((col, v))
+            for c, R in enumerate(left):
+                for z, v in R[w]:
+                    eqs.setdefault((x, c, z), []).append((col, -v))
     # sorted keys: the order changes only the elimination cost, and this
     # order measured cheaper than the order the keys were met in
     return sparse_nullspace([eqs[k] for k in sorted(eqs)], dim_r * dim_l, field)
@@ -850,8 +859,7 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     ``induced_from``.  Callers must not mutate what ``induce`` returns.
     """
     name = name or f"Ind({M.name})"
-    key = (M.dim, tuple(tuple(sorted((k, v) for k, v in d.items() if v))
-                        for d in M.rho))
+    key = (M.dim, tuple(tuple(map(tuple, R)) for R in M._columns()))
     built = T._induced.get(key)
     if built is None:
         obj = T._induced[key] = _build_induced(T, M, name)
@@ -872,7 +880,8 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     """
     f = T.field
     m = M.dim
-    basis = cotensor(a_right_comodule_of_A(T), T.A.dim, M.rho, m, T.a.dim, f)
+    right = [sparse_columns(S) for S in a_right_comodule_of_A(T)]
+    basis = cotensor(right, M._columns(), f)
 
     def lift(mat):
         """The sparse columns of mat (x) I_M."""
@@ -888,7 +897,7 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
             raise StructureError("induced coaction leaves the cotensor subspace")
         raise StructureError(
             "O-action does not preserve the cotensor subspace: condition (ii) fails")
-    comodule = ComoduleFD(T.A, coaction_from_matrices(mats[:T.A.dim], f), name=name)
+    comodule = ComoduleFD(T.A, mats[:T.A.dim], name=name)
     obj = TripleObject(T, mats[T.A.dim:], comodule, name=name)
     obj.carrier_basis = basis
     return obj
@@ -921,10 +930,10 @@ def psi(T: TripleFD, N: TripleObject, name=""):
     f = T.field
     quot = augmentation_quotient(T, N.act)
     mats = [quot.induced(sparse_columns(S)) for S in
-            _pushforward(T.pi, _coaction_columns(N.rho, T.A.dim, f), N.dim, f)]
+            _pushforward(T.pi, N.comodule._columns(), N.dim, f)]
     if any(m is None for m in mats):
         raise StructureError("a-coaction does not descend to Psi: compatibility bug")
-    Q = ComoduleFD(T.a, coaction_from_matrices(mats, f), name=name or f"Psi({N.name})")
+    Q = ComoduleFD(T.a, mats, name=name or f"Psi({N.name})")
     return Q, quot
 
 
@@ -939,13 +948,15 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     ind = induce(T, Q)
     span = Span(ind.carrier_basis, f)
     mat = zeros(ind.dim, N.dim, f.zero)
+    coact = N.comodule._columns()
     for x in range(N.dim):
         img = [f.zero] * (T.A.dim * Q.dim)
-        for (aa, y), v in N.rho[x].items():
-            for r in range(Q.dim):
-                pv = quot.proj[r][y]
-                if pv:
-                    img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
+        for aa, R in enumerate(coact):
+            for y, v in R[x]:
+                for r in range(Q.dim):
+                    pv = quot.proj[r][y]
+                    if pv:
+                        img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
         coords = span.coords(img)
         if coords is None:
             rep.fail("lands-in-cotensor", "unit image leaves the subspace",
@@ -960,8 +971,7 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     else:
         rep.fail("O-equivariant", "unit does not intertwine the O-action",
                  counterexample=N.name)
-    if intertwines(mat, coaction_matrices(N.rho, T.A.dim, f),
-                   coaction_matrices(ind.rho, T.A.dim, f), f):
+    if intertwines(mat, N.comodule.mats, ind.comodule.mats, f):
         rep.ok("A-colinear")
     else:
         rep.fail("A-colinear", "unit does not intertwine the A-coaction",
@@ -1003,8 +1013,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     rep.ok("descends")
     mat = [[c_on_s[y][fc] for fc in quot.free] for y in range(M.dim)]
     # a-colinearity
-    if intertwines(mat, coaction_matrices(Q2.rho, T.a.dim, f),
-                   coaction_matrices(M.rho, T.a.dim, f), f):
+    if intertwines(mat, Q2.mats, M.mats, f):
         rep.ok("a-colinear")
     else:
         rep.fail("a-colinear", "counit is not a comodule map",
@@ -1015,9 +1024,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
 def hom_cat(T: TripleFD, N1: TripleObject, N2: TripleObject):
     """Basis of Cat-morphisms: the maps that intertwine the coaction matrices
     of A (so they are A-colinear) and the O-action (O-equivariant)."""
-    f = T.field
-    return intertwiner_space(coaction_matrices(N1.rho, T.A.dim, f) + N1.act,
-                             coaction_matrices(N2.rho, T.A.dim, f) + N2.act, f)
+    return intertwiner_space(N1.comodule.mats + N1.act, N2.comodule.mats + N2.act, T.field)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,9 +1060,9 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
                  counterexample=f"O basis index {j}")
 
     # (ii): invariants of the right a-comodule structure on A
-    # x is invariant when rho_r(x) = x (x) g: one equation per (y, c)
-    inv_basis = _fixed_vectors(a_right_comodule_of_A(T),
-                               lambda x: (((x, c), v) for c, v in gl.items()), f)
+    # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x
+    inv_basis = _fixed_vectors([sparse_columns(S) for S in a_right_comodule_of_A(T)],
+                               [gl.get(c, f.zero) for c in range(T.a.dim)], f)
     span = RowBasis(f, zip(*T.iota))
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
         rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
@@ -1107,17 +1114,19 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     return rep
 
 
-def _fixed_vectors(rho, expected, field):
-    """Basis of the vectors v with rho(v) = E(v), for a coaction rho and a
-    linear map E given on each basis vector e_x by ``expected(x)``, its
-    (key, coefficient) pairs.  One sparse equation per key."""
+def _fixed_vectors(cols, values, field):
+    """Basis of the vectors v with M_k v = values[k] v for every k, the
+    matrices M_k given by their sparse columns.  One sparse equation per
+    (k, row)."""
+    n = len(cols[0])
     eqs = {}
-    for x, coact in enumerate(rho):
-        for key, v in coact.items():
-            eqs.setdefault(key, []).append((x, v))
-        for key, v in expected(x):
-            eqs.setdefault(key, []).append((x, -v))
-    return sparse_nullspace(eqs.values(), len(rho), field)
+    for k, (M, s) in enumerate(zip(cols, values)):
+        for x in range(n):
+            for y, v in M[x]:
+                eqs.setdefault((k, y), []).append((x, v))
+            if s:
+                eqs.setdefault((k, x), []).append((x, -s))
+    return sparse_nullspace(eqs.values(), n, field)
 
 
 def _freeness_witness(T: TripleFD):
@@ -1137,35 +1146,30 @@ def _freeness_witness(T: TripleFD):
             vec = [f.zero] * T.A.dim
             for coset in cosets:
                 vec[coset[j]] = f.one
-            candidates.append(("section", j, vec))
+            candidates.append((f"section[{j}]", vec))
     for x in range(T.A.dim):
         vec = [f.one if r == x else f.zero for r in range(T.A.dim)]
-        candidates.append(("basis", x, vec))
-    rng = random.Random(13)
-    for t in range(20):
-        vec = [f.from_int(rng.randint(0, 2)) for _ in range(T.A.dim)]
-        candidates.append(("random", t, vec))
+        candidates.append((f"basis[{x}]", vec))
+    # last, the unit: when O = A, O.1_A = A is free of rank one
+    candidates.append(("unit", [T.A.unit.get(r, f.zero) for r in range(T.A.dim)]))
 
     basis = RowBasis(f)
     chosen = []
-    for label, idx, cand in candidates:
+    for label, cand in candidates:
         # try the candidate on a copy; keep the copy only if O.cand is free
         trial = basis.copy()
         if sum(1 for lm in lms if trial.add(_apply(lm, cand, f.zero))) == T.O.dim:
             basis = trial
-            chosen.append(f"{label}[{idx}]")
+            chosen.append(label)
             if len(chosen) == k:
                 return chosen
     return None
 
 
 def comodule_direct_sum(M1: ComoduleFD, M2: ComoduleFD) -> ComoduleFD:
-    rho = []
-    for x in range(M1.dim):
-        rho.append(dict(M1.rho[x]))
-    for x in range(M2.dim):
-        rho.append({(c, y + M1.dim): v for (c, y), v in M2.rho[x].items()})
-    return ComoduleFD(M1.coalg, rho, name=f"{M1.name}(+){M2.name}")
+    zero = M1.coalg.field.zero
+    return ComoduleFD(M1.coalg, [block_diag(R1, R2, zero) for R1, R2 in zip(M1.mats, M2.mats)],
+                      name=f"{M1.name}(+){M2.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -1345,7 +1349,7 @@ def module_to_comodule(T: TripleFD, mod: GroupModule, side="A") -> ComoduleFD:
     coalg = T.A if side == "A" else T.a
     table = T.group if side == "A" else T.a_table
     mats = [mod.mats[table.inverse[g]] for g in range(table.n)]
-    return ComoduleFD(coalg, coaction_from_matrices(mats, T.field), name=mod.name)
+    return ComoduleFD(coalg, mats, name=mod.name)
 
 
 def a_simples(T: TripleFD):
@@ -1373,7 +1377,7 @@ def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
     quot = T.quotient_group
     cols = mod._columns()
     mats = _pushforward(T.iota, [cols[quot.inverse[q]] for q in range(quot.n)], mod.dim, f)
-    return ComoduleFD(T.A, coaction_from_matrices(mats, f), name=f"F*({mod.name})")
+    return ComoduleFD(T.A, mats, name=f"F*({mod.name})")
 
 
 def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> ComoduleFD:
@@ -1383,19 +1387,18 @@ def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> Comodul
     a1 a2 whose coefficient at b is c.
     """
     f = A.field
-    R1, R2 = coaction_matrices(M1.rho, A.dim, f), coaction_matrices(M2.rho, A.dim, f)
     n = M1.dim * M2.dim
     mats = [zeros(n, n, f.zero) for _ in range(A.dim)]
     for (a1, a2), prod in A.mult.items():
-        K = kron(R1[a1], R2[a2], f.zero)
+        K = kron(M1.mats[a1], M2.mats[a2], f.zero)
         for b, c in prod.items():
             mats[b] = mat_sum(mats[b], mat_scale(K, c))
-    return ComoduleFD(A, coaction_from_matrices(mats, f), name=f"{M1.name}(x){M2.name}")
+    return ComoduleFD(A, mats, name=f"{M1.name}(x){M2.name}")
 
 
 def trivial_A_comodule(T: TripleFD) -> ComoduleFD:
     rho = [{(k, 0): v for k, v in T.A.unit.items()}]
-    return ComoduleFD(T.A, rho, name="C_A")
+    return ComoduleFD(T.A, coaction_matrices(rho, T.A.dim, T.field), name="C_A")
 
 
 # ---------------------------------------------------------------------------
@@ -1515,11 +1518,13 @@ def identity_point(T: TripleFD):
 # ---------------------------------------------------------------------------
 
 class EquivariantObject:
-    """Cat-object together with a compatible O-coaction (the Gamma-structure)."""
+    """Cat-object together with a compatible O-coaction (the Gamma-structure),
+    held as an O-comodule on the carrier; its comodule laws were checked
+    when it was built."""
 
-    def __init__(self, N: TripleObject, rho_o, name="", validate=True):
+    def __init__(self, N: TripleObject, gamma: ComoduleFD, name="", validate=True):
         self.N = N
-        self.rho_o = rho_o          # list over carrier of {(o_idx, y): v}
+        self.gamma = gamma
         self.name = name or f"equivariant({N.name})"
         if validate:
             self._validate()
@@ -1528,15 +1533,14 @@ class EquivariantObject:
         T = self.N.T
         f = T.field
         O = T.O
-        ComoduleFD(CoalgebraFD(f, O.delta, O.eps, name="O", validate=False),
-                   self.rho_o, name=self.name)
         # Hopf-module law: rho_o(f.n) = Delta(f) . rho_o(n)
-        if not _respects_action(self.N.act, self.rho_o, O, O, identity(O.dim, f.one, f.zero)):
+        if not _respects_action(self.N._columns(), self.gamma._columns(), O, O,
+                                identity(O.dim, f.one, f.zero)):
             raise StructureError(f"{self.name}: Hopf-module law fails")
         # commuting coactions: every coaction matrix of O commutes with every
         # one of A
-        RA = coaction_matrices(self.N.rho, T.A.dim, f)
-        if not all(intertwines(R, RA, RA, f) for R in coaction_matrices(self.rho_o, O.dim, f)):
+        RA = self.N.comodule.mats
+        if not all(intertwines(R, RA, RA, f) for R in self.gamma.mats):
             raise StructureError(f"{self.name}: coactions do not commute")
 
 
@@ -1549,9 +1553,10 @@ def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
     N = object_O_tensor(T, P, name=f"O(x){P.name}")
     f = T.field
     ident = identity(P.dim, f.one, f.zero)
-    rho_o = coaction_from_matrices([kron(R, ident, f.zero) for R in
-                                    coaction_matrices(T.O.delta, T.O.dim, f)], f)
-    return EquivariantObject(N, rho_o, name=f"equiv({P.name})")
+    name = f"equiv({P.name})"
+    gamma = ComoduleFD(T.O, [kron(R, ident, f.zero) for R in
+                             coaction_matrices(T.O.delta, T.O.dim, f)], name=name)
+    return EquivariantObject(N, gamma, name=name)
 
 
 def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
@@ -1559,16 +1564,16 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     carrying the descended A-coaction.  Returns (A-comodule, inclusion)."""
     f = T.field
     N = E.N
-    unit = _strip(dict(T.O.unit))
-    # x is coinvariant when rho_o(x) = 1 (x) x
-    basis = _fixed_vectors(E.rho_o, lambda x: (((o, x), u) for o, u in unit.items()), f)
+    # x is coinvariant when rho_o(x) = 1 (x) x, that is R_o x = 1_o x
+    basis = _fixed_vectors(E.gamma._columns(),
+                           [T.O.unit.get(o, f.zero) for o in range(T.O.dim)], f)
     # descended A-coaction on the coinvariants
-    mats = restrict(_coaction_columns(N.rho, T.A.dim, f), basis, f)
+    mats = restrict(N.comodule._columns(), basis, f)
     if mats is None:
         raise StructureError(
             "A-coaction does not preserve the coinvariants: "
             "incompatible equivariance data")
-    P = ComoduleFD(T.A, coaction_from_matrices(mats, f), name=f"fiber({E.name})")
+    P = ComoduleFD(T.A, mats, name=f"fiber({E.name})")
     return P, basis
 
 

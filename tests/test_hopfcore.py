@@ -60,6 +60,7 @@ from smallq.linalg import (
     mat_eq,
     mat_mul,
     mat_scale,
+    sparse_columns,
     zeros,
 )
 from smallq.scalars import CycloField
@@ -121,9 +122,9 @@ def test_cotensor_examples():
     f = CycloField(4)
     # over the ground field: full tensor product
     triv = CoalgebraFD(f, [{(0, 0): f.one}], [f.one])
-    rho_r = [{(0, 0): f.one}, {(1, 0): f.one}]
+    rho_r = [{(0, 0): f.one}, {(0, 1): f.one}]
     rho_l = [{(0, 0): f.one}, {(0, 1): f.one}]
-    basis = cotensor(rho_r, 2, rho_l, 2, 1, f)
+    basis = cotensor(_columns_of(rho_r, triv.dim, f), _columns_of(rho_l, triv.dim, f), f)
     assert len(basis) == 4
     # functions on Z/2: graded lines pair iff the degrees match
     z2 = CoalgebraFD(f, [{(0, 0): f.one, (1, 1): f.one},
@@ -133,10 +134,16 @@ def test_cotensor_examples():
         for d2 in (0, 1):
             # right comodule line of degree d1: rho(x) = x (x) delta_{d1};
             # left line of degree d2
-            rr = [{(0, d1): f.one}]
+            rr = [{(d1, 0): f.one}]
             ll = [{(d2, 0): f.one}]
-            got = len(cotensor(rr, 1, ll, 1, 2, f))
+            got = len(cotensor(_columns_of(rr, z2.dim, f), _columns_of(ll, z2.dim, f), f))
             assert got == (1 if d1 == d2 else 0)
+
+
+def _columns_of(rho, cdim, f):
+    """The sparse columns of the coaction matrices of a literal coaction,
+    rho[x] = {(c, y): v} for x -> sum v c (x) y (y (x) c for a right one)."""
+    return [sparse_columns(R) for R in coaction_matrices(rho, cdim, f)]
 
 
 def test_conditions_pass_on_fixtures(z4_triple, s3_triple):
@@ -236,8 +243,7 @@ def test_find_iso_negative_control(z4_triple, s3_triple):
     M1, M2 = module_to_comodule(T, V), module_to_comodule(T, W)
     X = find_iso(comodule_hom_space(M1, M2), f)
     assert X is not None and inverse(X, f) is not None
-    for R1, R2 in zip(coaction_matrices(M1.rho, T.A.dim, f),
-                      coaction_matrices(M2.rho, T.A.dim, f)):
+    for R1, R2 in zip(M1.mats, M2.mats):
         assert mat_eq(mat_mul(X, R1, f.zero), mat_mul(R2, X, f.zero))
 
 
@@ -345,7 +351,7 @@ def test_counit_action_fails_compatibility(z4_triple, s3_triple):
 def test_equivariant_round_trips(z4_triple, s3_triple):
     for T in (z4_triple, s3_triple):
         f = T.field
-        regular_A = ComoduleFD(T.A, [dict(T.A.delta[i]) for i in range(T.A.dim)],
+        regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim, f),
                                name="A-reg")
         catalog = A_simples(T) + [regular_A]
         distinct = 0
@@ -371,13 +377,12 @@ def test_equivariant_rejects_incompatible_data(z4_triple):
     T = z4_triple
     P = A_simples(T)[1]
     E = equivariant_of(T, P)
-    # tamper with the Gamma-structure: break the comodule law
-    bad = [dict(d) for d in E.rho_o]
-    key = next(iter(bad[0]))
-    bad[0] = {key: T.field.from_int(2) * bad[0][key]}
     from smallq.hopfcore import EquivariantObject
+    EquivariantObject(E.N, E.gamma)
+    # tamper with the Gamma-structure: one matrix entry breaks the comodule law
+    bad = [_perturbed(E.gamma.mats[0], T.field)] + E.gamma.mats[1:]
     with pytest.raises(StructureError):
-        EquivariantObject(E.N, bad)
+        EquivariantObject(E.N, ComoduleFD(T.O, bad))
 
 
 def test_ideal_prop(z4_triple, s3_triple):
@@ -460,7 +465,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _coaction_key(M):
     """The value of a comodule's coaction, computed apart from ``induce``."""
-    return (M.dim, tuple(frozenset((k, v) for k, v in d.items() if v) for d in M.rho))
+    return (M.dim, tuple(frozenset((y, x, v) for y, row in enumerate(R)
+                                   for x, v in enumerate(row) if v) for R in M.mats))
 
 
 def _count_builds(monkeypatch):
@@ -504,7 +510,7 @@ def test_ind_store_builds_each_coaction_once_d4(monkeypatch, capsys):
 def _assert_same_induced(got, fresh):
     assert len(got.act) == len(fresh.act)
     assert all(mat_eq(x, y) for x, y in zip(got.act, fresh.act))
-    assert got.rho == fresh.rho
+    assert got.comodule.mats == fresh.comodule.mats
     assert got.carrier_basis == fresh.carrier_basis
 
 
@@ -516,7 +522,8 @@ def test_ind_store_hit_equals_fresh_build(z4_triple, s3_triple):
         stored = len(T._induced)
         for M in a_cat:
             # an equal-valued twin under a new name hits the store
-            twin = ComoduleFD(M.coalg, [dict(d) for d in M.rho], name=f"twin-{M.name}")
+            twin = ComoduleFD(M.coalg, [[list(row) for row in R] for R in M.mats],
+                              name=f"twin-{M.name}")
             for src, name in ((M, "Ind-caller"), (twin, "")):
                 got = induce(T, src, name=name)
                 _assert_same_induced(got, hopfcore._build_induced(T, src, "fresh"))
@@ -532,13 +539,14 @@ def test_ind_store_negative_control():
     T = finite_group_triple(table, sub)
     C = trivial_a_comodule(T)
     ind_c = induce(T, C)
-    (key, v), = [(k, v) for k, v in C.rho[0].items() if k[0] != T.a_table.identity]
-    rho = [dict(C.rho[0])]
-    rho[0][key] = -v
-    sign = ComoduleFD(T.a, rho, name="sign")
+    (c, v), = [(c, R[0][0]) for c, R in enumerate(C.mats)
+               if R[0][0] and c != T.a_table.identity]
+    mats = [[list(row) for row in R] for R in C.mats]
+    mats[c][0][0] = -v
+    sign = ComoduleFD(T.a, mats, name="sign")
     ind_s = induce(T, sign)
     assert len(T._induced) == 2
-    assert ind_s.rho != ind_c.rho
+    assert ind_s.comodule.mats != ind_c.comodule.mats
     _assert_same_induced(ind_s, hopfcore._build_induced(T, sign, "fresh"))
     _assert_same_induced(induce(T, C), ind_c)
 
@@ -606,16 +614,16 @@ def test_intertwines_rejects_perturbed_unit_and_counit(z4_triple, s3_triple):
         N = object_A(T)
         mat, ind, rep = adjunction_unit(T, N)
         assert rep.passed
-        coact_N = coaction_matrices(N.rho, T.A.dim, f)
-        coact_ind = coaction_matrices(ind.rho, T.A.dim, f)
+        coact_N = N.comodule.mats
+        coact_ind = ind.comodule.mats
         assert intertwines(mat, N.act, ind.act, f)
         assert intertwines(mat, coact_N, coact_ind, f)
         assert not intertwines(_perturbed(mat, f), coact_N, coact_ind, f)
         M = regular_a_comodule(T)
         cmat, Q2, crep = adjunction_counit(T, M)
         assert crep.passed
-        coact_Q2 = coaction_matrices(Q2.rho, T.a.dim, f)
-        coact_M = coaction_matrices(M.rho, T.a.dim, f)
+        coact_Q2 = Q2.mats
+        coact_M = M.mats
         assert intertwines(cmat, coact_Q2, coact_M, f)
         assert not intertwines(_perturbed(cmat, f), coact_Q2, coact_M, f)
 
@@ -631,7 +639,7 @@ def test_twist_reuses_the_validated_coaction(z4_triple, monkeypatch):
                         lambda self: checked.append(self) or real(self))
     for gamma in points_of_O(T):
         tw = twist(T, gamma, N)
-        assert tw.comodule is N.comodule and tw.rho is N.rho
+        assert tw.comodule is N.comodule and tw.comodule.mats is N.comodule.mats
     assert checked == []
 
 
@@ -673,7 +681,7 @@ def _swap_coaction():
     counit law holds, but R_x R_x = I though no product of the dual algebra
     has a coefficient at the pair (x, x)."""
     return ComoduleFD(_primitive_coalgebra(),
-                      [{(0, 0): ONE, (1, 1): ONE}, {(0, 1): ONE, (1, 0): ONE}])
+                      [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ONE, ZERO]]])
 
 
 def _loop_algebra():
@@ -700,7 +708,7 @@ LAW_CASES = [
     (": counit law fails", lambda: CoalgebraFD(F4, [{(0, 0): ONE}], [ZERO])),
     ("coaction not coassociative", _swap_coaction),
     ("coaction counit law fails",
-     lambda: ComoduleFD(CoalgebraFD(F4, [{(0, 0): ONE}], [ONE]), [{}])),
+     lambda: ComoduleFD(CoalgebraFD(F4, [{(0, 0): ONE}], [ONE]), [[[ZERO]]])),
     (": unit law fails", _unitless_algebra),
     ("multiplication not associative", _loop_algebra),
 ]
@@ -724,3 +732,17 @@ def test_each_action_law_has_its_message(z4_triple):
         TripleObject(T, [[[f.zero]], [[f.zero]]], line)
     with pytest.raises(StructureError, match=": action not associative"):
         TripleObject(T, [[[half]], [[half]]], line)
+
+
+def test_freeness_witnesses(z4_triple, s3_triple):
+    # O = A in the degenerate triples: no basis vector spans A over O, the
+    # unit does (O.1_A = A); group triples keep their coset sections and the
+    # shrunk triple, O = k, its basis vectors
+    for T in (z4_triple, s3_triple):
+        for D in (degenerate_triple_aac(T.A), degenerate_triple_all_equal(T.A)):
+            iv_a = next(c for c in check_conditions(D).checks if c.name == "iv_a")
+            assert (iv_a.status, iv_a.details) == ("pass", "A is O-free on basis elements ['unit']")
+        witness = {c.name: c for c in check_conditions(T).checks}["iv_a"].details
+        assert witness.startswith("A is O-free on basis elements ['section[0]'")
+        shrunk = {c.name: c for c in check_conditions(shrunk_triple(T)).checks}["iv_a"]
+        assert shrunk.status == "pass" and "'basis[0]'" in shrunk.details
