@@ -233,14 +233,13 @@ def parse_group_text(text: str):
 class CoalgebraFD:
     """delta[i] = {(j, k): c} meaning Delta(b_i) = sum c * b_j (x) b_k."""
 
-    def __init__(self, field, delta, eps, name="", validate=True):
+    def __init__(self, field, delta, eps, name=""):
         self.field = field
         self.dim = len(delta)
         self.delta = delta
         self.eps = eps
         self.name = name or f"coalg(dim={self.dim})"
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         f = self.field
@@ -315,14 +314,12 @@ def _dual_mult(C):
 class HopfAlgebraFD(CoalgebraFD):
     """Coalgebra plus multiplication tensor, unit vector and antipode matrix."""
 
-    def __init__(self, field, delta, eps, mult, unit, antipode, name="",
-                 validate=True):
-        super().__init__(field, delta, eps, name=name, validate=validate)
+    def __init__(self, field, delta, eps, mult, unit, antipode, name=""):
+        super().__init__(field, delta, eps, name=name)
         self.mult = mult            # {(i, j): {k: c}}
         self.unit = unit            # {k: c}
         self.antipode = antipode    # matrix
-        if validate:
-            self._validate_hopf()
+        self._validate_hopf()
 
     def product_vec(self, x, y):
         """Product of two coefficient dicts."""
@@ -418,14 +415,13 @@ class ComoduleFD:
     quotient as these matrices do.
     """
 
-    def __init__(self, coalg, mats, name="", validate=True):
+    def __init__(self, coalg, mats, name=""):
         self.coalg = coalg
         self.mats = mats
         self.dim = len(mats[0])
         self.name = name or f"comod(dim={self.dim})"
         self._cols = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _columns(self):
         """The coaction matrices as sparse columns, built on first use."""
@@ -689,14 +685,14 @@ def degenerate_triple_all_equal(A: HopfAlgebraFD) -> TripleFD:
 # ---------------------------------------------------------------------------
 
 def a_right_comodule_of_A(T: TripleFD):
-    """A as a right a-comodule through (id (x) pi) Delta, as one matrix per
-    basis element c of a: S_c[y][x] = coefficient of y (x) c in the coaction
-    of x."""
+    """A as a right a-comodule through (id (x) pi) Delta: one matrix per
+    basis element c of a, S_c[y][x] = coefficient of y (x) c in the coaction
+    of x, given by its sparse columns."""
     f = T.field
     # P_z[y][x] = coefficient of y (x) z in Delta(x)
     flipped = [{(z, y): v for (y, z), v in d.items()} for d in T.A.delta]
     cols = [sparse_columns(P) for P in coaction_matrices(flipped, T.A.dim, f)]
-    return _pushforward(T.pi, cols, T.A.dim, f)
+    return [sparse_columns(S) for S in _pushforward(T.pi, cols, T.A.dim, f)]
 
 
 def res_a_comodule(T: TripleFD, M: ComoduleFD, name="") -> ComoduleFD:
@@ -880,8 +876,7 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     """
     f = T.field
     m = M.dim
-    right = [sparse_columns(S) for S in a_right_comodule_of_A(T)]
-    basis = cotensor(right, M._columns(), f)
+    basis = cotensor(a_right_comodule_of_A(T), M._columns(), f)
 
     def lift(mat):
         """The sparse columns of mat (x) I_M."""
@@ -1061,7 +1056,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
     # (ii): invariants of the right a-comodule structure on A
     # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x
-    inv_basis = _fixed_vectors([sparse_columns(S) for S in a_right_comodule_of_A(T)],
+    inv_basis = _fixed_vectors(a_right_comodule_of_A(T),
                                [gl.get(c, f.zero) for c in range(T.a.dim)], f)
     span = RowBasis(f, zip(*T.iota))
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
@@ -1522,12 +1517,11 @@ class EquivariantObject:
     held as an O-comodule on the carrier; its comodule laws were checked
     when it was built."""
 
-    def __init__(self, N: TripleObject, gamma: ComoduleFD, name="", validate=True):
+    def __init__(self, N: TripleObject, gamma: ComoduleFD, name=""):
         self.N = N
         self.gamma = gamma
         self.name = name or f"equivariant({N.name})"
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         T = self.N.T
