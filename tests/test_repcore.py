@@ -338,3 +338,48 @@ def test_composition_factors_closed_form(monkeypatch):
 def test_maximal_proper_submodule_rejects_repeated_weights():
     with pytest.raises(ValueError):
         maximal_proper_submodule(direct_sum(weyl_module(2, P4), weyl_module(2, P4)))
+
+
+def _entries(mat):
+    """{(row, column): entry} over the entries of mat, zeros included."""
+    return {(r, c): x for r, row in enumerate(mat) for c, x in enumerate(row)}
+
+
+# (ell, a, b): on W(a) (x) W(b) the first nonzero entry of E in row-major
+# order, (0, b + 1), is not the first in column order, (1, 2), since the
+# entry (0, 1) of K (x) E is [b] = 0 at zeta.  On W(7) (x) W(6) the entry
+# corrupted is -1, so it becomes zero.
+CORRUPT_CASES = {
+    (4, 1, 4): ("1", "2", [
+        ("commutator[E_0,F_0]", "fail", "nonzero residual matrix", "entry (0,0) = -1"),
+        ("identity[vertex 0]", "fail", "matrix mismatch", "first differing entry at (1,5)")]),
+    (4, 2, 4): ("1*z + -1*z^3", "1 + 1*z + -1*z^3", [
+        ("commutator[E_0,F_0]", "fail", "nonzero residual matrix", "entry (0,0) = -1")]),
+    (6, 1, 6): ("1", "2", [
+        ("commutator[E_0,F_0]", "fail", "nonzero residual matrix", "entry (0,0) = -1"),
+        ("identity[vertex 0]", "fail", "matrix mismatch", "first differing entry at (1,7)")]),
+    (6, 7, 6): ("-1", "0", [
+        ("commutator[E_0,F_0]", "fail", "nonzero residual matrix", "entry (0,0) = -1"),
+        ("identity[vertex 0]", "fail", "matrix mismatch", "first differing entry at (1,7)")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CASES), ids=str)
+def test_corrupt_module_failure_details(case):
+    # the frobenius-check report keeps only check names: this pins where
+    # corrupt_module acts and what every failing check then says
+    from smallq.frobenius import verify_commutator_identity
+    ell, a, b = case
+    before, after, expected = CORRUPT_CASES[case]
+    params = QParams(ell)
+    module = tensor_product(weyl_module(a, params), weyl_module(b, params))
+    bad = corrupt_module(module)
+    old, new = _entries(module.z.e(0)), _entries(bad.z.e(0))
+    changed = [rc for rc in set(old) | set(new)
+               if old.get(rc, params.field.zero) != new.get(rc, params.field.zero)]
+    assert changed == [(0, b + 1)]
+    assert (repr(old[0, b + 1]), repr(new.get((0, b + 1), params.field.zero))) == (before, after)
+    failures = [(c.name, c.status, c.details, c.counterexample)
+                for rep in (relation_check(bad), verify_commutator_identity(bad))
+                for c in rep.failures()]
+    assert failures == expected
