@@ -112,10 +112,14 @@ def test_coalgebra_axioms_enforced():
     # broken counit
     with pytest.raises(StructureError):
         CoalgebraFD(f, [{(0, 0): f.one}], [f.zero])
-    # broken coassociativity on 2 dims
-    delta = [{(0, 0): f.one}, {(0, 1): f.one, (1, 1): f.one}]
-    with pytest.raises(StructureError):
-        CoalgebraFD(f, delta, [f.one, f.zero])
+    # broken coassociativity alone: the dual of the unital algebra on 1, a, b
+    # with a a = b, b a = a and a b = 0, so (a a) a = a != a (a a) = 0, while
+    # both counit laws hold
+    delta = [{(0, 0): f.one},
+             {(0, 1): f.one, (1, 0): f.one, (2, 1): f.one},
+             {(0, 2): f.one, (2, 0): f.one, (1, 1): f.one}]
+    with pytest.raises(StructureError, match="comultiplication not coassociative"):
+        CoalgebraFD(f, delta, [f.one, f.zero, f.zero])
 
 
 def test_cotensor_examples():
