@@ -125,7 +125,7 @@ def build_parser():
     common(p)
     p.add_argument("--group", default=None, help="path to a group table file")
     p.add_argument("--fixture", default=None,
-                   help="bundled fixture name (z4_z2, s3_a3)")
+                   help="bundled fixture name (z4_z2, s3_a3, d6_centre)")
     p.add_argument("--subgroup", default=None,
                    help="comma-separated element names overriding the file")
     return parser

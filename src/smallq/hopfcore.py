@@ -1486,7 +1486,14 @@ def point_convolution(T: TripleFD, g1, g2):
 
 
 def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
-    """Precompose the O-action with the translation automorphism of gamma."""
+    """Precompose the O-action with the translation automorphism of gamma.
+
+    The twisted action is f . m = sum gamma(f_2) f_1 . m, with gamma on the
+    last Sweedler factor: the compatibility law
+    rho(f . m) = sum iota(f_1) (x) f_2 . m holds for it whenever it holds for
+    N.  Acting on the first factor instead gives the same action only when
+    Delta_O is cocommutative, that is, when the quotient group is abelian.
+    """
     f = T.field
     # gamma must be an algebra map
     for i in range(T.O.dim):
@@ -1498,7 +1505,7 @@ def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
     unit_val = sum((c * gamma[k] for k, c in _strip(dict(T.O.unit)).items()), f.zero)
     if unit_val != f.one:
         raise StructureError("gamma does not preserve the unit")
-    act = [N.act_sum((k, c * gamma[j]) for (j, k), c in T.O.delta[i].items() if gamma[j])
+    act = [N.act_sum((j, c * gamma[k]) for (j, k), c in T.O.delta[i].items() if gamma[k])
            for i in range(T.O.dim)]
     return TripleObject(T, act, N.comodule, name=name or f"twist({N.name})")
 

@@ -6,7 +6,9 @@ windows reach modules well beyond the bench's (A1 Weyl modules up to W(40),
 tensor products of W(0..2)), so any change in a matrix entry that reaches a
 report shows up here. The triple-verify files were written before the triple
 engine stored its induced objects; the D4 table next to them is a seeded
-relabelling of the dihedral group over its rotations. triple-details.json
+relabelling of the dihedral group over its rotations. The D6 report was
+written when ``twist`` moved the point to the last Sweedler factor; D6 over
+its centre is the one fixture with a nonabelian quotient. triple-details.json
 holds every check of the triple engine's suites on the same three triples;
 it was written before the triple engine's restrictions and comodule-map
 checks went through the ``linalg.restrict`` / ``intertwines`` kernels.
@@ -33,6 +35,7 @@ CASES = [
     ("triple-verify_s3_a3.json", ["triple-verify", "--fixture", "s3_a3"]),
     ("triple-verify_D4_seed0.json",
      ["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]),
+    ("triple-verify_d6_centre.json", ["triple-verify", "--fixture", "d6_centre"]),
 ]
 
 

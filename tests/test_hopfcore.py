@@ -330,6 +330,37 @@ def test_twist_triple_coherence(z4_triple, s3_triple):
             assert all(mat_eq(seq.act[i], direct.act[i]) for i in range(T.O.dim))
 
 
+def _first_factor_twist(T, gamma, N):
+    """The O-action twisted with gamma on the first Sweedler factor,
+    f . m = sum gamma(f_1) f_2 . m."""
+    return [N.act_sum((k, c * gamma[j]) for (j, k), c in T.O.delta[i].items() if gamma[j])
+            for i in range(T.O.dim)]
+
+
+def test_twist_acts_on_the_last_sweedler_factor(z4_triple):
+    # D6 over its centre has the nonabelian quotient S3: every point but the
+    # identity breaks the compatibility law when it acts on the first
+    # Sweedler factor, and none does on the last
+    T = finite_group_triple(*load_fixture("d6_centre"))
+    assert T.quotient_group.commutator_subgroup() != [T.quotient_group.identity]
+    ident = identity_point(T)
+    for N in (object_O(T), object_A(T)):
+        for gamma in points_of_O(T):
+            twist(T, gamma, N)
+            act = _first_factor_twist(T, gamma, N)
+            if gamma == ident:
+                TripleObject(T, act, N.comodule)
+            else:
+                with pytest.raises(StructureError, match="action/coaction compatibility fails"):
+                    TripleObject(T, act, N.comodule)
+    # over an abelian quotient Delta_O is cocommutative and the two agree
+    T = z4_triple
+    for N in (object_O(T), object_A(T)):
+        for gamma in points_of_O(T):
+            assert all(mat_eq(x, y) for x, y in
+                       zip(twist(T, gamma, N).act, _first_factor_twist(T, gamma, N)))
+
+
 def test_twist_rejects_non_multiplicative(z4_triple):
     T = z4_triple
     f = T.field
