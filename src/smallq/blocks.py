@@ -25,7 +25,7 @@ from .hopfcore import (
     trivial_A_comodule,
     trivial_a_comodule,
 )
-from .linalg import nullspace, sparse_columns, spin, transpose
+from .linalg import sparse_nullspace, spin, transpose
 from .repcore import (
     composition_factors,
     simple_module,
@@ -216,7 +216,7 @@ def steinberg_verify(lam, params, datum=None) -> Report:
     FV = frobenius_pullback(V)
     # both sources below are simple, so find_iso's None certifies "no"
     homs2 = hom_big(L2, FV)
-    if find_iso(homs2, f) is not None:
+    if find_iso(homs2, FV.dim, f) is not None:
         rep.ok("pullback-part", f"L({lam2}) = Fr*_sc(V^{mu[0]}) via an "
                                 "explicit intertwiner")
     else:
@@ -230,7 +230,7 @@ def steinberg_verify(lam, params, datum=None) -> Report:
         return rep
     # explicit intertwiner: weight-preserving, equivariant for all families
     homs = hom_big(L, right)
-    if find_iso(homs, f) is not None:
+    if find_iso(homs, right.dim, f) is not None:
         rep.ok("intertwiner", f"dim Hom = {len(homs)}, invertible representative found")
     else:
         rep.fail("intertwiner", "no invertible intertwiner",
@@ -252,24 +252,24 @@ def _small_irreducible(L, params) -> bool:
     n = L.dim
     if n == 1:
         return True
-    cols = [sparse_columns(g) for g in gens]
     # every basis vector spins to the whole space
     for b in range(n):
         seed = [f.one if k == b else f.zero for k in range(n)]
-        if spin(cols, [seed], f).dim != n:
+        if spin(gens, [seed], f).dim != n:
             return False
     # nullity-one witness: F has a one-dimensional kernel; spin its kernel
-    # vector and the kernel vector of the transpose
+    # vector and the kernel vector of the transpose.  The equations of F x = 0
+    # are F's rows, those of F^T y = 0 its columns.
     fmat = view.f[0]
-    ker = nullspace(fmat, f)
+    ker = sparse_nullspace(transpose(fmat, n), n, f)
     if len(ker) != 1:
         return True      # spin test already passed on every basis vector
-    ker_t = nullspace(transpose(fmat), f)
+    ker_t = sparse_nullspace(fmat, n, f)
     if len(ker_t) != 1:
         return True
-    if spin(cols, ker, f).dim != n:
+    if spin(gens, ker, f).dim != n:
         return False
-    return spin([sparse_columns(transpose(g)) for g in gens], ker_t, f).dim == n
+    return spin([transpose(g, n) for g in gens], ker_t, f).dim == n
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +361,9 @@ def finite_block_bijection(T) -> Report:
     trivA = trivial_A_comodule(T)
     triva = trivial_a_comodule(T)
     iA = next(i for i, N in enumerate(A_simp) if N.dim == trivA.dim
-              and find_iso(comodule_hom_space(N, trivA), f) is not None)
+              and find_iso(comodule_hom_space(N, trivA), trivA.dim, f) is not None)
     ia = next(j for j, S in enumerate(a_simp) if S.dim == triva.dim
-              and find_iso(comodule_hom_space(S, triva), f) is not None)
+              and find_iso(comodule_hom_space(S, triva), triva.dim, f) is not None)
     if comp_of_A[iA] == comp_of_a[ia]:
         rep.ok("regular-block", "the trivial objects land in paired blocks")
     else:

@@ -26,18 +26,19 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_sum,
-    nullspace,
     restrict,
-    zeros,
+    sparse_nullspace,
+    transpose,
 )
 from .repcore import GenSet, Submodule, WeightModule, tensor_product
-from .repcore import _sparse_generators
+from .repcore import _diag, _first_entry, _generator_matrices
 from .report import Report
 from .rootdata import EllForm, build_root_datum
 
 
 class DualGroupRep:
-    """Representation of the dual Lie algebra: weights plus e_i, f_i matrices.
+    """Representation of the dual Lie algebra: weights plus e_i, f_i matrices,
+    each as its sparse columns.
 
     form = "adjoint": weights in Y, coroot coordinates (representations of
     the adjoint dual group); form = "sc": weights in the dual weight lattice,
@@ -71,8 +72,7 @@ class DualGroupRep:
 
     def h_diag(self, i):
         f = self.params.field
-        return [[f.from_int(self.h_pairing(i, b)) if b == c else f.zero
-                 for c in range(self.dim)] for b in range(self.dim)]
+        return _diag([f.from_int(self.h_pairing(i, b)) for b in range(self.dim)])
 
     def x_weights(self):
         """Images of the weights in X under phi (adjoint) or phi_sc (sc)."""
@@ -82,34 +82,28 @@ class DualGroupRep:
         return [form.phi(mu) for mu in self.weights]
 
     def _validate(self):
-        f = self.params.field
-        zero = f.zero
         r = self.datum.rank
         for i in range(r):
             e, fi = self.e[i], self.f[i]
-            comm = mat_sub(mat_mul(e, fi, zero), mat_mul(fi, e, zero))
+            comm = mat_sub(mat_mul(e, fi), mat_mul(fi, e))
             if not mat_eq(comm, self.h_diag(i)):
                 raise ValueError(f"[e_{i}, f_{i}] != h_{i}")
             # integrability: e and f are nilpotent
             for mat, sym in ((e, "e"), (fi, "f")):
                 p = mat
                 for _ in range(self.dim):
-                    p = mat_mul(p, mat, zero)
+                    p = mat_mul(p, mat)
                 if not mat_is_zero(p):
                     raise ValueError(f"{sym}_{i} is not nilpotent")
         # grading: e_i raises the weight by the i-th simple coroot
+        weights = self.weights
         for i in range(r):
             shift = self._coroot_shift(i)
-            for rr in range(self.dim):
-                for cc in range(self.dim):
-                    if self.e[i][rr][cc]:
-                        expect = tuple(a + b for a, b in zip(self.weights[cc], shift))
-                        if self.weights[rr] != expect:
-                            raise ValueError("e-grading violated")
-                    if self.f[i][rr][cc]:
-                        expect = tuple(a - b for a, b in zip(self.weights[cc], shift))
-                        if self.weights[rr] != expect:
-                            raise ValueError("f-grading violated")
+            for mats, sign, sym in ((self.e, 1, "e"), (self.f, -1, "f")):
+                for c, col in enumerate(mats[i]):
+                    expect = tuple(a + sign * b for a, b in zip(weights[c], shift))
+                    if any(weights[rr] != expect for rr, _ in col):
+                        raise ValueError(f"{sym}-grading violated")
 
     def _coroot_shift(self, i):
         r = self.datum.rank
@@ -124,8 +118,7 @@ class DualGroupRep:
 def trivial_rep(params, datum=None, form="adjoint") -> DualGroupRep:
     if datum is None:
         datum = build_root_datum("A1")
-    f = params.field
-    z = [[f.zero]]
+    z = [[]]
     return DualGroupRep(datum, params, [(0,) * datum.rank],
                         [z] * datum.rank, [z] * datum.rank, form=form,
                         name="C")
@@ -145,13 +138,10 @@ def dual_irrep_sl2(m: int, params, datum=None, form="sc") -> DualGroupRep:
     if form == "adjoint" and m % 2 != 0:
         raise ValueError("adjoint-form weights must lie in the coroot lattice")
     f = params.field
-    zero = f.zero
     n = m + 1
-    e = zeros(n, n, zero)
-    fm = zeros(n, n, zero)
-    for k in range(m):
-        fm[k + 1][k] = f.from_int(k + 1)
-        e[k][k + 1] = f.from_int(m - k)
+    # e v_k = (m - k + 1) v_{k-1}, f v_k = (k + 1) v_{k+1}
+    e = [[]] + [[(k - 1, f.from_int(m - k + 1))] for k in range(1, n)]
+    fm = [[(k + 1, f.from_int(k + 1))] for k in range(m)] + [[]]
     if form == "sc":
         weights = [(m - 2 * k,) for k in range(n)]
     else:
@@ -162,26 +152,22 @@ def dual_irrep_sl2(m: int, params, datum=None, form="sc") -> DualGroupRep:
 
 def rep_direct_sum(V1: DualGroupRep, V2: DualGroupRep) -> DualGroupRep:
     assert V1.form == V2.form
-    zero = V1.params.field.zero
     return DualGroupRep(V1.datum, V1.params, V1.weights + V2.weights,
-                        [block_diag(a, b, zero) for a, b in zip(V1.e, V2.e)],
-                        [block_diag(a, b, zero) for a, b in zip(V1.f, V2.f)],
+                        [block_diag(a, b) for a, b in zip(V1.e, V2.e)],
+                        [block_diag(a, b) for a, b in zip(V1.f, V2.f)],
                         form=V1.form, name=f"{V1.name}(+){V2.name}")
 
 
 def rep_tensor(V1: DualGroupRep, V2: DualGroupRep) -> DualGroupRep:
     """Classical tensor product: e acts by e(x)1 + 1(x)e."""
     assert V1.form == V2.form
-    f = V1.params.field
-    zero = f.zero
-    id1 = identity(V1.dim, f.one, zero)
-    id2 = identity(V2.dim, f.one, zero)
+    one = V1.params.field.one
+    id1 = identity(V1.dim, one)
+    id2 = identity(V2.dim, one)
     weights = [tuple(a + b for a, b in zip(w1, w2))
                for w1 in V1.weights for w2 in V2.weights]
-    e = [mat_sum(kron(V1.e[i], id2, zero), kron(id1, V2.e[i], zero))
-         for i in range(V1.datum.rank)]
-    fm = [mat_sum(kron(V1.f[i], id2, zero), kron(id1, V2.f[i], zero))
-          for i in range(V1.datum.rank)]
+    e = [mat_sum(kron(V1.e[i], id2), kron(id1, V2.e[i])) for i in range(V1.datum.rank)]
+    fm = [mat_sum(kron(V1.f[i], id2), kron(id1, V2.f[i])) for i in range(V1.datum.rank)]
     return DualGroupRep(V1.datum, V1.params, weights, e, fm, form=V1.form,
                         name=f"{V1.name}(x){V2.name}")
 
@@ -193,11 +179,9 @@ def rep_tensor(V1: DualGroupRep, V2: DualGroupRep) -> DualGroupRep:
 def frobenius_pullback(V: DualGroupRep) -> WeightModule:
     """The WeightModule with E, F acting by zero and divided powers by e, f."""
     params = V.params
-    f = params.field
-    zero = f.zero
     n = V.dim
-    zero_m = zeros(n, n, zero)
-    ident = identity(n, f.one, zero)
+    zero_m = [[] for _ in range(n)]
+    ident = identity(n, params.field.one)
     efam, ffam = [], []
     for i in range(V.datum.rank):
         li = params.ell_i[i]
@@ -217,12 +201,10 @@ class SmallQuantumView:
     def __init__(self, module: WeightModule, sc: bool = False):
         self.module = module
         self.sc = sc
-        params = module.params
-        zero = params.field.zero
         self.ke = []
         self.f = []
         for i in range(module.datum.rank):
-            self.ke.append(mat_mul(module.k_diag_zeta(i), module.z.e(i), zero))
+            self.ke.append(mat_mul(module.k_diag_zeta(i), module.z.e(i)))
             self.f.append(module.z.f(i))
         self.classes = [module.weight_class(b, sc=sc) for b in range(module.dim)]
 
@@ -253,16 +235,11 @@ def small_invariants(module: WeightModule, sc: bool = False) -> Submodule:
     view = restrict_to_small(module, sc=sc)
     f = module.params.field
     zero_class = _zero_class(module, sc)
-    rows = []
-    for g in view.gens():
-        rows.extend(g)
+    # g x = 0 row by row for every generator g
+    equations = [row for g in view.gens() for row in transpose(g, module.dim)]
     # characters: coordinates outside the trivial class must vanish
-    for b in range(module.dim):
-        if view.classes[b] != zero_class:
-            rows.append([f.one if c == b else f.zero for c in range(module.dim)])
-    if not rows:
-        rows = [[f.zero] * module.dim]
-    sub_rows = RowBasis(f, nullspace(rows, f)).sorted_rows()
+    equations += [[(b, f.one)] for b in range(module.dim) if view.classes[b] != zero_class]
+    sub_rows = RowBasis(f, sparse_nullspace(equations, module.dim, f)).sorted_rows()
     # invariant vectors may mix weights within the trivial class; weight-split
     # them to honour the Submodule contract
     from .repcore import _weight_components
@@ -279,7 +256,7 @@ def small_invariants(module: WeightModule, sc: bool = False) -> Submodule:
     sub = Submodule(module, split.sorted_rows(), weights)
     # part (1) of the factorization statement: the subspace is stable under
     # every big-group generator matrix
-    if restrict(_sparse_generators(module), sub.basis, f) is None:
+    if restrict(_generator_matrices(module), sub.basis, f) is None:
         raise AssertionError(
             "small-quantum-group invariants are not stable under the big group")
     return sub
@@ -295,34 +272,26 @@ def verify_commutator_identity(module: WeightModule, i: int = 0) -> Report:
     F^(k) [K; -2k over l-k] E^(k).
     """
     rep = Report(f"commutator-identity[{module.name}]")
-    params = module.params
-    f = params.field
-    zero = f.zero
-    li = params.ell_i[i]
-    lhs = mat_sub(mat_mul(module.z.div_e(i), module.z.div_f(i), zero),
-                  mat_mul(module.z.div_f(i), module.z.div_e(i), zero))
-    rhs = zeros(module.dim, module.dim, zero)
+    li = module.params.ell_i[i]
+    lhs = mat_sub(mat_mul(module.z.div_e(i), module.z.div_f(i)),
+                  mat_mul(module.z.div_f(i), module.z.div_e(i)))
+    rhs = [[] for _ in range(module.dim)]
     for k in range(li):
         mid = module.kbinom_diag(i, -2 * k, li - k)
-        term = mat_mul(module.z.ffam[i][k],
-                       mat_mul(mid, module.z.efam[i][k], zero), zero)
-        rhs = mat_sum(rhs, term)
+        rhs = mat_sum(rhs, mat_mul(module.z.ffam[i][k], mat_mul(mid, module.z.efam[i][k])))
     if mat_eq(lhs, rhs):
         rep.ok(f"identity[vertex {i}]",
                f"sum over k < {li} matches the divided-power commutator exactly")
     else:
-        diff = mat_sub(lhs, rhs)
-        where = next((f"({r},{c})" for r in range(module.dim)
-                      for c in range(module.dim) if diff[r][c]), "?")
+        r, c = _first_entry(mat_sub(lhs, rhs))
         rep.fail(f"identity[vertex {i}]", "matrix mismatch",
-                 counterexample=f"first differing entry at {where}")
+                 counterexample=f"first differing entry at ({r},{c})")
     return rep
 
 
 def factorization_reconstruct(module: WeightModule, sc: bool = False) -> DualGroupRep:
     """Rebuild the dual-group representation from a module with trivial
     small-quantum-group action."""
-    view = restrict_to_small(module, sc=sc)
     inv = small_invariants(module, sc=sc)
     if inv.dim != module.dim:
         raise ValueError("small quantum group does not act trivially")
@@ -407,12 +376,10 @@ class HeckeStructure:
 def _underline_tensor(V: DualGroupRep, M: WeightModule) -> WeightModule:
     """V_underline (x) M: dim V copies of M, basis ordered like the kron."""
     params = M.params
-    f = params.field
-    zero = f.zero
-    idv = identity(V.dim, f.one, zero)
+    idv = identity(V.dim, params.field.one)
     weights = [M.weights[j] for _ in range(V.dim) for j in range(M.dim)]
-    efam = [[kron(idv, m, zero) for m in fam] for fam in M.z.efam]
-    ffam = [[kron(idv, m, zero) for m in fam] for fam in M.z.ffam]
+    efam = [[kron(idv, m) for m in fam] for fam in M.z.efam]
+    ffam = [[kron(idv, m) for m in fam] for fam in M.z.ffam]
     return WeightModule(M.datum, params, weights, GenSet(efam, ffam), None,
                         name=f"underline({V.name})(x){M.name}")
 
@@ -429,7 +396,6 @@ def hom_small(src: WeightModule, tgt: WeightModule, sc=False):
 def hom_big(src: WeightModule, tgt: WeightModule):
     """Basis of big-quantum-group intertwiners (weight preserving)."""
     f = src.params.field
-    from .repcore import _generator_matrices
     return intertwiner_space(_generator_matrices(src), _generator_matrices(tgt),
                              f, src_blocks=src.weights, tgt_blocks=tgt.weights)
 
@@ -453,13 +419,12 @@ def build_hecke_structure(module: WeightModule, reps, sc=False) -> tuple:
     morphism space, and the tensor-compatibility composite.
     """
     rep_report = Report(f"hecke[{module.name}]")
-    f = module.params.field
-    zero = f.zero
+    one = module.params.field.one
     alphas = []
     for V in reps:
         src = tensor_product(frobenius_pullback(V), module)
         tgt = _underline_tensor(V, module)
-        cand = identity(src.dim, f.one, zero)
+        cand = identity(src.dim, one)
         space = hom_small(src, tgt, sc=sc)
         rep_report.ok(f"hom-space[{V.name}]",
                       f"dim Hom_small = {len(space)}")
@@ -475,20 +440,20 @@ def build_hecke_structure(module: WeightModule, reps, sc=False) -> tuple:
     triv = [V for V in reps if V.dim == 1 and all(not x for w in V.weights for x in w)]
     for V in triv:
         idx = reps.index(V)
-        if mat_eq(alphas[idx], identity(module.dim, f.one, zero)):
+        if mat_eq(alphas[idx], identity(module.dim, one)):
             rep_report.ok("unit-axiom", "alpha_C is the identity")
         else:
             rep_report.fail("unit-axiom", "alpha_C differs from the identity",
                             counterexample=V.name)
 
     # naturality squares for a basis of each dual-group morphism space
+    idm = identity(module.dim, one)
     for a, Va in enumerate(reps):
         for b, Vb in enumerate(reps):
             homs = hom_dual_group(Va, Vb)
             for k, u in enumerate(homs):
-                idm = identity(module.dim, f.one, zero)
-                left = mat_mul(kron(u, idm, zero), alphas[a], zero)
-                right = mat_mul(alphas[b], kron(u, idm, zero), zero)
+                left = mat_mul(kron(u, idm), alphas[a])
+                right = mat_mul(alphas[b], kron(u, idm))
                 name = f"naturality[{Va.name}->{Vb.name}#{k}]"
                 if mat_eq(left, right):
                     rep_report.ok(name)
@@ -512,31 +477,21 @@ def build_hecke_structure(module: WeightModule, reps, sc=False) -> tuple:
 def _is_small_intertwiner(X, src, tgt, sc):
     vs = restrict_to_small(src, sc=sc)
     vt = restrict_to_small(tgt, sc=sc)
-    if not intertwines(X, vs.gens(), vt.gens(), src.params.field):
+    if not intertwines(X, vs.gens(), vt.gens()):
         return False
-    for t in range(tgt.dim):
-        for s in range(src.dim):
-            if X[t][s] and vs.classes[s] != vt.classes[t]:
-                return False
-    return True
+    return all(vs.classes[s] == vt.classes[t] for s, col in enumerate(X) for t, _ in col)
 
 
 def _swap_matrix(n1, n2, field):
-    """Permutation matrix for V1 (x) V2 -> V2 (x) V1 on kron-ordered bases."""
-    zero, one = field.zero, field.one
-    n = n1 * n2
-    out = zeros(n, n, zero)
-    for i in range(n1):
-        for j in range(n2):
-            out[j * n1 + i][i * n2 + j] = one
-    return out
+    """Permutation matrix for V1 (x) V2 -> V2 (x) V1 on kron-ordered bases:
+    column i*n2 + j has its one at row j*n1 + i."""
+    return [[(j * n1 + i, field.one)] for i in range(n1) for j in range(n2)]
 
 
 def _tensor_compat(module, V1, V2, a1, a2, sc):
     """The displayed composite through alpha_{V1 (x) V2} equals the one-leg-at-
     a-time composite ending in V2_underline (x) V1_underline (x) M."""
     f = module.params.field
-    zero = f.zero
     V12 = rep_tensor(V1, V2)
     back = frobenius_pullback(V12)
     # Fr* is monoidal on the nose in this basis: check it, then use it
@@ -550,17 +505,16 @@ def _tensor_compat(module, V1, V2, a1, a2, sc):
     # alpha for V12: canonical identity candidate, verified directly
     src = tensor_product(back, module)
     tgt = _underline_tensor(V12, module)
-    alpha12 = identity(src.dim, f.one, zero)
+    alpha12 = identity(src.dim, f.one)
     if not _is_small_intertwiner(alpha12, src, tgt, sc):
         return False, "no canonical alpha for the tensor representation"
-    swap = kron(_swap_matrix(V1.dim, V2.dim, f),
-                identity(module.dim, f.one, zero), zero)
-    lhs = mat_mul(swap, alpha12, zero)
+    swap = kron(_swap_matrix(V1.dim, V2.dim, f), identity(module.dim, f.one))
+    lhs = mat_mul(swap, alpha12)
     # right-hand composite: id (x) alpha_2, the same swap of the first two
     # factors, id (x) alpha_1
-    step1 = kron(identity(V1.dim, f.one, zero), a2, zero)
-    step3 = kron(identity(V2.dim, f.one, zero), a1, zero)
-    rhs = mat_mul(step3, mat_mul(swap, step1, zero), zero)
+    step1 = kron(identity(V1.dim, f.one), a2)
+    step3 = kron(identity(V2.dim, f.one), a1)
+    rhs = mat_mul(step3, mat_mul(swap, step1))
     if mat_eq(lhs, rhs):
         return True, "composite identities agree as matrices"
     return False, "tensor-compatibility composites disagree"
@@ -578,22 +532,13 @@ class DualTorusPoint:
         self.power = power
 
     def matrix(self, V: DualGroupRep):
-        f = V.params.field
-        diag = []
-        for b in range(V.dim):
-            expo = V.h_pairing(0, b) * self.power
-            diag.append(self.value ** expo)
-        return [[diag[i] if i == j else f.zero for j in range(V.dim)]
-                for i in range(V.dim)]
+        return _diag([self.value ** (V.h_pairing(0, b) * self.power) for b in range(V.dim)])
 
 
 def twist_hecke(h: HeckeStructure, point) -> HeckeStructure:
     """Compose every alpha_V with the point acting on the multiplicity space."""
-    f = h.module.params.field
-    zero = f.zero
+    idm = identity(h.module.dim, h.module.params.field.one)
     new_alphas = []
     for V, alpha in zip(h.reps, h.alphas):
-        g = point.matrix(V)
-        gm = kron(g, identity(h.module.dim, f.one, zero), zero)
-        new_alphas.append(mat_mul(gm, alpha, zero))
+        new_alphas.append(mat_mul(kron(point.matrix(V), idm), alpha))
     return HeckeStructure(h.module, h.reps, new_alphas, sc=h.sc)

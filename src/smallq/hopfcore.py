@@ -3,7 +3,10 @@
 Everything is a structure tensor over an exact cyclotomic field: coalgebras
 carry a comultiplication tensor and counit, Hopf algebras add multiplication,
 unit and antipode, comodules carry their coaction matrices.  All axioms are
-asserted at construction time as exact identities.
+asserted at construction time as exact identities.  Coaction and action
+matrices, group-module matrices and the maps between carriers are sparse
+columns (see ``linalg``); the structure maps ``iota``, ``pi``, ``ract`` and
+``antipode`` of a triple or Hopf algebra are dense lists of rows.
 
 The engine realizes the induction functor Ind(M) = (A (x) M)^a as an exact
 cotensor nullspace, the de-equivariantization Psi(N) = C (x)_O N as an exact
@@ -41,13 +44,12 @@ from .linalg import (
     nullspace,
     rank,
     restrict,
-    sparse_columns,
     sparse_nullspace,
     spin,
     transpose,
     zeros,
 )
-from .linalg import _apply
+from .linalg import _apply, _canon, _dense
 from .report import Report
 from .scalars import CycloField
 
@@ -245,7 +247,7 @@ class CoalgebraFD:
         f = self.field
         # coassociativity and the left counit law: C coacting on itself
         # through Delta is a comodule
-        regular = [sparse_columns(R) for R in coaction_matrices(self.delta, self.dim, f)]
+        regular = coaction_matrices(self.delta, self.dim)
         _check_module(regular, _dual_mult(self), list(enumerate(self.eps)), f.one,
                       f"{self.name}: comultiplication not coassociative",
                       f"{self.name}: counit law fails")
@@ -269,12 +271,12 @@ def _strip(d):
 def _check_module(cols, mult, unit, one, product_msg, unit_msg):
     """Raise StructureError unless the matrices M_k are a module over an algebra.
 
-    The M_k are given by their sparse columns, the algebra by its structure
-    constants ``mult`` = {(i, j): {k: c_ij^k}} and the (k, u_k) pairs of its
-    unit.  The laws are M_i M_j = sum_k c_ij^k M_k for every pair (i, j), a
-    pair missing from ``mult`` included, and sum_k u_k M_k = I.  They are
-    checked on nonzero entries, one column x at a time for every pair at
-    once; the column r of the M_i stacked is listed once.
+    The algebra is given by its structure constants
+    ``mult`` = {(i, j): {k: c_ij^k}} and the (k, u_k) pairs of its unit.  The
+    laws are M_i M_j = sum_k c_ij^k M_k for every pair (i, j), a pair missing
+    from ``mult`` included, and sum_k u_k M_k = I.  They are checked on
+    nonzero entries, one column x at a time for every pair at once; the
+    column r of the M_i stacked is listed once.
     """
     n = len(cols[0])
     for x in range(n):
@@ -318,7 +320,7 @@ class HopfAlgebraFD(CoalgebraFD):
         super().__init__(field, delta, eps, name=name)
         self.mult = mult            # {(i, j): {k: c}}
         self.unit = unit            # {k: c}
-        self.antipode = antipode    # matrix
+        self.antipode = antipode    # dense matrix
         self._validate_hopf()
 
     def product_vec(self, x, y):
@@ -336,20 +338,15 @@ class HopfAlgebraFD(CoalgebraFD):
 
     def left_mult_matrix(self, x):
         """Matrix of left multiplication by the coefficient dict x."""
-        f = self.field
-        out = zeros(self.dim, self.dim, f.zero)
-        for j in range(self.dim):
-            prod = self.product_vec(x, {j: f.one})
-            for k, c in prod.items():
-                out[k][j] = c
-        return out
+        one = self.field.one
+        return [_canon(self.product_vec(x, {j: one})) for j in range(self.dim)]
 
     def _validate_hopf(self):
         f = self.field
         one = self.unit
         # associativity and the left unit law: the algebra acting on itself
         # by left product is a module
-        left = [sparse_columns(self.left_mult_matrix({i: f.one})) for i in range(self.dim)]
+        left = [self.left_mult_matrix({i: f.one}) for i in range(self.dim)]
         _check_module(left, self.mult, one.items(), f.one,
                       f"{self.name}: multiplication not associative",
                       f"{self.name}: unit law fails")
@@ -407,8 +404,8 @@ class HopfAlgebraFD(CoalgebraFD):
 class ComoduleFD:
     """Left comodule over a coalgebra C, stored as its coaction matrices.
 
-    mats[c][y][x] is the coefficient of c (x) y in rho(x): one matrix R_c
-    per basis element c of C.  A C-comodule is a module over the dual
+    One matrix R_c per basis element c of C, as its sparse columns: entry
+    (y, x) of R_c is the coefficient of c (x) y in rho(x).  A C-comodule is a module over the dual
     algebra C* through these matrices, and the engine works with comodules
     in this form throughout: the comodule maps M1 -> M2 are the X with
     X R1_c = R2_c X, and a coaction restricts to a subspace or descends to a
@@ -420,43 +417,34 @@ class ComoduleFD:
         self.mats = mats
         self.dim = len(mats[0])
         self.name = name or f"comod(dim={self.dim})"
-        self._cols = None
         self._validate()
-
-    def _columns(self):
-        """The coaction matrices as sparse columns, built on first use."""
-        if self._cols is None:
-            self._cols = [sparse_columns(R) for R in self.mats]
-        return self._cols
 
     def _validate(self):
         C = self.coalg
-        _check_module(self._columns(), _dual_mult(C), list(enumerate(C.eps)), C.field.one,
+        _check_module(self.mats, _dual_mult(C), list(enumerate(C.eps)), C.field.one,
                       f"{self.name}: coaction not coassociative",
                       f"{self.name}: coaction counit law fails")
 
 
-def coaction_matrices(rho, cdim, field):
+def coaction_matrices(rho, cdim):
     """The coaction matrices of a coaction given term by term.
 
     rho[x] = {(c, y): v} means rho(x) = sum v c (x) y; the result has one
-    matrix per coalgebra basis element c, R_c[y][x] = v.  This turns a
-    literal comultiplication or coaction into the form ``ComoduleFD``
-    stores.
+    matrix per coalgebra basis element c, with v at entry (y, x) of R_c.
+    This turns a literal comultiplication or coaction into the form
+    ``ComoduleFD`` stores.
     """
-    n = len(rho)
-    mats = [zeros(n, n, field.zero) for _ in range(cdim)]
+    cols = [[{} for _ in rho] for _ in range(cdim)]
     for x, coact in enumerate(rho):
         for (c, y), v in coact.items():
-            mats[c][y][x] = v
-    return mats
+            cols[c][x][y] = v
+    return [[_canon(col) for col in R] for R in cols]
 
 
-def _pushforward(mat, cols, n, field):
-    """The coaction matrices of (mat (x) id) rho, from those of rho given by
-    their sparse columns: sum_j mat[c][j] R_j for each row c of mat."""
-    return [combine(((j, x) for j, x in enumerate(row) if x), cols, n, field.zero)
-            for row in mat]
+def _pushforward(mat, mats):
+    """The coaction matrices of (mat (x) id) rho from those of rho:
+    sum_j mat[c][j] R_j for each row c of the dense matrix mat."""
+    return [combine(((j, x) for j, x in enumerate(row) if x), mats) for row in mat]
 
 
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
@@ -464,8 +452,9 @@ def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
     return intertwiner_space(M1.mats, M2.mats, M1.coalg.field)
 
 
-def find_iso(homs, field):
-    """An invertible element of the basis ``homs`` of a Hom space, or None.
+def find_iso(homs, m, field):
+    """An invertible element of the basis ``homs`` of a Hom space into an
+    object of dimension m, or None.
 
     A matrix returned is a certificate of "isomorphic" whatever the objects.
     None is certified when the source is simple: by Schur's lemma every
@@ -473,7 +462,7 @@ def find_iso(homs, field):
     invertible exactly when source and target are isomorphic.
     """
     for X in homs:
-        if X and inverse(X, field) is not None:
+        if inverse(X, m, field) is not None:
             return X
     return None
 
@@ -509,9 +498,9 @@ class TripleFD:
         self.O = O
         self.A = A
         self.a = a
-        self.iota = iota            # dim A x dim O matrix
-        self.pi = pi                # dim a x dim A matrix
-        self.ract = ract            # list over A-basis of dim a x dim a matrices
+        self.iota = iota            # dim A x dim O dense matrix
+        self.pi = pi                # dim a x dim A dense matrix
+        self.ract = ract            # list over A-basis of dim a x dim a dense matrices
         self.name = name or "triple"
         self.field = A.field
         self._induced = {}          # coaction value -> Ind object; see ``induce``
@@ -642,7 +631,7 @@ def degenerate_triple_aac(A: HopfAlgebraFD) -> TripleFD:
     """The triple (O, A, a) = (A, A, C) with pi the counit collapse."""
     f = A.field
     one_coalg = CoalgebraFD(f, [{(0, 0): f.one}], [f.one], name="C")
-    iota = identity(A.dim, f.one, f.zero)
+    iota = _unit_rows(A.dim, f)
     pi = [[A.eps[j] for j in range(A.dim)]]
     ract = []
     for g in range(A.dim):
@@ -666,8 +655,7 @@ def degenerate_triple_all_equal(A: HopfAlgebraFD) -> TripleFD:
     augmentation ideal is nontrivial."""
     f = A.field
     a = CoalgebraFD(f, A.delta, A.eps, name="a=A")
-    iota = identity(A.dim, f.one, f.zero)
-    pi = identity(A.dim, f.one, f.zero)
+    iota = pi = _unit_rows(A.dim, f)
     # right action x . y = x * y
     ract = []
     for g in range(A.dim):
@@ -680,35 +668,37 @@ def degenerate_triple_all_equal(A: HopfAlgebraFD) -> TripleFD:
     return TripleFD(A, A, a, iota, pi, ract, name="(A,A,A)", validate=True)
 
 
+def _unit_rows(n, field):
+    """The n x n identity as a dense matrix, for a structure map."""
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # comodules over A and a derived from the triple
 # ---------------------------------------------------------------------------
 
 def a_right_comodule_of_A(T: TripleFD):
-    """A as a right a-comodule through (id (x) pi) Delta: one matrix per
-    basis element c of a, S_c[y][x] = coefficient of y (x) c in the coaction
-    of x, given by its sparse columns."""
-    f = T.field
-    # P_z[y][x] = coefficient of y (x) z in Delta(x)
+    """A as a right a-comodule through (id (x) pi) Delta: one matrix S_c per
+    basis element c of a, with entry (y, x) the coefficient of y (x) c in
+    the coaction of x."""
+    # entry (y, x) of P_z: the coefficient of y (x) z in Delta(x)
     flipped = [{(z, y): v for (y, z), v in d.items()} for d in T.A.delta]
-    cols = [sparse_columns(P) for P in coaction_matrices(flipped, T.A.dim, f)]
-    return [sparse_columns(S) for S in _pushforward(T.pi, cols, T.A.dim, f)]
+    return _pushforward(T.pi, coaction_matrices(flipped, T.A.dim))
 
 
 def res_a_comodule(T: TripleFD, M: ComoduleFD, name="") -> ComoduleFD:
     """Restriction of an A-comodule to a: (pi (x) id) rho."""
-    return ComoduleFD(T.a, _pushforward(T.pi, M._columns(), M.dim, T.field),
-                      name=name or f"Res({M.name})")
+    return ComoduleFD(T.a, _pushforward(T.pi, M.mats), name=name or f"Res({M.name})")
 
 
 def trivial_a_comodule(T: TripleFD) -> ComoduleFD:
     rho = [{(c, 0): v for c, v in T.group_like().items()}]
-    return ComoduleFD(T.a, coaction_matrices(rho, T.a.dim, T.field), name="C_a")
+    return ComoduleFD(T.a, coaction_matrices(rho, T.a.dim), name="C_a")
 
 
 def regular_a_comodule(T: TripleFD) -> ComoduleFD:
     """a coacting on itself through its comultiplication."""
-    return ComoduleFD(T.a, coaction_matrices(T.a.delta, T.a.dim, T.field), name="a")
+    return ComoduleFD(T.a, coaction_matrices(T.a.delta, T.a.dim), name="a")
 
 
 class TripleObject:
@@ -725,28 +715,21 @@ class TripleObject:
         self.comodule = comodule
         self.dim = comodule.dim
         self.name = name or f"object(dim={self.dim})"
-        self._cols = None
         if validate:
             self._validate()
 
-    def _columns(self):
-        """The O-action matrices as sparse columns, built on first use."""
-        if self._cols is None:
-            self._cols = [sparse_columns(m) for m in self.act]
-        return self._cols
-
     def act_sum(self, terms):
-        """sum_k c_k act[k] over the (k, c_k) terms, from sparse columns."""
-        return combine(terms, self._columns(), self.dim, self.T.field.zero)
+        """sum_k c_k act[k] over the (k, c_k) terms."""
+        return combine(terms, self.act)
 
     def _validate(self):
         T = self.T
         O = T.O
-        _check_module(self._columns(), O.mult, O.unit.items(), T.field.one,
+        _check_module(self.act, O.mult, O.unit.items(), T.field.one,
                       f"{self.name}: action not associative",
                       f"{self.name}: unit does not act as identity")
         # compatibility: co-ac(f . m) = Delta(f) . co-ac(m)
-        if not _respects_action(self._columns(), self.comodule._columns(), O, T.A, T.iota):
+        if not _respects_action(self.act, self.comodule.mats, O, T.A, T.iota):
             raise StructureError(f"{self.name}: action/coaction compatibility fails")
 
 
@@ -755,9 +738,9 @@ def _respects_action(act, coact, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
     carrier basis vector m.
 
     ``act`` is an O-action on the carrier and ``coact`` a coaction over C,
-    both as the sparse columns of their matrices; O acts on C by left
-    product through the matrix ``embed``, so Delta(f) = sum f1 (x) f2 acts
-    on C (x) carrier as embed(f1) (x) f2.
+    both as their matrices; O acts on C by left product through the dense
+    matrix ``embed``, so Delta(f) = sum f1 (x) f2 acts on C (x) carrier as
+    embed(f1) (x) f2.
     """
     one = O.field.one
     n = len(act[0])
@@ -797,7 +780,7 @@ def object_O(T: TripleFD) -> TripleObject:
 def object_A(T: TripleFD) -> TripleObject:
     f = T.field
     act = [T.A.left_mult_matrix(T.iota_vec({i: f.one})) for i in range(T.O.dim)]
-    regular = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim, f), name="A")
+    regular = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
     return TripleObject(T, act, regular, name="A")
 
 
@@ -809,10 +792,10 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
     """
     f = T.field
     O = T.O
-    ident = identity(N.dim, f.one, f.zero)
-    act = [kron(O.left_mult_matrix({i: f.one}), ident, f.zero) for i in range(O.dim)]
-    regular = [sparse_columns(R) for R in coaction_matrices(O.delta, O.dim, f)]
-    coact_O = ComoduleFD(T.A, _pushforward(T.iota, regular, O.dim, f), name="O")
+    ident = identity(N.dim, f.one)
+    act = [kron(O.left_mult_matrix({i: f.one}), ident) for i in range(O.dim)]
+    coact_O = ComoduleFD(T.A, _pushforward(T.iota, coaction_matrices(O.delta, O.dim)),
+                         name="O")
     return TripleObject(T, act, comodule_tensor(coact_O, N, T.A),
                         name=name or f"O(x){N.name}")
 
@@ -825,9 +808,9 @@ def cotensor(right, left, field):
     """Kernel of rho_r (x) id - id (x) rho_l inside the tensor product.
 
     ``right`` and ``left`` are the coaction matrices of a right and a left
-    comodule over one coalgebra, as sparse columns: S_c[y][x] is the
-    coefficient of y (x) c in rho_r(x), R_c[z][w] that of c (x) z in
-    rho_l(w).  Returns basis vectors over the flattened index x * dim_l + w.
+    comodule over one coalgebra: entry (y, x) of S_c is the coefficient of
+    y (x) c in rho_r(x), entry (z, w) of R_c that of c (x) z in rho_l(w).
+    Returns basis vectors over the flattened index x * dim_l + w.
     """
     dim_r, dim_l = len(right[0]), len(left[0])
     eqs = {}
@@ -855,7 +838,7 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     ``induced_from``.  Callers must not mutate what ``induce`` returns.
     """
     name = name or f"Ind({M.name})"
-    key = (M.dim, tuple(tuple(map(tuple, R)) for R in M._columns()))
+    key = (M.dim, tuple(tuple(map(tuple, R)) for R in M.mats))
     built = T._induced.get(key)
     if built is None:
         obj = T._induced[key] = _build_induced(T, M, name)
@@ -876,14 +859,13 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     """
     f = T.field
     m = M.dim
-    basis = cotensor(a_right_comodule_of_A(T), M._columns(), f)
+    basis = cotensor(a_right_comodule_of_A(T), M.mats, f)
 
     def lift(mat):
-        """The sparse columns of mat (x) I_M."""
-        return [[(r * m + x, a) for r, a in col] for col in sparse_columns(mat)
-                for x in range(m)]
+        """mat (x) I_M."""
+        return [[(r * m + x, a) for r, a in col] for col in mat for x in range(m)]
 
-    coact = [lift(R) for R in coaction_matrices(T.A.delta, T.A.dim, f)]
+    coact = [lift(R) for R in coaction_matrices(T.A.delta, T.A.dim)]
     act = [lift(T.A.left_mult_matrix(T.iota_vec({i: f.one}))) for i in range(T.O.dim)]
     mats = restrict(coact + act, basis, f)
     if mats is None:
@@ -904,10 +886,11 @@ def augmentation_quotient(T: TripleFD, act) -> Quotient:
     m.N is spanned by the augmentation vectors act[i] e_x - eps_i e_x.
     """
     n = len(act[0])
+    zero = T.field.zero
     vecs = []
     for i, eps_i in enumerate(T.O.eps):
         for x in range(n):
-            vec = [act[i][r][x] for r in range(n)]
+            vec = _dense(act[i][x], n, zero)
             vec[x] = vec[x] - eps_i
             if any(vec):
                 vecs.append(vec)
@@ -922,10 +905,8 @@ def psi(T: TripleFD, N: TripleObject, name=""):
     must map m.N into itself, and descends to the quotient.  Returns
     (a-comodule Q, the ``Quotient`` N -> Q).
     """
-    f = T.field
     quot = augmentation_quotient(T, N.act)
-    mats = [quot.induced(sparse_columns(S)) for S in
-            _pushforward(T.pi, N.comodule._columns(), N.dim, f)]
+    mats = [quot.induced(S) for S in _pushforward(T.pi, N.comodule.mats)]
     if any(m is None for m in mats):
         raise StructureError("a-coaction does not descend to Psi: compatibility bug")
     Q = ComoduleFD(T.a, mats, name=name or f"Psi({N.name})")
@@ -942,31 +923,26 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     Q, quot = psi(T, N)
     ind = induce(T, Q)
     span = Span(ind.carrier_basis, f)
-    mat = zeros(ind.dim, N.dim, f.zero)
-    coact = N.comodule._columns()
+    # column x: the image of e_x, (id (x) projection) rho(e_x), in
+    # coordinates on the carrier basis of Ind(Psi(N))
+    mat = []
     for x in range(N.dim):
-        img = [f.zero] * (T.A.dim * Q.dim)
-        for aa, R in enumerate(coact):
-            for y, v in R[x]:
-                for r in range(Q.dim):
-                    pv = quot.proj[r][y]
-                    if pv:
-                        img[aa * Q.dim + r] = img[aa * Q.dim + r] + v * pv
+        img = [(aa * Q.dim + r, w) for aa, R in enumerate(N.comodule.mats)
+               for r, w in quot.project(R[x])]
         coords = span.coords(img)
         if coords is None:
             rep.fail("lands-in-cotensor", "unit image leaves the subspace",
                      counterexample=f"basis vector {x}")
-            return mat, ind, rep
-        for s, c in enumerate(coords):
-            mat[s][x] = c
+            return mat + [[] for _ in range(N.dim - x)], ind, rep
+        mat.append(coords)
     rep.ok("lands-in-cotensor")
     # O-equivariance and A-colinearity
-    if intertwines(mat, N.act, ind.act, f):
+    if intertwines(mat, N.act, ind.act):
         rep.ok("O-equivariant")
     else:
         rep.fail("O-equivariant", "unit does not intertwine the O-action",
                  counterexample=N.name)
-    if intertwines(mat, N.comodule.mats, ind.comodule.mats, f):
+    if intertwines(mat, N.comodule.mats, ind.comodule.mats):
         rep.ok("A-colinear")
     else:
         rep.fail("A-colinear", "unit does not intertwine the A-coaction",
@@ -976,16 +952,17 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
 
 def counit_on_carrier(T: TripleFD, ind: TripleObject):
     """eps_A (x) id on the carrier of ind = Ind(M), as a dim M x dim ind matrix."""
-    f = T.field
     m = ind.induced_from.dim
-    out = zeros(m, ind.dim, f.zero)
-    for s, vec in enumerate(ind.carrier_basis):
+    out = []
+    for vec in ind.carrier_basis:
+        col = {}
         for idx, v in enumerate(vec):
             if v:
                 aa, x = divmod(idx, m)
                 e = T.A.eps[aa]
                 if e:
-                    out[x][s] = out[x][s] + e * v
+                    col[x] = col[x] + e * v if x in col else e * v
+        out.append(_canon(col))
     return out
 
 
@@ -995,20 +972,20 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     Returns (matrix, Psi(Ind(M)) comodule, Report).
     """
     rep = Report(f"counit[{M.name}]")
-    f = T.field
     ind = induce(T, M)
     Q2, quot = psi(T, ind)
     c_on_s = counit_on_carrier(T, ind)
     # must kill m.Ind(M), whose reduced basis psi has built; it then factors
     # through the free coordinates of the quotient
-    if not mat_is_zero(mat_mul(c_on_s, transpose(quot.sub.sorted_rows()), f.zero)):
+    sub = [[(j, a) for j, a in enumerate(row) if a] for row in quot.sub.sorted_rows()]
+    if not mat_is_zero(mat_mul(c_on_s, sub)):
         rep.fail("descends", "counit does not kill the augmentation part",
                  counterexample=M.name)
         return None, Q2, rep
     rep.ok("descends")
-    mat = [[c_on_s[y][fc] for fc in quot.free] for y in range(M.dim)]
+    mat = [c_on_s[fc] for fc in quot.free]
     # a-colinearity
-    if intertwines(mat, Q2.mats, M.mats, f):
+    if intertwines(mat, Q2.mats, M.mats):
         rep.ok("a-colinear")
     else:
         rep.fail("a-colinear", "counit is not a comodule map",
@@ -1110,9 +1087,8 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
 
 def _fixed_vectors(cols, values, field):
-    """Basis of the vectors v with M_k v = values[k] v for every k, the
-    matrices M_k given by their sparse columns.  One sparse equation per
-    (k, row)."""
+    """Basis of the vectors v with M_k v = values[k] v for every k.  One
+    sparse equation per (k, row)."""
     n = len(cols[0])
     eqs = {}
     for k, (M, s) in enumerate(zip(cols, values)):
@@ -1130,8 +1106,7 @@ def _freeness_witness(T: TripleFD):
     if T.A.dim % T.O.dim != 0:
         return None
     k = T.A.dim // T.O.dim
-    lms = [sparse_columns(T.A.left_mult_matrix(T.iota_vec({j: f.one})))
-           for j in range(T.O.dim)]
+    lms = [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]
 
     candidates = []
     if hasattr(T, "group"):
@@ -1162,8 +1137,7 @@ def _freeness_witness(T: TripleFD):
 
 
 def comodule_direct_sum(M1: ComoduleFD, M2: ComoduleFD) -> ComoduleFD:
-    zero = M1.coalg.field.zero
-    return ComoduleFD(M1.coalg, [block_diag(R1, R2, zero) for R1, R2 in zip(M1.mats, M2.mats)],
+    return ComoduleFD(M1.coalg, [block_diag(R1, R2) for R1, R2 in zip(M1.mats, M2.mats)],
                       name=f"{M1.name}(+){M2.name}")
 
 
@@ -1180,20 +1154,13 @@ class GroupModule:
         self.mats = mats
         self.dim = len(mats[0]) if mats else 0
         self.name = name
-        self._cols = None
-
-    def _columns(self):
-        """The matrices as sparse columns, built on first use."""
-        if self._cols is None:
-            self._cols = [sparse_columns(m) for m in self.mats]
-        return self._cols
 
     def spin(self, vec):
-        return spin(self._columns(), [vec], self.field).sorted_rows()
+        return spin(self.mats, [vec], self.field).sorted_rows()
 
     def submodule(self, rows, name=""):
         """The module on the span of ``rows``, an independent basis, in its coordinates."""
-        mats = restrict(self._columns(), rows, self.field)
+        mats = restrict(self.mats, rows, self.field)
         if mats is None:
             raise StructureError("not a submodule")
         return GroupModule(self.table, self.field, mats, name=name)
@@ -1206,14 +1173,8 @@ class GroupModule:
 
 
 def regular_module(table: GroupTable, field) -> GroupModule:
-    f = field
-    mats = []
-    for g in range(table.n):
-        m = zeros(table.n, table.n, f.zero)
-        for x in range(table.n):
-            m[table.mult[g][x]][x] = f.one
-        mats.append(m)
-    return GroupModule(table, f, mats, name="regular")
+    mats = [[[(table.mult[g][x], field.one)] for x in range(table.n)] for g in range(table.n)]
+    return GroupModule(table, field, mats, name="regular")
 
 
 def abelian_characters(table: GroupTable, field):
@@ -1274,19 +1235,17 @@ def group_simples(table: GroupTable, field):
     chars = abelian_characters(quot, f)
     simples = []
     for chi in chars:
-        mats = [[[chi[rep_of[g]]]] for g in range(table.n)]
+        mats = [[[(0, chi[rep_of[g]])]] for g in range(table.n)]
         simples.append(GroupModule(table, f, mats, name=f"chi{len(simples)}"))
     total = sum(s.dim ** 2 for s in simples)
     if total == table.n:
         return simples
     # complement of the one-dimensional isotypics inside the regular module
     inv = f.from_int(table.n).inverse()
-    reg_cols = reg._columns()
     proj_sum = combine(((g, chi[rep_of[table.inverse[g]]] * inv)
-                        for chi in chars for g in range(table.n)),
-                       reg_cols, table.n, f.zero)
+                        for chi in chars for g in range(table.n)), reg.mats)
     # kernel of the summed projector is the remaining isotypic part
-    comp = nullspace(proj_sum, f)
+    comp = sparse_nullspace(transpose(proj_sum, table.n), table.n, f)
     candidates = list(comp)
     # character projections along cyclic subgroups: a non-scalar finite-order
     # matrix has several eigenvalues, so projecting onto one of them cuts a
@@ -1303,7 +1262,7 @@ def group_simples(table: GroupTable, field):
                 for t in range(o):
                     phase = f.zeta((-(f.n // o) * j * t) % f.n)
                     v = [a + phase * x for a, x in zip(v, cur)]
-                    cur = _apply(reg_cols[g], cur, f.zero)
+                    cur = _apply(reg.mats[g], cur, f.zero)
                 if any(v):
                     candidates.append(v)
     rng = random.Random(11)
@@ -1368,10 +1327,8 @@ def _simples(T: TripleFD, side):
 
 def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
     """O-comodule (module over the quotient group) pushed to an A-comodule."""
-    f = T.field
     quot = T.quotient_group
-    cols = mod._columns()
-    mats = _pushforward(T.iota, [cols[quot.inverse[q]] for q in range(quot.n)], mod.dim, f)
+    mats = _pushforward(T.iota, [mod.mats[quot.inverse[q]] for q in range(quot.n)])
     return ComoduleFD(T.A, mats, name=f"F*({mod.name})")
 
 
@@ -1381,11 +1338,10 @@ def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> Comodul
     Its coaction matrix at b sums c R1_a1 (x) R2_a2 over the products
     a1 a2 whose coefficient at b is c.
     """
-    f = A.field
     n = M1.dim * M2.dim
-    mats = [zeros(n, n, f.zero) for _ in range(A.dim)]
+    mats = [[[] for _ in range(n)] for _ in range(A.dim)]
     for (a1, a2), prod in A.mult.items():
-        K = kron(M1.mats[a1], M2.mats[a2], f.zero)
+        K = kron(M1.mats[a1], M2.mats[a2])
         for b, c in prod.items():
             mats[b] = mat_sum(mats[b], mat_scale(K, c))
     return ComoduleFD(A, mats, name=f"{M1.name}(x){M2.name}")
@@ -1393,7 +1349,7 @@ def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> Comodul
 
 def trivial_A_comodule(T: TripleFD) -> ComoduleFD:
     rho = [{(k, 0): v for k, v in T.A.unit.items()}]
-    return ComoduleFD(T.A, coaction_matrices(rho, T.A.dim, T.field), name="C_A")
+    return ComoduleFD(T.A, coaction_matrices(rho, T.A.dim), name="C_A")
 
 
 # ---------------------------------------------------------------------------
@@ -1419,7 +1375,7 @@ def verify_equivalence(T: TripleFD, catalogs=None) -> Report:
     for N in cat:
         mat, ind, urep = adjunction_unit(T, N)
         rep.extend(urep, prefix=f"unit[{N.name}]/")
-        if ind.dim == N.dim and inverse(mat, f) is not None:
+        if inverse(mat, ind.dim, f) is not None:
             rep.ok(f"unit-bijective[{N.name}]")
         else:
             rep.fail(f"unit-bijective[{N.name}]",
@@ -1428,7 +1384,7 @@ def verify_equivalence(T: TripleFD, catalogs=None) -> Report:
     for M in a_cat:
         mat, Q2, crep = adjunction_counit(T, M)
         rep.extend(crep, prefix=f"counit[{M.name}]/")
-        if mat is not None and Q2.dim == M.dim and inverse(mat, f) is not None:
+        if mat is not None and inverse(mat, M.dim, f) is not None:
             rep.ok(f"counit-bijective[{M.name}]")
         else:
             rep.fail(f"counit-bijective[{M.name}]",
@@ -1535,13 +1491,12 @@ class EquivariantObject:
         f = T.field
         O = T.O
         # Hopf-module law: rho_o(f.n) = Delta(f) . rho_o(n)
-        if not _respects_action(self.N._columns(), self.gamma._columns(), O, O,
-                                identity(O.dim, f.one, f.zero)):
+        if not _respects_action(self.N.act, self.gamma.mats, O, O, _unit_rows(O.dim, f)):
             raise StructureError(f"{self.name}: Hopf-module law fails")
         # commuting coactions: every coaction matrix of O commutes with every
         # one of A
         RA = self.N.comodule.mats
-        if not all(intertwines(R, RA, RA, f) for R in self.gamma.mats):
+        if not all(intertwines(R, RA, RA) for R in self.gamma.mats):
             raise StructureError(f"{self.name}: coactions do not commute")
 
 
@@ -1552,11 +1507,10 @@ def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
     is Delta_O on the first factor.
     """
     N = object_O_tensor(T, P, name=f"O(x){P.name}")
-    f = T.field
-    ident = identity(P.dim, f.one, f.zero)
+    ident = identity(P.dim, T.field.one)
     name = f"equiv({P.name})"
-    gamma = ComoduleFD(T.O, [kron(R, ident, f.zero) for R in
-                             coaction_matrices(T.O.delta, T.O.dim, f)], name=name)
+    gamma = ComoduleFD(T.O, [kron(R, ident) for R in coaction_matrices(T.O.delta, T.O.dim)],
+                       name=name)
     return EquivariantObject(N, gamma, name=name)
 
 
@@ -1566,10 +1520,9 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     f = T.field
     N = E.N
     # x is coinvariant when rho_o(x) = 1 (x) x, that is R_o x = 1_o x
-    basis = _fixed_vectors(E.gamma._columns(),
-                           [T.O.unit.get(o, f.zero) for o in range(T.O.dim)], f)
+    basis = _fixed_vectors(E.gamma.mats, [T.O.unit.get(o, f.zero) for o in range(T.O.dim)], f)
     # descended A-coaction on the coinvariants
-    mats = restrict(N.comodule._columns(), basis, f)
+    mats = restrict(N.comodule.mats, basis, f)
     if mats is None:
         raise StructureError(
             "A-coaction does not preserve the coinvariants: "
@@ -1599,7 +1552,8 @@ def verify_ideal_prop(T: TripleFD, a_catalog=None) -> Report:
         a_catalog = a_simples(T)
     for M in a_catalog:
         # Res(Ind(M)) -> M: counit of the plain adjunction
-        if rank(counit_on_carrier(T, induce(T, M)), f) == M.dim:
+        counit = counit_on_carrier(T, induce(T, M))
+        if rank([_dense(col, M.dim, f.zero) for col in counit], f) == M.dim:
             rep.ok(f"surjective[{M.name}]")
         else:
             rep.fail(f"surjective[{M.name}]", "Res(Ind(M)) -> M not surjective",

@@ -1,12 +1,23 @@
 """Exact linear algebra over the scalar tower.
 
-Matrices are plain lists of rows.  The generic helpers work for any scalar
-with +, -, * and truthiness (zero test); the elimination routines need a
-field (CycloElem) because they invert pivots.  The dense helpers skip zero
-entries, which matters a lot here: generator matrices are weight-graded and
-extremely sparse.  Products and Kronecker products list the nonzero entries
-of each row of B once and loop over those only; sums, differences and
-scalings do no scalar arithmetic where an entry is zero.
+A matrix is stored as its sparse columns: column c is the list of the
+(row, entry) pairs of its nonzero entries, in increasing row order, with no
+zero entry.  Every matrix that acts on a carrier or maps one carrier to
+another has this one form, and the matrix kernels below take and return it.
+In that form two matrices are equal exactly when their column lists are, so
+``mat_eq`` compares lists.  The number of rows is not stored: ``transpose``
+and ``inverse`` take it, and ``kron`` and ``block_diag`` read it from a
+square factor.  Kernels may share a column between their inputs and their
+output; nothing changes a column in place.
+
+Lists of vectors stay dense lists: span bases, equation rows and the rows a
+``RowBasis`` takes.  ``Span.coords`` and ``Quotient.project`` take a sparse
+vector, (index, entry) pairs with each index once, and return a sparse
+column.
+
+The kernels work for any scalar with +, -, * and truthiness (zero test) and
+no zero divisors, so a product of nonzero entries is never a zero entry; the
+elimination routines need a field (CycloElem) because they invert pivots.
 """
 
 from __future__ import annotations
@@ -16,132 +27,122 @@ def zeros(m, n, zero):
     return [[zero] * n for _ in range(m)]
 
 
-def identity(n, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _canon(acc):
+    """The sparse column of the {row: entry} map acc."""
+    return [(r, acc[r]) for r in sorted(acc) if acc[r]]
 
 
-def _row_nonzeros(A, zero):
-    """Each row of A as the list of (column, entry) pairs of its nonzero entries.
-
-    Entries that are the shared ``zero`` object are dropped by an identity
-    test; every other entry gets the scalar's own zero test.
-    """
-    return [[(j, a) for j, a in enumerate(row) if a is not zero and a] for row in A]
-
-
-def mat_mul(A, B, zero):
-    m = len(B[0]) if B else 0
-    Bnz = _row_nonzeros(B, zero)
-    C = []
-    for Ai in A:
-        Ci = [zero] * m
-        for t, a in enumerate(Ai):
-            if a is not zero and a:
-                for j, b in Bnz[t]:
-                    c = Ci[j]
-                    Ci[j] = c + a * b if c else a * b
-        C.append(Ci)
-    return C
+def _add_into(acc, col, c):
+    """acc += c * col for a {row: entry} map acc."""
+    for r, a in col:
+        a = c * a
+        v = acc.get(r)
+        acc[r] = a if v is None else v + a
 
 
-def mat_sub(A, B):
-    return [[(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
+def _dense(col, n, zero):
+    """The sparse column col as a dense vector of length n."""
+    out = [zero] * n
+    for r, a in col:
+        out[r] = a
+    return out
+
+
+def identity(n, one):
+    return [[(j, one)] for j in range(n)]
+
+
+def mat_mul(A, B):
+    """A B: column j is the sum of b A[t] over the entries (t, b) of B[j]."""
+    out = []
+    for col in B:
+        if len(col) == 1:
+            t, b = col[0]
+            out.append([(r, a * b) for r, a in A[t]])
+        else:
+            acc = {}
+            for t, b in col:
+                _add_into(acc, A[t], b)
+            out.append(_canon(acc))
+    return out
+
+
+def _col_sum(x, y):
+    if not y:
+        return x
+    if not x:
+        return y
+    acc = dict(x)
+    for r, b in y:
+        a = acc.get(r)
+        acc[r] = b if a is None else a + b
+    return _canon(acc)
 
 
 def mat_sum(A, B):
-    return [[(a + b if a else b) if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
+    return [_col_sum(x, y) for x, y in zip(A, B)]
+
+
+def mat_sub(A, B):
+    return [_col_sum(x, [(r, -b) for r, b in y]) for x, y in zip(A, B)]
 
 
 def mat_scale(A, s):
-    return [[s * a if a else a for a in row] for row in A]
+    if not s:
+        return [[] for _ in A]
+    return [[(r, s * a) for r, a in col] for col in A]
 
 
 def mat_eq(A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if a != b:
-                return False
-    return True
+    return A == B
 
 
 def mat_is_zero(A):
-    return all(not a for row in A for a in row)
+    return not any(A)
 
 
-def mat_pow(A, k, one, zero):
+def mat_pow(A, k, one):
     if k == 0:
-        return identity(len(A), one, zero)
-    out = [list(row) for row in A]
+        return identity(len(A), one)
+    out = [list(col) for col in A]
     for _ in range(k - 1):
-        out = mat_mul(out, A, zero)
+        out = mat_mul(out, A)
     return out
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
-def kron(A, B, zero):
-    nb = len(B[0]) if B else 0
-    n = (len(A[0]) if A else 0) * nb
-    Bnz = _row_nonzeros(B, zero)
-    C = []
-    for Ai in A:
-        block = [[zero] * n for _ in Bnz]
-        for j, a in enumerate(Ai):
-            if a is not zero and a:
-                base = j * nb
-                for Crow, nz in zip(block, Bnz):
-                    for l, b in nz:
-                        Crow[base + l] = a * b
-        C.extend(block)
-    return C
-
-
-def block_diag(A, B, zero):
-    """The square matrix with A and B on its diagonal and zeros elsewhere."""
-    n1, n2 = len(A), len(B)
-    out = zeros(n1 + n2, n1 + n2, zero)
-    for r in range(n1):
-        out[r][:n1] = A[r]
-    for r in range(n2):
-        out[n1 + r][n1:] = B[r]
+def transpose(A, m):
+    """The columns of the transpose of A, a matrix with m rows: A's rows."""
+    out = [[] for _ in range(m)]
+    for c, col in enumerate(A):
+        for r, a in col:
+            out[r].append((c, a))
     return out
 
 
-def mat_map(A, fn):
-    return [[fn(a) for a in row] for row in A]
+def kron(A, B):
+    """The Kronecker product, B square: entry (i, j) of A times B fills the
+    block of rows i*len(B).. and columns j*len(B).."""
+    mb = len(B)
+    return [[(i * mb + k, a * b) for i, a in x for k, b in y] for x in A for y in B]
 
 
-def sparse_columns(A):
-    """Column c of A as the list of (row, entry) pairs of its nonzero entries."""
-    cols = [[] for _ in range(len(A[0]) if A else 0)]
-    for r, row in enumerate(A):
-        for c, a in enumerate(row):
-            if a:
-                cols[c].append((r, a))
-    return cols
+def block_diag(A, B):
+    """The matrix with the square A and B on its diagonal and zeros elsewhere."""
+    n = len(A)
+    return A + [[(r + n, b) for r, b in col] for col in B]
 
 
-def combine(terms, cols, n, zero):
-    """sum_k c_k M_k over the (k, c_k) terms, the n x n M_k given by their
-    sparse columns; a dense result."""
-    out = [[zero] * n for _ in range(n)]
+def combine(terms, mats):
+    """sum_k c_k M_k over the (k, c_k) terms."""
+    acc = [{} for _ in mats[0]]
     for k, c in terms:
-        for s, col in enumerate(cols[k]):
-            for r, a in col:
-                out[r][s] = out[r][s] + c * a
-    return out
+        for d, col in zip(acc, mats[k]):
+            _add_into(d, col, c)
+    return [_canon(d) for d in acc]
 
 
 def _apply(cols, vec, zero):
-    """cols * vec for a square matrix given by its sparse columns."""
+    """cols * vec for a square matrix and a dense vector, dense."""
     out = [zero] * len(vec)
     for c, x in enumerate(vec):
         if x:
@@ -284,12 +285,12 @@ class RowBasis:
 class Span:
     """The span of linearly independent vectors, factored once for coordinates.
 
-    Precondition: the input vectors b_0..b_{k-1} are linearly independent;
-    dependent inputs raise ``ValueError``.  Each b_i enters one ``RowBasis``
-    elimination as ``b_i | e_i``.  A reduced row ``r | t`` then satisfies
-    r = sum_j t_j b_j, and a residual whose first nonzero entry lies in the
-    tail would be a dependency.  The reduced rows r are in reduced row-echelon
-    form: 1 at their own pivot, 0 at every other row's pivot.
+    Precondition: the input vectors b_0..b_{k-1}, dense, are linearly
+    independent; dependent inputs raise ``ValueError``.  Each b_i enters one
+    ``RowBasis`` elimination as ``b_i | e_i``.  A reduced row ``r | t`` then
+    satisfies r = sum_j t_j b_j, and a residual whose first nonzero entry lies
+    in the tail would be a dependency.  The reduced rows r are in reduced
+    row-echelon form: 1 at their own pivot, 0 at every other row's pivot.
 
     ``coords(v)`` reads the coefficient of each r straight from v at its
     pivot, subtracts those multiples at the off-pivot entries, and returns
@@ -297,7 +298,8 @@ class Span:
     sum_j (sum_i v[p_i] t_ij) b_j.  Since the b_j are independent these
     coordinates are the only ones, so they equal what any exact solver of
     B x = v returns, with B the matrix whose columns are the b_j.  No
-    elimination and no field inverse happen per target.
+    elimination and no field inverse happen per target, and since no row has
+    an entry at another row's pivot, only v's own entries at pivots are read.
     """
 
     def __init__(self, vectors, field):
@@ -313,67 +315,64 @@ class Span:
             rb.add(list(vec) + tail)
             if rb.pivots[-1] >= n:
                 raise ValueError("Span needs linearly independent vectors")
-        # per reduced row: (pivot, off-pivot (col, entry) pairs, combination)
-        # with the combination an input index when it is a unit vector
-        self._rows = []
+        # per pivot: the off-pivot (col, entry) pairs of its reduced row and
+        # its combination, an input index when that is a unit vector
+        self._rows = {}
         for p, row in rb._rows.items():
             off = [(c, a) for c, a in row.items() if c < n]
             comb = [(c - n, a) for c, a in row.items() if c >= n]
             if len(comb) == 1 and comb[0][1] == one:
                 comb = comb[0][0]
-            self._rows.append((p, off, comb))
+            self._rows[p] = (off, comb)
         self.dim = k
 
     def coords(self, vec):
-        """Coordinates of vec with respect to the input vectors, or None."""
-        zero = self.field.zero
-        res = list(vec)
-        out = [zero] * self.dim
-        for p, off, comb in self._rows:
-            c = vec[p]
+        """Coordinates of the sparse vector vec with respect to the input
+        vectors, as a sparse column, or None outside their span."""
+        res = dict(vec)
+        rows = self._rows
+        out = {}
+        for p in [p for p in res if p in rows]:
+            c = res.pop(p)
             if not c:
                 continue
-            res[p] = zero
+            off, comb = rows[p]
             for col, a in off:
-                res[col] = res[col] - c * a
+                v = res.get(col)
+                res[col] = -(c * a) if v is None else v - c * a
             if isinstance(comb, int):
-                out[comb] = out[comb] + c if out[comb] else c
+                v = out.get(comb)
+                out[comb] = c if v is None else v + c
             else:
-                for j, t in comb:
-                    out[j] = out[j] + c * t
-        if any(res):
+                _add_into(out, comb, c)
+        if any(res.values()):
             return None
-        return out
+        return _canon(out)
 
 
 def restrict(gens, basis, field):
     """Each generator on the span of ``basis``, in basis coordinates.
 
-    ``gens`` are square matrices given by their sparse columns; ``basis`` is
-    a list of linearly independent vectors b_0..b_{k-1}, the columns of a
-    matrix B.  Returns one k x k matrix Y per generator g with g B = B Y
+    ``gens`` are square matrices; ``basis`` is a list of linearly
+    independent dense vectors b_0..b_{k-1}, the columns of a matrix B.
+    Returns one k x k matrix Y per generator g with g B = B Y
     (g b_s = sum_r Y[r][s] b_r), or None when an image leaves the span.  One
     ``Span`` serves every generator, and each b_s's nonzero entries are
     listed once for all of them.
     """
     span = Span(basis, field)
-    zero = field.zero
-    k = len(basis)
-    n = len(basis[0]) if basis else 0
-    nonzeros = _row_nonzeros(basis, zero)
+    nonzeros = [[(c, x) for c, x in enumerate(b) if x] for b in basis]
     out = []
     for cols in gens:
-        Y = [[zero] * k for _ in range(k)]
-        for s, entries in enumerate(nonzeros):
-            img = [zero] * n
+        Y = []
+        for entries in nonzeros:
+            img = {}
             for c, x in entries:
-                for r, a in cols[c]:
-                    img[r] = img[r] + a * x
-            coords = span.coords(img)
-            if coords is None:
+                _add_into(img, cols[c], x)
+            y = span.coords(img.items())
+            if y is None:
                 return None
-            for r, y in enumerate(coords):
-                Y[r][s] = y
+            Y.append(y)
         out.append(Y)
     return out
 
@@ -439,12 +438,11 @@ def sparse_nullspace(equations, n, field):
 
 
 class Quotient:
-    """field^n modulo the span of some vectors, on the free columns.
+    """field^n modulo the span of some dense vectors, on the free columns.
 
     The vectors fill one RowBasis ``sub``.  The columns without a pivot
     (``free``) index a basis of the quotient: a vector reduced against
-    ``sub`` has its image in the free entries of the residual.  ``proj`` is
-    the projection as a len(free) x n matrix.
+    ``sub`` has its image in the free entries of the residual.
     """
 
     def __init__(self, vectors, n, field):
@@ -452,64 +450,57 @@ class Quotient:
         self.sub = RowBasis(field, vectors)
         self.free = [j for j in range(n) if j not in self.sub._rows]
         # the rows are reduced, so reducing vec subtracts vec[p] times each
-        # row with pivot p: per row, its pivot and its nonzero entries, all
-        # in free columns, by their position among the free columns
-        position = {j: k for k, j in enumerate(self.free)}
-        self._rows = [(p, [(position[j], a) for j, a in row.items()])
-                      for p, row in self.sub._rows.items()]
-        units = identity(n, field.one, field.zero)
-        self.proj = transpose([self.project(e) for e in units])
+        # row with pivot p: per pivot, the row's nonzero entries, all in free
+        # columns, by their position among the free columns
+        self._position = {j: k for k, j in enumerate(self.free)}
+        self._rows = {p: [(self._position[j], a) for j, a in row.items()]
+                      for p, row in self.sub._rows.items()}
 
     def project(self, vec):
-        """The image of vec in the quotient, in free-column coordinates."""
-        out = [vec[j] for j in self.free]
-        for p, entries in self._rows:
-            c = vec[p]
-            if c:
-                for k, a in entries:
-                    out[k] = out[k] - c * a
-        return out
+        """The image of the sparse vector vec in the quotient, in free-column
+        coordinates, as a sparse column."""
+        out = {}
+        for j, c in vec:
+            k = self._position.get(j)
+            if k is None:
+                _add_into(out, self._rows[j], -c)
+            else:
+                v = out.get(k)
+                out[k] = c if v is None else v + c
+        return _canon(out)
 
     def induced(self, cols):
-        """The endomorphism that a square matrix induces on the quotient.
-
-        ``cols`` are the matrix's sparse columns.  Returns the
-        len(free) x len(free) matrix whose column j is the image of the
-        matrix's column free[j], or None when the matrix does not map the
-        subspace into itself.
-        """
-        zero = self.field.zero
-        n = len(cols)
-        for row in self.sub.sorted_rows():
-            if any(self.project(_apply(cols, row, zero))):
+        """The endomorphism that a square matrix induces on the quotient:
+        column j is the image of the matrix's column free[j].  None when the
+        matrix does not map the subspace into itself."""
+        one = self.field.one
+        for p, row in self.sub._rows.items():
+            img = {}
+            _add_into(img, cols[p], one)
+            for c, x in row.items():
+                _add_into(img, cols[c], x)
+            if self.project(img.items()):
                 return None
-        images = []
-        for j in self.free:
-            col = [zero] * n
-            for r, a in cols[j]:
-                col[r] = a if col[r] is zero else col[r] + a
-            images.append(self.project(col))
-        return transpose(images)
+        return [self.project(cols[j]) for j in self.free]
 
 
-def inverse(A, field):
-    """Matrix inverse over a field; None if A is singular or not square."""
+def inverse(A, m, field):
+    """The inverse of A, a matrix with m rows; None if A is singular or not
+    square.  Column j of the inverse is the coordinate vector of e_j on the
+    columns of A."""
     n = len(A)
-    if any(len(row) != n for row in A):
+    if m != n:
         return None
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-           for i, row in enumerate(A)]
-    rows, pivots = rref(aug, field)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    try:
+        span = Span([_dense(col, n, field.zero) for col in A], field)
+    except ValueError:
         return None
-    return [row[n:] for row in rows[:n]]
+    return [span.coords([(j, field.one)]) for j in range(n)]
 
 
-def intertwines(X, src_gens, tgt_gens, field):
-    """True when X g_src = g_tgt X for every generator pair (dense matrices)."""
-    zero = field.zero
-    return all(mat_eq(mat_mul(X, S, zero), mat_mul(T, X, zero))
-               for S, T in zip(src_gens, tgt_gens))
+def intertwines(X, src_gens, tgt_gens):
+    """True when X g_src = g_tgt X for every generator pair."""
+    return all(mat_mul(X, S) == mat_mul(T, X) for S, T in zip(src_gens, tgt_gens))
 
 
 def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=None):
@@ -538,8 +529,7 @@ def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=Non
     # (X S - T X)[t, s] = sum_k X[t][k] S[k][s] - sum_k T[t][k] X[k][s].
     # The basis does not depend on the order of the equations; grouping them
     # by s first measured cheaper than going generator by generator.
-    pairs = [(sparse_columns(S), sparse_columns(transpose(T)))
-             for S, T in zip(src_gens, tgt_gens)]
+    pairs = [(S, transpose(T, nt)) for S, T in zip(src_gens, tgt_gens)]
 
     def equations():
         for s in range(ns):
@@ -553,9 +543,9 @@ def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=Non
 
     out = []
     for sol in sparse_nullspace(equations(), len(entries), field):
-        X = [[field.zero] * ns for _ in range(nt)]
+        X = [[] for _ in range(ns)]
         for (t, s), x in zip(entries, sol):
             if x:
-                X[t][s] = x
+                X[s].append((t, x))
         out.append(X)
     return out

@@ -32,16 +32,13 @@ from .linalg import (
     kron,
     mat_eq,
     mat_is_zero,
-    mat_map,
     mat_mul,
     mat_pow,
     mat_scale,
     mat_sub,
     mat_sum,
     restrict,
-    sparse_columns,
     spin,
-    zeros,
 )
 from .report import Report
 from .rootdata import DotOrbits, EllForm, build_root_datum
@@ -49,7 +46,8 @@ from .scalars import LatticeError, LaurentPoly, qbinom, qbinom_zeta, qfact, qint
 
 
 class GenSet:
-    """Generator matrices for one scalar layer.
+    """Generator matrices for one scalar layer, each as its sparse columns
+    (see ``linalg``).
 
     efam[i][a] is the matrix of E_i^(a) for a = 0..ell_i (efam[i][0] = id,
     efam[i][1] = E_i, efam[i][ell_i] = the divided power); same for ffam.
@@ -110,18 +108,13 @@ class WeightModule:
         """Diagonal matrix of K_i^power at zeta."""
         f = self.params.field
         d = self.params.d[i]
-        diag = []
-        for b in range(self.dim):
-            diag.append(f.zeta(power * d * self.pairing(i, b)))
-        return _diag(diag, f.zero)
+        return _diag([f.zeta(power * d * self.pairing(i, b)) for b in range(self.dim)])
 
     def kbinom_diag(self, i, m, t):
         """Diagonal action of [K_i; m over t]_{d_i} at zeta."""
         ring = self.params.vring
-        f = self.params.field
-        diag = [qbinom_zeta(self.pairing(i, b) + m, t, self.params.d[i], ring)
-                for b in range(self.dim)]
-        return _diag(diag, f.zero)
+        return _diag([qbinom_zeta(self.pairing(i, b) + m, t, self.params.d[i], ring)
+                      for b in range(self.dim)])
 
     def weight_class(self, b, sc=False):
         """Class of the b-th basis weight modulo phi(Y) (or phi_sc(X*_sc))."""
@@ -144,42 +137,39 @@ def _class_orbits(module, sc):
     return orb
 
 
-def _diag(entries, zero):
-    n = len(entries)
-    return [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
+def _diag(entries):
+    return [[(i, x)] if x else [] for i, x in enumerate(entries)]
 
 
 def _check_grading(module):
     """Every nonzero entry must connect weights differing by the right root."""
     datum = module.datum
-    params = module.params
-    for layer, zero in ((module.z, params.field.zero), (module.g, params.vring.zero)):
+    for layer in (module.z, module.g):
         if layer is None:
             continue
         for i in range(datum.rank):
             alpha = datum.alpha[i]
             for a, mat in enumerate(layer.efam[i]):
-                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})", zero)
+                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
             for a, mat in enumerate(layer.ffam[i]):
-                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})", zero)
+                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
 
 
-def _check_shift(module, mat, shift, label, zero):
-    # most zero entries are the layer's shared zero object: an identity test
-    # settles those, every other entry gets the scalar's own zero test
+def _check_shift(module, mat, shift, label):
+    """Raise on the entry, first in row-major order, that breaks the shift."""
     weights = module.weights
-    for r, row in enumerate(mat):
-        for c, a in enumerate(row):
-            if a is not zero and a:
-                expected = tuple(w + s for w, s in zip(weights[c], shift))
-                if weights[r] != expected:
-                    raise LatticeError(
-                        f"{label} entry ({r},{c}) violates the grading on {module.name}")
+    bad = []
+    for c, col in enumerate(mat):
+        expected = tuple(w + s for w, s in zip(weights[c], shift))
+        bad += [(r, c) for r, _ in col if weights[r] != expected]
+    if bad:
+        r, c = min(bad)
+        raise LatticeError(f"{label} entry ({r},{c}) violates the grading on {module.name}")
 
 
 def _specialize(gens: GenSet, field) -> GenSet:
-    zero = field.zero
-    ev = lambda m: mat_map(m, lambda p: p.eval_zeta() if p else zero)
+    def ev(mat):
+        return [[(r, z) for r, z in ((r, p.eval_zeta()) for r, p in col) if z] for col in mat]
     return GenSet([[ev(m) for m in fam] for fam in gens.efam],
                   [[ev(m) for m in fam] for fam in gens.ffam])
 
@@ -207,28 +197,31 @@ def weyl_module(lam, params, datum=None, name=None) -> WeightModule:
     ring = params.vring
     d = params.d[0]
     li = params.ell_i[0]
-    gens = _weyl_families(lam, li, qbinom, d, ring, ring.zero)
-    zgens = _weyl_families(lam, li, qbinom_zeta, d, ring, params.field.zero)
+    gens = _weyl_families(lam, li, qbinom, d, ring)
+    zgens = _weyl_families(lam, li, qbinom_zeta, d, ring)
     weights = [(lam - 2 * k,) for k in range(lam + 1)]
     module = WeightModule(datum, params, weights, zgens, gens, name=name or f"W({lam})")
     # postcondition: the highest-weight vector is killed by E and its divided power
-    assert all(not module.z.e(0)[r][0] for r in range(lam + 1))
-    assert all(not module.z.div_e(0)[r][0] for r in range(lam + 1))
+    assert not module.z.e(0)[0] and not module.z.div_e(0)[0]
     return module
 
 
-def _weyl_families(lam, li, binom, d, ring, zero) -> GenSet:
+def _weyl_families(lam, li, binom, d, ring) -> GenSet:
     """E^(a), F^(a) on W(lam) for a = 0..li, with binom(m, a, d, ring) =
-    [m over a]_d in the layer whose zero is ``zero``."""
+    [m over a]_d in one layer."""
     n = lam + 1
     efam, ffam = [], []
     for a in range(li + 1):
-        emat, fmat = zeros(n, n, zero), zeros(n, n, zero)
-        for k in range(n - a):
-            fmat[k + a][k] = binom(k + a, a, d, ring)
-            emat[k][k + a] = binom(lam - k, a, d, ring)
-        efam.append(emat)
-        ffam.append(fmat)
+        ecols, fcols = [[] for _ in range(n)], [[] for _ in range(n)]
+        for c in range(n - a):
+            x = binom(c + a, a, d, ring)
+            if x:
+                fcols[c] = [(c + a, x)]
+            x = binom(lam - c, a, d, ring)
+            if x:
+                ecols[c + a] = [(c, x)]
+        efam.append(ecols)
+        ffam.append(fcols)
     return GenSet([efam], [ffam])
 
 
@@ -238,9 +231,9 @@ def trivial_module(params, datum=None) -> WeightModule:
     ring = params.vring
     r = datum.rank
     li = params.ell_i
-    zero_m = [[ring.zero]]
-    gens = GenSet([[ [[ring.one]] ] + [zero_m] * li[i] for i in range(r)],
-                  [[ [[ring.one]] ] + [zero_m] * li[i] for i in range(r)])
+    one_m, zero_m = [[(0, ring.one)]], [[]]
+    gens = GenSet([[one_m] + [zero_m] * li[i] for i in range(r)],
+                  [[one_m] + [zero_m] * li[i] for i in range(r)])
     weights = [(0,) * r]
     return WeightModule(datum, params, weights, _specialize(gens, params.field),
                         gens, name="trivial")
@@ -285,10 +278,10 @@ def _coproduct_families(M, N, layer) -> GenSet:
     """
     params = M.params
     if layer == "g":
-        mg, ng, zero, twist = M.g, N.g, params.vring.zero, LaurentPoly.shift
+        mg, ng, twist = M.g, N.g, LaurentPoly.shift
     else:
         field = params.field
-        mg, ng, zero = M.z, N.z, field.zero
+        mg, ng = M.z, N.z
         twist = lambda x, k: x * field.zeta(k)
     efam, ffam = [], []
     for i in range(M.datum.rank):
@@ -299,30 +292,27 @@ def _coproduct_families(M, N, layer) -> GenSet:
         # column c of v^{dab} E^(a) K^b gains v^{d b (a + <alpha, wt c>)}, column
         # c of v^{dab} F^(b) K^{-a} gains v^{d a (b - <alpha, wt c>)}
         efam.append([reduce(mat_sum, (
-            kron(_twist_columns(me[a], [d * (n - a) * (a + w) for w in mw], twist, zero),
-                 ne[n - a], zero) for a in range(n + 1)))
+            kron(_twist_columns(me[a], [d * (n - a) * (a + w) for w in mw], twist),
+                 ne[n - a]) for a in range(n + 1)))
             for n in range(params.ell_i[i] + 1)])
         ffam.append([reduce(mat_sum, (
             kron(mf[a], _twist_columns(nf[n - a], [d * a * (n - a - w) for w in nw],
-                                       twist, zero), zero) for a in range(n + 1)))
+                                       twist)) for a in range(n + 1)))
             for n in range(params.ell_i[i] + 1)])
     return GenSet(efam, ffam)
 
 
-def _twist_columns(mat, exps, twist, zero):
-    if not any(exps):
-        return mat
-    return [[twist(x, k) if x is not zero and x else x for x, k in zip(row, exps)]
-            for row in mat]
+def _twist_columns(mat, exps, twist):
+    """Column c of mat times v^exps[c] (zeta^exps[c] at zeta)."""
+    return [[(r, twist(x, k)) for r, x in col] if k else col for col, k in zip(mat, exps)]
 
 
 def direct_sum(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
     datum, params = M.datum, M.params
     weights = M.weights + N.weights
-    zero = params.field.zero
-    efam = [[block_diag(ma, mb, zero) for ma, mb in zip(M.z.efam[i], N.z.efam[i])]
+    efam = [[block_diag(ma, mb) for ma, mb in zip(M.z.efam[i], N.z.efam[i])]
             for i in range(datum.rank)]
-    ffam = [[block_diag(ma, mb, zero) for ma, mb in zip(M.z.ffam[i], N.z.ffam[i])]
+    ffam = [[block_diag(ma, mb) for ma, mb in zip(M.z.ffam[i], N.z.ffam[i])]
             for i in range(datum.rank)]
     return WeightModule(datum, params, weights, GenSet(efam, ffam), None,
                         name=name or f"{M.name}(+){N.name}")
@@ -345,7 +335,6 @@ def relation_check(module: WeightModule) -> Report:
     params = module.params
     datum = module.datum
     f = params.field
-    zero = f.zero
     try:
         _check_grading(module)
         rep.ok("grading", "all generator entries shift weights by the prescribed roots")
@@ -355,12 +344,12 @@ def relation_check(module: WeightModule) -> Report:
     ring = params.vring
     for i in range(datum.rank):
         for j in range(datum.rank):
-            lhs = mat_sub(mat_mul(module.z.e(i), module.z.f(j), zero),
-                          mat_mul(module.z.f(j), module.z.e(i), zero))
+            lhs = mat_sub(mat_mul(module.z.e(i), module.z.f(j)),
+                          mat_mul(module.z.f(j), module.z.e(i)))
             if i == j:
                 d = params.d[i]
                 diag = _diag([qint(module.pairing(i, b), d, ring).eval_zeta()
-                              for b in range(module.dim)], zero)
+                              for b in range(module.dim)])
                 residual = mat_sub(lhs, diag)
             else:
                 residual = lhs
@@ -374,10 +363,10 @@ def relation_check(module: WeightModule) -> Report:
     if module.has_generic():
         for i in range(datum.rank):
             d = params.d[i]
-            lhs = mat_sub(mat_mul(module.g.e(i), module.g.f(i), ring.zero),
-                          mat_mul(module.g.f(i), module.g.e(i), ring.zero))
+            lhs = mat_sub(mat_mul(module.g.e(i), module.g.f(i)),
+                          mat_mul(module.g.f(i), module.g.e(i)))
             diag = _diag([qint(module.pairing(i, b), d, ring)
-                          for b in range(module.dim)], ring.zero)
+                          for b in range(module.dim)])
             name = f"commutator-generic[E_{i},F_{i}]"
             if mat_eq(lhs, diag):
                 rep.ok(name)
@@ -407,7 +396,7 @@ def relation_check(module: WeightModule) -> Report:
         if module.has_generic():
             fact = qfact(li, d, ring)
             for fam, sym in ((module.g.efam, "E"), (module.g.ffam, "F")):
-                power = mat_pow(fam[i][1], li, ring.one, ring.zero)
+                power = mat_pow(fam[i][1], li, ring.one)
                 scaled = mat_scale(fam[i][li], fact)
                 name = f"divided-power[{sym}_{i}]"
                 if mat_eq(power, scaled):
@@ -419,7 +408,7 @@ def relation_check(module: WeightModule) -> Report:
             # at zeta the plain power must vanish: E^ell = [ell]! E^(ell) and
             # [ell]! (zeta) = 0
             for fam, sym in ((module.z.efam, "E"), (module.z.ffam, "F")):
-                power = mat_pow(fam[i][1], li, f.one, zero)
+                power = mat_pow(fam[i][1], li, f.one)
                 name = f"power-vanishing[{sym}_{i}]"
                 if mat_is_zero(power):
                     rep.ok(name, f"{sym}^{li} = 0 at zeta")
@@ -433,12 +422,10 @@ def relation_check(module: WeightModule) -> Report:
 
 def _serre_residual(module, fam, i, j):
     params = module.params
-    f = params.field
-    zero = f.zero
+    one = params.field.one
     ring = params.vring
     m = 1 - module.datum.a[i][j]
-    dim = module.dim
-    acc = zeros(dim, dim, zero)
+    acc = [[] for _ in range(module.dim)]
     xi = fam[i][1]
     xj = fam[j][1]
     for s in range(m + 1):
@@ -446,40 +433,41 @@ def _serre_residual(module, fam, i, j):
         coeff = qbinom_zeta(m, s, params.d[i], ring)
         if s % 2 == 1:
             coeff = -coeff
-        term = mat_mul(mat_pow(xi, r, f.one, zero),
-                       mat_mul(xj, mat_pow(xi, s, f.one, zero), zero), zero)
+        term = mat_mul(mat_pow(xi, r, one), mat_mul(xj, mat_pow(xi, s, one)))
         acc = mat_sum(acc, mat_scale(term, coeff))
     return acc
 
 
+def _first_entry(mat):
+    """(row, column) of the first nonzero entry of mat in row-major order, or
+    None: the least (row, column) among the first entries of the columns."""
+    return min(((col[0][0], c) for c, col in enumerate(mat) if col), default=None)
+
+
 def _first_nonzero(mat):
-    for r, row in enumerate(mat):
-        for c, x in enumerate(row):
-            if x:
-                return f"entry ({r},{c}) = {x!r}"
-    return "zero"
+    first = _first_entry(mat)
+    if first is None:
+        return "zero"
+    r, c = first
+    return f"entry ({r},{c}) = {mat[c][0][1]!r}"
 
 
 def corrupt_module(module: WeightModule) -> WeightModule:
-    """Deliberately perturb one generator entry; relation_check negative control."""
+    """Deliberately perturb one generator entry, the first nonzero one of E_0
+    (else of F_0) in row-major order; relation_check negative control."""
     f = module.params.field
     z = module.z
-    efam = [[[list(row) for row in m] for m in fam] for fam in z.efam]
-    ffam = [[[list(row) for row in m] for m in fam] for fam in z.ffam]
-    done = False
+    efam = [list(fam) for fam in z.efam]
+    ffam = [list(fam) for fam in z.ffam]
     for fam in (efam, ffam):
         target = fam[0][1]
-        for r in range(module.dim):
-            for c in range(module.dim):
-                if target[r][c]:
-                    target[r][c] = target[r][c] + f.one
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+        first = _first_entry(target)
+        if first is not None:
+            r, c = first
+            x = target[c][0][1] + f.one
+            fam[0][1] = target[:c] + [([(r, x)] if x else []) + target[c][1:]] + target[c + 1:]
             break
-    if not done:
+    else:
         raise ValueError("nothing to corrupt: all generators act by zero")
     out = WeightModule.__new__(WeightModule)
     out.datum = module.datum
@@ -529,29 +517,12 @@ def _weight_components(module, vec):
 
 
 def _generator_matrices(module):
-    return _pick_generators(module.z, module.datum.rank)
-
-
-def _sparse_generators(module):
-    return _pick_generators(_sparse_families(module), module.datum.rank)
-
-
-def _pick_generators(gens: GenSet, rank):
+    """E_i, F_i, E_i^(ell_i) and F_i^(ell_i) at zeta, vertex by vertex."""
+    z = module.z
     out = []
-    for i in range(rank):
-        out.extend((gens.e(i), gens.f(i), gens.div_e(i), gens.div_f(i)))
+    for i in range(module.datum.rank):
+        out.extend((z.e(i), z.f(i), z.div_e(i), z.div_f(i)))
     return out
-
-
-def _sparse_families(module) -> GenSet:
-    """The zeta-layer families as sparse columns, built on first use only:
-    most modules are never spun or restricted."""
-    sp = getattr(module, "_sparse_z", None)
-    if sp is None:
-        sp = GenSet([[sparse_columns(m) for m in fam] for fam in module.z.efam],
-                    [[sparse_columns(m) for m in fam] for fam in module.z.ffam])
-        module._sparse_z = sp
-    return sp
 
 
 def submodule_closure(module: WeightModule, seeds) -> Submodule:
@@ -559,7 +530,7 @@ def submodule_closure(module: WeightModule, seeds) -> Submodule:
     all generator matrices.  The seeds are split into weight components; the
     generators are graded (checked at construction), so every image stays
     weight-homogeneous."""
-    basis = spin(_sparse_generators(module),
+    basis = spin(_generator_matrices(module),
                  [c for s in seeds for _, c in _weight_components(module, s)],
                  module.params.field)
     rows = basis.sorted_rows()
@@ -589,7 +560,7 @@ def maximal_proper_submodule(module: WeightModule) -> Submodule:
         raise ValueError("weight spaces must be one-dimensional")
     top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
     sources = [[] for _ in range(module.dim)]      # sources[r]: b with e_b -> e_r
-    for cols in _sparse_generators(module):
+    for cols in _generator_matrices(module):
         for b, col in enumerate(cols):
             if len(col) > 1:
                 raise AssertionError(
@@ -613,7 +584,7 @@ def maximal_proper_submodule(module: WeightModule) -> Submodule:
 def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
     """The subspace as a WeightModule in its own basis (zeta layer only)."""
     parent = sub.parent
-    z = _sparse_families(parent)
+    z = parent.z
     mats = restrict(z.matrices(), sub.basis, parent.params.field)
     if mats is None:
         raise LatticeError("subspace is not stable under a generator")
@@ -624,17 +595,17 @@ def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
 def quotient_module(module: WeightModule, sub: Submodule, name=None):
     """Quotient by a weight-homogeneous submodule (zeta layer only).
 
-    Returns (quotient module, projection matrix).
+    Returns (quotient module, the ``linalg.Quotient`` that projects onto it).
     """
     quot = Quotient(sub.basis, module.dim, module.params.field)
-    z = _sparse_families(module)
+    z = module.z
     mats = [quot.induced(cols) for cols in z.matrices()]
     if any(m is None for m in mats):
         raise LatticeError("subspace is not stable under a generator")
     weights = [module.weights[j] for j in quot.free]
     q = WeightModule(module.datum, module.params, weights, z.reshaped(mats),
                      None, name=name or f"{module.name}/sub")
-    return q, quot.proj
+    return q, quot
 
 
 def head_module(module: WeightModule):

@@ -159,7 +159,7 @@ def test_criterion_5_hecke_structures():
         h, rep = build_hecke_structure(W, reps_adj)
         assert h is not None and rep.passed, (lam, rep.failures())
         for alpha in h.alphas:
-            assert inverse(alpha, f) is not None
+            assert inverse(alpha, len(alpha), f) is not None
         built += 1
     h, rep = build_hecke_structure(weyl_module(1, P4), reps_sc, sc=True)
     assert h is not None and rep.passed, rep.failures()

@@ -1,9 +1,12 @@
 """Span coordinates, intertwiner spaces and the restrict / descend /
-intertwines kernels over the cyclotomic fields at ell 4 and 6, the dense
-matrix helpers against naive references, and the sparse-row RowBasis with
-everything built on it against the dense row basis it replaced."""
+intertwines kernels over the cyclotomic fields at ell 4 and 6, the
+sparse-column matrix kernels against naive dense references, and the
+sparse-row RowBasis with everything built on it against the dense row basis
+it replaced.  Every kernel output is checked to be in the one stored form:
+per column, rows strictly increasing and no zero entry."""
 
 import pytest
+from dense import columns, rows, sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +15,14 @@ from smallq.linalg import (
     RowBasis,
     Span,
     block_diag,
+    combine,
     identity,
     intertwiner_space,
     intertwines,
     inverse,
     kron,
     mat_eq,
+    mat_is_zero,
     mat_mul,
     mat_pow,
     mat_scale,
@@ -27,7 +32,6 @@ from smallq.linalg import (
     rank,
     restrict,
     rref,
-    sparse_columns,
     sparse_nullspace,
     spin,
     transpose,
@@ -64,12 +68,23 @@ def span_case(draw, min_k=0, spare=0):
     return field, n, basis
 
 
-def combine(field, n, basis, coeffs):
+def combination(field, n, basis, coeffs):
     out = [field.zero] * n
     for c, b in zip(coeffs, basis):
         for j, x in enumerate(b):
             out[j] = out[j] + c * x
     return out
+
+
+def assert_canonical(mat):
+    """The stored form: per column, rows strictly increasing, no zero entry."""
+    for col in mat:
+        assert all(a for _, a in col), col
+        assert all(r1 < r2 for (r1, _), (r2, _) in zip(col, col[1:])), col
+
+
+def coords_or_none(vec):
+    return None if vec is None else sparse(vec)
 
 
 def old_solve(basis, target, field):
@@ -92,7 +107,9 @@ def old_solve(basis, target, field):
 def test_coords_recovers_coefficients(data):
     field, n, basis = data.draw(span_case())
     coeffs = data.draw(vectors(field, len(basis)))
-    assert Span(basis, field).coords(combine(field, n, basis, coeffs)) == coeffs
+    got = Span(basis, field).coords(sparse(combination(field, n, basis, coeffs)))
+    assert_canonical([got])
+    assert got == sparse(coeffs)
 
 
 @SETTINGS
@@ -108,8 +125,8 @@ def test_coords_outside_span_is_none(data):
                                for j in range(n)) if not rb.contains(e))
     scale = data.draw(elems(field))
     assume(scale)
-    vec = combine(field, n, basis + [outside], coeffs + [scale])
-    assert Span(basis, field).coords(vec) is None
+    vec = combination(field, n, basis + [outside], coeffs + [scale])
+    assert Span(basis, field).coords(sparse(vec)) is None
 
 
 @SETTINGS
@@ -118,7 +135,7 @@ def test_dependent_inputs_raise(data):
     field, n, basis = data.draw(span_case())
     coeffs = data.draw(vectors(field, len(basis)))
     at = data.draw(st.integers(0, len(basis)))
-    dependent = basis[:at] + [combine(field, n, basis, coeffs)] + basis[at:]
+    dependent = basis[:at] + [combination(field, n, basis, coeffs)] + basis[at:]
     with pytest.raises(ValueError):
         Span(dependent, field)
 
@@ -127,8 +144,9 @@ def test_dependent_inputs_raise(data):
 def test_empty_span(ell):
     field = FIELDS[ell]
     span = Span([], field)
-    assert span.coords([field.zero] * 3) == []
-    assert span.coords([field.zero, field.one, field.zero]) is None
+    assert span.coords([]) == []
+    assert span.coords([(1, field.zero)]) == []
+    assert span.coords([(1, field.one)]) is None
 
 
 @pytest.mark.parametrize("ell", sorted(FIELDS))
@@ -136,9 +154,11 @@ def test_inverse_rejects_non_square(ell):
     field = FIELDS[ell]
     one = field.one
     # [[1], [1]] once came back with an "inverse": its pivots fill [0, n)
-    assert inverse([[one], [one]], field) is None
-    assert inverse([[one, one]], field) is None
-    assert inverse([[one, field.zero], [one, one]], field) is not None
+    assert inverse(columns([[one], [one]]), 2, field) is None
+    assert inverse(columns([[one, one]]), 1, field) is None
+    # a square block on top of zero rows is still not square
+    assert inverse(columns([[one], [field.zero]]), 2, field) is None
+    assert inverse(columns([[one, field.zero], [one, one]]), 2, field) is not None
 
 
 @SETTINGS
@@ -150,10 +170,10 @@ def test_coords_match_rref_solve_on_nullspace_basis(data):
     basis = nullspace(A, field)
     span = Span(basis, field)
     coeffs = data.draw(vectors(field, len(basis)))
-    inside = combine(field, n, basis, coeffs)
-    assert span.coords(inside) == old_solve(basis, inside, field) == coeffs
+    inside = combination(field, n, basis, coeffs)
+    assert span.coords(sparse(inside)) == sparse(old_solve(basis, inside, field)) == sparse(coeffs)
     anything = data.draw(vectors(field, n))
-    assert span.coords(anything) == old_solve(basis, anything, field)
+    assert span.coords(sparse(anything)) == coords_or_none(old_solve(basis, anything, field))
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +212,33 @@ def intertwiner_case(draw):
 def test_intertwiner_space_matches_kronecker_nullity(case):
     field, ns, nt, pairs, (src_blocks, tgt_blocks) = case
     zero, one = field.zero, field.one
-    homs = intertwiner_space([S for S, _ in pairs], [T for _, T in pairs], field,
-                             src_blocks=src_blocks, tgt_blocks=tgt_blocks)
+    homs = intertwiner_space([columns(S) for S, _ in pairs], [columns(T) for _, T in pairs],
+                             field, src_blocks=src_blocks, tgt_blocks=tgt_blocks)
     allowed = [t * ns + s for t in range(nt) for s in range(ns)
                if src_blocks is None or src_blocks[s] == tgt_blocks[t]]
+    dense_homs = []
     for X in homs:
+        assert_canonical(X)
+        assert len(X) == ns and all(t < nt for col in X for t, _ in col)
+        X = rows(X, nt, zero)
+        dense_homs.append(X)
         for S, T in pairs:
-            assert mat_eq(mat_mul(X, S, zero), mat_mul(T, X, zero))
+            assert naive_mul(X, S, zero) == naive_mul(T, X, zero)
         flat = [x for row in X for x in row]
         assert not any(flat[i] for i in range(nt * ns) if i not in allowed)
-    assert rank([[x for row in X for x in row] for X in homs], field) == len(homs)
+    assert rank([[x for row in X for x in row] for X in dense_homs], field) == len(homs)
     # vec(X S - T X) = (kron(I, S^T) - kron(T, I)) vec(X), X flattened row-major
     system = []
     for S, T in pairs:
-        K = mat_sub(kron(identity(nt, one, zero), transpose(S), zero),
-                    kron(T, identity(ns, one, zero), zero))
+        K = naive_sub(naive_kron(dense_identity(nt, one, zero), [list(c) for c in zip(*S)]),
+                      naive_kron(T, dense_identity(ns, one, zero)))
         system.extend([row[i] for i in allowed] for row in K)
     assert len(homs) == len(allowed) - rank(system, field)
 
 
 # ---------------------------------------------------------------------------
-# the dense helpers against naive all-entries references, over Q(zeta_8) and
-# over the Laurent ring
+# the sparse-column kernels against naive all-entries references on dense
+# rows, over Q(zeta_8) and over the Laurent ring
 # ---------------------------------------------------------------------------
 
 LAURENT = QParams(4).vring
@@ -268,6 +293,14 @@ def naive_kron(A, B):
              for c in range(len(A[0]) * nb)] for r in range(len(A) * mb)]
 
 
+def naive_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def dense_identity(n, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 @SETTINGS
 @given(st.data())
 def test_mat_mul_matches_naive(data):
@@ -275,17 +308,36 @@ def test_mat_mul_matches_naive(data):
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
     A = data.draw(matrices(entries, zero, n, k))
     B = data.draw(matrices(entries, zero, k, m))
-    assert mat_eq(mat_mul(A, B, zero), naive_mul(A, B, zero))
+    product = mat_mul(columns(A), columns(B))
+    assert_canonical(product)
+    assert mat_eq(product, columns(naive_mul(A, B, zero)))
+    # A - A cancels entry by entry: the product with it has no entries
+    assert mat_is_zero(mat_mul(mat_sub(columns(A), columns(A)), columns(B)))
 
 
 @SETTINGS
 @given(st.data())
 def test_kron_matches_naive(data):
+    # A rectangular, B square: kron reads the row count of B from its columns
     entries, zero, _ = data.draw(scalar_kind())
-    ma, na, mb, nb = (data.draw(st.integers(1, 3)) for _ in range(4))
+    ma, na, nb = (data.draw(st.integers(1, 3)) for _ in range(3))
     A = data.draw(matrices(entries, zero, ma, na))
-    B = data.draw(matrices(entries, zero, mb, nb))
-    assert mat_eq(kron(A, B, zero), naive_kron(A, B))
+    B = data.draw(matrices(entries, zero, nb, nb))
+    K = kron(columns(A), columns(B))
+    assert_canonical(K)
+    assert mat_eq(K, columns(naive_kron(A, B)))
+
+
+@pytest.mark.parametrize("ell", sorted(FIELDS))
+def test_kron_of_full_matrices(ell):
+    # every column of both factors has several entries, so the rows of a
+    # column of the product come from several rows of each factor
+    f = FIELDS[ell]
+    A = [[f.from_int(r + c + 1) for c in range(2)] for r in range(3)]
+    B = [[f.from_int(2 * r - c + 3) for c in range(2)] for r in range(2)]
+    K = kron(columns(A), columns(B))
+    assert_canonical(K)
+    assert mat_eq(K, columns(naive_kron(A, B)))
 
 
 @SETTINGS
@@ -296,9 +348,23 @@ def test_entrywise_helpers_match_naive(data):
     A = data.draw(matrices(entries, zero, m, n))
     B = data.draw(matrices(entries, zero, m, n))
     s = data.draw(entries)
-    assert mat_eq(mat_sub(A, B), [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-    assert mat_eq(mat_sum(A, B), [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-    assert mat_eq(mat_scale(A, s), [[s * a for a in row] for row in A])
+    ca, cb = columns(A), columns(B)
+    outputs = {
+        "sub": (mat_sub(ca, cb), naive_sub(A, B)),
+        "sum": (mat_sum(ca, cb), [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]),
+        "scale": (mat_scale(ca, s), [[s * a for a in row] for row in A]),
+        "cancel": (mat_sub(ca, ca), [[zero] * n for _ in range(m)]),
+        "zero-scale": (mat_scale(ca, zero), [[zero] * n for _ in range(m)]),
+    }
+    for name, (got, expected) in outputs.items():
+        assert_canonical(got)
+        assert mat_eq(got, columns(expected)), name
+    assert mat_is_zero(mat_sub(ca, ca)) and mat_is_zero(mat_scale(ca, zero))
+    assert mat_is_zero(ca) == (not any(a for row in A for a in row))
+    # mat_eq is list equality, exact on canonical columns: zeros, shared or
+    # fresh, match each other
+    assert mat_eq(ca, cb) == all((not a and not b) or (a and b and a == b)
+                                 for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 @SETTINGS
@@ -307,12 +373,50 @@ def test_mat_pow_matches_naive(data):
     entries, zero, one = data.draw(scalar_kind())
     n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     A = data.draw(matrices(entries, zero, n, n))
-    expected = identity(n, one, zero)
+    expected = dense_identity(n, one, zero)
     for _ in range(k):
         expected = naive_mul(expected, A, zero)
-    power = mat_pow(A, k, one, zero)
-    assert mat_eq(power, expected)
-    assert power is not A
+    cols = columns(A)
+    power = mat_pow(cols, k, one)
+    assert_canonical(power)
+    assert mat_eq(power, columns(expected))
+    assert power is not cols
+    assert mat_eq(identity(n, one), columns(dense_identity(n, one, zero)))
+
+
+@SETTINGS
+@given(st.data())
+def test_transpose_and_block_diag_match_naive(data):
+    entries, zero, _ = data.draw(scalar_kind())
+    m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = data.draw(matrices(entries, zero, m, n))
+    At = transpose(columns(A), m)
+    assert_canonical(At)
+    assert mat_eq(At, columns([list(c) for c in zip(*A)]))
+    S = data.draw(matrices(entries, zero, n, n))
+    T = data.draw(matrices(entries, zero, k, k))
+    D = block_diag(columns(S), columns(T))
+    assert_canonical(D)
+    assert mat_eq(D, columns([row + [zero] * k for row in S] + [[zero] * n + row for row in T]))
+
+
+@SETTINGS
+@given(st.data())
+def test_combine_matches_naive(data):
+    entries, zero, _ = data.draw(scalar_kind())
+    n = data.draw(st.integers(1, 4))
+    mats = [data.draw(matrices(entries, zero, n, n)) for _ in range(data.draw(st.integers(1, 3)))]
+    terms = [(data.draw(st.integers(0, len(mats) - 1)), data.draw(entries))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    # a term and its negative: every entry it adds cancels
+    if terms:
+        terms.append((terms[0][0], -terms[0][1]))
+    expected = [[zero] * n for _ in range(n)]
+    for k, c in terms:
+        expected = [[x + c * a for x, a in zip(re, rm)] for re, rm in zip(expected, mats[k])]
+    got = combine(terms, [columns(M) for M in mats])
+    assert_canonical(got)
+    assert mat_eq(got, columns(expected))
 
 
 @SETTINGS
@@ -323,13 +427,16 @@ def test_specialize_matches_eval_zeta(data):
     fams = [[[data.draw(matrices(laurents(), ring.zero, n, n))
               for _ in range(data.draw(st.integers(1, 3)))]
              for _ in range(data.draw(st.integers(1, 2)))] for _ in range(2)]
-    out = _specialize(GenSet(*fams), ring.field)
+    out = _specialize(GenSet(*[[[columns(M) for M in fam] for fam in fams_i]
+                               for fams_i in fams]), ring.field)
     for fam_in, fam_out in zip(fams, (out.efam, out.ffam)):
         assert len(fam_in) == len(fam_out)
         for mats_in, mats_out in zip(fam_in, fam_out):
             assert len(mats_in) == len(mats_out)
             for M, Z in zip(mats_in, mats_out):
-                assert mat_eq(Z, [[p.eval_zeta() for p in row] for row in M])
+                # entries that vanish at zeta leave the columns
+                assert_canonical(Z)
+                assert mat_eq(Z, columns([[p.eval_zeta() for p in row] for row in M]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +450,7 @@ def spun_case(draw):
     n = draw(st.integers(1, 4))
     gens = [draw(sparse_square(field, n)) for _ in range(draw(st.integers(1, 2)))]
     seeds = [draw(vectors(field, n)) for _ in range(draw(st.integers(1, 2)))]
-    basis = spin([sparse_columns(g) for g in gens], seeds, field).sorted_rows()
+    basis = spin([columns(g) for g in gens], seeds, field).sorted_rows()
     assume(basis)
     return field, gens, basis
 
@@ -353,12 +460,14 @@ def spun_case(draw):
 def test_restrict_matches_matrix_oracle(case):
     # the spin is stable, so every generator restricts: g B^T = B^T Y
     field, gens, basis = case
-    Bt = transpose(basis)
-    ys = restrict([sparse_columns(g) for g in gens], basis, field)
+    Bt = [list(c) for c in zip(*basis)]
+    ys = restrict([columns(g) for g in gens], basis, field)
     assert ys is not None and len(ys) == len(gens)
     for g, Y in zip(gens, ys):
         assert len(Y) == len(basis)
-        assert mat_eq(mat_mul(g, Bt, field.zero), mat_mul(Bt, Y, field.zero))
+        assert_canonical(Y)
+        Y = rows(Y, len(basis), field.zero)
+        assert naive_mul(g, Bt, field.zero) == naive_mul(Bt, Y, field.zero)
 
 
 @SETTINGS
@@ -369,8 +478,10 @@ def test_quotient_induced_matches_matrix_oracle(case):
     n = len(basis[0])
     quot = Quotient(basis, n, field)
     for g in gens:
-        Y = quot.induced(sparse_columns(g))
+        Y = quot.induced(columns(g))
         assert Y is not None and len(Y) == len(quot.free)
+        assert_canonical(Y)
+        Y = rows(Y, len(quot.free), field.zero)
         for j, fcol in enumerate(quot.free):
             diff = [g[r][fcol] for r in range(n)]
             for r, frow in enumerate(quot.free):
@@ -387,18 +498,19 @@ def _shift(field, n):
 def test_restrict_rejects_unstable_span(ell):
     field = FIELDS[ell]
     first = [field.one, field.zero, field.zero]
-    cols = [sparse_columns(identity(3, field.one, field.zero)), sparse_columns(_shift(field, 3))]
-    assert restrict(cols[:1], [first], field) == [[[field.one]]]
+    cols = [identity(3, field.one), columns(_shift(field, 3))]
+    assert restrict(cols[:1], [first], field) == [[[(0, field.one)]]]
     assert restrict(cols, [first], field) is None
 
 
 @pytest.mark.parametrize("ell", sorted(FIELDS))
 def test_quotient_induced_rejects_unstable_subspace(ell):
     field = FIELDS[ell]
-    shift = sparse_columns(_shift(field, 3))
+    shift = columns(_shift(field, 3))
     # the last coordinate line is stable under the shift, the first is not
     stable = Quotient([[field.zero, field.zero, field.one]], 3, field)
-    assert mat_eq(stable.induced(shift), [[field.zero, field.zero], [field.one, field.zero]])
+    assert mat_eq(stable.induced(shift),
+                  columns([[field.zero, field.zero], [field.one, field.zero]]))
     assert Quotient([[field.one, field.zero, field.zero]], 3, field).induced(shift) is None
 
 
@@ -410,23 +522,40 @@ def test_intertwines_matches_intertwiner_space(case):
     # exactly when S[0][s] = 0 for s > 0, T[t][0] = 0 for t > 0 and
     # S[0][0] = T[0][0]
     field, ns, nt, pairs, _ = case
-    src, tgt = [S for S, _ in pairs], [T for _, T in pairs]
+    src, tgt = [columns(S) for S, _ in pairs], [columns(T) for _, T in pairs]
     moved = any(any(S[0][1:]) or any(row[0] for row in T[1:]) or S[0][0] != T[0][0]
                 for S, T in pairs)
     for X in intertwiner_space(src, tgt, field):
-        assert intertwines(X, src, tgt, field)
-        bad = [list(row) for row in X]
+        assert intertwines(X, src, tgt)
+        bad = rows(X, nt, field.zero)
         bad[0][0] = bad[0][0] + field.one
-        assert intertwines(bad, src, tgt, field) == (not moved)
+        assert intertwines(columns(bad), src, tgt) == (not moved)
+
+
+@SETTINGS
+@given(st.data())
+def test_inverse_matches_naive(data):
+    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    n = data.draw(st.integers(1, 4))
+    A = data.draw(sparse_square(field, n))
+    inv = inverse(columns(A), n, field)
+    if inv is None:
+        assert rank(A, field) < n
+    else:
+        assert_canonical(inv)
+        ident = dense_identity(n, field.one, field.zero)
+        assert naive_mul(A, rows(inv, n, field.zero), field.zero) == ident
+    # with a zero row below, A is not square
+    assert inverse(columns(A + [[field.zero] * n]), n + 1, field) is None
 
 
 def test_block_diag():
     f = ZETA8
     a = [[f.one, f.from_int(2)], [f.zero, f.from_int(3)]]
     b = [[f.from_int(5)]]
-    assert mat_eq(block_diag(a, b, f.zero),
-                  [[f.one, f.from_int(2), f.zero], [f.zero, f.from_int(3), f.zero],
-                   [f.zero, f.zero, f.from_int(5)]])
+    assert mat_eq(block_diag(columns(a), columns(b)),
+                  columns([[f.one, f.from_int(2), f.zero], [f.zero, f.from_int(3), f.zero],
+                           [f.zero, f.zero, f.from_int(5)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +651,14 @@ def dense_coords(basis_vectors, vec, field):
 
 def dense_induced(field, vectors, n, gen):
     """The reference for ``Quotient.induced``: None unless gen maps the span
-    into itself, otherwise column j is the projection of gen e_{free j}."""
+    into itself, otherwise the columns, dense, column j the projection of
+    gen e_{free j}."""
     sub, _ = dense_basis(field, vectors)
     for row in sub.rows:
         img = [sum((gen[r][c] * row[c] for c in range(n)), field.zero) for r in range(n)]
         if not sub.contains(img):
             return None
-    return transpose([sub.project([gen[r][j] for r in range(n)], n) for j in sub.free(n)])
+    return [sub.project([gen[r][j] for r in range(n)], n) for j in sub.free(n)]
 
 
 @st.composite
@@ -555,7 +685,7 @@ def oracle_case(draw):
             vecs.append([field.zero] * n)
         elif kind == 1 and vecs:
             coeffs = [draw(sparse_elems(field)) for _ in vecs]
-            vecs.append(combine(field, n, vecs, coeffs))
+            vecs.append(combination(field, n, vecs, coeffs))
         else:
             vecs.append([draw(sparse_elems(field)) for _ in range(n)])
     return field, n, vecs
@@ -567,7 +697,7 @@ def probes(draw, field, n, vecs):
     combination of the inputs and a random sparse vector."""
     coeffs = [draw(sparse_elems(field)) for _ in vecs]
     units = [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
-    return (vecs + units + [combine(field, n, vecs, coeffs)]
+    return (vecs + units + [combination(field, n, vecs, coeffs)]
             + [[draw(sparse_elems(field)) for _ in range(n)]])
 
 
@@ -597,7 +727,7 @@ def test_span_coords_match_dense_oracle(data):
     independent = [v for v, ok in zip(vecs, accepted) if ok]
     span = Span(independent, field)
     for vec in data.draw(probes(field, n, vecs)):
-        assert span.coords(vec) == dense_coords(independent, vec, field)
+        assert span.coords(sparse(vec)) == coords_or_none(dense_coords(independent, vec, field))
 
 
 @ORACLE_SETTINGS
@@ -608,7 +738,9 @@ def test_quotient_matches_dense_oracle(data):
     quot = Quotient(vecs, n, field)
     assert quot.free == dense.free(n)
     for vec in data.draw(probes(field, n, vecs)):
-        assert quot.project(vec) == dense.project(vec, n)
+        got = quot.project(sparse(vec))
+        assert_canonical([got])
+        assert got == sparse(dense.project(vec, n))
     gens = [data.draw(sparse_square(field, n)) for _ in range(2)]
     # a subspace stable under the generators, spun with the dense basis
     stable = DenseRowBasis(field)
@@ -622,9 +754,13 @@ def test_quotient_matches_dense_oracle(data):
     for subspace in (vecs, stable.rows):
         for g in gens:
             expected = dense_induced(field, subspace, n, g)
-            got = Quotient(subspace, n, field).induced(sparse_columns(g))
-            assert got == expected
-    assert all(Quotient(stable.rows, n, field).induced(sparse_columns(g)) is not None
+            got = Quotient(subspace, n, field).induced(columns(g))
+            if expected is None:
+                assert got is None
+            else:
+                assert_canonical(got)
+                assert got == [sparse(col) for col in expected]
+    assert all(Quotient(stable.rows, n, field).induced(columns(g)) is not None
                for g in gens)
 
 

@@ -1,6 +1,7 @@
 """Weyl modules, relation checking, tensor products, composition series."""
 
 import pytest
+from dense import columns, entries, rows
 
 from smallq import repcore
 from smallq.linalg import RowBasis, mat_eq, mat_pow
@@ -35,14 +36,14 @@ def basis_vector(module, k):
 def test_weyl_module_basics():
     w0 = weyl_module(0, P4)
     assert w0.dim == 1
-    assert all(not w0.z.e(0)[r][c] for r in range(1) for c in range(1))
+    assert all(not col for col in w0.z.e(0))
     w1 = weyl_module(1, P4)
     assert w1.dim == 2
     # highest-weight vector killed by E and its divided power (postcondition,
     # asserted again here)
     w5 = weyl_module(5, P4)
-    assert all(not w5.z.e(0)[r][0] for r in range(6))
-    assert all(not w5.z.div_e(0)[r][0] for r in range(6))
+    assert not w5.z.e(0)[0]
+    assert not w5.z.div_e(0)[0]
     with pytest.raises(ValueError):
         weyl_module(-1, P4)
 
@@ -65,7 +66,7 @@ def test_corrupt_module_leaves_its_input_clean():
     # frobenius-check corrupts a W(1) that tensor products and the Hecke
     # structure share: the corrupted module must be a copy
     w = weyl_module(1, P4)
-    before = [[list(row) for row in m] for fam in w.z.efam + w.z.ffam for m in fam]
+    before = [[list(col) for col in m] for fam in w.z.efam + w.z.ffam for m in fam]
     assert not relation_check(corrupt_module(w)).passed
     after = [m for fam in w.z.efam + w.z.ffam for m in fam]
     assert all(mat_eq(a, b) for a, b in zip(before, after))
@@ -100,12 +101,13 @@ def test_matrix_divide_exact_tensor_oracle():
     # and agrees with the coproduct expansion
     M = tensor_product(weyl_module(1, P4), weyl_module(1, P4))
     ring = P4.vring
-    e4 = mat_pow(M.g.e(0), 4, ring.one, ring.zero)
+    e4 = rows(mat_pow(M.g.e(0), 4, ring.one), M.dim, ring.zero)
     divided = matrix_divide_exact(e4, qfact(4, 1, ring))
+    div_e = rows(M.g.div_e(0), M.dim, ring.zero)
     for r in range(M.dim):
         for c in range(M.dim):
             assert divided[r][c].is_polynomial()
-            assert divided[r][c].as_poly() == M.g.div_e(0)[r][c]
+            assert divided[r][c].as_poly() == div_e[r][c]
 
 
 def test_zeta_route_matches_division_route():
@@ -120,9 +122,10 @@ def test_zeta_route_matches_division_route():
 
 def _divided_by_factorial(mat, a, d, ring):
     """mat^a / [a]_d! through the local ring; every entry must be a polynomial."""
-    quotient = matrix_divide_exact(mat_pow(mat, a, ring.one, ring.zero), qfact(a, d, ring))
+    power = rows(mat_pow(mat, a, ring.one), len(mat), ring.zero)
+    quotient = matrix_divide_exact(power, qfact(a, d, ring))
     assert all(x.is_polynomial() for row in quotient for x in row)
-    return [[x.as_poly() for x in row] for row in quotient]
+    return columns([[x.as_poly() for x in row] for row in quotient])
 
 
 @pytest.mark.parametrize("ell", [4, 6])
@@ -174,8 +177,9 @@ def test_zeta_layer_coproduct_matches_generic_route(ell):
 def _assert_same_families(M, N, perm):
     for fam_m, fam_n in ((M.z.efam[0], N.z.efam[0]), (M.z.ffam[0], N.z.ffam[0])):
         for a, (x, y) in enumerate(zip(fam_m, fam_n)):
+            y = rows(y, N.dim, M.params.field.zero)
             moved = [[y[perm[r]][perm[c]] for c in range(M.dim)] for r in range(M.dim)]
-            assert mat_eq(x, moved), (M.name, a)
+            assert mat_eq(x, columns(moved)), (M.name, a)
 
 
 def test_submodule_closure_examples():
@@ -340,11 +344,6 @@ def test_maximal_proper_submodule_rejects_repeated_weights():
         maximal_proper_submodule(direct_sum(weyl_module(2, P4), weyl_module(2, P4)))
 
 
-def _entries(mat):
-    """{(row, column): entry} over the entries of mat, zeros included."""
-    return {(r, c): x for r, row in enumerate(mat) for c, x in enumerate(row)}
-
-
 # (ell, a, b): on W(a) (x) W(b) the first nonzero entry of E in row-major
 # order, (0, b + 1), is not the first in column order, (1, 2), since the
 # entry (0, 1) of K (x) E is [b] = 0 at zeta.  On W(7) (x) W(6) the entry
@@ -374,7 +373,7 @@ def test_corrupt_module_failure_details(case):
     params = QParams(ell)
     module = tensor_product(weyl_module(a, params), weyl_module(b, params))
     bad = corrupt_module(module)
-    old, new = _entries(module.z.e(0)), _entries(bad.z.e(0))
+    old, new = entries(module.z.e(0)), entries(bad.z.e(0))
     changed = [rc for rc in set(old) | set(new)
                if old.get(rc, params.field.zero) != new.get(rc, params.field.zero)]
     assert changed == [(0, b + 1)]
