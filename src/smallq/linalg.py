@@ -142,10 +142,12 @@ def combine(terms, mats):
 
 
 def _apply(cols, vec, zero):
-    """cols * vec for a square matrix and a dense vector, dense."""
+    """cols * vec for a square matrix and a dense vector, dense.  Entries
+    that are the shared ``zero`` are skipped by identity before any scalar
+    zero test."""
     out = [zero] * len(vec)
     for c, x in enumerate(vec):
-        if x:
+        if x is not zero and x:
             for r, a in cols[c]:
                 out[r] = out[r] + a * x
     return out

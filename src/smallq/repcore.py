@@ -160,8 +160,9 @@ def _check_shift(module, mat, shift, label):
     weights = module.weights
     bad = []
     for c, col in enumerate(mat):
-        expected = tuple(w + s for w, s in zip(weights[c], shift))
-        bad += [(r, c) for r, _ in col if weights[r] != expected]
+        if col:
+            expected = tuple(w + s for w, s in zip(weights[c], shift))
+            bad += [(r, c) for r, _ in col if weights[r] != expected]
     if bad:
         r, c = min(bad)
         raise LatticeError(f"{label} entry ({r},{c}) violates the grading on {module.name}")
