@@ -17,12 +17,13 @@ the JSON output is byte-identical across runs; timing is only included when
 
 frobenius-check refuses a catalog beyond its budget with exit 2: --max-weyl
 at most 40 and --max-tensor at most 8, whether the size comes from a flag or
-from --config.  At ell 6 each cap alone takes about 7 s (W(0..40)) and 11 s
-(every W(a) (x) W(b) with a, b <= 8) on a 2-core x86 VM, and the cost grows
-steeply with the size.  In the same way linkage --type A1 --suite verify
-refuses a window whose top is above 80 (MAX_A1_WINDOW).  The window 0..80
-takes about 7 s at ell 4, 12 s at ell 6 and 25 s at ell 10 on the same VM
-(0..60: 4 s, 5 s and 11 s); the prediction alone (--suite predict) has no cap.
+from --config.  At ell 6 each cap alone takes about 4 s (W(0..40)) and 6 s
+(every W(a) (x) W(b) with a, b <= 8) on a shared 2-core x86 VM, and the cost
+grows steeply with the size.  In the same way linkage --type A1 --suite
+verify refuses a window whose top is above 80 (MAX_A1_WINDOW).  The window
+0..80 takes about 2 s at ell 4, 4 s at ell 6 and 13 s at ell 10 on the same
+VM (0..60: 1 s, 2 s and 6 s); the prediction alone (--suite predict) has no
+cap.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error.
