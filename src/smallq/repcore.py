@@ -168,9 +168,15 @@ def _check_shift(module, mat, shift, label):
         raise LatticeError(f"{label} entry ({r},{c}) violates the grading on {module.name}")
 
 
-def _specialize(gens: GenSet, field) -> GenSet:
+def _specialize(gens: GenSet) -> GenSet:
+    """The generic layer at v = zeta; entries that vanish there leave their
+    columns."""
     def ev(mat):
-        return [[(r, z) for r, z in ((r, p.eval_zeta()) for r, p in col) if z] for col in mat]
+        out = []
+        for col in mat:
+            values = [(r, p.eval_zeta()) for r, p in col]
+            out.append([(r, z) for r, z in values if z])
+        return out
     return GenSet([[ev(m) for m in fam] for fam in gens.efam],
                   [[ev(m) for m in fam] for fam in gens.ffam])
 
@@ -236,7 +242,7 @@ def trivial_module(params, datum=None) -> WeightModule:
     gens = GenSet([[one_m] + [zero_m] * li[i] for i in range(r)],
                   [[one_m] + [zero_m] * li[i] for i in range(r)])
     weights = [(0,) * r]
-    return WeightModule(datum, params, weights, _specialize(gens, params.field),
+    return WeightModule(datum, params, weights, _specialize(gens),
                         gens, name="trivial")
 
 
@@ -260,7 +266,7 @@ def tensor_product(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
     label = name or f"{M.name}(x){N.name}"
     if M.has_generic() and N.has_generic():
         gens = _coproduct_families(M, N, "g")
-        return WeightModule(datum, params, weights, _specialize(gens, params.field),
+        return WeightModule(datum, params, weights, _specialize(gens),
                             gens, name=label)
     return WeightModule(datum, params, weights, _coproduct_families(M, N, "z"), None,
                         name=label)

@@ -428,7 +428,7 @@ def test_specialize_matches_eval_zeta(data):
               for _ in range(data.draw(st.integers(1, 3)))]
              for _ in range(data.draw(st.integers(1, 2)))] for _ in range(2)]
     out = _specialize(GenSet(*[[[columns(M) for M in fam] for fam in fams_i]
-                               for fams_i in fams]), ring.field)
+                               for fams_i in fams]))
     for fam_in, fam_out in zip(fams, (out.efam, out.ffam)):
         assert len(fam_in) == len(fam_out)
         for mats_in, mats_out in zip(fam_in, fam_out):
