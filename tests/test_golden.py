@@ -4,7 +4,10 @@ The linkage and frobenius-check files under tests/golden/ were written by
 the CLI before the divided powers were rebuilt from their closed forms; the
 windows reach modules well beyond the bench's (A1 Weyl modules up to W(40),
 tensor products of W(0..2)), so any change in a matrix entry that reaches a
-report shows up here. The triple-verify files were written before the triple
+report shows up here. The ell 8 frobenius-check file (Weyl modules up to
+W(20), tensor products of W(0..6)) was written while Laurent polynomials
+still boxed every integer coefficient into the cyclotomic field; it is the
+one report that builds generic families of high degree. The triple-verify files were written before the triple
 engine stored its induced objects; the D4 table next to them is a seeded
 relabelling of the dihedral group over its rotations. The D6 report was
 written when ``twist`` moved the point to the last Sweedler factor; D6 over
@@ -31,6 +34,8 @@ CASES = [
     ("linkage_A1_ell6_0-40.json",
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "6"]),
     ("frobenius-check_ell4.json", ["frobenius-check", "--ell", "4"]),
+    ("frobenius-check_ell8_20-6.json",
+     ["frobenius-check", "--ell", "8", "--max-weyl", "20", "--max-tensor", "6"]),
     ("triple-verify_z4_z2.json", ["triple-verify", "--fixture", "z4_z2"]),
     ("triple-verify_s3_a3.json", ["triple-verify", "--fixture", "s3_a3"]),
     ("triple-verify_D4_seed0.json",

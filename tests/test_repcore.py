@@ -382,3 +382,67 @@ def test_corrupt_module_failure_details(case):
                 for rep in (relation_check(bad), verify_commutator_identity(bad))
                 for c in rep.failures()]
     assert failures == expected
+
+
+def _raise_generic(module, sym):
+    """module with the first nonzero entry (row-major) of its generic E_0
+    (sym "E") or F_0 (sym "F") raised by v; the zeta layer is left as it is."""
+    ring = module.params.vring
+    efam = [list(fam) for fam in module.g.efam]
+    ffam = [list(fam) for fam in module.g.ffam]
+    fam = efam if sym == "E" else ffam
+    target = fam[0][1]
+    r, c = repcore._first_entry(target)
+    raised = [(r, target[c][0][1] + ring.v)] + target[c][1:]
+    fam[0][1] = target[:c] + [raised] + target[c + 1:]
+    return repcore.WeightModule(module.datum, module.params, module.weights, module.z,
+                                repcore.GenSet(efam, ffam), name=module.name)
+
+
+# (ell, module, raised generator): every failing check of relation_check.
+# corrupt_module drops the generic layer, so these are the only failure
+# strings that print generic entries. At ell 6 the plain sixth powers vanish
+# on both modules (their weights span less than 12), so the divided-power
+# checks still pass there.
+_COMM_E = ("commutator-generic[E_0,F_0]", "fail", "generic commutator fails",
+           "entry (0,0) = v")
+GENERIC_CASES = {
+    (4, "W(4)", "E"): [
+        _COMM_E,
+        ("divided-power[E_0]", "fail", "divided power disagrees with plain power",
+         "entry (0,4) = v^4 + (2)*v^2 + 2 + v^-2")],
+    (4, "W(4)", "F"): [
+        ("commutator-generic[E_0,F_0]", "fail", "generic commutator fails",
+         "entry (0,0) = v^4 + v^2 + 1 + v^-2"),
+        ("divided-power[F_0]", "fail", "divided power disagrees with plain power",
+         "entry (4,0) = v^7 + (3)*v^5 + (5)*v^3 + (6)*v + (5)*v^-1 + (3)*v^-3 + v^-5")],
+    (4, "W(2)(x)W(3)", "E"): [
+        _COMM_E,
+        ("divided-power[E_0]", "fail", "divided power disagrees with plain power",
+         "entry (0,7) = v^7 + (3)*v^5 + (4)*v^3 + (3)*v + v^-1")],
+    (4, "W(2)(x)W(3)", "F"): [
+        ("commutator-generic[E_0,F_0]", "fail", "generic commutator fails",
+         "entry (0,0) = v^5 + v^3 + v"),
+        ("divided-power[F_0]", "fail", "divided power disagrees with plain power",
+         "entry (7,0) = v^7 + (3)*v^5 + (5)*v^3 + (5)*v + (3)*v^-1 + v^-3")],
+    (6, "W(4)", "E"): [_COMM_E],
+    (6, "W(4)", "F"): [
+        ("commutator-generic[E_0,F_0]", "fail", "generic commutator fails",
+         "entry (0,0) = v^4 + v^2 + 1 + v^-2")],
+    (6, "W(2)(x)W(3)", "E"): [_COMM_E],
+    (6, "W(2)(x)W(3)", "F"): [
+        ("commutator-generic[E_0,F_0]", "fail", "generic commutator fails",
+         "entry (0,0) = v^5 + v^3 + v")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERIC_CASES), ids=str)
+def test_generic_layer_failure_details(case):
+    ell, label, sym = case
+    params = QParams(ell)
+    module = (weyl_module(4, params) if label == "W(4)"
+              else tensor_product(weyl_module(2, params), weyl_module(3, params)))
+    bad = _raise_generic(module, sym)
+    failures = [(c.name, c.status, c.details, c.counterexample)
+                for c in relation_check(bad).failures()]
+    assert failures == GENERIC_CASES[case]
