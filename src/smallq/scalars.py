@@ -1,8 +1,11 @@
 """Exact scalar tower: Q(zeta_N), Laurent polynomials in v, and the local ring at v = zeta.
 
 Everything here is exact.  Cyclotomic elements are residues modulo the N-th
-cyclotomic polynomial with rational coefficients, Laurent polynomials carry
-cyclotomic coefficients, and the localization consists of fractions whose
+cyclotomic polynomial with rational coefficients.  Laurent polynomials in v
+hold integer coefficients as Python ints (the divided-power form lives in
+Z[v, v^-1]) and other coefficients as cyclotomic elements; an integer
+polynomial is boxed into the field only when it is evaluated at zeta or
+meets a cyclotomic scalar.  The localization consists of fractions whose
 denominator does not vanish at zeta.  No floating point is used anywhere:
 identity checks downstream are exact coefficient comparisons.
 
@@ -302,6 +305,8 @@ class CycloElem:
 
     def __truediv__(self, other):
         if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic element by 0")
             return self._make(self.num, self.den * other)
         return self * other.inverse()
 
@@ -335,11 +340,16 @@ class CycloElem:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in v over a cyclotomic field
+# Laurent polynomials in v: Z[v, v^-1] as ints, Q(zeta)[v, v^-1] otherwise
 # ---------------------------------------------------------------------------
 
 class LaurentRing:
-    """Laurent polynomials in v with CycloElem coefficients."""
+    """Laurent polynomials in v over a cyclotomic field.
+
+    The divided-power form lives in Z[v, v^-1], so every polynomial built from
+    [m]_d, [m]_d! and [m over t]_d has integer coefficients; those are held
+    as Python ints (see ``LaurentPoly``).
+    """
 
     _instances: dict[int, "LaurentRing"] = {}
 
@@ -353,8 +363,8 @@ class LaurentRing:
         cls._instances[field.n] = inst
         inst.field = field
         inst.zero = LaurentPoly(inst, {})
-        inst.one = LaurentPoly(inst, {0: field.one})
-        inst.v = LaurentPoly(inst, {1: field.one})
+        inst.one = LaurentPoly(inst, {0: 1})
+        inst.v = LaurentPoly(inst, {1: 1})
         inst._qint = {}
         inst._qfact = {}
         inst._qbinom = {}
@@ -364,47 +374,59 @@ class LaurentRing:
     def from_int(self, a: int) -> "LaurentPoly":
         if a == 0:
             return self.zero
-        return LaurentPoly(self, {0: self.field.from_int(a)})
+        return LaurentPoly(self, {0: a})
 
     def from_int_dict(self, d: dict[int, int]) -> "LaurentPoly":
-        f = self.field
-        return LaurentPoly(self, {e: f.from_int(c) for e, c in d.items() if c})
+        return LaurentPoly(self, {e: c for e, c in d.items() if c})
 
     def __repr__(self):
         return f"{self.field}[v, v^-1]"
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial; no zero coefficients are stored."""
+def _canonical(field, coeffs):
+    """(coeffs, integral) in the canonical form: every coefficient an int if
+    all of them are integers, else every one a CycloElem."""
+    ints = {}
+    for e, a in coeffs.items():
+        if type(a) is int:
+            ints[e] = a
+        elif a.is_rational and a.den == 1:
+            ints[e] = a.num[0]
+        else:
+            from_int = field.from_int
+            return {e: from_int(a) if type(a) is int else a
+                    for e, a in coeffs.items()}, False
+    return ints, True
 
-    __slots__ = ("ring", "c", "_ints")
+
+class LaurentPoly:
+    """Sparse Laurent polynomial; no zero coefficients are stored.
+
+    One canonical form per value: when every coefficient is an integer the
+    coefficients are Python ints (``integral`` is True, as for zero),
+    otherwise they are all CycloElems.  The constructor enforces it, so
+    ``==`` is a dict comparison and ``hash`` agrees with it.  Arithmetic
+    between integral polynomials runs on ints alone; an int meets the field
+    only when it meets a cyclotomic coefficient or scalar.
+    """
+
+    __slots__ = ("ring", "c", "integral")
 
     def __init__(self, ring, coeffs: dict):
         self.ring = ring
+        integral = True
+        for a in coeffs.values():
+            if type(a) is not int:
+                coeffs, integral = _canonical(ring.field, coeffs)
+                break
         self.c = coeffs
-        self._ints = 0          # 0 = not computed; None = non-integer; dict = cache
-
-    def _int_support(self):
-        cached = self._ints
-        if cached != 0:
-            return cached
-        out = {}
-        for e, a in self.c.items():
-            if a.is_rational and a.den == 1:
-                out[e] = a.num[0]
-            else:
-                self._ints = None
-                return None
-        self._ints = out
-        return out
+        self.integral = integral
 
     def __bool__(self):
         return bool(self.c)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return not self.c
             other = self.ring.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -444,33 +466,28 @@ class LaurentPoly:
 
     def __mul__(self, other):
         ring = self.ring
-        if isinstance(other, int):
-            other = ring.from_int(other)
-        if isinstance(other, CycloElem):
+        if isinstance(other, (int, CycloElem)):
+            # Q(zeta) has no zero divisors: a nonzero scalar keeps every term
             if not other:
                 return ring.zero
-            return LaurentPoly(ring, {e: a * other for e, a in self.c.items() if a * other})
+            return LaurentPoly(ring, {e: a * other for e, a in self.c.items()})
         if not self.c or not other.c:
             return ring.zero
-        si = self._int_support()
-        if si is not None:
-            oi = other._int_support()
-            if oi is not None:
-                acc: dict[int, int] = {}
-                get = acc.get
-                for e1, c1 in si.items():
-                    for e2, c2 in oi.items():
-                        k = e1 + e2
-                        acc[k] = get(k, 0) + c1 * c2
-                return ring.from_int_dict(acc)
-        acc2: dict[int, CycloElem] = {}
-        for e1, c1 in self.c.items():
-            for e2, c2 in other.c.items():
-                k = e1 + e2
-                p = c1 * c2
-                b = acc2.get(k)
-                acc2[k] = p if b is None else b + p
-        return LaurentPoly(ring, {e: a for e, a in acc2.items() if a})
+        acc = {}
+        get = acc.get
+        if self.integral and other.integral:
+            for e1, c1 in self.c.items():
+                for e2, c2 in other.c.items():
+                    k = e1 + e2
+                    acc[k] = get(k, 0) + c1 * c2
+        else:
+            for e1, c1 in self.c.items():
+                for e2, c2 in other.c.items():
+                    k = e1 + e2
+                    p = c1 * c2
+                    b = get(k)
+                    acc[k] = p if b is None else b + p
+        return LaurentPoly(ring, {e: a for e, a in acc.items() if a})
 
     __rmul__ = __mul__
 
@@ -500,11 +517,10 @@ class LaurentPoly:
     def eval_zeta(self) -> CycloElem:
         """Evaluate at v = zeta (the generator of the coefficient field)."""
         f = self.ring.field
-        n = f.n
-        si = self._int_support()
-        if si is not None:
+        if self.integral:
+            n = f.n
             acc = [0] * n
-            for e, c in si.items():
+            for e, c in self.c.items():
                 acc[e % n] += c
             d = f.degree
             vec = [0] * d
@@ -514,22 +530,21 @@ class LaurentPoly:
                     row = rows[r]
                     for j in range(d):
                         vec[j] += cnt * row[j]
-            num, den = _normalize(vec, 1)
-            return CycloElem(f, num, den)
+            return CycloElem(f, tuple(vec), 1)
         out = f.zero
         for e, c in self.c.items():
             out = out + c * f.zeta(e)
         return out
 
     def _dense(self):
-        """(min_exp, ascending CycloElem list)."""
+        """(min_exp, ascending list of the coefficients as CycloElems)."""
         if not self.c:
             return 0, []
         lo, hi = min(self.c), max(self.c)
         f = self.ring.field
         dense = [f.zero] * (hi - lo + 1)
         for e, a in self.c.items():
-            dense[e - lo] = a
+            dense[e - lo] = f.from_int(a) if type(a) is int else a
         return lo, dense
 
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
@@ -539,17 +554,16 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.c:
             return ring.zero
-        si, di = self._int_support(), den._int_support()
-        if si is not None and di is not None:
-            lo_n, hi_n = min(si), max(si)
-            lo_d, hi_d = min(di), max(di)
-            lead = di[hi_d]
+        if self.integral and den.integral:
+            lo_n, hi_n = min(self.c), max(self.c)
+            lo_d, hi_d = min(den.c), max(den.c)
+            lead = den.c[hi_d]
             if lead in (1, -1):
                 a = [0] * (hi_n - lo_n + 1)
-                for e, c in si.items():
+                for e, c in self.c.items():
                     a[e - lo_n] = c
                 b = [0] * (hi_d - lo_d + 1)
-                for e, c in di.items():
+                for e, c in den.c.items():
                     b[e - lo_d] = c
                 if len(a) < len(b):
                     raise ExactDivisionError("degree too small for exact division")
@@ -563,7 +577,7 @@ class LaurentPoly:
                 if any(a):
                     raise ExactDivisionError("non-exact Laurent division")
                 shift = lo_n - lo_d
-                return ring.from_int_dict({i + shift: c for i, c in enumerate(q) if c})
+                return LaurentPoly(ring, {i + shift: c for i, c in enumerate(q) if c})
         lo_n, a = self._dense()
         lo_d, b = den._dense()
         if len(a) < len(b):
@@ -588,8 +602,8 @@ class LaurentPoly:
             return "0"
         parts = []
         for e in sorted(self.c, reverse=True):
-            a = self.c[e]
-            coeff = repr(a)
+            # an int coefficient prints as the integral CycloElem it stands for
+            coeff = repr(self.c[e])
             if e == 0:
                 parts.append(coeff)
             else:
@@ -650,10 +664,9 @@ class LocalScalar:
         ring = num.ring
         if not den.c:
             raise ZeroDivisionError("zero denominator")
-        one = ring.field.one
-        if reduce and num.c and den.c != {0: one}:
+        if reduce and num.c and den != ring.one:
             g = poly_gcd(num, den)
-            if g.c != {0: one}:
+            if g != ring.one:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
         if not num.c:
@@ -665,11 +678,11 @@ class LocalScalar:
                 den = den.shift(-k)
                 num = num.shift(-k)
             lead = den.c[den.max_exp()]
-            if lead != ring.field.one:
-                inv = lead.inverse()
+            if lead != 1:
+                inv = ring.field.one / lead
                 den = den * inv
                 num = num * inv
-        if den.c != {0: ring.field.one} and not den.eval_zeta():
+        if den != ring.one and not den.eval_zeta():
             raise OutsideLocalizationError(
                 "denominator vanishes at zeta after reduction")
         self.num = num

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallq.scalars import (
+    CycloElem,
     ExactDivisionError,
     LatticeError,
     LaurentPoly,
@@ -168,6 +169,18 @@ def test_inverse_fuzz_across_fields():
                     assert x * inv == field.one and inv.inverse() == x, (n, num, x.den)
             with pytest.raises(ZeroDivisionError):
                 field.zero.inverse()
+
+
+def test_division_by_integer_zero():
+    rng = random.Random(10)
+    for n in (1, 2, 4, 8, 12):
+        from smallq.scalars import CycloField
+        field = CycloField(n)
+        xs = [field.zero, field.one, field.zeta()] + random_elems(field, rng, 5)
+        for x in xs:
+            with pytest.raises(ZeroDivisionError):
+                x / 0
+        assert field.one / -2 == field.elem([-1], 2)
 
 
 def test_pascal_identity_grid():
@@ -392,3 +405,130 @@ def test_local_scalar_ring_axioms_and_eval_hom(ell, data):
     elif a:
         with pytest.raises(OutsideLocalizationError):
             a.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the integer canonical form of Laurent polynomials, against dict convolutions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def int_laurent(draw, ring):
+    """Integer coefficients, negative ones included, on exponents past +-2*ell
+    (so eval_zeta has to reduce them); empty a fifth of the time."""
+    if draw(st.integers(0, 4)) == 0:
+        return ring.from_int_dict({})
+    return ring.from_int_dict(draw(st.dictionaries(
+        st.integers(-30, 30), st.integers(-5, 5), min_size=1, max_size=5)))
+
+
+def naive_add(a, b, zero=0):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, zero) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_mul(a, b, zero=0):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, zero) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def in_field(field, coeffs):
+    """coeffs with every int boxed into the field."""
+    return {e: field.from_int(c) if type(c) is int else c for e, c in coeffs.items()}
+
+
+def assert_canonical(p):
+    """All coefficients ints exactly when all are integers, none zero; one
+    form per value, so re-building p from boxed coefficients gives p again,
+    with its hash."""
+    values = list(p.c.values())
+    assert all(values)
+    integral = all(type(a) is int or (a.is_rational and a.den == 1) for a in values)
+    assert p.integral == integral
+    if integral:
+        assert all(type(a) is int for a in values)
+    else:
+        assert all(isinstance(a, CycloElem) for a in values)
+    again = LaurentPoly(p.ring, in_field(p.ring.field, p.c))
+    assert again == p and hash(again) == hash(p) and again.c == p.c
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_int_form_ring_ops_match_dict_convolution(ell, data):
+    ring = TOWER[ell].vring
+    p, q = data.draw(int_laurent(ring)), data.draw(int_laurent(ring))
+    k = data.draw(st.integers(-40, 40))
+    neg_q = {e: -c for e, c in q.c.items()}
+    results = {
+        "+": (p + q, naive_add(p.c, q.c)),
+        "-": (p - q, naive_add(p.c, neg_q)),
+        "*": (p * q, naive_mul(p.c, q.c)),
+        "shift": (p.shift(k), {e + k: c for e, c in p.c.items()}),
+        "cancel": (p + q - q - p, {}),
+        "neg": (p + (-p), {}),
+    }
+    for op, (got, expected) in results.items():
+        assert got.c == expected, op
+        assert got.integral and all(type(c) is int for c in got.c.values()), op
+        assert_canonical(got)
+    assert (p * q == q * p) and hash(p * q) == hash(q * p)
+    assert p + q - q == p and hash(p + q - q) == hash(p)
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_int_form_exact_div(ell, data):
+    ring = TOWER[ell].vring
+    p, q, r = (data.draw(int_laurent(ring)) for _ in range(3))
+    # leading coefficient +-1 takes the integer long division
+    q = q + ring.v.shift(30) * data.draw(st.sampled_from((1, -1)))
+    quotient = (p * q).exact_div(q)
+    assert quotient == p and quotient.c == p.c
+    assert_canonical(quotient)
+    # any other numerator: an exact quotient or an ExactDivisionError
+    try:
+        s = r.exact_div(q)
+    except ExactDivisionError:
+        pass
+    else:
+        assert s * q == r
+        assert_canonical(s)
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_int_form_eval_zeta(ell, data):
+    ring = TOWER[ell].vring
+    field = ring.field
+    p = data.draw(int_laurent(ring))
+    expected = field.zero
+    for e, c in p.c.items():
+        expected = expected + c * field.zeta(e)
+    assert p.eval_zeta() == expected
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_mixed_products_match_cyclotomic_convolution(ell, data):
+    ring = TOWER[ell].vring
+    field = ring.field
+    p = data.draw(int_laurent(ring))
+    r = data.draw(laurent(ring))
+    x = data.draw(cyclo(field))
+    boxed = in_field(field, p.c)
+    for got, expected in (
+            (p * r, naive_mul(boxed, in_field(field, r.c), field.zero)),
+            (r * p, naive_mul(in_field(field, r.c), boxed, field.zero)),
+            (p + r, naive_add(boxed, in_field(field, r.c), field.zero)),
+            (p * x, {e: c * x for e, c in boxed.items() if c * x})):
+        assert in_field(field, got.c) == expected
+        assert_canonical(got)
+    # a non-integral scalar and back: the int form again
+    if x and not x.is_rational:
+        assert (p * x) * x.inverse() == p
+        assert ((p * x) * x.inverse()).c == p.c
