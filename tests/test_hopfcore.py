@@ -13,7 +13,9 @@ from smallq.hopfcore import (
     A_simples,
     CoalgebraFD,
     ComoduleFD,
+    EquivariantObject,
     GroupModule,
+    GroupTable,
     HopfAlgebraFD,
     StructureError,
     TripleObject,
@@ -33,6 +35,7 @@ from smallq.hopfcore import (
     find_iso,
     finite_group_triple,
     group_simples,
+    hopf_of_functions,
     identity_point,
     induce,
     module_to_comodule,
@@ -781,3 +784,164 @@ def test_freeness_witnesses(z4_triple, s3_triple):
         assert witness.startswith("A is O-free on basis elements ['section[0]'")
         shrunk = {c.name: c for c in check_conditions(shrunk_triple(T)).checks}["iv_a"]
         assert shrunk.status == "pass" and "'basis[0]'" in shrunk.details
+
+
+# ---------------------------------------------------------------------------
+# one message per law of a triple, a Hopf algebra and an equivariant object:
+# each input breaks that law and none checked before it.  Every structure
+# map comes from a builder, so the inputs do not depend on the form a
+# structure map is stored in.
+# ---------------------------------------------------------------------------
+
+def _z2_functions(f, identity_first=True):
+    """Functions on Z/2; with identity_first False its basis lists the
+    non-identity element first."""
+    if identity_first:
+        return hopf_of_functions(GroupTable(["e", "g"], [[0, 1], [1, 0]]), f)
+    return hopf_of_functions(GroupTable(["g", "e"], [[1, 0], [0, 1]]), f)
+
+
+def _z2_group_algebra(f, k):
+    """k[Z/2] on the basis g, b = (1 - g)/k: 1 = g + k b, g g = g + k b,
+    g b = b g = -b, b b = (2/k) b and Delta(b) = g (x) b + b (x) g + k b (x) b.
+    Its antipode is the identity, as on functions on Z/2."""
+    one, kk = f.one, f.from_int(k)
+    return HopfAlgebraFD(
+        f, [{(0, 0): one}, {(0, 1): one, (1, 0): one, (1, 1): kk}], [one, f.zero],
+        {(0, 0): {0: one, 1: kk}, (0, 1): {1: -one}, (1, 0): {1: -one},
+         (1, 1): {1: f.from_int(2) * kk.inverse()}},
+        {0: one, 1: kk}, _z2_functions(f).antipode)
+
+
+def _unit_not_preserved(T):
+    """O = k into k[Z/2] on the basis g, (1 - g)/2 by 1 -> g + b: an
+    idempotent, so multiplicative, but not the unit g + 2 b."""
+    f = T.field
+    Z = finite_group_triple(GroupTable(["e", "g"], [[0, 1], [1, 0]]), ["e", "g"], field=f)
+    return hopfcore.TripleFD(Z.O, _z2_group_algebra(f, 2), Z.a, Z.iota, Z.pi, Z.ract)
+
+
+def _triple_aaa(T):
+    return degenerate_triple_all_equal(T.A)
+
+
+TRIPLE_LAW_CASES = [
+    # right product by delta_e on A has rank one
+    ("iota is not injective",
+     lambda T: hopfcore.TripleFD(T.A, T.A, _triple_aaa(T).a, _triple_aaa(T).ract[0],
+                                 _triple_aaa(T).pi, _triple_aaa(T).ract)),
+    ("pi is not surjective",
+     lambda T: hopfcore.TripleFD(T.A, T.A, _triple_aaa(T).a, _triple_aaa(T).iota,
+                                 _triple_aaa(T).ract[0], _triple_aaa(T).ract)),
+    # k[Z/2] on the basis g, 1 - g: iota(g) is the idempotent delta_e +
+    # delta_b, but g g = 1; iota(g + (1 - g)) = 1 still
+    ("iota is not multiplicative",
+     lambda T: hopfcore.TripleFD(_z2_group_algebra(T.field, 1), T.A, T.a, T.iota, T.pi,
+                                 T.ract)),
+    ("iota does not preserve the unit", _unit_not_preserved),
+    # the identity coset's function sent to the other point of O
+    ("iota is not a coalgebra map",
+     lambda T: hopfcore.TripleFD(_z2_functions(T.field, identity_first=False), T.A, T.a,
+                                 T.iota, T.pi, T.ract)),
+    # delta_e restricted to the subgroup sent to the non-identity point of a
+    ("pi is not a coalgebra map",
+     lambda T: hopfcore.TripleFD(T.O, T.A, _z2_functions(T.field, identity_first=False),
+                                 T.iota, T.pi, T.ract)),
+    # the right action of delta_g moved to delta_{g a^-1}
+    ("pi does not respect the right module structure",
+     lambda T: hopfcore.TripleFD(T.O, T.A, T.a, T.iota, T.pi, T.ract[1:] + T.ract[:1])),
+]
+
+
+def _z3_table():
+    return GroupTable(["e", "a", "b"], [[(i + j) % 3 for j in range(3)] for i in range(3)])
+
+
+def _functions_coproduct_on_group_algebra(T):
+    """k[Z/3]'s product with the coproduct of functions on Z/3: Delta(e)
+    has three terms and Delta(e) Delta(e) nine."""
+    f = T.field
+    table, fun = _z3_table(), hopf_of_functions(_z3_table(), T.field)
+    mult = {(i, j): {table.mult[i][j]: f.one} for i in range(3) for j in range(3)}
+    return HopfAlgebraFD(f, fun.delta, fun.eps, mult, {0: f.one}, fun.antipode)
+
+
+def _group_likes_on_idempotents(T):
+    """Two orthogonal idempotents, both group-like: Delta is multiplicative,
+    eps(e_0 e_1) = 0 != 1."""
+    f, one = T.field, T.field.one
+    return HopfAlgebraFD(f, [{(0, 0): one}, {(1, 1): one}], [one, one],
+                         {(0, 0): {0: one}, (1, 1): {1: one}}, {0: one, 1: one},
+                         _z2_functions(f).antipode)
+
+
+def _primitive_on_idempotents(T):
+    """Delta(e_0) = e_0 (x) e_0, Delta(e_1) = e_0 (x) e_1 + e_1 (x) e_0 on two
+    orthogonal idempotents: Delta and eps are multiplicative, and
+    Delta(e_0 + e_1) misses e_1 (x) e_1."""
+    f, one = T.field, T.field.one
+    return HopfAlgebraFD(f, [{(0, 0): one}, {(0, 1): one, (1, 0): one}], [one, f.zero],
+                         {(0, 0): {0: one}, (1, 1): {1: one}}, {0: one, 1: one},
+                         _z2_functions(f).antipode)
+
+
+HOPF_LAW_CASES = [
+    ("comultiplication is not an algebra map", _functions_coproduct_on_group_algebra),
+    ("counit is not an algebra map", _group_likes_on_idempotents),
+    (r"Delta\(1\) != 1 \(x\) 1", _primitive_on_idempotents),
+    # the identity map (iota of the triple (A, A, A)) is not the inversion of Z/4
+    ("antipode identity fails",
+     lambda T: HopfAlgebraFD(T.field, T.A.delta, T.A.eps, T.A.mult, T.A.unit,
+                             _triple_aaa(T).iota)),
+]
+
+
+def _regular_equivariant(T):
+    return equivariant_of(T, ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim)))
+
+
+def _trivial_gamma(T):
+    """The O-coaction n -> 1 (x) n on O (x) A: an O-comodule that commutes
+    with the A-coaction and ignores the O-action."""
+    E = _regular_equivariant(T)
+    unit = identity(E.N.dim, T.field.one)
+    return EquivariantObject(
+        E.N, ComoduleFD(T.O, [mat_scale(unit, T.O.unit.get(o, T.field.zero))
+                              for o in range(T.O.dim)]))
+
+
+def _swapped_gamma(T):
+    """Delta_O on the first factor of O (x) A times Z/2 acting on A by
+    swapping delta_e <-> delta_a and delta_b <-> delta_c: still a Hopf module,
+    but the swap is no translation of Z/4."""
+    E = _regular_equivariant(T)
+    one = T.field.one
+    swap = [[(1, one)], [(0, one)], [(3, one)], [(2, one)]]
+    mats = [kron(R, S) for R, S in zip(coaction_matrices(T.O.delta, T.O.dim),
+                                       [identity(4, one), swap])]
+    return EquivariantObject(E.N, ComoduleFD(T.O, mats))
+
+
+EQUIVARIANT_LAW_CASES = [
+    ("Hopf-module law fails", _trivial_gamma),
+    ("coactions do not commute", _swapped_gamma),
+]
+
+STRUCTURE_LAW_CASES = TRIPLE_LAW_CASES + HOPF_LAW_CASES + EQUIVARIANT_LAW_CASES
+
+
+@pytest.mark.parametrize("message,build", STRUCTURE_LAW_CASES,
+                         ids=[c[0] for c in STRUCTURE_LAW_CASES])
+def test_each_structure_law_has_its_message(z4_triple, message, build):
+    with pytest.raises(StructureError, match=message):
+        build(z4_triple)
+
+
+def test_structure_law_inputs_are_otherwise_valid(z4_triple):
+    # negative control: the pieces the cases reassemble build on their own
+    T = z4_triple
+    hopfcore.TripleFD(T.O, T.A, T.a, T.iota, T.pi, T.ract)
+    for k in (1, 2):
+        _z2_group_algebra(T.field, k)
+    E = _regular_equivariant(T)
+    EquivariantObject(E.N, E.gamma)
