@@ -45,8 +45,7 @@ class DualGroupRep:
     fundamental-coweight coordinates (simply-connected dual group).
     """
 
-    def __init__(self, datum, params, weights, e, f, form="adjoint", name="",
-                 validate=True):
+    def __init__(self, datum, params, weights, e, f, form="adjoint", name=""):
         self.datum = datum
         self.params = params
         self.weights = [tuple(w) for w in weights]
@@ -55,8 +54,7 @@ class DualGroupRep:
         self.form = form
         self.name = name or f"V(dim={len(self.weights)})"
         self.ell_form = EllForm(datum, params)
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self):

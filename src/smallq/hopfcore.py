@@ -3,10 +3,10 @@
 Everything is a structure tensor over an exact cyclotomic field: coalgebras
 carry a comultiplication tensor and counit, Hopf algebras add multiplication,
 unit and antipode, comodules carry their coaction matrices.  All axioms are
-asserted at construction time as exact identities.  Coaction and action
-matrices, group-module matrices and the maps between carriers are sparse
-columns (see ``linalg``); the structure maps ``iota``, ``pi``, ``ract`` and
-``antipode`` of a triple or Hopf algebra are dense lists of rows.
+asserted at construction time as exact identities.  Every matrix is its
+sparse columns (see ``linalg``): coaction and action matrices, group-module
+matrices, the maps between carriers and the structure maps ``iota``, ``pi``,
+``ract`` and ``antipode`` of a triple or Hopf algebra alike.
 
 The engine realizes the induction functor Ind(M) = (A (x) M)^a as an exact
 cotensor nullspace, the de-equivariantization Psi(N) = C (x)_O N as an exact
@@ -41,13 +41,11 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_sum,
-    nullspace,
     rank,
     restrict,
     sparse_nullspace,
     spin,
     transpose,
-    zeros,
 )
 from .linalg import _apply, _canon, _dense
 from .report import Report
@@ -314,13 +312,21 @@ def _dual_mult(C):
 
 
 class HopfAlgebraFD(CoalgebraFD):
-    """Coalgebra plus multiplication tensor, unit vector and antipode matrix."""
+    """Coalgebra plus multiplication tensor, unit vector and antipode matrix.
+
+    ``left_products[i]`` and ``right_products[i]`` are the matrices of the
+    left and the right product by the i-th basis element.
+    """
 
     def __init__(self, field, delta, eps, mult, unit, antipode, name=""):
         super().__init__(field, delta, eps, name=name)
         self.mult = mult            # {(i, j): {k: c}}
         self.unit = unit            # {k: c}
-        self.antipode = antipode    # dense matrix
+        self.antipode = antipode
+        self.left_products = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        self.right_products = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j), prod in mult.items():
+            self.left_products[i][j] = self.right_products[j][i] = _canon(prod)
         self._validate_hopf()
 
     def product_vec(self, x, y):
@@ -336,25 +342,16 @@ class HopfAlgebraFD(CoalgebraFD):
                     _acc(out, k, ci * cj * c)
         return _strip(out)
 
-    def left_mult_matrix(self, x):
-        """Matrix of left multiplication by the coefficient dict x."""
-        one = self.field.one
-        return [_canon(self.product_vec(x, {j: one})) for j in range(self.dim)]
-
     def _validate_hopf(self):
         f = self.field
-        one = self.unit
         # associativity and the left unit law: the algebra acting on itself
         # by left product is a module
-        left = [self.left_mult_matrix({i: f.one}) for i in range(self.dim)]
-        _check_module(left, self.mult, one.items(), f.one,
+        _check_module(self.left_products, self.mult, self.unit.items(), f.one,
                       f"{self.name}: multiplication not associative",
                       f"{self.name}: unit law fails")
         # the right unit law
-        for i in range(self.dim):
-            ei = {i: f.one}
-            if self.product_vec(ei, one) != ei:
-                raise StructureError(f"{self.name}: unit law fails")
+        if combine(self.unit.items(), self.right_products) != identity(self.dim, f.one):
+            raise StructureError(f"{self.name}: unit law fails")
         # bialgebra: Delta and eps are algebra maps, Delta(1) = 1 (x) 1
         for i in range(self.dim):
             for j in range(self.dim):
@@ -388,13 +385,9 @@ class HopfAlgebraFD(CoalgebraFD):
         for i in range(self.dim):
             acc_l, acc_r = {}, {}
             for (j, k), c in self.delta[i].items():
-                tau_j = {u: self.antipode[u][j] for u in range(self.dim)
-                         if self.antipode[u][j]}
-                for t, ct in self.product_vec(tau_j, {k: f.one}).items():
+                for t, ct in self.product_vec(dict(self.antipode[j]), {k: f.one}).items():
                     _acc(acc_l, t, c * ct)
-                tau_k = {u: self.antipode[u][k] for u in range(self.dim)
-                         if self.antipode[u][k]}
-                for t, ct in self.product_vec({j: f.one}, tau_k).items():
+                for t, ct in self.product_vec({j: f.one}, dict(self.antipode[k])).items():
                     _acc(acc_r, t, c * ct)
             target = _strip({k: self.eps[i] * c for k, c in self.unit.items()})
             if _strip(acc_l) != target or _strip(acc_r) != target:
@@ -441,10 +434,10 @@ def coaction_matrices(rho, cdim):
     return [[_canon(col) for col in R] for R in cols]
 
 
-def _pushforward(mat, mats):
+def _pushforward(mat, m, mats):
     """The coaction matrices of (mat (x) id) rho from those of rho:
-    sum_j mat[c][j] R_j for each row c of the dense matrix mat."""
-    return [combine(((j, x) for j, x in enumerate(row) if x), mats) for row in mat]
+    sum_j mat[c][j] R_j for each row c of mat, a matrix with m rows."""
+    return [combine(row, mats) for row in transpose(mat, m)]
 
 
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
@@ -484,106 +477,64 @@ def hopf_of_functions(table: GroupTable, field) -> HopfAlgebraFD:
     eps = [f.one if g == table.identity else f.zero for g in range(n)]
     mult = {(i, i): {i: f.one} for i in range(n)}
     unit = {i: f.one for i in range(n)}
-    antipode = zeros(n, n, f.zero)
-    for g in range(n):
-        antipode[table.inverse[g]][g] = f.one
+    antipode = [[(table.inverse[g], f.one)] for g in range(n)]
     return HopfAlgebraFD(f, delta, eps, mult, unit, antipode,
                          name=f"O[{'x'.join(table.names[:1])}..n={n}]")
 
 
 class TripleFD:
-    """An (O, A, a) triple: embedding iota, surjection pi, right A-action on a."""
+    """An (O, A, a) triple: embedding iota, surjection pi, right A-action on a.
 
-    def __init__(self, O, A, a, iota, pi, ract, name="", validate=True):
+    iota is a dim A x dim O matrix, pi a dim a x dim A matrix and ract[j] the
+    dim a x dim a matrix of the right action of the j-th basis element of A.
+    ``iota_left[i]`` is the left product by iota(e_i) on A: the O-action on
+    A, built once per triple.
+    """
+
+    def __init__(self, O, A, a, iota, pi, ract, name=""):
         self.O = O
         self.A = A
         self.a = a
-        self.iota = iota            # dim A x dim O dense matrix
-        self.pi = pi                # dim a x dim A dense matrix
-        self.ract = ract            # list over A-basis of dim a x dim a dense matrices
+        self.iota = iota
+        self.pi = pi
+        self.ract = ract
         self.name = name or "triple"
         self.field = A.field
+        self.iota_left = [combine(col, A.left_products) for col in iota]
         self._induced = {}          # coaction value -> Ind object; see ``induce``
         self._simples = {}          # "a" / "A" -> simple comodules; see ``a_simples``
-        if validate:
-            self._validate()
-
-    def iota_vec(self, x):
-        """Image of an O coefficient dict in A."""
-        return _dict_image(self.iota, x)
-
-    def pi_vec(self, x):
-        """Image of an A coefficient dict in a."""
-        return _dict_image(self.pi, x)
+        self._validate()
 
     def group_like(self):
-        """pi(1_A): the distinguished group-like element of a."""
-        return self.pi_vec(self.A.unit)
+        """pi(1_A): the distinguished group-like element of a, as a sparse column."""
+        return mat_mul(self.pi, [_canon(self.A.unit)])[0]
 
     def _validate(self):
         f = self.field
-        if rank([list(col) for col in zip(*self.iota)], f) != self.O.dim:
+        O, A, a = self.O, self.A, self.a
+        if rank([_dense(col, A.dim, f.zero) for col in self.iota], f) != O.dim:
             raise StructureError("iota is not injective")
-        if rank(self.pi, f) != self.a.dim:
+        if rank([_dense(col, a.dim, f.zero) for col in self.pi], f) != a.dim:
             raise StructureError("pi is not surjective")
-        # iota is a Hopf map: multiplicative, comultiplicative, unital
-        for i in range(self.O.dim):
-            for j in range(self.O.dim):
-                prod_o = self.O.product_vec({i: f.one}, {j: f.one})
-                lhs = self.iota_vec(prod_o)
-                rhs = self.A.product_vec(self.iota_vec({i: f.one}),
-                                         self.iota_vec({j: f.one}))
-                if lhs != rhs:
-                    raise StructureError("iota is not multiplicative")
-        if self.iota_vec(self.O.unit) != _strip(dict(self.A.unit)):
-            raise StructureError("iota does not preserve the unit")
-        if not _is_coalgebra_map(self.iota, self.O, self.A):
-            raise StructureError("iota is not a coalgebra map")
-        # pi is a coalgebra map and a right-module map
-        if not _is_coalgebra_map(self.pi, self.A, self.a):
-            raise StructureError("pi is not a coalgebra map")
-        for i in range(self.A.dim):
-            for j in range(self.A.dim):
-                prod = self.A.product_vec({i: f.one}, {j: f.one})
-                lhs_v = self.pi_vec(prod)
-                rhs_v = {}
-                for u, c in self.pi_vec({i: f.one}).items():
-                    for w in range(self.a.dim):
-                        v = self.ract[j][w][u]
-                        if v:
-                            _acc(rhs_v, w, c * v)
-                if lhs_v != _strip(rhs_v):
-                    raise StructureError("pi does not respect the right module structure")
+        # iota is a Hopf map: the left products by iota(e_i) are an O-module
+        # exactly when iota is multiplicative and unital, and iota, pi are
+        # coalgebra maps
+        _check_module(self.iota_left, O.mult, O.unit.items(), f.one,
+                      "iota is not multiplicative", "iota does not preserve the unit")
+        _check_coalgebra_map(self.iota, O, A, "iota is not a coalgebra map")
+        _check_coalgebra_map(self.pi, A, a, "pi is not a coalgebra map")
+        # pi(x y) = pi(x) . y
+        if not intertwines(self.pi, A.right_products, self.ract):
+            raise StructureError("pi does not respect the right module structure")
 
 
-def _dict_image(mat, x):
-    """mat times the coefficient dict x, as a coefficient dict."""
-    out = {}
-    for j, c in x.items():
-        for i, row in enumerate(mat):
-            v = row[j]
-            if v:
-                _acc(out, i, c * v)
-    return _strip(out)
-
-
-def _is_coalgebra_map(mat, src: CoalgebraFD, tgt: CoalgebraFD) -> bool:
-    """Whether the matrix of a map src -> tgt satisfies
-    Delta_tgt . mat = (mat (x) mat) . Delta_src on every basis element."""
-    one = src.field.one
-    for i in range(src.dim):
-        lhs = {}
-        for k, c in _dict_image(mat, {i: one}).items():
-            for (u, v), c2 in tgt.delta[k].items():
-                _acc(lhs, (u, v), c * c2)
-        rhs = {}
-        for (j, k), c in src.delta[i].items():
-            for u, cu in _dict_image(mat, {j: one}).items():
-                for v, cv in _dict_image(mat, {k: one}).items():
-                    _acc(rhs, (u, v), c * cu * cv)
-        if _strip(lhs) != _strip(rhs):
-            return False
-    return True
+def _check_coalgebra_map(mat, src: CoalgebraFD, tgt: CoalgebraFD, msg):
+    """Raise StructureError(msg) unless the matrix of a map src -> tgt is a
+    coalgebra map: exactly then is (mat (x) id) Delta_src a tgt-coaction on
+    src (apply id (x) id (x) eps_src to its coassociativity, eps_src to its
+    counit law)."""
+    mats = _pushforward(mat, tgt.dim, coaction_matrices(src.delta, src.dim))
+    _check_module(mats, _dual_mult(tgt), list(enumerate(tgt.eps)), tgt.field.one, msg, msg)
 
 
 def finite_group_triple(table: GroupTable, subgroup_names, field=None,
@@ -602,21 +553,13 @@ def finite_group_triple(table: GroupTable, subgroup_names, field=None,
     a_hopf = hopf_of_functions(a_table, f)
     a = CoalgebraFD(f, a_hopf.delta, a_hopf.eps, name="a")
     # iota: pullback of functions along the quotient map
-    iota = zeros(table.n, quot.n, f.zero)
-    for g in range(table.n):
-        iota[g][rep_of[g]] = f.one
+    iota = [[(g, f.one) for g in range(table.n) if rep_of[g] == q] for q in range(quot.n)]
     # pi: restriction of functions to the subgroup
-    pi = zeros(len(sub), table.n, f.zero)
-    for i, h in enumerate(sub):
-        pi[i][h] = f.one
+    pos = {h: i for i, h in enumerate(sub)}
+    pi = [[(pos[g], f.one)] if g in pos else [] for g in range(table.n)]
     # right A-module structure: pointwise product with the restriction
-    ract = []
-    for g in range(table.n):
-        m = zeros(len(sub), len(sub), f.zero)
-        for i, h in enumerate(sub):
-            if h == g:
-                m[i][i] = f.one
-        ract.append(m)
+    ract = [[[(i, f.one)] if h == g else [] for i, h in enumerate(sub)]
+            for g in range(table.n)]
     triple = TripleFD(O, A, a, iota, pi, ract,
                       name=name or f"triple({table.n}/{len(sub)})")
     triple.group = table
@@ -631,12 +574,9 @@ def degenerate_triple_aac(A: HopfAlgebraFD) -> TripleFD:
     """The triple (O, A, a) = (A, A, C) with pi the counit collapse."""
     f = A.field
     one_coalg = CoalgebraFD(f, [{(0, 0): f.one}], [f.one], name="C")
-    iota = _unit_rows(A.dim, f)
-    pi = [[A.eps[j] for j in range(A.dim)]]
-    ract = []
-    for g in range(A.dim):
-        ract.append([[A.eps[g]]])
-    return TripleFD(A, A, one_coalg, iota, pi, ract, name="(A,A,C)")
+    pi = [_canon({0: e}) for e in A.eps]
+    return TripleFD(A, A, one_coalg, identity(A.dim, f.one), pi, [[col] for col in pi],
+                    name="(A,A,C)")
 
 
 def shrunk_triple(T: TripleFD) -> TripleFD:
@@ -644,9 +584,8 @@ def shrunk_triple(T: TripleFD) -> TripleFD:
     f = T.field
     one_hopf = HopfAlgebraFD(f, [{(0, 0): f.one}], [f.one],
                              {(0, 0): {0: f.one}}, {0: f.one},
-                             [[f.one]], name="k")
-    iota = [[_strip(dict(T.A.unit)).get(i, f.zero)] for i in range(T.A.dim)]
-    return TripleFD(one_hopf, T.A, T.a, iota, T.pi, T.ract,
+                             identity(1, f.one), name="k")
+    return TripleFD(one_hopf, T.A, T.a, [_canon(T.A.unit)], T.pi, T.ract,
                     name=f"shrunk({T.name})")
 
 
@@ -655,22 +594,9 @@ def degenerate_triple_all_equal(A: HopfAlgebraFD) -> TripleFD:
     augmentation ideal is nontrivial."""
     f = A.field
     a = CoalgebraFD(f, A.delta, A.eps, name="a=A")
-    iota = pi = _unit_rows(A.dim, f)
+    ident = identity(A.dim, f.one)
     # right action x . y = x * y
-    ract = []
-    for g in range(A.dim):
-        m = zeros(A.dim, A.dim, f.zero)
-        for i in range(A.dim):
-            prod = A.product_vec({i: f.one}, {g: f.one})
-            for k, c in prod.items():
-                m[k][i] = c
-        ract.append(m)
-    return TripleFD(A, A, a, iota, pi, ract, name="(A,A,A)", validate=True)
-
-
-def _unit_rows(n, field):
-    """The n x n identity as a dense matrix, for a structure map."""
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    return TripleFD(A, A, a, ident, ident, A.right_products, name="(A,A,A)")
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +609,16 @@ def a_right_comodule_of_A(T: TripleFD):
     the coaction of x."""
     # entry (y, x) of P_z: the coefficient of y (x) z in Delta(x)
     flipped = [{(z, y): v for (y, z), v in d.items()} for d in T.A.delta]
-    return _pushforward(T.pi, coaction_matrices(flipped, T.A.dim))
+    return _pushforward(T.pi, T.a.dim, coaction_matrices(flipped, T.A.dim))
 
 
 def res_a_comodule(T: TripleFD, M: ComoduleFD, name="") -> ComoduleFD:
     """Restriction of an A-comodule to a: (pi (x) id) rho."""
-    return ComoduleFD(T.a, _pushforward(T.pi, M.mats), name=name or f"Res({M.name})")
+    return ComoduleFD(T.a, _pushforward(T.pi, T.a.dim, M.mats), name=name or f"Res({M.name})")
 
 
 def trivial_a_comodule(T: TripleFD) -> ComoduleFD:
-    rho = [{(c, 0): v for c, v in T.group_like().items()}]
+    rho = [{(c, 0): v for c, v in T.group_like()}]
     return ComoduleFD(T.a, coaction_matrices(rho, T.a.dim), name="C_a")
 
 
@@ -729,47 +655,25 @@ class TripleObject:
                       f"{self.name}: action not associative",
                       f"{self.name}: unit does not act as identity")
         # compatibility: co-ac(f . m) = Delta(f) . co-ac(m)
-        if not _respects_action(self.act, self.comodule.mats, O, T.A, T.iota):
+        if not _respects_action(self.act, self.comodule.mats, O, T.iota_left):
             raise StructureError(f"{self.name}: action/coaction compatibility fails")
 
 
-def _respects_action(act, coact, O: HopfAlgebraFD, C: HopfAlgebraFD, embed):
-    """Whether rho(f . m) = Delta(f) . rho(m) for every O-basis element f and
-    carrier basis vector m.
+def _respects_action(act, coact, O: HopfAlgebraFD, left):
+    """Whether rho(f . m) = Delta(f) . rho(m) for every O-basis element f.
 
     ``act`` is an O-action on the carrier and ``coact`` a coaction over C,
-    both as their matrices; O acts on C by left product through the dense
-    matrix ``embed``, so Delta(f) = sum f1 (x) f2 acts on C (x) carrier as
-    embed(f1) (x) f2.
+    both as their matrices, and ``left[i]`` is the left product on C by the
+    image of the i-th basis element of O.  rho is the one matrix from the
+    carrier to C (x) carrier that stacks the coaction matrices, and
+    Delta(f) = sum f1 (x) f2 acts on C (x) carrier as sum left[f1] (x) act[f2];
+    the law says rho intertwines the two actions.
     """
-    one = O.field.one
     n = len(act[0])
-    # embed(f1) . e_aa per (f1, aa), each product formed once
-    products = {}
-
-    def product(f1, aa):
-        out = products.get((f1, aa))
-        if out is None:
-            out = products[f1, aa] = C.product_vec(_dict_image(embed, {f1: one}), {aa: one})
-        return out
-
-    for o_idx in range(O.dim):
-        for x in range(n):
-            lhs = {}
-            for r, c in act[o_idx][x]:
-                for aa, R in enumerate(coact):
-                    for y, v in R[r]:
-                        _acc(lhs, (aa, y), c * v)
-            rhs = {}
-            for (f1, f2), dc in O.delta[o_idx].items():
-                for aa, R in enumerate(coact):
-                    for y, v in R[x]:
-                        for bb, cb in product(f1, aa).items():
-                            for r, c2 in act[f2][y]:
-                                _acc(rhs, (bb, r), dc * v * cb * c2)
-            if _strip(lhs) != _strip(rhs):
-                return False
-    return True
+    rho = [[(c * n + y, v) for c, R in enumerate(coact) for y, v in R[x]] for x in range(n)]
+    on_tensor = [combine(enumerate(d.values()), [kron(left[f1], act[f2]) for f1, f2 in d])
+                 for d in O.delta]
+    return intertwines(rho, act, on_tensor)
 
 
 def object_O(T: TripleFD) -> TripleObject:
@@ -778,10 +682,8 @@ def object_O(T: TripleFD) -> TripleObject:
 
 
 def object_A(T: TripleFD) -> TripleObject:
-    f = T.field
-    act = [T.A.left_mult_matrix(T.iota_vec({i: f.one})) for i in range(T.O.dim)]
     regular = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
-    return TripleObject(T, act, regular, name="A")
+    return TripleObject(T, T.iota_left, regular, name="A")
 
 
 def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
@@ -790,11 +692,10 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
     O coacts on itself through (iota (x) id) Delta_O; the tensor coaction is
     ``comodule_tensor``'s.
     """
-    f = T.field
     O = T.O
-    ident = identity(N.dim, f.one)
-    act = [kron(O.left_mult_matrix({i: f.one}), ident) for i in range(O.dim)]
-    coact_O = ComoduleFD(T.A, _pushforward(T.iota, coaction_matrices(O.delta, O.dim)),
+    ident = identity(N.dim, T.field.one)
+    act = [kron(L, ident) for L in O.left_products]
+    coact_O = ComoduleFD(T.A, _pushforward(T.iota, T.A.dim, coaction_matrices(O.delta, O.dim)),
                          name="O")
     return TripleObject(T, act, comodule_tensor(coact_O, N, T.A),
                         name=name or f"O(x){N.name}")
@@ -866,7 +767,7 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
         return [[(r * m + x, a) for r, a in col] for col in mat for x in range(m)]
 
     coact = [lift(R) for R in coaction_matrices(T.A.delta, T.A.dim)]
-    act = [lift(T.A.left_mult_matrix(T.iota_vec({i: f.one}))) for i in range(T.O.dim)]
+    act = [lift(L) for L in T.iota_left]
     mats = restrict(coact + act, basis, f)
     if mats is None:
         # the message names the family that leaves the cotensor
@@ -906,7 +807,7 @@ def psi(T: TripleFD, N: TripleObject, name=""):
     (a-comodule Q, the ``Quotient`` N -> Q).
     """
     quot = augmentation_quotient(T, N.act)
-    mats = [quot.induced(S) for S in _pushforward(T.pi, N.comodule.mats)]
+    mats = [quot.induced(S) for S in _pushforward(T.pi, T.a.dim, N.comodule.mats)]
     if any(m is None for m in mats):
         raise StructureError("a-coaction does not descend to Psi: compatibility bug")
     Q = ComoduleFD(T.a, mats, name=name or f"Psi({N.name})")
@@ -1019,10 +920,8 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     # (i)
     ok = True
     gl = T.group_like()
-    for j in range(T.O.dim):
-        img = T.pi_vec(T.iota_vec({j: f.one}))
-        expect = _strip({k: T.O.eps[j] * v for k, v in gl.items()})
-        if img != expect:
+    for j, img in enumerate(mat_mul(T.pi, T.iota)):
+        if img != mat_scale([gl], T.O.eps[j])[0]:
             ok = False
             break
     if ok:
@@ -1033,9 +932,8 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
     # (ii): invariants of the right a-comodule structure on A
     # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x
-    inv_basis = _fixed_vectors(a_right_comodule_of_A(T),
-                               [gl.get(c, f.zero) for c in range(T.a.dim)], f)
-    span = RowBasis(f, zip(*T.iota))
+    inv_basis = _fixed_vectors(a_right_comodule_of_A(T), _dense(gl, T.a.dim, f.zero), f)
+    span = RowBasis(f, [_dense(col, T.A.dim, f.zero) for col in T.iota])
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
         rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
     else:
@@ -1043,9 +941,8 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
                  counterexample=f"dim A^a = {len(inv_basis)}, dim O = {span.dim}")
 
     # (iii): m.A vs ker(pi)
-    maug = augmentation_quotient(
-        T, [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]).sub
-    ker_span = RowBasis(f, nullspace(T.pi, f))
+    maug = augmentation_quotient(T, T.iota_left).sub
+    ker_span = RowBasis(f, sparse_nullspace(transpose(T.pi, T.a.dim), T.A.dim, f))
     if maug.dim == ker_span.dim and all(ker_span.contains(r) for r in maug.sorted_rows()):
         rep.ok("iii", f"m.A = Ker(pi), dimension {maug.dim}")
     else:
@@ -1106,7 +1003,6 @@ def _freeness_witness(T: TripleFD):
     if T.A.dim % T.O.dim != 0:
         return None
     k = T.A.dim // T.O.dim
-    lms = [T.A.left_mult_matrix(T.iota_vec({j: f.one})) for j in range(T.O.dim)]
 
     candidates = []
     if hasattr(T, "group"):
@@ -1128,7 +1024,7 @@ def _freeness_witness(T: TripleFD):
     for label, cand in candidates:
         # try the candidate on a copy; keep the copy only if O.cand is free
         trial = basis.copy()
-        if sum(1 for lm in lms if trial.add(_apply(lm, cand, f.zero))) == T.O.dim:
+        if sum(1 for lm in T.iota_left if trial.add(_apply(lm, cand, f.zero))) == T.O.dim:
             basis = trial
             chosen.append(label)
             if len(chosen) == k:
@@ -1328,7 +1224,7 @@ def _simples(T: TripleFD, side):
 def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
     """O-comodule (module over the quotient group) pushed to an A-comodule."""
     quot = T.quotient_group
-    mats = _pushforward(T.iota, [mod.mats[quot.inverse[q]] for q in range(quot.n)])
+    mats = _pushforward(T.iota, T.A.dim, [mod.mats[quot.inverse[q]] for q in range(quot.n)])
     return ComoduleFD(T.A, mats, name=f"F*({mod.name})")
 
 
@@ -1487,11 +1383,9 @@ class EquivariantObject:
         self._validate()
 
     def _validate(self):
-        T = self.N.T
-        f = T.field
-        O = T.O
+        O = self.N.T.O
         # Hopf-module law: rho_o(f.n) = Delta(f) . rho_o(n)
-        if not _respects_action(self.N.act, self.gamma.mats, O, O, _unit_rows(O.dim, f)):
+        if not _respects_action(self.N.act, self.gamma.mats, O, O.left_products):
             raise StructureError(f"{self.name}: Hopf-module law fails")
         # commuting coactions: every coaction matrix of O commutes with every
         # one of A

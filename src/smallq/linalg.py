@@ -2,8 +2,9 @@
 
 A matrix is stored as its sparse columns: column c is the list of the
 (row, entry) pairs of its nonzero entries, in increasing row order, with no
-zero entry.  Every matrix that acts on a carrier or maps one carrier to
-another has this one form, and the matrix kernels below take and return it.
+zero entry.  Every matrix has this one form, whether it acts on a carrier,
+maps one carrier to another or is a structure map of a Hopf algebra or a
+triple, and the matrix kernels below take and return it.
 In that form two matrices are equal exactly when their column lists are, so
 ``mat_eq`` compares lists.  The number of rows is not stored: ``transpose``
 and ``inverse`` take it, and ``kron`` and ``block_diag`` read it from a
@@ -21,10 +22,6 @@ elimination routines need a field (CycloElem) because they invert pivots.
 """
 
 from __future__ import annotations
-
-
-def zeros(m, n, zero):
-    return [[zero] * n for _ in range(m)]
 
 
 def _canon(acc):

@@ -685,9 +685,7 @@ def test_induce_names_the_family_that_leaves_the_cotensor(s3_triple):
     # with O = A acting by left product, the O-action does not keep the
     # cotensor (A (x) M)^a while the coaction still does
     T = s3_triple
-    f = T.field
-    iota = [[f.one if i == j else f.zero for j in range(T.A.dim)] for i in range(T.A.dim)]
-    bad = hopfcore.TripleFD(T.A, T.A, T.a, iota, T.pi, T.ract, validate=False)
+    bad = hopfcore.TripleFD(T.A, T.A, T.a, identity(T.A.dim, T.field.one), T.pi, T.ract)
     with pytest.raises(StructureError, match=r"O-action does not preserve .* \(ii\) fails"):
         induce(bad, regular_a_comodule(T))
 
@@ -730,15 +728,15 @@ def _loop_algebra():
             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     n = len(loop)
     mult = {(i, j): {loop[i][j]: ONE} for i in range(n) for j in range(n)}
-    antipode = [[ONE if loop[r][c] == 0 else ZERO for c in range(n)] for r in range(n)]
+    # every element is its own inverse: the antipode is the identity
     return HopfAlgebraFD(F4, [{(g, g): ONE} for g in range(n)], [ONE] * n,
-                         mult, {0: ONE}, antipode)
+                         mult, {0: ONE}, identity(n, ONE))
 
 
 def _unitless_algebra():
     """k with 1 = 0 claimed: the only broken law is the unit law (antipode 0
     makes S(b) b = 0 = eps(b) 1)."""
-    return HopfAlgebraFD(F4, [{(0, 0): ONE}], [ONE], {(0, 0): {0: ONE}}, {}, [[ZERO]])
+    return HopfAlgebraFD(F4, [{(0, 0): ONE}], [ONE], {(0, 0): {0: ONE}}, {}, columns([[ZERO]]))
 
 
 LAW_CASES = [
