@@ -215,8 +215,14 @@ class CycloElem:
             if other == 0:
                 return self.field.zero
             return self._make([a * other for a in self.num], self.den)
+        try:
+            b = other.num
+        except AttributeError:
+            # neither an int nor a CycloElem: let the other operand's
+            # reflected method answer
+            return NotImplemented
         f = self.field
-        a, b = self.num, other.num
+        a = self.num
         if self.is_rational:
             a0 = a[0]
             if a0 == 0:
@@ -384,10 +390,13 @@ class LaurentRing:
 
 
 def _canonical(field, coeffs):
-    """(coeffs, integral) in the canonical form: every coefficient an int if
-    all of them are integers, else every one a CycloElem."""
+    """(coeffs, integral) in the canonical form: no zero coefficient, every
+    coefficient an int if all of them are integers, else every one a
+    CycloElem."""
     ints = {}
     for e, a in coeffs.items():
+        if not a:
+            continue
         if type(a) is int:
             ints[e] = a
         elif a.is_rational and a.den == 1:
@@ -395,16 +404,17 @@ def _canonical(field, coeffs):
         else:
             from_int = field.from_int
             return {e: from_int(a) if type(a) is int else a
-                    for e, a in coeffs.items()}, False
+                    for e, a in coeffs.items() if a}, False
     return ints, True
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial; no zero coefficients are stored.
 
-    One canonical form per value: when every coefficient is an integer the
-    coefficients are Python ints (``integral`` is True, as for zero),
-    otherwise they are all CycloElems.  The constructor enforces it, so
+    One canonical form per value: no zero coefficient, and when every
+    coefficient is an integer the coefficients are Python ints (``integral``
+    is True, as for zero), otherwise they are all CycloElems.  The
+    constructor enforces both halves, dropping any zero it is given, so
     ``==`` is a dict comparison and ``hash`` agrees with it.  Arithmetic
     between integral polynomials runs on ints alone; an int meets the field
     only when it meets a cyclotomic coefficient or scalar.
@@ -416,7 +426,7 @@ class LaurentPoly:
         self.ring = ring
         integral = True
         for a in coeffs.values():
-            if type(a) is not int:
+            if type(a) is not int or not a:
                 coeffs, integral = _canonical(ring.field, coeffs)
                 break
         self.c = coeffs

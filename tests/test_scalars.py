@@ -455,6 +455,12 @@ def assert_canonical(p):
         assert all(isinstance(a, CycloElem) for a in values)
     again = LaurentPoly(p.ring, in_field(p.ring.field, p.c))
     assert again == p and hash(again) == hash(p) and again.c == p.c
+    # explicit zero coefficients, int or boxed, are dropped
+    spare = max(p.c, default=0) + 1
+    for zero in (0, p.ring.field.zero):
+        for coeffs in (p.c, in_field(p.ring.field, p.c)):
+            padded = LaurentPoly(p.ring, {**coeffs, spare: zero})
+            assert padded == p and hash(padded) == hash(p) and padded.c == p.c
 
 
 @PROPERTY_SETTINGS
@@ -532,3 +538,23 @@ def test_mixed_products_match_cyclotomic_convolution(ell, data):
     if x and not x.is_rational:
         assert (p * x) * x.inverse() == p
         assert ((p * x) * x.inverse()).c == p.c
+
+
+def test_laurent_constructor_drops_zero_coefficients():
+    ring = TOWER[4].vring
+    field = ring.field
+    assert LaurentPoly(ring, {0: 0}) == ring.zero
+    assert not LaurentPoly(ring, {0: field.zero})
+    assert LaurentPoly(ring, {0: field.zero, 1: field.zeta()}).c == {1: field.zeta()}
+    assert LaurentPoly(ring, {0: 0, 1: field.from_int(3)}).c == {1: 3}
+
+
+def test_cyclo_times_laurent_defers_to_the_polynomial():
+    # CycloElem * LaurentPoly returns NotImplemented, so LaurentPoly's
+    # reflected product answers
+    ring = TOWER[4].vring
+    zeta = ring.field.zeta()
+    assert zeta * ring.v == ring.v * zeta
+    assert (zeta * ring.v).c == {1: zeta}
+    with pytest.raises(TypeError):
+        zeta * "v"
