@@ -26,7 +26,8 @@ VM (0..60: 1 s, 2 s and 5 s); the prediction alone (--suite predict) has no
 cap.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-input error.
+input error.  A StructureError that the triple engine raises once the triple
+is built is the failed check "structure-error" with its message (exit 1).
 """
 
 from __future__ import annotations
@@ -358,6 +359,18 @@ def cmd_triple_verify(args):
         raise UsageError(str(exc)) from exc
 
     rep = Report("triple-verify")
+    try:
+        _triple_checks(T, rep)
+    except hc.StructureError as exc:
+        # the table parsed and the triple was built: an engine fault from
+        # here on is a failed check, reported with what ran before it
+        rep.fail("structure-error", str(exc))
+    emit(payload_from_report("triple-verify", cfg, rep), cfg, started)
+    return 0 if rep.passed else CHECK_FAILED
+
+
+def _triple_checks(T, rep):
+    """The triple-verify suites on T, appended to rep."""
     rep.extend(hc.check_conditions(T, catalog=hc.a_simples(T)), prefix="cond/")
     ver = hc.verify_equivalence(T)
     _summarize(rep, ver, "equivalence")
@@ -381,8 +394,6 @@ def cmd_triple_verify(args):
     else:
         rep.fail("twist-coherence", "composition law fails",
                  counterexample="twist")
-    emit(payload_from_report("triple-verify", cfg, rep), cfg, started)
-    return 0 if rep.passed else CHECK_FAILED
 
 
 def _bind_negative_window(argv):

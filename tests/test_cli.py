@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from smallq import hopfcore
 from smallq.cli import MAX_A1_WINDOW, main, parse_window, UsageError
 
 
@@ -232,6 +233,24 @@ def test_triple_verify_s3_fixture(capsys):
     code, out, _ = run_cli(["triple-verify", "--fixture", "s3_a3"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_triple_verify_engine_fault_is_a_failed_check(capsys, monkeypatch):
+    # a StructureError after the table parsed: a failed check carrying its
+    # message, the checks before it kept, exit 1 and no traceback
+    def broken(T, catalogs=None):
+        raise hopfcore.StructureError("engine fault for the test")
+
+    monkeypatch.setattr(hopfcore, "verify_equivalence", broken)
+    code, out, err = run_cli(["triple-verify", "--fixture", "z4_z2"], capsys)
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["checks"][-1] == {"name": "structure-error", "status": "fail",
+                                  "details": "engine fault for the test",
+                                  "counterexample": "engine fault for the test"}
+    assert [c["name"] for c in data["checks"][:-1]] == [
+        "cond/i", "cond/ii", "cond/iii", "cond/iv_a", "cond/iv_b"]
 
 
 def test_triple_verify_non_normal_exit_2(capsys):
