@@ -935,6 +935,19 @@ def test_each_structure_law_has_its_message(z4_triple, message, build):
         build(z4_triple)
 
 
+def test_a_coalgebra_map_keeps_the_counit(z4_triple):
+    # pi(f) = (f(e) + f(b)) / 2 onto a = k: Delta(pi(f)) = (pi (x) pi) Delta(f),
+    # as the averaging idempotent of {e, b} is idempotent under convolution,
+    # but eps(pi(delta_e)) = 1/2 != eps(delta_e)
+    T = z4_triple
+    f = T.field
+    half = f.from_int(2).inverse()
+    C = CoalgebraFD(f, [{(0, 0): f.one}], [f.one])
+    pi = [[(0, half)], [], [(0, half)], []]
+    with pytest.raises(StructureError, match="pi is not a coalgebra map"):
+        hopfcore.TripleFD(T.O, T.A, C, T.iota, pi, [[[(0, f.one)]]] * T.A.dim)
+
+
 def test_structure_law_inputs_are_otherwise_valid(z4_triple):
     # negative control: the pieces the cases reassemble build on their own
     T = z4_triple
