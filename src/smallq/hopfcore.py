@@ -516,9 +516,8 @@ class TripleFD:
             raise StructureError("iota is not injective")
         if rank([_dense(col, a.dim, f.zero) for col in self.pi], f) != a.dim:
             raise StructureError("pi is not surjective")
-        # iota is a Hopf map: the left products by iota(e_i) are an O-module
-        # exactly when iota is multiplicative and unital, and iota, pi are
-        # coalgebra maps
+        # iota is multiplicative and unital exactly when the left products
+        # by iota(e_i) are an O-module
         _check_module(self.iota_left, O.mult, O.unit.items(), f.one,
                       "iota is not multiplicative", "iota does not preserve the unit")
         _check_coalgebra_map(self.iota, O, A, "iota is not a coalgebra map")
@@ -1003,7 +1002,6 @@ def _freeness_witness(T: TripleFD):
     if T.A.dim % T.O.dim != 0:
         return None
     k = T.A.dim // T.O.dim
-
     candidates = []
     if hasattr(T, "group"):
         # sections of the quotient map: the j-th member of every coset
