@@ -352,45 +352,28 @@ class HopfAlgebraFD(CoalgebraFD):
         # the right unit law
         if combine(self.unit.items(), self.right_products) != identity(self.dim, f.one):
             raise StructureError(f"{self.name}: unit law fails")
-        # bialgebra: Delta and eps are algebra maps, Delta(1) = 1 (x) 1
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = {}
-                for k, c in self.mult.get((i, j), {}).items():
-                    for (u, v), c2 in self.delta[k].items():
-                        _acc(lhs, (u, v), c * c2)
-                rhs = {}
-                for (a, b), c1 in self.delta[i].items():
-                    for (cc, dd), c2 in self.delta[j].items():
-                        for u, cu in self.mult.get((a, cc), {}).items():
-                            for v, cv in self.mult.get((b, dd), {}).items():
-                                _acc(rhs, (u, v), c1 * c2 * cu * cv)
-                if _strip(lhs) != _strip(rhs):
-                    raise StructureError(f"{self.name}: comultiplication is not an algebra map")
-                eps_prod = sum((c * self.eps[k] for k, c in self.mult.get((i, j), {}).items()),
-                               f.zero)
-                if eps_prod != self.eps[i] * self.eps[j]:
-                    raise StructureError(f"{self.name}: counit is not an algebra map")
-        d1 = {}
-        for k, c in self.unit.items():
-            for (u, v), c2 in self.delta[k].items():
-                _acc(d1, (u, v), c * c2)
-        expected = {}
-        for u, cu in self.unit.items():
-            for v, cv in self.unit.items():
-                _acc(expected, (u, v), cu * cv)
-        if _strip(d1) != _strip(expected):
+        # bialgebra: Delta and eps are algebra maps, Delta(1) = 1 (x) 1.  Delta
+        # is multiplicative exactly when A, acting on itself by left product
+        # and coacting by Delta, satisfies the compatibility law of Cat
+        n = self.dim
+        left = self.left_products
+        if not _respects_action(left, coaction_matrices(self.delta, n), self, left):
+            raise StructureError(f"{self.name}: comultiplication is not an algebra map")
+        eps = [_canon({0: e}) for e in self.eps]
+        if not intertwines(eps, left, [[col] for col in eps]):
+            raise StructureError(f"{self.name}: counit is not an algebra map")
+        # Delta as one matrix A -> A (x) A, e_j (x) e_k at row j * n + k
+        delta = [_canon({j * n + k: c for (j, k), c in d.items()}) for d in self.delta]
+        unit = _canon(self.unit)
+        if mat_mul(delta, [unit]) != [[(j * n + k, a * b) for j, a in unit for k, b in unit]]:
             raise StructureError(f"{self.name}: Delta(1) != 1 (x) 1")
-        # antipode identities
-        for i in range(self.dim):
-            acc_l, acc_r = {}, {}
-            for (j, k), c in self.delta[i].items():
-                for t, ct in self.product_vec(dict(self.antipode[j]), {k: f.one}).items():
-                    _acc(acc_l, t, c * ct)
-                for t, ct in self.product_vec({j: f.one}, dict(self.antipode[k])).items():
-                    _acc(acc_r, t, c * ct)
-            target = _strip({k: self.eps[i] * c for k, c in self.unit.items()})
-            if _strip(acc_l) != target or _strip(acc_r) != target:
+        # antipode identities: m (S (x) id) Delta = m (id (x) S) Delta = 1 eps,
+        # with the product m: A (x) A -> A one matrix too
+        product = [col for L in left for col in L]
+        ident = identity(n, f.one)
+        target = [mat_scale([unit], e)[0] for e in self.eps]
+        for side in (kron(self.antipode, ident), kron(ident, self.antipode)):
+            if mat_mul(product, mat_mul(side, delta)) != target:
                 raise StructureError(f"{self.name}: antipode identity fails")
 
 
