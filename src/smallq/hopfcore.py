@@ -329,19 +329,6 @@ class HopfAlgebraFD(CoalgebraFD):
             self.left_products[i][j] = self.right_products[j][i] = _canon(prod)
         self._validate_hopf()
 
-    def product_vec(self, x, y):
-        """Product of two coefficient dicts."""
-        out = {}
-        for i, ci in x.items():
-            if not ci:
-                continue
-            for j, cj in y.items():
-                if not cj:
-                    continue
-                for k, c in self.mult.get((i, j), {}).items():
-                    _acc(out, k, ci * cj * c)
-        return _strip(out)
-
     def _validate_hopf(self):
         f = self.field
         # associativity and the left unit law: the algebra acting on itself
@@ -359,9 +346,11 @@ class HopfAlgebraFD(CoalgebraFD):
         left = self.left_products
         if not _respects_action(left, coaction_matrices(self.delta, n), self, left):
             raise StructureError(f"{self.name}: comultiplication is not an algebra map")
-        eps = [_canon({0: e}) for e in self.eps]
-        if not intertwines(eps, left, [[col] for col in eps]):
-            raise StructureError(f"{self.name}: counit is not an algebra map")
+        # eps is an algebra map exactly when its values, as 1 x 1 matrices, are
+        # an A-module
+        msg = f"{self.name}: counit is not an algebra map"
+        _check_module([[_canon({0: e})] for e in self.eps], self.mult, self.unit.items(), f.one,
+                      msg, msg)
         # Delta as one matrix A -> A (x) A, e_j (x) e_k at row j * n + k
         delta = [_canon({j * n + k: c for (j, k), c in d.items()}) for d in self.delta]
         unit = _canon(self.unit)
@@ -1291,19 +1280,14 @@ def points_of_O(T: TripleFD):
     """All algebra maps O -> k for a function Hopf algebra: the evaluations."""
     f = T.field
     O = T.O
-    # verify the basis consists of orthogonal idempotents summing to 1
-    for i in range(O.dim):
-        for j in range(O.dim):
-            prod = O.product_vec({i: f.one}, {j: f.one})
-            expect = {i: f.one} if i == j else {}
-            if prod != expect:
-                raise StructureError("O is not a function algebra on points")
-    if _strip(dict(O.unit)) != {i: f.one for i in range(O.dim)}:
+    # the basis consists of orthogonal idempotents summing to 1: the product
+    # by e_i keeps e_i and kills every other basis element
+    for i, L in enumerate(O.left_products):
+        if L != [[(i, f.one)] if j == i else [] for j in range(O.dim)]:
+            raise StructureError("O is not a function algebra on points")
+    if _canon(O.unit) != [(i, f.one) for i in range(O.dim)]:
         raise StructureError("O unit is not the sum of basis idempotents")
-    points = []
-    for i in range(O.dim):
-        points.append([f.one if j == i else f.zero for j in range(O.dim)])
-    return points
+    return [[f.one if j == i else f.zero for j in range(O.dim)] for i in range(O.dim)]
 
 
 def point_convolution(T: TripleFD, g1, g2):
@@ -1327,17 +1311,10 @@ def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
     N.  Acting on the first factor instead gives the same action only when
     Delta_O is cocommutative, that is, when the quotient group is abelian.
     """
-    f = T.field
-    # gamma must be an algebra map
-    for i in range(T.O.dim):
-        for j in range(T.O.dim):
-            prod = T.O.product_vec({i: f.one}, {j: f.one})
-            val = sum((c * gamma[k] for k, c in prod.items()), f.zero)
-            if val != gamma[i] * gamma[j]:
-                raise StructureError("gamma is not multiplicative")
-    unit_val = sum((c * gamma[k] for k, c in _strip(dict(T.O.unit)).items()), f.zero)
-    if unit_val != f.one:
-        raise StructureError("gamma does not preserve the unit")
+    # gamma is an algebra map exactly when its values, as 1 x 1 matrices,
+    # are an O-module
+    _check_module([[_canon({0: g})] for g in gamma], T.O.mult, T.O.unit.items(), T.field.one,
+                  "gamma is not multiplicative", "gamma does not preserve the unit")
     act = [N.act_sum((j, c * gamma[k]) for (j, k), c in T.O.delta[i].items() if gamma[k])
            for i in range(T.O.dim)]
     return TripleObject(T, act, N.comodule, name=name or f"twist({N.name})")

@@ -370,6 +370,19 @@ def test_twist_rejects_non_multiplicative(z4_triple):
     bad = [f.one, f.one]       # not an algebra map (1 at two idempotents)
     with pytest.raises(StructureError):
         twist(T, bad, object_O(T))
+    # each law alone: (2, -1) sums to 1 on the unit, (0, 0) is multiplicative
+    with pytest.raises(StructureError, match="gamma is not multiplicative"):
+        twist(T, [f.from_int(2), -f.one], object_O(T))
+    with pytest.raises(StructureError, match="gamma does not preserve the unit"):
+        twist(T, [f.zero, f.zero], object_O(T))
+
+
+def test_points_need_a_function_algebra(z4_triple):
+    # k[Z/2] on the basis g, 1 - g has no basis of orthogonal idempotents
+    T = degenerate_triple_aac(_z2_group_algebra(z4_triple.field, 1))
+    with pytest.raises(StructureError, match="O is not a function algebra on points"):
+        points_of_O(T)
+    assert points_of_O(z4_triple) == [[ONE, ZERO], [ZERO, ONE]]
 
 
 def test_counit_action_fails_compatibility(z4_triple, s3_triple):
