@@ -1,6 +1,8 @@
 """Exact arithmetic layer: cyclotomic field, Laurent polynomials, localization."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from smallq.scalars import (
     CycloElem,
+    CycloField,
     ExactDivisionError,
     LatticeError,
     LaurentPoly,
@@ -558,3 +561,48 @@ def test_cyclo_times_laurent_defers_to_the_polynomial():
     assert (zeta * ring.v).c == {1: zeta}
     with pytest.raises(TypeError):
         zeta * "v"
+
+
+# ---------------------------------------------------------------------------
+# products with a unit or near-unit factor, against a convolution mod Phi_n
+# ---------------------------------------------------------------------------
+
+def product_mod_phi(x, y):
+    """x * y as Fraction coefficients: convolution, then long division by the
+    monic Phi_n."""
+    a = [Fraction(c, x.den) for c in x.num]
+    b = [Fraction(c, y.den) for c in y.num]
+    t = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            t[i + j] += ai * bj
+    phi = cyclotomic_poly(x.field.n)
+    d = len(phi) - 1
+    for k in range(len(t) - 1, d - 1, -1):
+        c = t[k]
+        for j, pj in enumerate(phi):
+            t[k - d + j] -= c * pj
+    return t[:d]
+
+
+def assert_canonical_elem(z, field):
+    assert z.field is field and len(z.num) == field.degree
+    assert z.den > 0 and gcd(z.den, *z.num) == 1
+    assert z.is_rational == (not any(z.num[1:]))
+    again = field.elem(z.num, z.den)
+    assert again == z and hash(again) == hash(z)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([4, 8, 12]), st.data())
+def test_unit_factor_products_match_convolution(n, data):
+    # Q(zeta_4) is the field of the D4/Q8 triples; Q(zeta_8), Q(zeta_12) have
+    # degree 4, so the reduction by Phi_n has work to do
+    field = CycloField(n)
+    y = data.draw(cyclo(field))
+    units = [field.one, -field.one, field.from_int(-1), field.elem([1]), field.elem([-1])]
+    near_units = [field.elem([s], k) for s in (1, -1) for k in (2, 3, 4)]
+    for u in units + near_units:
+        for z in (u * y, y * u):
+            assert [Fraction(c, z.den) for c in z.num] == product_mod_phi(u, y)
+            assert_canonical_elem(z, field)
