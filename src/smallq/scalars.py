@@ -158,7 +158,14 @@ class CycloField:
 
 
 class CycloElem:
-    """Element of Q(zeta_n): integer coefficient vector over a common denominator."""
+    """Element of Q(zeta_n): integer coefficient vector over a common denominator.
+
+    Every instance is canonical (den > 0, gcd(num, den) = 1) and immutable
+    (tuple ``num``, ``__slots__``, no mutating method); every constructor keeps
+    that form: ``_make``, ``elem``, ``from_int``, ``zeta``, ``__neg__``, the
+    rational ``inverse`` and ``eval_zeta``.  ``__mul__`` relies on it to return
+    the other factor, or its negation, unnormalised when one factor is +-1.
+    """
 
     __slots__ = ("field", "num", "den", "is_rational")
 
@@ -227,11 +234,22 @@ class CycloElem:
             a0 = a[0]
             if a0 == 0:
                 return f.zero
+            if self.den == 1:
+                # a +-1 factor: the other one, canonical already, or its negation
+                if a0 == 1:
+                    return other
+                if a0 == -1:
+                    return CycloElem(f, tuple(-c for c in b), other.den)
             return self._make([a0 * c for c in b], self.den * other.den)
         if other.is_rational:
             b0 = b[0]
             if b0 == 0:
                 return f.zero
+            if other.den == 1:
+                if b0 == 1:
+                    return self
+                if b0 == -1:
+                    return CycloElem(f, tuple(-c for c in a), self.den)
             return self._make([b0 * c for c in a], self.den * other.den)
         d = f.degree
         t = [0] * (2 * d - 1)
