@@ -9,8 +9,6 @@ restriction/induction correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .frobenius import dual_irrep_sl2, frobenius_pullback, hom_big, restrict_to_small
 from .hopfcore import (
     A_simples,
@@ -36,13 +34,14 @@ from .report import Report
 from .rootdata import DotOrbits, build_root_datum, is_dominant, steinberg_decompose
 
 
-@dataclass
 class BlockRow:
-    weight: tuple
-    orbit_key: tuple
-    block_id: int
-    singular: bool
-    steinberg: tuple | None      # (lam1, mu) for dominant weights
+    def __init__(self, weight: tuple, orbit_key: tuple, block_id: int,
+                 singular: bool, steinberg: tuple | None):
+        self.weight = weight
+        self.orbit_key = orbit_key
+        self.block_id = block_id
+        self.singular = singular
+        self.steinberg = steinberg      # (lam1, mu) for dominant weights
 
     def to_dict(self):
         out = {"weight": list(self.weight),
@@ -54,11 +53,11 @@ class BlockRow:
         return out
 
 
-@dataclass
 class BlockTable:
-    cartan_type: str
-    ell: int
-    rows: list = field(default_factory=list)
+    def __init__(self, cartan_type: str, ell: int):
+        self.cartan_type = cartan_type
+        self.ell = ell
+        self.rows = []
 
     def blocks(self):
         out = {}

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    name: str
-    status: str                 # "pass" | "fail" | "skip"
-    details: str = ""
-    counterexample: str | None = None
+    def __init__(self, name: str, status: str, details: str = "",
+                 counterexample: str | None = None):
+        self.name = name
+        self.status = status    # "pass" | "fail" | "skip"
+        self.details = details
+        self.counterexample = counterexample
 
     def to_dict(self):
         out = {"name": self.name, "status": self.status, "details": self.details}
@@ -19,10 +18,10 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    context: str
-    checks: list = field(default_factory=list)
+    def __init__(self, context: str):
+        self.context = context
+        self.checks = []
 
     def ok(self, name, details=""):
         self.checks.append(Check(name, "pass", details))

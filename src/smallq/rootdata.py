@@ -13,7 +13,7 @@ iff some finite Weyl element matches them modulo the translation lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Cartan matrices a[i][j] = <coroot_i, root_j> and symmetrizers d_i
 # (d_i * a[i][j] symmetric).
@@ -25,14 +25,11 @@ CARTAN_DATA = {
 }
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    cartan_type: str
-    a: tuple              # Cartan matrix rows
-    d: tuple              # symmetrizers
-    rank: int
-    alpha: tuple          # simple roots in fundamental-weight coordinates
-    rho: tuple
+class RootDatum(namedtuple("RootDatum", "cartan_type a d rank alpha rho")):
+    """Immutable root datum: a holds the Cartan matrix rows, d the
+    symmetrizers, alpha the simple roots in fundamental-weight coordinates."""
+
+    __slots__ = ()
 
     def pairing(self, i: int, lam) -> int:
         """<coroot_i, lam> = i-th fundamental coordinate."""
