@@ -140,6 +140,8 @@ MAX_WEYL = 40
 MAX_TENSOR = 8
 # linkage --type A1 --suite verify budget: a larger window top exits 2
 MAX_A1_WINDOW = 80
+# linkage budget for every type and suite: a window of more weights exits 2
+MAX_WINDOW_WEIGHTS = 20_000
 
 _DEFAULTS = {"cartan_type": "A1", "ell": 4, "format": "json", "seed": 0,
              "suite": "verify", "window": None, "out": None,
@@ -192,8 +194,11 @@ def emit(payload, cfg, started):
         lines.append(f"result: {'pass' if payload['passed'] else 'fail'}")
         text = "\n".join(lines) + "\n"
     if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -226,6 +231,12 @@ def cmd_linkage(args):
     if cfg["window"] is None:
         raise UsageError("linkage requires --window")
     window = parse_window(cfg["window"], datum.rank)
+    weights = 1
+    for lo, hi in window:
+        weights *= max(0, hi - lo + 1)
+    if weights > MAX_WINDOW_WEIGHTS:
+        raise UsageError(f"--window {cfg['window']} has {weights} weights, above "
+                         f"the budget of {MAX_WINDOW_WEIGHTS}")
     observe = datum.cartan_type == "A1" and cfg["suite"] == "verify" and window[0][1] >= 0
     if observe and window[0][1] > MAX_A1_WINDOW:
         raise UsageError(f"--window top {window[0][1]} is above the A1 verify "

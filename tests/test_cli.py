@@ -1,11 +1,16 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from smallq import hopfcore
-from smallq.cli import MAX_A1_WINDOW, main, parse_window, UsageError
+import smallq
+from smallq import blocks, hopfcore
+from smallq.cli import MAX_A1_WINDOW, MAX_WINDOW_WEIGHTS, main, parse_window, UsageError
 
 
 def run_cli(argv, capsys):
@@ -195,6 +200,50 @@ def test_linkage_window_above_budget_config_exit_2(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"type=A1\nell=4\nsuite=verify\nwindow=0..{MAX_A1_WINDOW + 1}\n")
     _refused_linkage(capsys, ["linkage", "--config", str(cfg)])
+
+
+class ReachedPrediction(Exception):
+    """Raised in place of the prediction: the window passed the budget."""
+
+
+def test_linkage_window_above_weight_budget_exit_2(capsys, monkeypatch):
+    def reached(window, params, datum):
+        raise ReachedPrediction
+
+    # the budget is checked before any work: no window here is computed
+    monkeypatch.setattr(blocks, "predicted_blocks", reached)
+    for argv in (["--type", "A2", "--window", "0..1000x0..1000"],
+                 ["--type", "A1", "--window", f"0..{MAX_WINDOW_WEIGHTS}"],
+                 ["--type", "G2", "--ell", "6", "--window", "-100..100x0..100"]):
+        code, out, err = run_cli(["linkage", "--suite", "predict"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert "weights" in err and str(MAX_WINDOW_WEIGHTS) in err
+    # a window of exactly the budget, and an empty one, are let through
+    for argv in (["--type", "A1", "--window", f"1..{MAX_WINDOW_WEIGHTS}"],
+                 ["--type", "B2", "--window", "0..99x0..199"],
+                 ["--type", "A2", "--window", "5..2x0..100000000"]):
+        with pytest.raises(ReachedPrediction):
+            main(["linkage", "--suite", "predict"] + argv)
+
+
+def test_out_to_an_unwritable_path_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["linkage", "--window", "0..3", "--out", str(target)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write report:") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost a cold start on every call; dataclasses pulls in inspect,
+    # ast, dis and tokenize
+    probe = ("import sys, smallq.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = str(Path(smallq.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def _refused_catalog(capsys, tmp_path, key, size, cap):
