@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -231,9 +232,7 @@ def cmd_linkage(args):
     if cfg["window"] is None:
         raise UsageError("linkage requires --window")
     window = parse_window(cfg["window"], datum.rank)
-    weights = 1
-    for lo, hi in window:
-        weights *= max(0, hi - lo + 1)
+    weights = math.prod(max(0, hi - lo + 1) for lo, hi in window)
     if weights > MAX_WINDOW_WEIGHTS:
         raise UsageError(f"--window {cfg['window']} has {weights} weights, above "
                          f"the budget of {MAX_WINDOW_WEIGHTS}")
