@@ -4,7 +4,10 @@ The linkage and frobenius-check files under tests/golden/ were written by
 the CLI before the divided powers were rebuilt from their closed forms; the
 windows reach modules well beyond the bench's (A1 Weyl modules up to W(40),
 tensor products of W(0..2)), so any change in a matrix entry that reaches a
-report shows up here. The ell 8 frobenius-check file (Weyl modules up to
+report shows up here. The ell 10 linkage file (W(0..60), ell_i = 10) was
+written while every binomial at zeta was the generic Gaussian polynomial
+evaluated there and every field inverse an extended Euclid in Fractions.
+The ell 8 frobenius-check file (Weyl modules up to
 W(20), tensor products of W(0..6)) was written while Laurent polynomials
 still boxed every integer coefficient into the cyclotomic field; it is the
 one report that builds generic families of high degree. The triple-verify files were written before the triple
@@ -33,6 +36,8 @@ CASES = [
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "4"]),
     ("linkage_A1_ell6_0-40.json",
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "6"]),
+    ("linkage_A1_ell10_0-60.json",
+     ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..60", "--ell", "10"]),
     ("frobenius-check_ell4.json", ["frobenius-check", "--ell", "4"]),
     ("frobenius-check_ell8_20-6.json",
      ["frobenius-check", "--ell", "8", "--max-weyl", "20", "--max-tensor", "6"]),

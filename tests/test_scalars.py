@@ -606,3 +606,141 @@ def test_unit_factor_products_match_convolution(n, data):
         for z in (u * y, y * u):
             assert [Fraction(c, z.den) for c in z.num] == product_mod_phi(u, y)
             assert_canonical_elem(z, field)
+
+
+# ---------------------------------------------------------------------------
+# [m over t]_d at zeta against the generic Gaussian polynomial and against
+# the Pascal recursion run in Q(zeta)
+# ---------------------------------------------------------------------------
+
+def binomial_grid():
+    """(params, d, ell_i) for every even ell in 2..12 and every valid d."""
+    for ell in range(2, 13, 2):
+        for d in (1, 2, 3):
+            if ell % d == 0 and ell // d >= 2:
+                yield QParams(ell, (d,)), d, ell // d
+
+
+def pascal_at_zeta(d, li, params):
+    """{(m, t): [m over t]_d at zeta} for -3 li <= m <= 6 li, 0 <= t <= 2 li + 1,
+    from [m over t] = q^t [m-1 over t] + q^(t-m) [m-1 over t-1] with q = zeta^d,
+    run forward from m = 0 and backward below it, in the field alone."""
+    f = params.field
+    q = f.zeta(d)
+    top = 2 * li + 1
+    table = {(0, t): f.one if t == 0 else f.zero for t in range(top + 1)}
+    for m in range(1, 6 * li + 1):
+        table[m, 0] = f.one
+        for t in range(1, top + 1):
+            table[m, t] = q ** t * table[m - 1, t] + q ** (t - m) * table[m - 1, t - 1]
+    for m in range(0, -3 * li, -1):
+        table[m - 1, 0] = f.one
+        for t in range(1, top + 1):
+            table[m - 1, t] = (q ** -t) * (table[m, t] - q ** (t - m) * table[m - 1, t - 1])
+    return table
+
+
+def generic_chain_at_zeta(m, top, d, ring):
+    """[m over t]_d(zeta) for t = 0..top, each from the generic Gaussian
+    polynomial built as qbinom builds it, [m over t] = [m over t-1] [m-t+1] / [t],
+    but reusing the previous t."""
+    out, b = [], ring.one
+    for t in range(top + 1):
+        if t:
+            b = (b * qint(m - t + 1, d, ring)).exact_div(qint(t, d, ring))
+        out.append(b.eval_zeta())
+    return out
+
+
+def test_qbinom_zeta_matches_generic_and_pascal():
+    # every even ell in 2..12, every valid d (ell_i odd for d = 2 at ell 6
+    # and 10), m from -3 ell_i to 6 ell_i, t from 0 to 2 ell_i + 1: the
+    # Pascal recursion over the whole grid, and the generic polynomial
+    # wherever its degree stays small enough for a test
+    for params, d, li in binomial_grid():
+        ring = params.vring
+        table = pascal_at_zeta(d, li, params)
+        for m in range(-3 * li, 6 * li + 1):
+            chain = generic_chain_at_zeta(m, 2 * li + 1, d, ring) if li <= 8 else None
+            for t in range(2 * li + 2):
+                z = qbinom_zeta(m, t, d, ring)
+                assert z == table[m, t], (params.ell, d, m, t)
+                if chain is not None:
+                    assert z == chain[t], (params.ell, d, m, t)
+                assert_canonical_elem(z, params.field)
+        # the chain is the generic qbinom itself
+        for m, t in ((-li - 1, li + 1), (2 * li + 1, li - 1), (3 * li, 2 * li + 1)):
+            assert qbinom_zeta(m, t, d, ring) == qbinom(m, t, d, ring).eval_zeta()
+
+
+# ---------------------------------------------------------------------------
+# CycloElem.inverse against the extended Euclid in Q[x]
+# ---------------------------------------------------------------------------
+
+def euclid_inverse(x):
+    """1/x by the extended Euclid of x against Phi_n in Fraction arithmetic,
+    as the canonical CycloElem; x nonzero."""
+    f = x.field
+
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    # s * x = r modulo Phi_n along the remainder sequence
+    r0, s0 = trim([Fraction(c) for c in f.phi]), [Fraction(0)]
+    r1, s1 = trim([Fraction(c, x.den) for c in x.num]), [Fraction(1)]
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + len(r1) - 1] / r1[-1]
+            q[k] = c
+            for j, bj in enumerate(r1):
+                rem[k + j] -= c * bj
+        s_next = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s_next[i + j] -= qi * sj
+        r0, s0, r1, s1 = r1, s1, trim(rem), trim(s_next)
+    coeffs = [s / r1[0] for s in s1]
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return f.elem([int(c * den) for c in coeffs], den)
+
+
+INVERSE_FIELDS = [4, 8, 12, 16, 20, 24, 40]
+
+
+@st.composite
+def wide_cyclo(draw, field):
+    """A nonzero element with numerators and denominator up to 10^12."""
+    big = st.integers(-10 ** 12, 10 ** 12)
+    nums = draw(st.lists(big, min_size=field.degree, max_size=field.degree))
+    assume(any(nums))
+    return field.elem(nums, draw(st.integers(1, 10 ** 12)))
+
+
+def check_inverse(x, inv):
+    field = x.field
+    assert x * inv == field.one
+    assert_canonical_elem(inv, field)
+    assert inv == euclid_inverse(x)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(INVERSE_FIELDS), st.data())
+def test_inverse_matches_euclid(n, data):
+    field = CycloField(n)
+    x = data.draw(wide_cyclo(field))
+    check_inverse(x, x.inverse())
+
+
+def test_inverse_property_rejects_an_inverse_that_drops_den():
+    # negative control: 1/(num) in place of den/num
+    for n in INVERSE_FIELDS:
+        field = CycloField(n)
+        x = field.elem([3, -1] + [5] * (field.degree - 2), 7)
+        with pytest.raises(AssertionError):
+            check_inverse(x, field.elem(x.num).inverse())
