@@ -15,9 +15,8 @@ they are the structure constants of everything built on top.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 
 class ExactDivisionError(ArithmeticError):
@@ -85,12 +84,32 @@ def _normalize(num, den):
     return tuple(num), den
 
 
+def _mul_mod_phi(f, a, b):
+    """The integer coefficients of a * b modulo Phi_n in the field f."""
+    d = f.degree
+    t = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    t[i + j] += ai * bj
+    red = f._red
+    for k in range(2 * d - 2, d - 1, -1):
+        c = t[k]
+        if c:
+            row = red[k - d]
+            for j in range(d):
+                t[j] += c * row[j]
+    return t[:d]
+
+
 class CycloField:
     """The field Q(zeta_n) = Q[x] / Phi_n(x), with zeta_n the residue of x."""
 
     _instances: dict[int, "CycloField"] = {}
 
-    __slots__ = ("n", "phi", "degree", "_red", "_zeta_rows", "_zero_tail", "zero", "one")
+    __slots__ = ("n", "phi", "degree", "_red", "_zeta_rows", "_sigma", "_zero_tail",
+                 "zero", "one")
 
     def __new__(cls, n: int):
         inst = cls._instances.get(n)
@@ -137,6 +156,10 @@ class CycloField:
                     row[j] += top * first[j]
             rows[k] = tuple(row)
         inst._zeta_rows = rows
+        # the automorphisms zeta -> zeta^k, k coprime to n and k != 1: row j of
+        # each is zeta^(jk) (see CycloElem.inverse)
+        inst._sigma = [[rows[j * k % n] for j in range(d)]
+                       for k in range(2, n) if gcd(k, n) == 1]
         inst._zero_tail = (0,) * (d - 1)
         inst.zero = CycloElem(inst, (0,) * d, 1)
         inst.one = CycloElem(inst, tuple(1 if j == 0 else 0 for j in range(d)), 1)
@@ -251,21 +274,7 @@ class CycloElem:
                 if b0 == -1:
                     return CycloElem(f, tuple(-c for c in a), self.den)
             return self._make([b0 * c for c in a], self.den * other.den)
-        d = f.degree
-        t = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        t[i + j] += ai * bj
-        red = f._red
-        for k in range(2 * d - 2, d - 1, -1):
-            c = t[k]
-            if c:
-                row = red[k - d]
-                for j in range(d):
-                    t[j] += c * row[j]
-        return self._make(t[:d], self.den * other.den)
+        return self._make(_mul_mod_phi(f, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -279,53 +288,20 @@ class CycloElem:
             if a < 0:
                 a, den = -a, -den
             return CycloElem(f, (den,) + f._zero_tail, a)
-        # extended Euclid in Q[x] against Phi_n
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in f.phi]
-        # invariants: s*self + t*phi = r  (we only track s)
-        r0, s0 = b, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1:
-            # divide r0 by r1
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                if c:
-                    q[k] = c
-                    for j, bj in enumerate(r1):
-                        rem[k + j] -= c * bj
-            rem = trim(rem)
-            # s_next = s0 - q*s1
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] += qi * sj
-            s_next = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                s_next[i] += c
-            for i, c in enumerate(qs1):
-                s_next[i] -= c
-            r0, s0, r1, s1 = r1, s1, rem, trim(s_next)
-            if not r1:
-                raise ZeroDivisionError("element not invertible (not coprime to Phi)")
-        c = r1[0]
-        inv_coeffs = [s / c for s in s1]
-        # common denominator
-        den = 1
-        for fr in inv_coeffs:
-            den = den * fr.denominator // gcd(den, fr.denominator)
-        nums = [int(fr * den) for fr in inv_coeffs]
-        nums += [0] * (f.degree - len(nums))
-        return self._make(nums, den)
+        # x = num / den, so 1/x = den * P / N, where P is the product of the
+        # conjugates sigma_k(num), k != 1, and N = num * P is the norm of num,
+        # a nonzero integer
+        a = self.num
+        rest = None
+        for sigma in f._sigma:
+            conj = [0] * f.degree
+            for aj, row in zip(a, sigma):
+                if aj:
+                    for i, r in enumerate(row):
+                        conj[i] += aj * r
+            rest = conj if rest is None else _mul_mod_phi(f, rest, conj)
+        norm = _mul_mod_phi(f, a, rest)[0]
+        return self._make([self.den * c for c in rest], norm)
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -859,11 +835,37 @@ def qbinom(m: int, t: int, d: int, ring: LaurentRing) -> LaurentPoly:
 
 
 def qbinom_zeta(m: int, t: int, d: int, ring: LaurentRing) -> CycloElem:
-    """[m over t]_d evaluated at zeta, cached."""
+    """[m over t]_d evaluated at zeta, cached, by the quantum Lucas theorem
+    (Lusztig 1990, Geom. Dedicata 35).
+
+    zeta^d has order 2 ell_i with ell_i = n / (2d).  With m = m0 + ell_i m1 and
+    t = t0 + ell_i t1 (0 <= m0, t0 < ell_i),
+    [m over t]_d(zeta) = (-1)^(m1 t0 + m0 t1 + ell_i t1 (m1 - t1))
+                         binom(m1, t1) [m0 over t0]_d(zeta),
+    and a negative m goes through [m over t] = (-1)^t [t - m - 1 over t].  The
+    only Gaussian polynomials expanded are the [m0 over t0]_d.
+    """
     key = (m, t, d)
     out = ring._qbinom_zeta.get(key)
     if out is None:
-        out = qbinom(m, t, d, ring).eval_zeta()
+        if t < 0:
+            raise ValueError("lower index must be nonnegative")
+        n = ring.field.n
+        if n % (2 * d):
+            raise ValueError(f"2d = {2 * d} does not divide n = {n}")
+        li = n // (2 * d)
+        sign = 0
+        if m < 0:
+            m, sign = t - m - 1, t
+        m1, m0 = divmod(m, li)
+        t1, t0 = divmod(t, li)
+        c = comb(m1, t1)
+        if c and t0 <= m0:
+            if (sign + m1 * t0 + m0 * t1 + li * t1 * (m1 - t1)) % 2:
+                c = -c
+            out = qbinom(m0, t0, d, ring).eval_zeta() * c
+        else:
+            out = ring.field.zero
         ring._qbinom_zeta[key] = out
     return out
 

@@ -626,17 +626,20 @@ def pascal_at_zeta(d, li, params):
     from [m over t] = q^t [m-1 over t] + q^(t-m) [m-1 over t-1] with q = zeta^d,
     run forward from m = 0 and backward below it, in the field alone."""
     f = params.field
-    q = f.zeta(d)
+
+    def q(k):
+        return f.zeta(d * k)
+
     top = 2 * li + 1
     table = {(0, t): f.one if t == 0 else f.zero for t in range(top + 1)}
     for m in range(1, 6 * li + 1):
         table[m, 0] = f.one
         for t in range(1, top + 1):
-            table[m, t] = q ** t * table[m - 1, t] + q ** (t - m) * table[m - 1, t - 1]
+            table[m, t] = q(t) * table[m - 1, t] + q(t - m) * table[m - 1, t - 1]
     for m in range(0, -3 * li, -1):
         table[m - 1, 0] = f.one
         for t in range(1, top + 1):
-            table[m - 1, t] = (q ** -t) * (table[m, t] - q ** (t - m) * table[m - 1, t - 1])
+            table[m - 1, t] = q(-t) * (table[m, t] - q(t - m) * table[m - 1, t - 1])
     return table
 
 
