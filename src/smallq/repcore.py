@@ -83,18 +83,35 @@ class GenSet:
 
 
 class WeightModule:
-    """X-graded module with exact generator matrices."""
+    """X-graded module with exact generator matrices.
+
+    The generic layer is a GenSet, None, or a function of no arguments that
+    builds it; ``g`` then builds it on its first read.  Each layer's grading
+    is checked once the layer exists: the zeta layer and a given generic
+    layer at construction, a built one on that first read.
+    """
 
     def __init__(self, datum, params, weights, zeta_gens: GenSet,
-                 generic_gens: GenSet | None = None, name: str = ""):
+                 generic_gens=None, name: str = ""):
         self.datum = datum
         self.params = params
         self.weights = [tuple(w) for w in weights]
         self.z = zeta_gens
-        self.g = generic_gens
+        self._g = generic_gens
         self.name = name or f"module(dim={len(self.weights)})"
         self.form = EllForm(datum, params)
-        _check_grading(self)
+        _check_grading(self, zeta_gens)
+        if isinstance(generic_gens, GenSet):
+            _check_grading(self, generic_gens)
+
+    @property
+    def g(self):
+        g = self._g
+        if g is not None and not isinstance(g, GenSet):
+            g = g()
+            _check_grading(self, g)
+            self._g = g
+        return g
 
     @property
     def dim(self):
@@ -122,7 +139,7 @@ class WeightModule:
         return orbits._coset_rep(self.weights[b])
 
     def has_generic(self):
-        return self.g is not None
+        return self._g is not None
 
     def __repr__(self):
         return f"WeightModule({self.name}, dim={self.dim})"
@@ -141,18 +158,16 @@ def _diag(entries):
     return [[(i, x)] if x else [] for i, x in enumerate(entries)]
 
 
-def _check_grading(module):
-    """Every nonzero entry must connect weights differing by the right root."""
+def _check_grading(module, layer):
+    """Every nonzero entry of the layer must connect weights differing by the
+    right root."""
     datum = module.datum
-    for layer in (module.z, module.g):
-        if layer is None:
-            continue
-        for i in range(datum.rank):
-            alpha = datum.alpha[i]
-            for a, mat in enumerate(layer.efam[i]):
-                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
-            for a, mat in enumerate(layer.ffam[i]):
-                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
+    for i in range(datum.rank):
+        alpha = datum.alpha[i]
+        for a, mat in enumerate(layer.efam[i]):
+            _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
+        for a, mat in enumerate(layer.ffam[i]):
+            _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
 
 
 def _check_shift(module, mat, shift, label):
@@ -191,8 +206,8 @@ def weyl_module(lam, params, datum=None, name=None) -> WeightModule:
     Basis v_0..v_lam with v_k of weight lam - k*alpha.  Every divided power
     has a closed form (Lusztig 1990; Jantzen 1996, ch. 5):
     F^(a) v_k = [k+a over a]_d v_{k+a} and E^(a) v_k = [lam-k+a over a]_d v_{k-a},
-    filled in from the cached ``qbinom`` in the generic layer and from
-    ``qbinom_zeta`` at zeta.
+    filled in from ``qbinom_zeta`` at zeta and, on the first read of ``g``,
+    from the cached ``qbinom`` in the generic layer.
     """
     if datum is None:
         datum = build_root_datum("A1")
@@ -204,10 +219,11 @@ def weyl_module(lam, params, datum=None, name=None) -> WeightModule:
     ring = params.vring
     d = params.d[0]
     li = params.ell_i[0]
-    gens = _weyl_families(lam, li, qbinom, d, ring)
     zgens = _weyl_families(lam, li, qbinom_zeta, d, ring)
     weights = [(lam - 2 * k,) for k in range(lam + 1)]
-    module = WeightModule(datum, params, weights, zgens, gens, name=name or f"W({lam})")
+    module = WeightModule(datum, params, weights, zgens,
+                          lambda: _weyl_families(lam, li, qbinom, d, ring),
+                          name=name or f"W({lam})")
     # postcondition: the highest-weight vector is killed by E and its divided power
     assert not module.z.e(0)[0] and not module.z.div_e(0)[0]
     return module
@@ -343,7 +359,9 @@ def relation_check(module: WeightModule) -> Report:
     datum = module.datum
     f = params.field
     try:
-        _check_grading(module)
+        for layer in (module.z, module.g):
+            if layer is not None:
+                _check_grading(module, layer)
         rep.ok("grading", "all generator entries shift weights by the prescribed roots")
     except LatticeError as exc:
         rep.fail("grading", str(exc), counterexample=str(exc))
@@ -481,7 +499,7 @@ def corrupt_module(module: WeightModule) -> WeightModule:
     out.params = module.params
     out.weights = list(module.weights)
     out.z = GenSet(efam, ffam)
-    out.g = None
+    out._g = None
     out.name = module.name + "+corrupted"
     out.form = module.form
     return out

@@ -3,7 +3,8 @@
 import pytest
 from dense import columns, entries, rows
 
-from smallq import repcore
+from smallq import repcore, scalars
+from smallq.cli import main
 from smallq.linalg import RowBasis, mat_eq, mat_pow
 from smallq.repcore import (
     composition_factors,
@@ -320,7 +321,7 @@ def test_composition_factors_closed_form(monkeypatch):
             return (mu % lp + 1) * (mu // lp + 1)
 
         seen.clear()
-        for lam in range(31):
+        for lam in range(61):
             lam0, lam1 = lam % lp, lam // lp
             if lam1 == 0 or lam0 == lp - 1:
                 expected = [((lam,), lam + 1)]
@@ -330,9 +331,10 @@ def test_composition_factors_closed_form(monkeypatch):
             assert composition_factors(weyl_module(lam, params)) == expected, (ell, lam)
         if ell not in (4, 6):
             continue
-        # the reachability result equals the field path on each of them
-        assert len(seen) > 31
-        for module in seen:
+        # the reachability result equals the field path on each of them up to
+        # dimension 31 (the field path spins a closure per basis line)
+        assert len(seen) > 61
+        for module in (m for m in seen if m.dim <= 31):
             sub = maximal_proper_submodule(module)
             assert mat_eq(sub.basis, _field_path_maximal_submodule(module)), module.name
             one = module.params.field.one
@@ -446,3 +448,67 @@ def test_generic_layer_failure_details(case):
     failures = [(c.name, c.status, c.details, c.counterexample)
                 for c in relation_check(bad).failures()]
     assert failures == GENERIC_CASES[case]
+
+
+# ---------------------------------------------------------------------------
+# the generic layer of a Weyl module is built on the first read of g
+# ---------------------------------------------------------------------------
+
+def _record_generic_qbinom(monkeypatch, *callers):
+    """(m, t, d) of every call of the generic qbinom from the given modules:
+    scalars for qbinom_zeta, repcore for the generic layer of weyl_module."""
+    real = scalars.qbinom
+    calls = []
+
+    def recording(m, t, d, ring):
+        calls.append((m, t, d))
+        return real(m, t, d, ring)
+
+    for module in callers:
+        monkeypatch.setattr(module, "qbinom", recording)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_linkage_expands_only_binomials_below_ell_i(ell, monkeypatch, capsys):
+    # the peel reads the zeta layer alone, and at zeta [m over t] needs the
+    # generic polynomial only for the base-ell_i digits of m and t
+    params = QParams(ell)
+    monkeypatch.setattr(params.vring, "_qbinom_zeta", {})
+    calls = _record_generic_qbinom(monkeypatch, scalars, repcore)
+    argv = ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..18",
+            "--ell", str(ell)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    li = params.ell_i[0]
+    assert calls and all(0 <= m < li and t < li for m, t, _ in calls), calls
+
+
+def test_weyl_generic_layer_is_built_on_first_read(monkeypatch):
+    calls = _record_generic_qbinom(monkeypatch, repcore)
+    w = weyl_module(12, P4)
+    assert w.has_generic() and not calls
+    g = w.g
+    assert {m for m, _, _ in calls} == set(range(13))
+    assert w.g is g and relation_check(w).passed
+
+
+def test_generic_layer_that_breaks_the_grading_raises_on_first_read():
+    w = weyl_module(4, P4)
+    good = w.g
+    # E_0 and its divided powers in the place of F_0's: they raise the weight
+    bad = repcore.GenSet(good.efam, good.efam)
+    built = []
+
+    def build():
+        built.append(bad)
+        return bad
+
+    lazy = repcore.WeightModule(A1, P4, w.weights, w.z, build, name="W(4)")
+    assert lazy.has_generic() and not built
+    for _ in range(2):
+        with pytest.raises(LatticeError, match=r"F_0\^\(1\) entry \(\d+,\d+\) violates "
+                                               r"the grading on W\(4\)"):
+            lazy.g
+    with pytest.raises(LatticeError, match="violates the grading"):
+        repcore.WeightModule(A1, P4, w.weights, w.z, bad, name="W(4)")
