@@ -35,10 +35,9 @@ from .rootdata import DotOrbits, build_root_datum, is_dominant, steinberg_decomp
 
 
 class BlockRow:
-    def __init__(self, weight: tuple, orbit_key: tuple, block_id: int,
-                 singular: bool, steinberg: tuple | None):
+    def __init__(self, weight: tuple, block_id: int, singular: bool,
+                 steinberg: tuple | None):
         self.weight = weight
-        self.orbit_key = orbit_key
         self.block_id = block_id
         self.singular = singular
         self.steinberg = steinberg      # (lam1, mu) for dominant weights
@@ -119,8 +118,7 @@ def predicted_blocks(window, params, datum) -> BlockTable:
         if key not in key_to_id:
             key_to_id[key] = len(key_to_id)
         stein = steinberg_decompose(lam, params, datum) if is_dominant(lam) else None
-        table.rows.append(BlockRow(lam, key, key_to_id[key],
-                                   orb.is_singular(lam), stein))
+        table.rows.append(BlockRow(lam, key_to_id[key], orb.is_singular(lam), stein))
     return table
 
 
