@@ -236,10 +236,10 @@ def test_out_to_an_unwritable_path_exit_2(capsys, tmp_path):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # both cost a cold start on every call; dataclasses pulls in inspect,
-    # ast, dis and tokenize
-    probe = ("import sys, smallq.cli; "
-             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    # each costs a cold start on every call; dataclasses pulls in inspect,
+    # ast, dis and tokenize, and fractions pulls in decimal
+    probe = ("import sys, smallq.cli; print(sorted(m for m in "
+             "('dataclasses', 'inspect', 'fractions', 'decimal') if m in sys.modules))")
     src = str(Path(smallq.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
