@@ -854,14 +854,14 @@ def qbinom_zeta(m: int, t: int, d: int, ring: LaurentRing) -> CycloElem:
         if n % (2 * d):
             raise ValueError(f"2d = {2 * d} does not divide n = {n}")
         li = n // (2 * d)
-        sign = 0
+        parity = 0
         if m < 0:
-            m, sign = t - m - 1, t
+            m, parity = t - m - 1, t
         m1, m0 = divmod(m, li)
         t1, t0 = divmod(t, li)
         c = comb(m1, t1)
         if c and t0 <= m0:
-            if (sign + m1 * t0 + m0 * t1 + li * t1 * (m1 - t1)) % 2:
+            if (parity + m1 * t0 + m0 * t1 + li * t1 * (m1 - t1)) % 2:
                 c = -c
             out = qbinom(m0, t0, d, ring).eval_zeta() * c
         else:
