@@ -20,9 +20,10 @@ at most 40 and --max-tensor at most 8, whether the size comes from a flag or
 from --config.  At ell 6 each cap alone takes about 2.5 s (W(0..40)) and 3 s
 (every W(a) (x) W(b) with a, b <= 8) on a shared 2-core x86 VM, and the cost
 grows steeply with the size.  In the same way linkage --type A1 --suite
-verify refuses a window whose top is above 160 (MAX_A1_WINDOW).  The window
-0..160 takes about 4 s at ell 4 and 6 and 6.5 s at ell 10 on the same VM
-(0..80: 1 s, 1.3 s and 2 s).  Every linkage call, --suite predict included,
+verify refuses a window whose top is above 320 (MAX_A1_WINDOW).  The window
+0..320 takes about 1.5 s at ell 4, 2 s at ell 6 and 2.3 s at ell 10 on the
+same VM (0..160: 0.5 s, 0.7 s and 0.6 s); building the Weyl modules is most
+of it, as the composition series is peeled on index sets.  Every linkage call, --suite predict included,
 refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
@@ -146,7 +147,7 @@ SUITES = ("verify", "predict")
 MAX_WEYL = 40
 MAX_TENSOR = 8
 # linkage --type A1 --suite verify budget: a larger window top exits 2
-MAX_A1_WINDOW = 160
+MAX_A1_WINDOW = 320
 # linkage budget for every type and suite: a window of more weights exits 2
 MAX_WINDOW_WEIGHTS = 20_000
 

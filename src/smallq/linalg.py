@@ -163,8 +163,9 @@ def spin(gens, seeds, field) -> RowBasis:
     multiple of one basis vector e_r or zero, so the spin of e_b is the
     coordinate subspace on the indices reachable from b in the graph with an
     edge b -> r for each nonzero entry (r, b) of a generator.  That
-    reachability is what ``repcore.maximal_proper_submodule`` computes in
-    place of this field arithmetic.
+    reachability is what the index path of ``repcore.composition_factors``
+    and ``repcore.maximal_proper_submodule`` compute, through the shared
+    helper ``repcore._reach``, in place of this field arithmetic.
     """
     basis = RowBasis(field)
     queue = []

@@ -567,6 +567,40 @@ def submodule_closure(module: WeightModule, seeds) -> Submodule:
     return Submodule(module, rows, row_weights)
 
 
+def _coordinate_graph(module):
+    """(targets, sources) of the generators' nonzero pattern: targets[b]
+    lists the r with a nonzero entry (r, b) in a generator, sources[r] the b.
+    None when a generator column has more than one nonzero entry."""
+    targets = [[] for _ in range(module.dim)]
+    sources = [[] for _ in range(module.dim)]
+    for cols in _generator_matrices(module):
+        for b, col in enumerate(cols):
+            if len(col) > 1:
+                return None
+            for r, _ in col:
+                targets[b].append(r)
+                sources[r].append(b)
+    return targets, sources
+
+
+def _reach(edges, start, within):
+    """The indices in ``within`` reachable from ``start`` along ``edges``
+    (an edge b -> r for each r in edges[b]), start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for r in edges[stack.pop()]:
+            if r in within and r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return seen
+
+
+def _top(weights, indices):
+    """The least index of maximal weight (by coordinate sum) in ``indices``."""
+    return max(indices, key=lambda b: (sum(weights[b]), -b))
+
+
 def maximal_proper_submodule(module: WeightModule) -> Submodule:
     """Unique maximal proper submodule of a cyclic highest-weight module.
 
@@ -578,27 +612,17 @@ def maximal_proper_submodule(module: WeightModule) -> Submodule:
     (see ``linalg.spin``).  The maximal proper submodule is the sum of the
     closures that miss the top vector.  If b cannot reach the top, neither
     can anything reachable from b, so that sum is the span of the e_r from
-    which the top is unreachable: one backward search from the top, with no
-    field arithmetic.
+    which the top is unreachable: one backward search from the top
+    (``_reach``), with no field arithmetic.
     """
     if len(set(module.weights)) != module.dim:
         raise ValueError("weight spaces must be one-dimensional")
-    top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
-    sources = [[] for _ in range(module.dim)]      # sources[r]: b with e_b -> e_r
-    for cols in _generator_matrices(module):
-        for b, col in enumerate(cols):
-            if len(col) > 1:
-                raise AssertionError(
-                    f"generator column {b} of {module.name} has {len(col)} nonzero entries")
-            for r, _ in col:
-                sources[r].append(b)
-    reaches_top = {top}
-    stack = [top]
-    while stack:
-        for b in sources[stack.pop()]:
-            if b not in reaches_top:
-                reaches_top.add(b)
-                stack.append(b)
+    graph = _coordinate_graph(module)
+    if graph is None:
+        raise AssertionError(
+            f"a generator column of {module.name} has more than one nonzero entry")
+    reaches_top = _reach(graph[1], _top(module.weights, range(module.dim)),
+                         range(module.dim))
     field = module.params.field
     keep = [r for r in range(module.dim) if r not in reaches_top]
     rows = [[field.one if k == r else field.zero for k in range(module.dim)]
@@ -655,10 +679,40 @@ def composition_factors(module: WeightModule):
 
     Peels highest-weight submodules: take a maximal-weight vector, close it
     up, split off the head of that closure, and recurse on the two smaller
-    pieces.  Dimensions strictly decrease, so this terminates.
+    pieces.  Dimensions strictly decrease, so this terminates.  Two paths:
+
+    - the index path, when every generator column has at most one nonzero
+      entry (Weyl modules, their direct sums and every piece they split
+      into).  A piece is an index set S acting by the generators' submatrix
+      on S; a submodule is a subset closed under the edges b -> r of the
+      nonzero pattern, and its quotient the complement.  The closure C of
+      the top is what the top reaches within S, the head the part of C that
+      reaches the top back (see ``maximal_proper_submodule``), and the peel
+      goes on with C minus the head and S minus C, with no field arithmetic;
+    - the field path ``_peel`` otherwise (tensor products, say), which spins
+      closures and builds submodules and quotients over the field.
+
+    A closure with a repeated weight raises ValueError on both paths.
     """
+    graph = _coordinate_graph(module)
     factors = []
-    _peel(module, factors)
+    if graph is None:
+        _peel(module, factors)
+        return sorted(factors)
+    targets, sources = graph
+    weights = module.weights
+    pieces = [set(range(module.dim))]
+    while pieces:
+        piece = pieces.pop()
+        if not piece:
+            continue
+        top = _top(weights, piece)
+        closure = _reach(targets, top, piece)
+        if len({weights[b] for b in closure}) != len(closure):
+            raise ValueError("weight spaces must be one-dimensional")
+        head = _reach(sources, top, closure)
+        factors.append((weights[top], len(head)))
+        pieces += [closure - head, piece - closure]
     return sorted(factors)
 
 
@@ -666,7 +720,7 @@ def _peel(module, factors):
     if module.dim == 0:
         return
     field = module.params.field
-    top = max(range(module.dim), key=lambda b: sum(module.weights[b]))
+    top = _top(module.weights, range(module.dim))
     seed = [field.one if k == top else field.zero for k in range(module.dim)]
     closure = submodule_closure(module, [seed])
     w_mod = submodule_as_module(closure)

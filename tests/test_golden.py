@@ -7,6 +7,9 @@ tensor products of W(0..2)), so any change in a matrix entry that reaches a
 report shows up here. The ell 10 linkage file (W(0..60), ell_i = 10) was
 written while every binomial at zeta was the generic Gaussian polynomial
 evaluated there and every field inverse an extended Euclid in Fractions.
+The ell 6 linkage file for the window 0..160 was written while the
+composition series was still peeled over the field (spun closures,
+restricted submodules and quotients), before it was peeled on index sets.
 The ell 8 frobenius-check file (Weyl modules up to
 W(20), tensor products of W(0..6)) was written while Laurent polynomials
 still boxed every integer coefficient into the cyclotomic field; it is the
@@ -36,6 +39,8 @@ CASES = [
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "4"]),
     ("linkage_A1_ell6_0-40.json",
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..40", "--ell", "6"]),
+    ("linkage_A1_ell6_0-160.json",
+     ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..160", "--ell", "6"]),
     ("linkage_A1_ell10_0-60.json",
      ["linkage", "--type", "A1", "--suite", "verify", "--window", "0..60", "--ell", "10"]),
     ("frobenius-check_ell4.json", ["frobenius-check", "--ell", "4"]),

@@ -300,19 +300,17 @@ def _field_path_maximal_submodule(module):
     return basis.sorted_rows()
 
 
+def _field_factors(module):
+    """composition_factors by the field path, called directly."""
+    factors = []
+    repcore._peel(module, factors)
+    return sorted(factors)
+
+
 def test_composition_factors_closed_form(monkeypatch):
     # Lusztig (1990): with lam = lam0 + l' lam1 and 0 <= lam0 < l', W(lam)
     # is simple when lam1 = 0 or lam0 = l' - 1; otherwise its factors are
     # L(lam) and L(l' lam1 - lam0 - 2), and dim L(mu) = (mu0 + 1)(mu1 + 1)
-    seen = []
-
-    def recording(module):
-        seen.append(module)
-        return maximal_proper_submodule(module)
-
-    # record every module the peel splits: the Weyl modules and their
-    # peeled quotients and submodules
-    monkeypatch.setattr(repcore, "maximal_proper_submodule", recording)
     for ell in (4, 6, 8, 10):
         params = QParams(ell)
         lp = params.ell_i[0]
@@ -320,7 +318,6 @@ def test_composition_factors_closed_form(monkeypatch):
         def dim_simple(mu):
             return (mu % lp + 1) * (mu // lp + 1)
 
-        seen.clear()
         for lam in range(61):
             lam0, lam1 = lam % lp, lam // lp
             if lam1 == 0 or lam0 == lp - 1:
@@ -329,16 +326,113 @@ def test_composition_factors_closed_form(monkeypatch):
                 mu = lp * lam1 - lam0 - 2
                 expected = sorted([((lam,), dim_simple(lam)), ((mu,), dim_simple(mu))])
             assert composition_factors(weyl_module(lam, params)) == expected, (ell, lam)
-        if ell not in (4, 6):
-            continue
-        # the reachability result equals the field path on each of them up to
-        # dimension 31 (the field path spins a closure per basis line)
-        assert len(seen) > 61
+
+    # the index path against the field path, factor by factor, on the Weyl
+    # modules and on direct sums, recording every module the field path
+    # splits: the Weyl modules and their peeled quotients and submodules
+    seen = []
+
+    def recording(module):
+        seen.append(module)
+        return maximal_proper_submodule(module)
+
+    monkeypatch.setattr(repcore, "maximal_proper_submodule", recording)
+    for params in (P4, P6):
+        seen.clear()
+        modules = [weyl_module(lam, params) for lam in range(61)]
+        modules += [direct_sum(weyl_module(a, params), weyl_module(b, params))
+                    for a, b in ((4, 4), (13, 13), (13, 5))]
+        for module in modules:
+            assert composition_factors(module) == _field_factors(module), module.name
+        # the reachability result equals the field closures on each split
+        # module up to dimension 31 (the field path spins a closure per
+        # basis line)
+        assert len(seen) > 64
         for module in (m for m in seen if m.dim <= 31):
             sub = maximal_proper_submodule(module)
             assert mat_eq(sub.basis, _field_path_maximal_submodule(module)), module.name
             one = module.params.field.one
             assert sub.basis_weights == [module.weights[row.index(one)] for row in sub.basis]
+
+
+def _count_field_calls(monkeypatch):
+    """Counters of the calls to submodule_closure and RowBasis.add."""
+    counts = {"closure": 0, "add": 0}
+    closure, add = repcore.submodule_closure, RowBasis.add
+
+    def counting_closure(*args):
+        counts["closure"] += 1
+        return closure(*args)
+
+    def counting_add(self, vec):
+        counts["add"] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(repcore, "submodule_closure", counting_closure)
+    monkeypatch.setattr(RowBasis, "add", counting_add)
+    return counts
+
+
+def test_index_path_does_no_field_arithmetic(monkeypatch):
+    counts = _count_field_calls(monkeypatch)
+    for params in (P4, P6):
+        for lam in range(61):
+            composition_factors(weyl_module(lam, params))
+    assert counts == {"closure": 0, "add": 0}
+    # the counters see the field path
+    _field_factors(weyl_module(4, P4))
+    assert counts["closure"] > 0 and counts["add"] > 0
+
+
+def _simple_weights(mu, lp):
+    """Weights of L(mu) by the Steinberg tensor product theorem:
+    L(mu) = L(mu0) (x) L(mu1)^[Fr] with mu = mu0 + lp mu1, 0 <= mu0 < lp, and
+    the Frobenius twist multiplies the weights of the classical L(mu1) by lp."""
+    mu0, mu1 = mu % lp, mu // lp
+    return [mu0 - 2 * i + lp * (mu1 - 2 * j) for i in range(mu0 + 1) for j in range(mu1 + 1)]
+
+
+def test_tensor_products_take_the_field_path(monkeypatch):
+    # a tensor product has generator columns with two entries, so it is
+    # peeled over the field; the characters of its factors must add up to
+    # its own
+    counts = _count_field_calls(monkeypatch)
+    lp = P4.ell_i[0]
+    for a, b in ((1, 1), (2, 3), (3, 5), (4, 4)):
+        T = tensor_product(weyl_module(a, P4), weyl_module(b, P4))
+        before = counts["closure"]
+        factors = composition_factors(T)
+        assert counts["closure"] > before, (a, b)
+        assert all(dim == len(_simple_weights(mu, lp)) for (mu,), dim in factors), (a, b)
+        chars = [w for (mu,), _ in factors for w in _simple_weights(mu, lp)]
+        assert sorted(chars) == sorted(w for (w,) in T.weights), (a, b)
+        if (a, b) == (3, 5):
+            assert len(factors) == 7
+
+
+def _monomial_module_with_repeated_weight(params):
+    """Basis v0..v3 of weights 2, 0, 0, -2 with F v0 = v1, F v1 = v3 and
+    E v3 = v2 (the other generators zero): every generator column has at
+    most one nonzero entry, and the closure of the top v0 holds both weight-0
+    lines."""
+    one = params.field.one
+    ident = [[(c, one)] for c in range(4)]
+    zeros = [[[] for _ in range(4)]] * (params.ell_i[0] - 1)
+    e = [[], [], [], [(2, one)]]
+    f = [[(1, one)], [(3, one)], [], []]
+    gens = repcore.GenSet([[ident, e] + zeros], [[ident, f] + zeros])
+    return repcore.WeightModule(A1, params, [(2,), (0,), (0,), (-2,)], gens,
+                                name="repeated-weight")
+
+
+def test_repeated_weight_in_a_closure_raises_on_both_paths(monkeypatch):
+    module = _monomial_module_with_repeated_weight(P4)
+    counts = _count_field_calls(monkeypatch)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        composition_factors(module)
+    assert counts["closure"] == 0
+    with pytest.raises(ValueError, match="one-dimensional"):
+        _field_factors(module)
 
 
 def test_maximal_proper_submodule_rejects_repeated_weights():
