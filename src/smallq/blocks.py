@@ -31,7 +31,13 @@ from .repcore import (
     weyl_module,
 )
 from .report import Report
-from .rootdata import DotOrbits, build_root_datum, is_dominant, steinberg_decompose
+from .rootdata import (
+    DotOrbits,
+    _box_points,
+    build_root_datum,
+    is_dominant,
+    steinberg_decompose,
+)
 
 
 class BlockRow:
@@ -112,7 +118,7 @@ def predicted_blocks(window, params, datum) -> BlockTable:
     orb = DotOrbits(datum, params)
     table = BlockTable(datum.cartan_type, params.ell)
     key_to_id = {}
-    points = sorted(_window_points(window))
+    points = sorted(_box_points(window))
     for lam in points:
         key = orb.orbit_key(lam)
         if key not in key_to_id:
@@ -120,16 +126,6 @@ def predicted_blocks(window, params, datum) -> BlockTable:
         stein = steinberg_decompose(lam, params, datum) if is_dominant(lam) else None
         table.rows.append(BlockRow(lam, key_to_id[key], orb.is_singular(lam), stein))
     return table
-
-
-def _window_points(window):
-    if not window:
-        yield ()
-        return
-    lo, hi = window[0]
-    for head in range(lo, hi + 1):
-        for tail in _window_points(window[1:]):
-            yield (head,) + tail
 
 
 def observed_blocks_A1(window, params) -> LinkageGraph:
@@ -296,41 +292,24 @@ def finite_block_bijection(T) -> Report:
         resN = res_a_comodule(T, N)
         for j, S in enumerate(a_simp):
             res_mult[(i, j)] = len(comodule_hom_space(S, resN))
-    # union-find over the bipartite graph
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    # the components of the bipartite graph are the matched blocks
+    graph = LinkageGraph()
     for i in range(len(A_simp)):
-        find(("A", i))
+        graph.add_node(("A", i))
     for j in range(len(a_simp)):
-        find(("a", j))
+        graph.add_node(("a", j))
     for (i, j), m in res_mult.items():
         if m:
-            union(("A", i), ("a", j))
-    comps = {}
-    for key in list(parent):
-        comps.setdefault(find(key), set()).add(key)
-    blocks = sorted((sorted(map(str, c)) for c in comps.values()))
-    a_sides = [sorted(j for (side, j) in c if side == "a") for c in comps.values()]
-    A_sides = [sorted(i for (side, i) in c if side == "A") for c in comps.values()]
-    if all(a for a in a_sides) and all(a for a in A_sides):
+            graph.add_edge(("A", i), ("a", j))
+    comps = graph.components()
+    blocks = sorted(sorted(map(str, c)) for c in comps)
+    if all({side for side, _ in c} == {"A", "a"} for c in comps):
         rep.ok("bijection", f"{len(comps)} matched blocks on both sides")
     else:
         rep.fail("bijection", "a block has an empty side",
                  counterexample=str(blocks))
-    comp_of_A = {i: find(("A", i)) for i in range(len(A_simp))}
-    comp_of_a = {j: find(("a", j)) for j in range(len(a_simp))}
+    comp_of_A = {i: k for k, c in enumerate(comps) for side, i in c if side == "A"}
+    comp_of_a = {j: k for k, c in enumerate(comps) for side, j in c if side == "a"}
     # clause (a): N and Res(N) land in paired blocks
     ok_a = all(comp_of_A[i] == comp_of_a[j]
                for (i, j), m in res_mult.items() if m)

@@ -494,15 +494,9 @@ def corrupt_module(module: WeightModule) -> WeightModule:
             break
     else:
         raise ValueError("nothing to corrupt: all generators act by zero")
-    out = WeightModule.__new__(WeightModule)
-    out.datum = module.datum
-    out.params = module.params
-    out.weights = list(module.weights)
-    out.z = GenSet(efam, ffam)
-    out._g = None
-    out.name = module.name + "+corrupted"
-    out.form = module.form
-    return out
+    # the entry keeps its (row, column), so the grading check passes
+    return WeightModule(module.datum, module.params, module.weights, GenSet(efam, ffam),
+                        name=module.name + "+corrupted")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ meets a cyclotomic scalar.  The localization consists of fractions whose
 denominator does not vanish at zeta.  No floating point is used anywhere:
 identity checks downstream are exact coefficient comparisons.
 
+One long division, ``_long_div``, serves the cyclotomic polynomials, exact
+Laurent division and the Euclid of ``poly_gcd``; one table, x^k mod Phi_n
+for k < n, gives the powers of zeta, the reduction rows of ``_mul_mod_phi``
+and the Galois conjugations of ``CycloElem.inverse``.
+
 The q-combinatorics ([m]_d, [m]_d!, [m over t]_d) live here as well, since
 they are the structure constants of everything built on top.
 """
@@ -35,22 +40,22 @@ class LatticeError(ArithmeticError):
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _zx_div_exact(a, b):
-    """Exact division of integer polynomials, b monic up to sign."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    lead = b[-1]
-    assert lead in (1, -1)
-    q = [0] * (len(a) - len(b) + 1)
+def _long_div(a, b, lead_inv):
+    """Schoolbook division of ascending coefficient lists, b[-1] * lead_inv = 1.
+
+    Returns the quotient and leaves the remainder in ``a``: only its first
+    len(b) - 1 entries can stay nonzero.  Coefficients may be ints or
+    CycloElems, mixed; the quotient has 0 where no multiple of b was taken.
+    """
+    top = len(b) - 1
+    q = [0] * (len(a) - top)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] * lead
+        c = a[k + top] * lead_inv
         if c:
             q[k] = c
             for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    if any(a):
-        raise ExactDivisionError("non-exact integer polynomial division")
+                if bj:
+                    a[k + j] = a[k + j] - c * bj
     return q
 
 
@@ -62,7 +67,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]          # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num = _zx_div_exact(num, list(cyclotomic_poly(d)))
+            q = _long_div(num, cyclotomic_poly(d), 1)
+            if any(num):
+                raise ExactDivisionError("non-exact integer polynomial division")
+            num = q
     return tuple(num)
 
 
@@ -122,40 +130,18 @@ class CycloField:
         inst.n = n
         inst.phi = phi
         inst.degree = d
-        # reduction rows: x^(d+k) mod phi for k = 0 .. d-2 (integer entries)
-        red = [tuple(-c for c in phi[:d])]
-        for _ in range(max(0, d - 2)):
-            prev = red[-1]
-            row = [0] * d
-            for j in range(d - 1):
-                row[j + 1] += prev[j]
-            top = prev[d - 1]
-            if top:
-                first = red[0]
-                for j in range(d):
-                    row[j] += top * first[j]
-            red.append(tuple(row))
-        inst._red = red
-        # zeta^k for k = 0 .. n-1 as integer rows
-        rows = []
-        for k in range(n):
-            if k < d:
-                rows.append(tuple(1 if j == k else 0 for j in range(d)))
-            else:
-                rows.append(inst._red[k - d] if k - d < len(red) else None)
-        # fill the rest by multiplying by x
-        for k in range(d + len(red), n):
-            prev = rows[k - 1]
-            row = [0] * d
-            for j in range(d - 1):
-                row[j + 1] += prev[j]
-            top = prev[d - 1]
-            if top:
-                first = red[0]
-                for j in range(d):
-                    row[j] += top * first[j]
-            rows[k] = tuple(row)
+        # zeta^k for k = 0 .. n-1 as integer rows: multiply by x, replacing
+        # x^d by its residue -phi[:d]
+        low = tuple(-c for c in phi[:d])
+        rows = [(1,) + (0,) * (d - 1)]
+        for _ in range(n - 1):
+            prev = rows[-1]
+            top = prev[-1]
+            rows.append(tuple(top * r + p for r, p in zip(low, (0,) + prev[:-1])))
         inst._zeta_rows = rows
+        # reduction rows of _mul_mod_phi: x^(d+k) mod phi for k = 0 .. d-2;
+        # Phi_n divides x^n - 1, so x^(d+k) = zeta^((d+k) mod n)
+        inst._red = [rows[(d + k) % n] for k in range(d - 1)]
         # the automorphisms zeta -> zeta^k, k coprime to n and k != 1: row j of
         # each is zeta^(jk) (see CycloElem.inverse)
         inst._sigma = [[rows[j * k % n] for j in range(d)]
@@ -541,14 +527,13 @@ class LaurentPoly:
         return out
 
     def _dense(self):
-        """(min_exp, ascending list of the coefficients as CycloElems)."""
+        """(min_exp, ascending list of the coefficients, 0 in the gaps)."""
         if not self.c:
             return 0, []
         lo, hi = min(self.c), max(self.c)
-        f = self.ring.field
-        dense = [f.zero] * (hi - lo + 1)
+        dense = [0] * (hi - lo + 1)
         for e, a in self.c.items():
-            dense[e - lo] = f.from_int(a) if type(a) is int else a
+            dense[e - lo] = a
         return lo, dense
 
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
@@ -558,44 +543,17 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.c:
             return ring.zero
-        if self.integral and den.integral:
-            lo_n, hi_n = min(self.c), max(self.c)
-            lo_d, hi_d = min(den.c), max(den.c)
-            lead = den.c[hi_d]
-            if lead in (1, -1):
-                a = [0] * (hi_n - lo_n + 1)
-                for e, c in self.c.items():
-                    a[e - lo_n] = c
-                b = [0] * (hi_d - lo_d + 1)
-                for e, c in den.c.items():
-                    b[e - lo_d] = c
-                if len(a) < len(b):
-                    raise ExactDivisionError("degree too small for exact division")
-                q = [0] * (len(a) - len(b) + 1)
-                for k in range(len(q) - 1, -1, -1):
-                    c = a[k + len(b) - 1] * lead
-                    if c:
-                        q[k] = c
-                        for j, bj in enumerate(b):
-                            a[k + j] -= c * bj
-                if any(a):
-                    raise ExactDivisionError("non-exact Laurent division")
-                shift = lo_n - lo_d
-                return LaurentPoly(ring, {i + shift: c for i, c in enumerate(q) if c})
         lo_n, a = self._dense()
         lo_d, b = den._dense()
         if len(a) < len(b):
             raise ExactDivisionError("degree too small for exact division")
-        lead_inv = b[-1].inverse()
-        f = ring.field
-        q = [f.zero] * (len(a) - len(b) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = a[k + len(b) - 1] * lead_inv
-            if c:
-                q[k] = c
-                for j, bj in enumerate(b):
-                    if bj:
-                        a[k + j] = a[k + j] - c * bj
+        lead = b[-1]
+        # an integral division by a lead of +-1 stays on ints
+        if self.integral and den.integral and lead in (1, -1):
+            lead_inv = lead
+        else:
+            lead_inv = ring.field.one / lead
+        q = _long_div(a, b, lead_inv)
         if any(a):
             raise ExactDivisionError("non-exact Laurent division")
         shift = lo_n - lo_d
@@ -619,39 +577,19 @@ class LaurentPoly:
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd in Q(zeta)[v], as a Laurent polynomial with min exponent 0."""
     ring = a.ring
-    f = ring.field
-
-    def dense_of(p):
-        _, d = p._dense()
-        return d
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def mod(p, q):
-        p = list(p)
-        lead_inv = q[-1].inverse()
-        for k in range(len(p) - len(q), -1, -1):
-            c = p[k + len(q) - 1] * lead_inv
-            if c:
-                for j, bj in enumerate(q):
-                    if bj:
-                        p[k + j] = p[k + j] - c * bj
-        return trim(p)
-
-    r0, r1 = trim(dense_of(a)), trim(dense_of(b))
-    if not r0:
+    one = ring.field.one
+    r0, r1 = a._dense()[1], b._dense()[1]
+    if len(r0) < len(r1):
         r0, r1 = r1, r0
+    # Euclid: each remainder, trimmed, is shorter than its divisor
     while r1:
-        if len(r0) < len(r1):
-            r0, r1 = r1, r0
-            continue
-        r0, r1 = r1, mod(r0, r1)
+        _long_div(r0, r1, one / r1[-1])
+        while r0 and not r0[-1]:
+            r0.pop()
+        r0, r1 = r1, r0
     if not r0:
         return ring.zero
-    lead_inv = r0[-1].inverse()
+    lead_inv = one / r0[-1]
     return LaurentPoly(ring, {i: c * lead_inv for i, c in enumerate(r0) if c})
 
 

@@ -747,3 +747,140 @@ def test_inverse_property_rejects_an_inverse_that_drops_den():
         x = field.elem([3, -1] + [5] * (field.degree - 2), 7)
         with pytest.raises(AssertionError):
             check_inverse(x, field.elem(x.num).inverse())
+
+
+# ---------------------------------------------------------------------------
+# the one long division and the one x^k table, against oracles that divide
+# nothing: products, a Moebius power series, multiplication by x
+# ---------------------------------------------------------------------------
+
+def int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def phi_oracle(n):
+    """Phi_n = prod over d | n of (1 - x^d)^mu(n/d) for n > 1, as a power
+    series cut at its degree phi(n): multiplying by 1 - x^d and dividing by
+    it are both one pass with stride d."""
+    if n == 1:
+        return [-1, 1]
+    top = totient(n)
+    c = [1] + [0] * top
+    for d in range(1, n + 1):
+        if n % d == 0:
+            mu = mobius(n // d)
+            if mu == 1:
+                for k in range(top, d - 1, -1):
+                    c[k] -= c[k - d]
+            elif mu == -1:
+                for k in range(d, top + 1):
+                    c[k] += c[k - d]
+    return c
+
+
+def test_cyclotomic_poly_products_give_x_n_minus_1():
+    for n in range(1, 201):
+        phi = cyclotomic_poly(n)
+        assert len(phi) - 1 == totient(n) and phi[-1] == 1, n
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = int_poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def x_powers_mod(phi, count):
+    """x^k mod phi (phi monic) for k < count, one multiplication by x at a
+    time, reducing the x^deg term by phi's lower coefficients."""
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    out = []
+    for _ in range(count):
+        out.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        for j in range(d):
+            row[j] -= top * phi[j]
+    return out
+
+
+def test_zeta_rows_and_reduction_rows_match_naive_powers():
+    for n in range(1, 121):
+        field = CycloField(n)
+        d = field.degree
+        assert list(field.phi) == phi_oracle(n), n
+        powers = x_powers_mod(phi_oracle(n), max(n, 2 * d - 1))
+        assert field._zeta_rows == powers[:n], n
+        # _mul_mod_phi reads x^(d+k) mod Phi_n for k = 0 .. d-2
+        assert field._red == powers[d:2 * d - 1], n
+
+
+@st.composite
+def non_monic_int_divisor(draw, ring):
+    """An integer polynomial of at least two terms whose leading coefficient
+    is not +-1, such as 2v + 1: exact_div leaves its integer fast path."""
+    lead = draw(st.sampled_from((2, -2, 3, -3, 4)))
+    top = draw(st.integers(1, 3))
+    low = draw(st.dictionaries(st.integers(-2, top - 1), st.integers(-3, 3),
+                               min_size=1, max_size=3))
+    assume(any(low.values()))
+    return ring.from_int_dict({**low, top: lead})
+
+
+@st.composite
+def int_divisor(draw, ring):
+    """An integer polynomial of at least two terms, lead +-1 or not."""
+    if draw(st.booleans()):
+        return draw(non_monic_int_divisor(ring))
+    low = draw(st.dictionaries(st.integers(-2, 1), st.integers(-3, 3),
+                               min_size=1, max_size=3))
+    assume(any(low.values()))
+    return ring.from_int_dict({**low, 2: draw(st.sampled_from((1, -1)))})
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_exact_div_and_gcd_on_unboxed_ints_in_the_field(ell, data):
+    # integer numerators over non-monic integer divisors, and cyclotomic
+    # numerators over integer divisors: raw ints meet CycloElems in the
+    # long division
+    ring = TOWER[ell].vring
+    if data.draw(st.booleans()):
+        p, q = data.draw(int_laurent(ring)), data.draw(non_monic_int_divisor(ring))
+    else:
+        p, q = data.draw(laurent(ring)), data.draw(int_divisor(ring))
+    quotient = (p * q).exact_div(q)
+    assert quotient == p
+    assert_canonical(quotient)
+    # q has two terms, so it is no unit and does not divide p*q + v^e
+    e = data.draw(st.integers(-6, 6))
+    with pytest.raises(ExactDivisionError):
+        (p * q + ring.one.shift(e)).exact_div(q)
+    r = data.draw(laurent(ring))
+    assume(p and r)
+    g = poly_gcd(p * r, q * r)
+    assert g.min_exp() == 0
+    (p * r).exact_div(g)
+    (q * r).exact_div(g)
+    g.exact_div(r.shift(-r.min_exp()))
