@@ -28,8 +28,9 @@ refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
 VM and writes 6-7.5 MB of JSON.
-triple-verify takes about 0.5 s on the D4 table of
-tests/golden/triple-verify_D4_seed0.group and 2.6 s on --fixture d6_centre.
+triple-verify takes about 0.25 s on the D4 table of
+tests/golden/triple-verify_D4_seed0.group and 0.9 s on --fixture d6_centre
+on the same VM.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error, a report that --out cannot write included (no traceback).  A
@@ -133,9 +134,11 @@ def build_parser():
 
     p = sub.add_parser("triple-verify", help="(O, A, a) triple verification")
     common(p)
-    p.add_argument("--group", default=None, help="path to a group table file")
-    p.add_argument("--fixture", default=None,
-                   help="bundled fixture name (z4_z2, s3_a3, d6_centre)")
+    # one source of the group table: both given is a usage error (exit 2)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--group", default=None, help="path to a group table file")
+    source.add_argument("--fixture", default=None,
+                        help="bundled fixture name (z4_z2, s3_a3, d6_centre)")
     p.add_argument("--subgroup", default=None,
                    help="comma-separated element names overriding the file")
     return parser

@@ -231,7 +231,12 @@ def parse_group_text(text: str):
 # ---------------------------------------------------------------------------
 
 class CoalgebraFD:
-    """delta[i] = {(j, k): c} meaning Delta(b_i) = sum c * b_j (x) b_k."""
+    """delta[i] = {(j, k): c} meaning Delta(b_i) = sum c * b_j (x) b_k.
+
+    ``dual_mult`` holds the structure constants of the dual algebra C* (see
+    ``_dual_mult``) and ``gens`` a generating set of C* for the module laws
+    of its comodules (see ``_generating_set``), or None.
+    """
 
     def __init__(self, field, delta, eps, name=""):
         self.field = field
@@ -239,14 +244,18 @@ class CoalgebraFD:
         self.delta = delta
         self.eps = eps
         self.name = name or f"coalg(dim={self.dim})"
+        self.dual_mult = _dual_mult(self)
         self._validate()
+        # only now is C* known to be associative and unital, which the
+        # reduced module-law check needs
+        self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim)
 
     def _validate(self):
         f = self.field
         # coassociativity and the left counit law: C coacting on itself
-        # through Delta is a comodule
+        # through Delta is a comodule; every pair is checked
         regular = coaction_matrices(self.delta, self.dim)
-        _check_module(regular, _dual_mult(self), list(enumerate(self.eps)), f.one,
+        _check_module(regular, self.dual_mult, list(enumerate(self.eps)), f.one,
                       f"{self.name}: comultiplication not coassociative",
                       f"{self.name}: counit law fails")
         for i in range(self.dim):
@@ -266,7 +275,7 @@ def _strip(d):
     return {k: v for k, v in d.items() if v}
 
 
-def _check_module(cols, mult, unit, one, product_msg, unit_msg):
+def _check_module(cols, mult, unit, one, product_msg, unit_msg, gens=None):
     """Raise StructureError unless the matrices M_k are a module over an algebra.
 
     The algebra is given by its structure constants
@@ -275,6 +284,21 @@ def _check_module(cols, mult, unit, one, product_msg, unit_msg):
     from ``mult`` included, and sum_k u_k M_k = I.  They are checked on
     nonzero entries, one column x at a time for every pair at once; the
     column r of the M_i stacked is listed once.
+
+    ``gens``, when given, is a generating set J of an associative algebra
+    whose unit is the basis element b_e (see ``_generating_set``), and the
+    product law is checked for the pairs (i, s) with s in J only.  That
+    suffices.  The unit law gives M_e = I, so the law holds for j = e.  Every
+    other b_j is mu^-1 b_j' b_s with s in J, mu != 0 and b_j' reached before
+    b_j, and the checked law gives M_j' M_s = mu M_j.  If the law holds for
+    (i, j') for every i, then
+    mu M_i M_j = M_i M_j' M_s = sum_k c_ij'^k M_k M_s
+    = sum_k c_ij'^k sum_l c_ks^l M_l = sum_l ((b_i b_j') b_s)_l M_l,
+    by the checked law for (k, s).  Associativity of the algebra turns this
+    into sum_l (b_i (b_j' b_s))_l M_l = mu sum_l c_ij^l M_l, so the law
+    holds for (i, j) for every i, and by induction for every pair.  The
+    associativity used is the algebra's own, checked with every pair when
+    its structure constants were.
     """
     n = len(cols[0])
     for x in range(n):
@@ -285,20 +309,52 @@ def _check_module(cols, mult, unit, one, product_msg, unit_msg):
         if _strip(col) != {x: one}:
             raise StructureError(unit_msg)
     stacked = [[(i, s, b) for i, Mi in enumerate(cols) for s, b in Mi[r]] for r in range(n)]
-    consts = {}                 # j -> (i, k, c_ij^k)
+    right = range(len(cols)) if gens is None else gens
+    consts = {j: [] for j in right}         # j -> (i, k, c_ij^k)
     for (i, j), prod in mult.items():
-        consts.setdefault(j, []).extend((i, k, c) for k, c in prod.items())
+        if j in consts:
+            consts[j].extend((i, k, c) for k, c in prod.items())
     for x in range(n):
         lhs, rhs = {}, {}
-        for j, Mj in enumerate(cols):
-            for r, a in Mj[x]:
+        for j in right:
+            for r, a in cols[j][x]:
                 for i, s, b in stacked[r]:
                     _acc(lhs, (i, j, s), a * b)
-            for i, k, c in consts.get(j, ()):
+            for i, k, c in consts[j]:
                 for s, b in cols[k][x]:
                     _acc(rhs, (i, j, s), c * b)
         if _strip(lhs) != _strip(rhs):
             raise StructureError(product_msg)
+
+
+def _generating_set(mult, unit, dim):
+    """A generating set J of an algebra for the reduced check of
+    ``_check_module``, or None when the unit is not one basis element b_e
+    with coefficient 1.
+
+    A walk from e: an index is reached when it is e, or the one term k, with
+    a nonzero coefficient, of a product b_i b_s with i reached and s in J.
+    The least unreached index joins J until every index is reached.  The
+    algebra must be associative and unital (for b_e b_s = b_s); callers pass
+    the structure constants of an algebra whose laws were checked.
+    """
+    unit = [(k, u) for k, u in unit if u]
+    if len(unit) != 1 or unit[0][1] != 1:
+        return None
+    gens, order = [], [unit[0][0]]
+    reached = set(order)
+    while len(order) < dim:
+        s = min(set(range(dim)) - reached)
+        gens.append(s)
+        for i in order:             # walks the indices appended below too
+            for t in gens:
+                prod = [k for k, c in mult.get((i, t), {}).items() if c]
+                if len(prod) == 1 and prod[0] not in reached:
+                    reached.add(prod[0])
+                    order.append(prod[0])
+        if s not in reached:
+            return None
+    return gens
 
 
 def _dual_mult(C):
@@ -386,9 +442,9 @@ class ComoduleFD:
 
     def _validate(self):
         C = self.coalg
-        _check_module(self.mats, _dual_mult(C), list(enumerate(C.eps)), C.field.one,
+        _check_module(self.mats, C.dual_mult, list(enumerate(C.eps)), C.field.one,
                       f"{self.name}: coaction not coassociative",
-                      f"{self.name}: coaction counit law fails")
+                      f"{self.name}: coaction counit law fails", C.gens)
 
 
 def coaction_matrices(rho, cdim):
@@ -505,7 +561,8 @@ def _check_coalgebra_map(mat, src: CoalgebraFD, tgt: CoalgebraFD, msg):
     src (apply id (x) id (x) eps_src to its coassociativity, eps_src to its
     counit law)."""
     mats = _pushforward(mat, tgt.dim, coaction_matrices(src.delta, src.dim))
-    _check_module(mats, _dual_mult(tgt), list(enumerate(tgt.eps)), tgt.field.one, msg, msg)
+    _check_module(mats, tgt.dual_mult, list(enumerate(tgt.eps)), tgt.field.one, msg, msg,
+                  tgt.gens)
 
 
 def finite_group_triple(table: GroupTable, subgroup_names, field=None,
@@ -637,14 +694,34 @@ def _respects_action(act, coact, O: HopfAlgebraFD, left):
     both as their matrices, and ``left[i]`` is the left product on C by the
     image of the i-th basis element of O.  rho is the one matrix from the
     carrier to C (x) carrier that stacks the coaction matrices, and
-    Delta(f) = sum f1 (x) f2 acts on C (x) carrier as sum left[f1] (x) act[f2];
-    the law says rho intertwines the two actions.
+    Delta(e_i) = sum c f1 (x) f2 acts on C (x) carrier as
+    sum c left[f1] (x) act[f2]; the law says rho act[i] equals that sum
+    times rho.  Column x of the right side is read off the nonzero entries
+    v at (c, y) of rho(e_x) alone: each adds
+    sum c v left[f1][c] (x) act[f2][y], so no Kronecker product is built.
     """
     n = len(act[0])
     rho = [[(c * n + y, v) for c, R in enumerate(coact) for y, v in R[x]] for x in range(n)]
-    on_tensor = [combine(enumerate(d.values()), [kron(left[f1], act[f2]) for f1, f2 in d])
-                 for d in O.delta]
-    return intertwines(rho, act, on_tensor)
+    for Ai, d in zip(act, O.delta):
+        # per c, the terms whose left[f1] has a nonzero column c, that column
+        # scaled by the coefficient of f1 (x) f2
+        by_c = [[] for _ in coact]
+        for (f1, f2), coef in d.items():
+            for c, col in enumerate(left[f1]):
+                if col:
+                    by_c[c].append(([(r * n, coef * a) for r, a in col], act[f2]))
+        for x, lhs in enumerate(mat_mul(rho, Ai)):
+            rhs = {}
+            for cy, v in rho[x]:
+                c, y = divmod(cy, n)
+                for col, M in by_c[c]:
+                    ys = [(k, v * b) for k, b in M[y]]
+                    for base, a in col:
+                        for k, b in ys:
+                            _acc(rhs, base + k, a * b)
+            if _canon(rhs) != lhs:
+                return False
+    return True
 
 
 def object_O(T: TripleFD) -> TripleObject:

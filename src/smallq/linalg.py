@@ -425,15 +425,17 @@ def sparse_nullspace(equations, n, field):
     Each equation is a sparse row: (column, coefficient) pairs, repeated
     columns summed.  The equations fill one RowBasis and the basis is read
     straight off it, as ``nullspace`` reads it off the dense system.  No
-    equations leave the whole space: the unit vectors.
+    equations leave the whole space: the unit vectors.  Once the rows reach
+    rank n the solution is 0 and no further equation is read.
     """
     zero = field.zero
     basis = RowBasis(field)
-    for eq in equations:
+    for eq in equations if n else ():
         row = [zero] * n
         for c, a in eq:
             row[c] = row[c] + a if row[c] else a
-        basis.add(row)
+        if basis.add(row) and basis.dim == n:
+            break
     return _null_basis(basis, n)
 
 

@@ -313,6 +313,18 @@ def test_triple_verify_missing_input_exit_2(capsys):
     assert code == 2
 
 
+def test_triple_verify_group_and_fixture_exit_2(capsys):
+    # two sources of the group table: refused whichever comes first, not
+    # one of them silently ignored
+    group = str(Path(__file__).parent / "golden" / "triple-verify_D4_seed0.group")
+    for argv in (["--fixture", "z4_z2", "--group", group],
+                 ["--group", group, "--fixture", "z4_z2"]):
+        code, out, err = run_cli(["triple-verify"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err and "Traceback" not in err
+
+
 def test_reports_byte_identical(capsys, tmp_path):
     argv = ["linkage", "--type", "A1", "--ell", "4", "--window", "0..10",
             "--seed", "7"]

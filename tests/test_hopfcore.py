@@ -57,6 +57,7 @@ from smallq.hopfcore import (
     verify_ideal_prop,
 )
 from smallq.linalg import (
+    combine,
     identity,
     intertwines,
     inverse,
@@ -969,3 +970,180 @@ def test_structure_law_inputs_are_otherwise_valid(z4_triple):
         _z2_group_algebra(T.field, k)
     E = _regular_equivariant(T)
     EquivariantObject(E.N, E.gamma)
+
+
+# ---------------------------------------------------------------------------
+# module laws on a generating set of the dual algebra
+# ---------------------------------------------------------------------------
+
+def _golden_d4():
+    return parse_group_text((GOLDEN / "triple-verify_D4_seed0.group").read_text())
+
+
+GROUP_TRIPLES = {
+    "z4_z2": lambda: load_fixture("z4_z2"),
+    "s3_a3": lambda: load_fixture("s3_a3"),
+    "d6_centre": lambda: load_fixture("d6_centre"),
+    "D4_seed0": _golden_d4,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GROUP_TRIPLES))
+def group_triple(request):
+    return finite_group_triple(*GROUP_TRIPLES[request.param]())
+
+
+def _module_verdict(mats, C, gens):
+    """The message ``_check_module`` raises on the coaction matrices ``mats``
+    over C with the product law checked for the right factors ``gens``, or
+    None."""
+    try:
+        hopfcore._check_module(mats, C.dual_mult, list(enumerate(C.eps)), C.field.one,
+                               "product", "unit", gens)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def test_generating_set_generates_the_group(group_triple):
+    # for functions on a group the dual algebra is the group algebra
+    # (opposite product): J must generate the group, from the identity
+    T = group_triple
+    for C, table in ((T.A, T.group), (T.a, T.a_table), (T.O, T.quotient_group)):
+        gens = C.gens
+        assert gens is not None and table.identity not in gens
+        assert table.generated(gens) == list(range(table.n))
+        assert gens == sorted(gens)
+
+
+def test_d4_comodules_are_checked_on_two_generators():
+    # D4 is not cyclic: J has two elements, so a D4 comodule's product law
+    # is checked on 8 x 2 pairs instead of 8 x 8
+    T = finite_group_triple(*_golden_d4())
+    assert len(T.A.gens) == 2
+
+
+def test_reduced_module_check_agrees_with_every_pair(group_triple):
+    # every a/A simple, regular and induced comodule passes both checks, and
+    # one perturbed matrix, generator or not, fails both with the same law
+    T = group_triple
+    regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
+    a_cat = a_simples(T) + [regular_a_comodule(T)]
+    comodules = (a_cat + A_simples(T) + [regular_A]
+                 + [induce(T, M).comodule for M in a_cat])
+    for M in comodules:
+        C = M.coalg
+        assert _module_verdict(M.mats, C, C.gens) is None
+        assert _module_verdict(M.mats, C, None) is None
+        unit_index = C.eps.index(C.field.one)
+        outside = set(range(C.dim)) - set(C.gens) - {unit_index}
+        for c in {C.gens[0], max(outside, default=C.gens[0])}:
+            if not any(M.mats[c]):
+                continue
+            mats = list(M.mats)
+            mats[c] = _perturbed(mats[c], M.dim, C.field)
+            assert _module_verdict(mats, C, C.gens) == _module_verdict(mats, C, None) == "product"
+
+
+def test_corrupted_non_generator_coaction_is_refused(group_triple):
+    T = group_triple
+    regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
+    outside = [c for c in range(T.A.dim) if c not in T.A.gens and c != T.group.identity]
+    assert outside
+    c = outside[-1]
+    mats = list(regular_A.mats)
+    mats[c] = _perturbed(mats[c], regular_A.dim, T.field)
+    with pytest.raises(StructureError, match="A': coaction not coassociative"):
+        ComoduleFD(T.A, mats, name="A'")
+
+
+def test_coalgebra_corrupted_at_a_non_generator_is_refused():
+    # functions on Z/3: the dual algebra k[Z/3] has J = [1], and index 2 is
+    # reached as 1 * 1.  Adding b_2 (x) b_2 to Delta(b_2) keeps both counit
+    # laws (eps(b_2) = 0) and changes Delta at index 2 only; the coalgebra
+    # checks coassociativity with every pair and refuses it
+    f = CycloField(3)
+    clean = hopf_of_functions(_z3_table(), f)
+    assert clean.gens == [1]
+    delta = [dict(d) for d in clean.delta]
+    delta[2][(2, 2)] = f.one
+    assert [d == e for d, e in zip(delta, clean.delta)] == [True, True, False]
+    with pytest.raises(StructureError, match="comultiplication not coassociative"):
+        CoalgebraFD(f, delta, clean.eps)
+    CoalgebraFD(f, clean.delta, clean.eps)
+
+
+def test_generating_set_falls_back_to_every_pair(group_triple):
+    # O's pointwise product has the unit sum_i e_i: no single basis element,
+    # so no reduced check; a unit with coefficient other than 1 neither
+    O = group_triple.O
+    f = O.field
+    assert hopfcore._generating_set(O.mult, O.unit.items(), O.dim) is None
+    assert hopfcore._generating_set(O.dual_mult, [(0, f.from_int(2))], O.dim) is None
+    # the dual algebra of O, the group algebra of the quotient, has one
+    assert hopfcore._generating_set(O.dual_mult, list(enumerate(O.eps)), O.dim) == O.gens
+
+
+# ---------------------------------------------------------------------------
+# the compatibility law without Kronecker sums
+# ---------------------------------------------------------------------------
+
+def _respects_action_by_kron(act, coact, O, left):
+    """The compatibility law as first written: rho intertwines act with
+    sum c left[f1] (x) act[f2] over the terms of Delta(e_i)."""
+    n = len(act[0])
+    rho = [[(c * n + y, v) for c, R in enumerate(coact) for y, v in R[x]] for x in range(n)]
+    on_tensor = [combine(enumerate(d.values()), [kron(left[f1], act[f2]) for f1, f2 in d])
+                 for d in O.delta]
+    return intertwines(rho, act, on_tensor)
+
+
+def _cat_objects(T):
+    _, cat = standard_catalogs(T)
+    a_cat = a_simples(T) + [regular_a_comodule(T)]
+    return cat + [induce(T, M) for M in a_cat]
+
+
+def test_respects_action_matches_the_kronecker_sum(group_triple):
+    T = group_triple
+    for N in _cat_objects(T):
+        for gamma in points_of_O(T):
+            tw = twist(T, gamma, N)
+            for act in (N.act, tw.act):
+                assert hopfcore._respects_action(act, N.comodule.mats, T.O, T.iota_left)
+                assert _respects_action_by_kron(act, N.comodule.mats, T.O, T.iota_left)
+    # A's own multiplicativity and the Hopf-module law of an equivariant
+    # object (``equivariant_of`` builds one over an abelian quotient only)
+    A = T.A
+    coact = coaction_matrices(A.delta, A.dim)
+    assert hopfcore._respects_action(A.left_products, coact, A, A.left_products)
+    if T.quotient_group.commutator_subgroup() == [T.quotient_group.identity]:
+        E = equivariant_of(T, A_simples(T)[-1])
+        for law in (hopfcore._respects_action, _respects_action_by_kron):
+            assert law(E.N.act, E.gamma.mats, T.O, T.O.left_products)
+
+
+def test_respects_action_negative_controls(group_triple):
+    # one perturbed action entry breaks the law for both formulations
+    T = group_triple
+    f = T.field
+    for N in _cat_objects(T)[:3]:
+        for i in range(T.O.dim):
+            act = list(N.act)
+            act[i] = _perturbed(act[i], N.dim, f)
+            assert not hopfcore._respects_action(act, N.comodule.mats, T.O, T.iota_left)
+            assert not _respects_action_by_kron(act, N.comodule.mats, T.O, T.iota_left)
+
+
+def test_first_factor_twist_breaks_compatibility_on_d6_centre():
+    # D6 over its centre: the quotient S3 is nonabelian, so twisting on the
+    # first Sweedler factor breaks the law at every point but the identity,
+    # by both formulations
+    T = finite_group_triple(*load_fixture("d6_centre"))
+    ident = identity_point(T)
+    for N in (object_O(T), object_A(T)):
+        for gamma in points_of_O(T):
+            act = _first_factor_twist(T, gamma, N)
+            expected = gamma == ident
+            assert hopfcore._respects_action(act, N.comodule.mats, T.O, T.iota_left) == expected
+            assert _respects_action_by_kron(act, N.comodule.mats, T.O, T.iota_left) == expected

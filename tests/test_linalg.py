@@ -779,3 +779,25 @@ def test_nullspaces_match_dense_oracle(data):
             eq = [(c, a - field.one), (c, field.one)] + eq[1:]
         equations.append(eq)
     assert sparse_nullspace(equations, n, field) == expected
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_sparse_nullspace_reads_no_equation_past_full_rank(data):
+    field, n, vecs = data.draw(oracle_case())
+    if data.draw(st.booleans()):
+        # reach rank n, then keep the equations coming
+        unit = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+        vecs = vecs + unit + vecs
+    seen = DenseRowBasis(field)
+
+    def equations():
+        for vec in vecs:
+            if len(seen.rows) == n:
+                raise AssertionError("an equation was read past rank n")
+            seen.add(vec)
+            yield [(c, a) for c, a in enumerate(vec) if a]
+
+    expected = dense_basis(field, vecs)[0].null_basis(n)
+    assert sparse_nullspace(equations(), n, field) == expected
+    assert nullspace(vecs, field) == (expected if vecs else [])
