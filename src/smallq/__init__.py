@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-  scalars    exact cyclotomic arithmetic, Laurent polynomials in v, the local
-             ring at v = zeta, q-integers/factorials/binomials
+  scalars    exact cyclotomic arithmetic, the Laurent polynomials
+             Z[v, v^-1], q-integers/factorials/binomials
   rootdata   Cartan data, the ell-form, phi and phi_sc, affine Weyl dot
              action, orbit canonical forms, Steinberg decomposition
   repcore    X-graded modules with generator matrices, Weyl modules (A1),
@@ -23,10 +23,7 @@ Layers, bottom up:
 from .scalars import (
     CycloField,
     LaurentRing,
-    LocalScalar,
     QParams,
-    local_eval,
-    matrix_divide_exact,
     qbinom,
     qfact,
     qint,

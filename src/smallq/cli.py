@@ -398,15 +398,16 @@ def _triple_checks(T, rep):
     _summarize(rep, bij, "block-bijection")
     ideal = hc.verify_ideal_prop(T)
     _summarize(rep, ideal, "ideal-prop")
-    # twisting coherence over all points
+    # twisting coherence over all points: twist(g, N) depends on one point,
+    # so it is built once per point; g1 * g2 is itself a point
     pts = hc.points_of_O(T)
     objs = [hc.object_O(T), hc.object_A(T)]
+    twisted = {tuple(g): [hc.twist(T, g, N) for N in objs] for g in pts}
     coherent = True
     for g1, g2 in itertools.product(pts, pts):
-        g12 = hc.point_convolution(T, g1, g2)
-        for N in objs:
-            lhs = hc.twist(T, g2, hc.twist(T, g1, N))
-            rhs = hc.twist(T, g12, N)
+        g12 = tuple(hc.point_convolution(T, g1, g2))
+        for inner, rhs in zip(twisted[tuple(g1)], twisted[g12]):
+            lhs = hc.twist(T, g2, inner)
             if not all(mat_eq(lhs.act[i], rhs.act[i]) for i in range(T.O.dim)):
                 coherent = False
     if coherent:

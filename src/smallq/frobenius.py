@@ -324,8 +324,8 @@ def _solve_phi_preimage(form: EllForm, lam):
     # phi matrix: rows phi(coroot_j)
     rows = [form.phi(tuple(1 if k == j else 0 for k in range(r)))
             for j in range(r)]
-    # solve x * rows = lam over the rationals by Cramer at rank <= 2
-    from fractions import Fraction
+    # solve x * rows = lam by Cramer at rank <= 2; a remainder means x is
+    # not integral
     if r == 1:
         den = rows[0][0]
         if lam[0] % den:
@@ -333,11 +333,11 @@ def _solve_phi_preimage(form: EllForm, lam):
         return (lam[0] // den,)
     if r == 2:
         det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        x0 = Fraction(lam[0] * rows[1][1] - lam[1] * rows[1][0], det)
-        x1 = Fraction(rows[0][0] * lam[1] - rows[0][1] * lam[0], det)
-        if x0.denominator != 1 or x1.denominator != 1:
+        x0, r0 = divmod(lam[0] * rows[1][1] - lam[1] * rows[1][0], det)
+        x1, r1 = divmod(rows[0][0] * lam[1] - rows[0][1] * lam[0], det)
+        if r0 or r1:
             raise ValueError(f"weight {lam} is not in phi(Y)")
-        return (int(x0), int(x1))
+        return (x0, x1)
     raise NotImplementedError("rank > 2 not needed")
 
 

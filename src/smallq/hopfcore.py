@@ -1433,8 +1433,14 @@ def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
     """Canonical equivariant object attached to an A-comodule P.
 
     The Cat-object is O (x) P (which realizes Ind(Res P)); the Gamma-structure
-    is Delta_O on the first factor.
+    is Delta_O on the first factor.  The A-coaction reaches that factor
+    through Delta_O from the same side, so the two coactions commute only
+    when Delta_O is cocommutative, that is, when the quotient group is
+    abelian; otherwise a StructureError is raised before anything is built.
     """
+    if any(_strip(d) != _strip({(k, j): c for (j, k), c in d.items()}) for d in T.O.delta):
+        raise StructureError(
+            f"equiv({P.name}): Delta_O is not cocommutative (nonabelian quotient)")
     N = object_O_tensor(T, P, name=f"O(x){P.name}")
     ident = identity(P.dim, T.field.one)
     name = f"equiv({P.name})"

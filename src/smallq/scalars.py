@@ -1,18 +1,16 @@
-"""Exact scalar tower: Q(zeta_N), Laurent polynomials in v, and the local ring at v = zeta.
+"""Exact scalar tower: Q(zeta_N) and the Laurent polynomials Z[v, v^-1].
 
 Everything here is exact.  Cyclotomic elements are residues modulo the N-th
-cyclotomic polynomial with rational coefficients.  Laurent polynomials in v
-hold integer coefficients as Python ints (the divided-power form lives in
-Z[v, v^-1]) and other coefficients as cyclotomic elements; an integer
-polynomial is boxed into the field only when it is evaluated at zeta or
-meets a cyclotomic scalar.  The localization consists of fractions whose
-denominator does not vanish at zeta.  No floating point is used anywhere:
-identity checks downstream are exact coefficient comparisons.
+cyclotomic polynomial with rational coefficients.  The generic ring is
+Z[v, v^-1], where Lusztig's divided-power form lives: Laurent polynomials in
+v hold Python-int coefficients, and meet the field only when they are
+evaluated at v = zeta.  No floating point is used anywhere: identity checks
+downstream are exact coefficient comparisons.
 
-One long division, ``_long_div``, serves the cyclotomic polynomials, exact
-Laurent division and the Euclid of ``poly_gcd``; one table, x^k mod Phi_n
-for k < n, gives the powers of zeta, the reduction rows of ``_mul_mod_phi``
-and the Galois conjugations of ``CycloElem.inverse``.
+One long division in Z, ``_long_div``, serves the cyclotomic polynomials and
+exact Laurent division; one table, x^k mod Phi_n for k < n, gives the powers
+of zeta, the reduction rows of ``_mul_mod_phi`` and the Galois conjugations
+of ``CycloElem.inverse``.
 
 The q-combinatorics ([m]_d, [m]_d!, [m over t]_d) live here as well, since
 they are the structure constants of everything built on top.
@@ -28,10 +26,6 @@ class ExactDivisionError(ArithmeticError):
     """A division that should have been exact left a remainder."""
 
 
-class OutsideLocalizationError(ArithmeticError):
-    """Denominator vanishes at zeta: the value is not in the local ring."""
-
-
 class LatticeError(ArithmeticError):
     """A matrix expected to lie in the integral lattice does not."""
 
@@ -40,22 +34,26 @@ class LatticeError(ArithmeticError):
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _long_div(a, b, lead_inv):
-    """Schoolbook division of ascending coefficient lists, b[-1] * lead_inv = 1.
+def _long_div(a, b):
+    """Schoolbook division in Z of ascending integer coefficient lists.
 
     Returns the quotient and leaves the remainder in ``a``: only its first
-    len(b) - 1 entries can stay nonzero.  Coefficients may be ints or
-    CycloElems, mixed; the quotient has 0 where no multiple of b was taken.
+    len(b) - 1 entries can stay nonzero.  Each quotient coefficient is a
+    leading entry of ``a`` over b[-1]; one that is not an integer raises
+    ExactDivisionError.
     """
     top = len(b) - 1
+    lead = b[-1]
     q = [0] * (len(a) - top)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + top] * lead_inv
+        c, r = divmod(a[k + top], lead)
+        if r:
+            raise ExactDivisionError("quotient coefficient not an integer")
         if c:
             q[k] = c
             for j, bj in enumerate(b):
                 if bj:
-                    a[k + j] = a[k + j] - c * bj
+                    a[k + j] -= c * bj
     return q
 
 
@@ -67,7 +65,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]          # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q = _long_div(num, cyclotomic_poly(d), 1)
+            q = _long_div(num, cyclotomic_poly(d))
             if any(num):
                 raise ExactDivisionError("non-exact integer polynomial division")
             num = q
@@ -326,15 +324,15 @@ class CycloElem:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in v: Z[v, v^-1] as ints, Q(zeta)[v, v^-1] otherwise
+# Laurent polynomials in v: Z[v, v^-1]
 # ---------------------------------------------------------------------------
 
 class LaurentRing:
-    """Laurent polynomials in v over a cyclotomic field.
+    """Z[v, v^-1], specialized at v = zeta into a cyclotomic field.
 
-    The divided-power form lives in Z[v, v^-1], so every polynomial built from
-    [m]_d, [m]_d! and [m over t]_d has integer coefficients; those are held
-    as Python ints (see ``LaurentPoly``).
+    The divided-power form lives here: every polynomial built from [m]_d,
+    [m]_d! and [m over t]_d has integer coefficients, held as Python ints
+    (see ``LaurentPoly``).
     """
 
     _instances: dict[int, "LaurentRing"] = {}
@@ -369,48 +367,25 @@ class LaurentRing:
         return f"{self.field}[v, v^-1]"
 
 
-def _canonical(field, coeffs):
-    """(coeffs, integral) in the canonical form: no zero coefficient, every
-    coefficient an int if all of them are integers, else every one a
-    CycloElem."""
-    ints = {}
-    for e, a in coeffs.items():
-        if not a:
-            continue
-        if type(a) is int:
-            ints[e] = a
-        elif a.is_rational and a.den == 1:
-            ints[e] = a.num[0]
-        else:
-            from_int = field.from_int
-            return {e: from_int(a) if type(a) is int else a
-                    for e, a in coeffs.items() if a}, False
-    return ints, True
-
-
 class LaurentPoly:
-    """Sparse Laurent polynomial; no zero coefficients are stored.
+    """Sparse Laurent polynomial in Z[v, v^-1]: {exponent: int coefficient}.
 
-    One canonical form per value: no zero coefficient, and when every
-    coefficient is an integer the coefficients are Python ints (``integral``
-    is True, as for zero), otherwise they are all CycloElems.  The
-    constructor enforces both halves, dropping any zero it is given, so
-    ``==`` is a dict comparison and ``hash`` agrees with it.  Arithmetic
-    between integral polynomials runs on ints alone; an int meets the field
-    only when it meets a cyclotomic coefficient or scalar.
+    No zero coefficient is stored, so each value has one form: ``==`` is a
+    dict comparison and ``hash`` agrees with it.  The constructor drops any
+    zero it is given and refuses a coefficient that is not an int.
     """
 
-    __slots__ = ("ring", "c", "integral")
+    __slots__ = ("ring", "c")
 
     def __init__(self, ring, coeffs: dict):
         self.ring = ring
-        integral = True
         for a in coeffs.values():
             if type(a) is not int or not a:
-                coeffs, integral = _canonical(ring.field, coeffs)
+                if any(type(b) is not int for b in coeffs.values()):
+                    raise TypeError("Laurent coefficients must be ints")
+                coeffs = {e: b for e, b in coeffs.items() if b}
                 break
         self.c = coeffs
-        self.integral = integral
 
     def __bool__(self):
         return bool(self.c)
@@ -456,27 +431,21 @@ class LaurentPoly:
 
     def __mul__(self, other):
         ring = self.ring
-        if isinstance(other, (int, CycloElem)):
-            # Q(zeta) has no zero divisors: a nonzero scalar keeps every term
+        if isinstance(other, int):
+            # Z has no zero divisors: a nonzero scalar keeps every term
             if not other:
                 return ring.zero
             return LaurentPoly(ring, {e: a * other for e, a in self.c.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if not self.c or not other.c:
             return ring.zero
         acc = {}
         get = acc.get
-        if self.integral and other.integral:
-            for e1, c1 in self.c.items():
-                for e2, c2 in other.c.items():
-                    k = e1 + e2
-                    acc[k] = get(k, 0) + c1 * c2
-        else:
-            for e1, c1 in self.c.items():
-                for e2, c2 in other.c.items():
-                    k = e1 + e2
-                    p = c1 * c2
-                    b = get(k)
-                    acc[k] = p if b is None else b + p
+        for e1, c1 in self.c.items():
+            for e2, c2 in other.c.items():
+                k = e1 + e2
+                acc[k] = get(k, 0) + c1 * c2
         return LaurentPoly(ring, {e: a for e, a in acc.items() if a})
 
     __rmul__ = __mul__
@@ -498,36 +467,25 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.ring, {e + k: a for e, a in self.c.items()})
 
-    def min_exp(self):
-        return min(self.c) if self.c else 0
-
-    def max_exp(self):
-        return max(self.c) if self.c else 0
-
     def eval_zeta(self) -> CycloElem:
-        """Evaluate at v = zeta (the generator of the coefficient field)."""
+        """Evaluate at v = zeta, the generator of the ring's field."""
         f = self.ring.field
-        if self.integral:
-            n = f.n
-            acc = [0] * n
-            for e, c in self.c.items():
-                acc[e % n] += c
-            d = f.degree
-            vec = [0] * d
-            rows = f._zeta_rows
-            for r, cnt in enumerate(acc):
-                if cnt:
-                    row = rows[r]
-                    for j in range(d):
-                        vec[j] += cnt * row[j]
-            return CycloElem(f, tuple(vec), 1)
-        out = f.zero
+        n = f.n
+        acc = [0] * n
         for e, c in self.c.items():
-            out = out + c * f.zeta(e)
-        return out
+            acc[e % n] += c
+        d = f.degree
+        vec = [0] * d
+        rows = f._zeta_rows
+        for r, cnt in enumerate(acc):
+            if cnt:
+                row = rows[r]
+                for j in range(d):
+                    vec[j] += cnt * row[j]
+        return CycloElem(f, tuple(vec), 1)
 
     def _dense(self):
-        """(min_exp, ascending list of the coefficients, 0 in the gaps)."""
+        """(least exponent, ascending list of the coefficients, 0 in the gaps)."""
         if not self.c:
             return 0, []
         lo, hi = min(self.c), max(self.c)
@@ -537,7 +495,8 @@ class LaurentPoly:
         return lo, dense
 
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact division by another Laurent polynomial; raises if not exact."""
+        """Exact division in Z[v, v^-1]; ExactDivisionError when the quotient
+        is not there."""
         ring = self.ring
         if not den.c:
             raise ZeroDivisionError("division by zero polynomial")
@@ -547,13 +506,7 @@ class LaurentPoly:
         lo_d, b = den._dense()
         if len(a) < len(b):
             raise ExactDivisionError("degree too small for exact division")
-        lead = b[-1]
-        # an integral division by a lead of +-1 stays on ints
-        if self.integral and den.integral and lead in (1, -1):
-            lead_inv = lead
-        else:
-            lead_inv = ring.field.one / lead
-        q = _long_div(a, b, lead_inv)
+        q = _long_div(a, b)
         if any(a):
             raise ExactDivisionError("non-exact Laurent division")
         shift = lo_n - lo_d
@@ -564,7 +517,6 @@ class LaurentPoly:
             return "0"
         parts = []
         for e in sorted(self.c, reverse=True):
-            # an int coefficient prints as the integral CycloElem it stands for
             coeff = repr(self.c[e])
             if e == 0:
                 parts.append(coeff)
@@ -572,152 +524,6 @@ class LaurentPoly:
                 ve = "v" if e == 1 else f"v^{e}"
                 parts.append(ve if coeff == "1" else f"({coeff})*{ve}")
         return " + ".join(parts)
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in Q(zeta)[v], as a Laurent polynomial with min exponent 0."""
-    ring = a.ring
-    one = ring.field.one
-    r0, r1 = a._dense()[1], b._dense()[1]
-    if len(r0) < len(r1):
-        r0, r1 = r1, r0
-    # Euclid: each remainder, trimmed, is shorter than its divisor
-    while r1:
-        _long_div(r0, r1, one / r1[-1])
-        while r0 and not r0[-1]:
-            r0.pop()
-        r0, r1 = r1, r0
-    if not r0:
-        return ring.zero
-    lead_inv = one / r0[-1]
-    return LaurentPoly(ring, {i: c * lead_inv for i, c in enumerate(r0) if c})
-
-
-# ---------------------------------------------------------------------------
-# localization at (v - zeta)
-# ---------------------------------------------------------------------------
-
-class LocalScalar:
-    """Fraction num/den of Laurent polynomials with den(zeta) != 0."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, reduce: bool = True):
-        ring = num.ring
-        if not den.c:
-            raise ZeroDivisionError("zero denominator")
-        if reduce and num.c and den != ring.one:
-            g = poly_gcd(num, den)
-            if g != ring.one:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        if not num.c:
-            den = ring.one
-        else:
-            # canonical form: den has min exponent 0 and leading coefficient 1
-            k = den.min_exp()
-            if k:
-                den = den.shift(-k)
-                num = num.shift(-k)
-            lead = den.c[den.max_exp()]
-            if lead != 1:
-                inv = ring.field.one / lead
-                den = den * inv
-                num = num * inv
-        if den != ring.one and not den.eval_zeta():
-            raise OutsideLocalizationError(
-                "denominator vanishes at zeta after reduction")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "LocalScalar":
-        out = object.__new__(cls)
-        out.num = p
-        out.den = p.ring.one
-        return out
-
-    @property
-    def ring(self):
-        return self.num.ring
-
-    def is_polynomial(self) -> bool:
-        return self.den == self.ring.one
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError("denominator is not trivial")
-        return self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LocalScalar.from_poly(self.ring.from_int(other))
-        if isinstance(other, LaurentPoly):
-            other = LocalScalar.from_poly(other)
-        if not isinstance(other, LocalScalar):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _promote_local(self.ring, other)
-        return LocalScalar(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _promote_local(self.ring, other)
-        return LocalScalar(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
-
-    def __neg__(self):
-        out = object.__new__(LocalScalar)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _promote_local(self.ring, other)
-        return LocalScalar(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _promote_local(self.ring, other)
-        return LocalScalar(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "LocalScalar":
-        return LocalScalar(self.den, self.num)
-
-    def eval(self) -> CycloElem:
-        """Reduction modulo (v - zeta): num(zeta) / den(zeta)."""
-        d = self.den.eval_zeta()
-        if not d:
-            raise OutsideLocalizationError("denominator vanishes at zeta")
-        return self.num.eval_zeta() * d.inverse()
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
-
-
-def _promote_local(ring, x):
-    if isinstance(x, int):
-        return LocalScalar.from_poly(ring.from_int(x))
-    return LocalScalar.from_poly(x)
-
-
-def local_eval(x: LocalScalar) -> CycloElem:
-    """Evaluate a localized scalar at zeta, exactly in Q(zeta_N)."""
-    return x.eval()
 
 
 # ---------------------------------------------------------------------------
@@ -843,29 +649,3 @@ class QParams:
 
     def __repr__(self):
         return f"QParams(ell={self.ell}, d={self.d})"
-
-
-# ---------------------------------------------------------------------------
-# matrix division into the localization
-# ---------------------------------------------------------------------------
-
-def matrix_divide_exact(matrix, s: LaurentPoly):
-    """Divide every LaurentPoly entry by s, landing in the localization.
-
-    Entries are reduced by cancelling common polynomial factors; an entry
-    whose reduced denominator still vanishes at zeta means the matrix does
-    not lie in the integral lattice, which is a hard error.
-    """
-    if not s.c:
-        raise ZeroDivisionError("division of a matrix by the zero polynomial")
-    out = []
-    for i, row in enumerate(matrix):
-        new_row = []
-        for j, entry in enumerate(row):
-            try:
-                new_row.append(LocalScalar(entry, s))
-            except OutsideLocalizationError as exc:
-                raise LatticeError(
-                    f"entry ({i}, {j}) leaves the localization: {exc}") from exc
-        out.append(new_row)
-    return out

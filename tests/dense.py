@@ -1,8 +1,8 @@
 """Dense matrices and vectors at the test boundary.
 
 The package stores every matrix as its sparse columns (see ``smallq.linalg``).
-The oracles in these tests -- naive products, ``matrix_divide_exact``,
-hand-written literals -- work on dense lists of rows and convert here.
+The oracles in these tests -- naive products, hand-written literals -- work
+on dense lists of rows and convert here.
 """
 
 

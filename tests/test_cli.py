@@ -284,6 +284,26 @@ def test_triple_verify_s3_fixture(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_twist_coherence_builds_each_inner_twist_once(capsys, monkeypatch):
+    # d6_centre: 6 points, 2 objects; one inner twist per point and object,
+    # one outer twist per pair of points and object, and the same report
+    calls = []
+    real = hopfcore.twist
+
+    def counting(T, gamma, N, name=""):
+        calls.append((tuple(gamma), N.name))
+        return real(T, gamma, N, name)
+
+    monkeypatch.setattr(hopfcore, "twist", counting)
+    code, out, _ = run_cli(["triple-verify", "--fixture", "d6_centre"], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(calls) == 6 * 2 + 6 * 6 * 2
+    inner = [c for c in calls if not c[1].startswith("twist(")]
+    assert len(inner) == len(set(inner)) == 6 * 2
+    golden = Path(__file__).parent / "golden" / "triple-verify_d6_centre.json"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_triple_verify_engine_fault_is_a_failed_check(capsys, monkeypatch):
     # a StructureError after the table parsed: a failed check carrying its
     # message, the checks before it kept, exit 1 and no traceback

@@ -1,5 +1,7 @@
 """Frobenius pullback, small quantum group, factorization, Hecke structures."""
 
+import itertools
+
 import pytest
 from dense import rows
 
@@ -201,3 +203,24 @@ def test_hom_big_simple_modules():
     # Hom between a Weyl module and itself is one-dimensional
     w = weyl_module(2, P4)
     assert len(hom_big(w, w)) == 1
+
+
+def test_phi_preimage_rank_two_round_trip():
+    # mu -> phi(mu) -> mu over a small box of Y for A2, B2 and G2, by the
+    # integer Cramer rule; a weight of phi_sc(Y_sc) outside phi(Y), and one
+    # outside both, are refused
+    from smallq.rootdata import EllForm, build_root_datum
+    cases = (("A2", QParams(6, (1, 1))), ("B2", QParams(4, (1, 2))),
+             ("G2", QParams(6, (1, 3))))
+    for cartan, params in cases:
+        form = EllForm(build_root_datum(cartan), params)
+        for mu in itertools.product(range(-3, 4), repeat=2):
+            assert frobenius._solve_phi_preimage(form, form.phi(mu)) == mu, (cartan, mu)
+        with pytest.raises(ValueError, match="not in phi"):
+            frobenius._solve_phi_preimage(form, (1, 0))
+    # Y has index 3 (A2) and 2 (B2) in Y_sc: omega_1 of A2 and omega_2 of B2
+    # are no coroot combinations
+    for (cartan, params), coweight in zip(cases, ((1, 0), (0, 1))):
+        form = EllForm(build_root_datum(cartan), params)
+        with pytest.raises(ValueError, match="not in phi"):
+            frobenius._solve_phi_preimage(form, form.phi_sc(coweight))

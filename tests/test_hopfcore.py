@@ -436,6 +436,15 @@ def test_equivariant_rejects_incompatible_data(z4_triple):
         EquivariantObject(E.N, ComoduleFD(T.O, bad))
 
 
+def test_equivariant_of_refuses_a_nonabelian_quotient():
+    # D6 over its centre: the quotient S3 is nonabelian, Delta_O is not
+    # cocommutative, and equivariant_of says so up front for every simple
+    T = finite_group_triple(*load_fixture("d6_centre"))
+    for P in A_simples(T):
+        with pytest.raises(StructureError, match="Delta_O is not cocommutative"):
+            equivariant_of(T, P)
+
+
 def test_ideal_prop(z4_triple, s3_triple):
     for T in (z4_triple, s3_triple):
         rep = verify_ideal_prop(T)

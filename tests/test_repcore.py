@@ -5,7 +5,7 @@ from dense import columns, entries, rows
 
 from smallq import repcore, scalars
 from smallq.cli import main
-from smallq.linalg import RowBasis, mat_eq, mat_pow
+from smallq.linalg import RowBasis, mat_eq, mat_pow, mat_scale
 from smallq.repcore import (
     composition_factors,
     corrupt_module,
@@ -22,7 +22,7 @@ from smallq.repcore import (
 )
 from smallq.repcore import _coproduct_families, _specialize
 from smallq.rootdata import DotOrbits, build_root_datum
-from smallq.scalars import LatticeError, QParams, matrix_divide_exact, qfact
+from smallq.scalars import LatticeError, QParams, qfact
 
 P4 = QParams(4)
 P6 = QParams(6)
@@ -98,17 +98,13 @@ def test_tensor_relation_check():
 
 
 def test_matrix_divide_exact_tensor_oracle():
-    # (E_tensor)^4 / [4]! on W(1) (x) W(1) at ell=4 lies in the localization,
-    # and agrees with the coproduct expansion
+    # X^a / [a]! on W(1) (x) W(1) at ell=4 is the coproduct expansion X^(a),
+    # a = 0..4: Z[v, v^-1] is a domain, so [a]! X^(a) = X^a says exactly that
     M = tensor_product(weyl_module(1, P4), weyl_module(1, P4))
     ring = P4.vring
-    e4 = rows(mat_pow(M.g.e(0), 4, ring.one), M.dim, ring.zero)
-    divided = matrix_divide_exact(e4, qfact(4, 1, ring))
-    div_e = rows(M.g.div_e(0), M.dim, ring.zero)
-    for r in range(M.dim):
-        for c in range(M.dim):
-            assert divided[r][c].is_polynomial()
-            assert divided[r][c].as_poly() == div_e[r][c]
+    for fam in (M.g.efam[0], M.g.ffam[0]):
+        for a in range(5):
+            assert _is_power_over_factorial(fam[a], fam[1], a, 1, ring), a
 
 
 def test_zeta_route_matches_division_route():
@@ -121,18 +117,16 @@ def test_zeta_route_matches_division_route():
             assert mat_eq(z.ffam[0][a], gen_route.z.ffam[0][a])
 
 
-def _divided_by_factorial(mat, a, d, ring):
-    """mat^a / [a]_d! through the local ring; every entry must be a polynomial."""
-    power = rows(mat_pow(mat, a, ring.one), len(mat), ring.zero)
-    quotient = matrix_divide_exact(power, qfact(a, d, ring))
-    assert all(x.is_polynomial() for row in quotient for x in row)
-    return columns([[x.as_poly() for x in row] for row in quotient])
+def _is_power_over_factorial(div, mat, a, d, ring):
+    """div = mat^a / [a]_d!, checked without dividing: [a]_d! div = mat^a,
+    which decides it in the domain Z[v, v^-1]."""
+    return mat_eq(mat_pow(mat, a, ring.one), mat_scale(div, qfact(a, d, ring)))
 
 
 @pytest.mark.parametrize("ell", [4, 6])
 def test_divided_powers_match_exact_division(ell):
     # the Weyl closed form and the generic coproduct expansion against the
-    # plain power divided by [a]! in the local ring, for every a = 0..ell_i
+    # plain power: [a]! X^(a) = X^a for every a = 0..ell_i
     params = QParams(ell)
     ring = params.vring
     d, li = params.d[0], params.ell_i[0]
@@ -141,7 +135,7 @@ def test_divided_powers_match_exact_division(ell):
     for m in weyl + tensors:
         for fam in (m.g.efam[0], m.g.ffam[0]):
             for a in range(li + 1):
-                assert mat_eq(fam[a], _divided_by_factorial(fam[1], a, d, ring)), (m.name, a)
+                assert _is_power_over_factorial(fam[a], fam[1], a, d, ring), (m.name, a)
         specialized = _specialize(m.g)
         for fam, spec in ((m.z.efam, specialized.efam), (m.z.ffam, specialized.ffam)):
             assert all(mat_eq(x, y) for x, y in zip(fam[0], spec[0])), m.name
@@ -152,6 +146,21 @@ def test_divided_powers_match_exact_division(ell):
         assert {"divided-power[E_0]", "divided-power[F_0]",
                 "commutator-generic[E_0,F_0]"} <= names
         assert rep.passed, (m.name, rep.failures())
+
+
+def test_divided_power_oracle_negative_control():
+    # one doubled entry of a divided power, on the closed form and on the
+    # coproduct expansion, breaks [a]! X^(a) = X^a
+    ring = P4.vring
+    for m in (weyl_module(6, P4), tensor_product(weyl_module(2, P4), weyl_module(3, P4))):
+        for fam in (m.g.efam[0], m.g.ffam[0]):
+            for a in (2, 4):
+                assert _is_power_over_factorial(fam[a], fam[1], a, 1, ring)
+                div = [list(col) for col in fam[a]]
+                c = next(c for c, col in enumerate(div) if col)
+                r, x = div[c][0]
+                div[c][0] = (r, x + x)
+                assert not _is_power_over_factorial(div, fam[1], a, 1, ring), (m.name, a)
 
 
 @pytest.mark.parametrize("ell", [4, 6])
