@@ -247,8 +247,7 @@ def _small_irreducible(L, params) -> bool:
         return True
     # every basis vector spins to the whole space
     for b in range(n):
-        seed = [f.one if k == b else f.zero for k in range(n)]
-        if spin(gens, [seed], f).dim != n:
+        if spin(gens, [[(b, f.one)]], f).dim != n:
             return False
     # nullity-one witness: F has a one-dimensional kernel; spin its kernel
     # vector and the kernel vector of the transpose.  The equations of F x = 0

@@ -40,6 +40,7 @@ from .linalg import (
     mat_is_zero,
     mat_mul,
     mat_scale,
+    mat_sub,
     mat_sum,
     rank,
     restrict,
@@ -47,7 +48,7 @@ from .linalg import (
     spin,
     transpose,
 )
-from .linalg import _apply, _canon, _dense
+from .linalg import _canon
 from .report import Report
 from .scalars import CycloField
 
@@ -540,9 +541,9 @@ class TripleFD:
     def _validate(self):
         f = self.field
         O, A, a = self.O, self.A, self.a
-        if rank([_dense(col, A.dim, f.zero) for col in self.iota], f) != O.dim:
+        if rank(self.iota, f) != O.dim:
             raise StructureError("iota is not injective")
-        if rank([_dense(col, a.dim, f.zero) for col in self.pi], f) != a.dim:
+        if rank(self.pi, f) != a.dim:
             raise StructureError("pi is not surjective")
         # iota is multiplicative and unital exactly when the left products
         # by iota(e_i) are an O-module
@@ -835,14 +836,11 @@ def augmentation_quotient(T: TripleFD, act) -> Quotient:
     m.N is spanned by the augmentation vectors act[i] e_x - eps_i e_x.
     """
     n = len(act[0])
-    zero = T.field.zero
+    ident = identity(n, T.field.one)
     vecs = []
-    for i, eps_i in enumerate(T.O.eps):
-        for x in range(n):
-            vec = _dense(act[i][x], n, zero)
-            vec[x] = vec[x] - eps_i
-            if any(vec):
-                vecs.append(vec)
+    for L, eps_i in zip(act, T.O.eps):
+        # column x of L - eps_i I is act[i] e_x - eps_i e_x
+        vecs += [vec for vec in mat_sub(L, mat_scale(ident, eps_i)) if vec]
     return Quotient(vecs, n, T.field)
 
 
@@ -871,7 +869,7 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     f = T.field
     Q, quot = psi(T, N)
     ind = induce(T, Q)
-    span = Span(ind.carrier_basis, f)
+    span = Span(ind.carrier_basis, T.A.dim * Q.dim, f)
     # column x: the image of e_x, (id (x) projection) rho(e_x), in
     # coordinates on the carrier basis of Ind(Psi(N))
     mat = []
@@ -905,12 +903,11 @@ def counit_on_carrier(T: TripleFD, ind: TripleObject):
     out = []
     for vec in ind.carrier_basis:
         col = {}
-        for idx, v in enumerate(vec):
-            if v:
-                aa, x = divmod(idx, m)
-                e = T.A.eps[aa]
-                if e:
-                    col[x] = col[x] + e * v if x in col else e * v
+        for idx, v in vec:
+            aa, x = divmod(idx, m)
+            e = T.A.eps[aa]
+            if e:
+                col[x] = col[x] + e * v if x in col else e * v
         out.append(_canon(col))
     return out
 
@@ -926,8 +923,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     c_on_s = counit_on_carrier(T, ind)
     # must kill m.Ind(M), whose reduced basis psi has built; it then factors
     # through the free coordinates of the quotient
-    sub = [[(j, a) for j, a in enumerate(row) if a] for row in quot.sub.sorted_rows()]
-    if not mat_is_zero(mat_mul(c_on_s, sub)):
+    if not mat_is_zero(mat_mul(c_on_s, quot.sub.sorted_rows())):
         rep.fail("descends", "counit does not kill the augmentation part",
                  counterexample=M.name)
         return None, Q2, rep
@@ -980,8 +976,8 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
     # (ii): invariants of the right a-comodule structure on A
     # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x
-    inv_basis = _fixed_vectors(a_right_comodule_of_A(T), _dense(gl, T.a.dim, f.zero), f)
-    span = RowBasis(f, [_dense(col, T.A.dim, f.zero) for col in T.iota])
+    inv_basis = _fixed_vectors(a_right_comodule_of_A(T), gl, f)
+    span = RowBasis(f, T.iota)
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
         rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
     else:
@@ -1032,15 +1028,17 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
 
 
 def _fixed_vectors(cols, values, field):
-    """Basis of the vectors v with M_k v = values[k] v for every k.  One
-    sparse equation per (k, row)."""
+    """Basis of the vectors v with M_k v = values_k v for every k, the
+    values given as a sparse column.  One sparse equation per (k, row)."""
     n = len(cols[0])
+    values = dict(values)
     eqs = {}
-    for k, (M, s) in enumerate(zip(cols, values)):
+    for k, M in enumerate(cols):
+        s = values.get(k)
         for x in range(n):
             for y, v in M[x]:
                 eqs.setdefault((k, y), []).append((x, v))
-            if s:
+            if s is not None:
                 eqs.setdefault((k, x), []).append((x, -s))
     return sparse_nullspace(eqs.values(), n, field)
 
@@ -1056,22 +1054,19 @@ def _freeness_witness(T: TripleFD):
         # sections of the quotient map: the j-th member of every coset
         cosets = T.group.cosets(T.subgroup)
         for j in range(k):
-            vec = [f.zero] * T.A.dim
-            for coset in cosets:
-                vec[coset[j]] = f.one
+            vec = [(r, f.one) for r in sorted(coset[j] for coset in cosets)]
             candidates.append((f"section[{j}]", vec))
     for x in range(T.A.dim):
-        vec = [f.one if r == x else f.zero for r in range(T.A.dim)]
-        candidates.append((f"basis[{x}]", vec))
+        candidates.append((f"basis[{x}]", [(x, f.one)]))
     # last, the unit: when O = A, O.1_A = A is free of rank one
-    candidates.append(("unit", [T.A.unit.get(r, f.zero) for r in range(T.A.dim)]))
+    candidates.append(("unit", _canon(T.A.unit)))
 
     basis = RowBasis(f)
     chosen = []
     for label, cand in candidates:
         # try the candidate on a copy; keep the copy only if O.cand is free
         trial = basis.copy()
-        if sum(1 for lm in T.iota_left if trial.add(_apply(lm, cand, f.zero))) == T.O.dim:
+        if sum(1 for lm in T.iota_left if trial.add(mat_mul(lm, [cand])[0])) == T.O.dim:
             basis = trial
             chosen.append(label)
             if len(chosen) == k:
@@ -1198,16 +1193,14 @@ def group_simples(table: GroupTable, field):
         o = table.order_of(g)
         if o == 1:
             continue
+        powers = [table.identity]          # g^t, t < o
+        for _ in range(o - 1):
+            powers.append(table.mult[g][powers[-1]])
         for j in range(o):
-            for u in comp:
-                v = [f.zero] * table.n
-                cur = list(u)
-                for t in range(o):
-                    phase = f.zeta((-(f.n // o) * j * t) % f.n)
-                    v = [a + phase * x for a, x in zip(v, cur)]
-                    cur = _apply(reg.mats[g], cur, f.zero)
-                if any(v):
-                    candidates.append(v)
+            # sum_t zeta_o^(-j t) g^t, applied to each u in comp
+            proj = combine([(h, f.zeta((-(f.n // o) * j * t) % f.n))
+                            for t, h in enumerate(powers)], reg.mats)
+            candidates += [v for v in mat_mul(proj, comp) if v]
     rng = random.Random(11)
     tries = 0
     max_tries = 200 + len(candidates)
@@ -1217,11 +1210,9 @@ def group_simples(table: GroupTable, field):
             v = candidates.pop(0)
         else:
             # last resort: random field coefficients
-            v = [f.zero] * table.n
-            for b in comp:
-                c = f.elem([rng.randint(-2, 2) for _ in range(f.degree)])
-                v = [a + c * x for a, x in zip(v, b)]
-            if not any(v):
+            coeffs = [f.elem([rng.randint(-2, 2) for _ in range(f.degree)]) for _ in comp]
+            v = mat_mul(comp, [[(k, c) for k, c in enumerate(coeffs) if c]])[0]
+            if not v:
                 continue
         rows = reg.spin(v)
         W = reg.submodule(rows, name=f"S{len(simples)}")
@@ -1455,7 +1446,7 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     f = T.field
     N = E.N
     # x is coinvariant when rho_o(x) = 1 (x) x, that is R_o x = 1_o x
-    basis = _fixed_vectors(E.gamma.mats, [T.O.unit.get(o, f.zero) for o in range(T.O.dim)], f)
+    basis = _fixed_vectors(E.gamma.mats, _canon(T.O.unit), f)
     # descended A-coaction on the coinvariants
     mats = restrict(N.comodule.mats, basis, f)
     if mats is None:
@@ -1488,7 +1479,7 @@ def verify_ideal_prop(T: TripleFD, a_catalog=None) -> Report:
     for M in a_catalog:
         # Res(Ind(M)) -> M: counit of the plain adjunction
         counit = counit_on_carrier(T, induce(T, M))
-        if rank([_dense(col, M.dim, f.zero) for col in counit], f) == M.dim:
+        if rank(counit, f) == M.dim:
             rep.ok(f"surjective[{M.name}]")
         else:
             rep.fail(f"surjective[{M.name}]", "Res(Ind(M)) -> M not surjective",

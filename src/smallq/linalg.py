@@ -1,20 +1,19 @@
 """Exact linear algebra over the scalar tower.
 
-A matrix is stored as its sparse columns: column c is the list of the
-(row, entry) pairs of its nonzero entries, in increasing row order, with no
-zero entry.  Every matrix has this one form, whether it acts on a carrier,
-maps one carrier to another or is a structure map of a Hopf algebra or a
-triple, and the matrix kernels below take and return it.
-In that form two matrices are equal exactly when their column lists are, so
-``mat_eq`` compares lists.  The number of rows is not stored: ``transpose``
-and ``inverse`` take it, and ``kron`` and ``block_diag`` read it from a
-square factor.  Kernels may share a column between their inputs and their
-output; nothing changes a column in place.
-
-Lists of vectors stay dense lists: span bases, equation rows and the rows a
-``RowBasis`` takes.  ``Span.coords`` and ``Quotient.project`` take a sparse
-vector, (index, entry) pairs with each index once, and return a sparse
-column.
+A vector is stored as a sparse column: the list of the (index, entry) pairs
+of its nonzero entries, in increasing index order, with no zero entry.  A
+matrix is the list of its columns in that form.  Every vector and every
+matrix column has this one form -- span bases, equations, the rows of a
+``RowBasis``, spin seeds and images, coordinate vectors, and the columns of
+matrices that act on a carrier, map one carrier to another or are structure
+maps of a Hopf algebra or a triple -- and the kernels below take and return
+it.  In that form two vectors or matrices are equal exactly when their lists
+are, so ``mat_eq`` compares lists.  Neither the length of a vector nor the
+number of rows of a matrix is stored: ``Span``, ``Quotient``,
+``sparse_nullspace``, ``transpose`` and ``inverse`` take it, ``restrict``
+and ``kron`` read it from a square matrix and ``block_diag`` from its square
+factors.  Kernels may share a column between their inputs and their output;
+nothing changes a column in place.
 
 The kernels work for any scalar with +, -, * and truthiness (zero test) and
 no zero divisors, so a product of nonzero entries is never a zero entry; the
@@ -25,24 +24,27 @@ from __future__ import annotations
 
 
 def _canon(acc):
-    """The sparse column of the {row: entry} map acc."""
+    """The sparse column of the {index: entry} map acc."""
     return [(r, acc[r]) for r in sorted(acc) if acc[r]]
 
 
 def _add_into(acc, col, c):
-    """acc += c * col for a {row: entry} map acc."""
+    """acc += c * col for a {index: entry} map acc."""
     for r, a in col:
         a = c * a
         v = acc.get(r)
         acc[r] = a if v is None else v + a
 
 
-def _dense(col, n, zero):
-    """The sparse column col as a dense vector of length n."""
-    out = [zero] * n
-    for r, a in col:
-        out[r] = a
-    return out
+def _image(A, col):
+    """A col: the sum of b A[t] over the entries (t, b) of col."""
+    if len(col) == 1:
+        t, b = col[0]
+        return [(r, a * b) for r, a in A[t]]
+    acc = {}
+    for t, b in col:
+        _add_into(acc, A[t], b)
+    return _canon(acc)
 
 
 def identity(n, one):
@@ -50,18 +52,8 @@ def identity(n, one):
 
 
 def mat_mul(A, B):
-    """A B: column j is the sum of b A[t] over the entries (t, b) of B[j]."""
-    out = []
-    for col in B:
-        if len(col) == 1:
-            t, b = col[0]
-            out.append([(r, a * b) for r, a in A[t]])
-        else:
-            acc = {}
-            for t, b in col:
-                _add_into(acc, A[t], b)
-            out.append(_canon(acc))
-    return out
+    """A B: column j is the image of B[j] under A."""
+    return [_image(A, col) for col in B]
 
 
 def _col_sum(x, y):
@@ -138,18 +130,6 @@ def combine(terms, mats):
     return [_canon(d) for d in acc]
 
 
-def _apply(cols, vec, zero):
-    """cols * vec for a square matrix and a dense vector, dense.  Entries
-    that are the shared ``zero`` are skipped by identity before any scalar
-    zero test."""
-    out = [zero] * len(vec)
-    for c, x in enumerate(vec):
-        if x is not zero and x:
-            for r, a in cols[c]:
-                out[r] = out[r] + a * x
-    return out
-
-
 def spin(gens, seeds, field) -> RowBasis:
     """Smallest subspace containing the seeds and stable under every generator.
 
@@ -175,18 +155,18 @@ def spin(gens, seeds, field) -> RowBasis:
             queue.append(vec)
 
     for s in seeds:
-        push(list(s))
+        push(s)
     while queue:
         vec = queue.pop()
         for cols in gens:
-            img = _apply(cols, vec, field.zero)
-            if any(img):
+            img = _image(cols, vec)
+            if img:
                 push(img)
     return basis
 
 
 def _add_multiple(target, c, source):
-    """target += c * source for {column: entry} maps of nonzero entries;
+    """target += c * source for {index: entry} maps of nonzero entries;
     entries that cancel are dropped.  c is nonzero."""
     for j, a in source.items():
         v = target.get(j)
@@ -205,27 +185,24 @@ class RowBasis:
     filled with some vectors to start with.
 
     The rows are kept sparse and in reduced row-echelon form: ``_rows`` maps
-    each row's pivot p to the {column: entry} map of its nonzero entries off
+    each row's pivot p to the {index: entry} map of its nonzero entries off
     p (the entry at p is 1), and no row has a nonzero entry at another row's
-    pivot.  A new row's pivot is the first nonzero column of its residual.
-    Reducing, adding and testing membership touch only nonzero entries.
-    Vectors come in dense; the shared ``field.zero`` is skipped by identity
-    before any scalar zero test.
+    pivot.  A new row's pivot is the first index of its residual, so every
+    entry of a row lies past its pivot.  Reducing, adding and testing
+    membership touch only nonzero entries.
     """
 
     def __init__(self, field, vectors=()):
         self.field = field
-        self.n = 0              # length of the vectors added
-        self.pivots = []        # pivot column per row, in the order rows arrived
+        self.pivots = []        # pivot index per row, in the order rows arrived
         self._rows = {}
         for vec in vectors:
             self.add(vec)
 
     def reduce(self, vec):
-        """The residual of the dense vector vec against the basis, as the
-        {column: entry} map of its nonzero entries."""
-        zero = self.field.zero
-        res = {j: a for j, a in enumerate(vec) if a is not zero and a}
+        """The residual of vec against the basis, as the {index: entry} map
+        of its nonzero entries."""
+        res = dict(vec)
         rows = self._rows
         # a row is 0 at every other pivot, so the coefficient of each row is
         # vec's entry at its pivot, whatever order the rows are subtracted in
@@ -236,7 +213,6 @@ class RowBasis:
     def add(self, vec):
         """Reduce vec against the basis; add the residual if nonzero and
         return whether it was added."""
-        self.n = len(vec)
         res = self.reduce(vec)
         if not res:
             return False
@@ -245,7 +221,7 @@ class RowBasis:
         if c != self.field.one:
             inv = c.inverse()
             res = {j: inv * a for j, a in res.items()}
-        # back-substitute: clear column p from every existing row
+        # back-substitute: clear index p from every existing row
         for row in self._rows.values():
             d = row.pop(p, None)
             if d is not None:
@@ -260,7 +236,6 @@ class RowBasis:
     def copy(self):
         """An independent basis with the same rows."""
         out = RowBasis(self.field)
-        out.n = self.n
         out.pivots = list(self.pivots)
         out._rows = {p: dict(row) for p, row in self._rows.items()}
         return out
@@ -270,27 +245,22 @@ class RowBasis:
         return len(self.pivots)
 
     def sorted_rows(self):
-        """The rows as dense vectors, in increasing pivot order."""
-        zero, one = self.field.zero, self.field.one
-        out = []
-        for p in sorted(self._rows):
-            row = [zero] * self.n
-            row[p] = one
-            for j, a in self._rows[p].items():
-                row[j] = a
-            out.append(row)
-        return out
+        """The rows, in increasing pivot order."""
+        one = self.field.one
+        return [[(p, one)] + sorted(self._rows[p].items()) for p in sorted(self._rows)]
 
 
 class Span:
-    """The span of linearly independent vectors, factored once for coordinates.
+    """The span of linearly independent vectors of length n, factored once
+    for coordinates.
 
-    Precondition: the input vectors b_0..b_{k-1}, dense, are linearly
-    independent; dependent inputs raise ``ValueError``.  Each b_i enters one
-    ``RowBasis`` elimination as ``b_i | e_i``.  A reduced row ``r | t`` then
-    satisfies r = sum_j t_j b_j, and a residual whose first nonzero entry lies
-    in the tail would be a dependency.  The reduced rows r are in reduced
-    row-echelon form: 1 at their own pivot, 0 at every other row's pivot.
+    Precondition: the input vectors b_0..b_{k-1} are linearly independent;
+    dependent inputs raise ``ValueError``.  Each b_i enters one ``RowBasis``
+    elimination as ``b_i | e_i``, the unit vector at index n + i.  A reduced
+    row ``r | t`` then satisfies r = sum_j t_j b_j, and a residual whose
+    first nonzero entry lies in the tail would be a dependency.  The reduced
+    rows r are in reduced row-echelon form: 1 at their own pivot, 0 at every
+    other row's pivot.
 
     ``coords(v)`` reads the coefficient of each r straight from v at its
     pivot, subtracts those multiples at the off-pivot entries, and returns
@@ -302,20 +272,15 @@ class Span:
     an entry at another row's pivot, only v's own entries at pivots are read.
     """
 
-    def __init__(self, vectors, field):
+    def __init__(self, vectors, n, field):
         self.field = field
-        k = len(vectors)
-        zero, one = field.zero, field.one
+        one = field.one
         rb = RowBasis(field)
-        n = None
         for i, vec in enumerate(vectors):
-            n = len(vec)
-            tail = [zero] * k
-            tail[i] = one
-            rb.add(list(vec) + tail)
+            rb.add([*vec, (n + i, one)])
             if rb.pivots[-1] >= n:
                 raise ValueError("Span needs linearly independent vectors")
-        # per pivot: the off-pivot (col, entry) pairs of its reduced row and
+        # per pivot: the off-pivot (index, entry) pairs of its reduced row and
         # its combination, an input index when that is a unit vector
         self._rows = {}
         for p, row in rb._rows.items():
@@ -324,18 +289,17 @@ class Span:
             if len(comb) == 1 and comb[0][1] == one:
                 comb = comb[0][0]
             self._rows[p] = (off, comb)
-        self.dim = k
+        self.dim = len(vectors)
 
     def coords(self, vec):
-        """Coordinates of the sparse vector vec with respect to the input
-        vectors, as a sparse column, or None outside their span."""
+        """Coordinates of vec with respect to the input vectors, or None
+        outside their span."""
         res = dict(vec)
         rows = self._rows
         out = {}
+        # vec's entries at pivots are never changed below, so each is nonzero
         for p in [p for p in res if p in rows]:
             c = res.pop(p)
-            if not c:
-                continue
             off, comb = rows[p]
             for col, a in off:
                 v = res.get(col)
@@ -353,23 +317,18 @@ class Span:
 def restrict(gens, basis, field):
     """Each generator on the span of ``basis``, in basis coordinates.
 
-    ``gens`` are square matrices; ``basis`` is a list of linearly
-    independent dense vectors b_0..b_{k-1}, the columns of a matrix B.
+    ``gens`` are one or more square matrices; ``basis`` is a list of
+    linearly independent vectors b_0..b_{k-1}, the columns of a matrix B.
     Returns one k x k matrix Y per generator g with g B = B Y
     (g b_s = sum_r Y[r][s] b_r), or None when an image leaves the span.  One
-    ``Span`` serves every generator, and each b_s's nonzero entries are
-    listed once for all of them.
+    ``Span`` serves every generator.
     """
-    span = Span(basis, field)
-    nonzeros = [[(c, x) for c, x in enumerate(b) if x] for b in basis]
+    span = Span(basis, len(gens[0]), field)
     out = []
     for cols in gens:
         Y = []
-        for entries in nonzeros:
-            img = {}
-            for c, x in entries:
-                _add_into(img, cols[c], x)
-            y = span.coords(img.items())
+        for b in basis:
+            y = span.coords(_image(cols, b))
             if y is None:
                 return None
             Y.append(y)
@@ -377,72 +336,55 @@ def restrict(gens, basis, field):
     return out
 
 
-def rref(A, field):
-    """Reduced row-echelon form; returns (rows, pivot columns)."""
-    basis = RowBasis(field, A)
-    return basis.sorted_rows(), sorted(basis.pivots)
-
-
-def rank(A, field):
-    return RowBasis(field, A).dim
+def rank(vectors, field):
+    return RowBasis(field, vectors).dim
 
 
 def _null_basis(basis, n):
-    """The x in field^n killed by every row of a filled RowBasis.
+    """The x of length n killed by every row of a filled RowBasis.
 
-    Its rows are reduced, so x is free on the columns without a pivot: one
-    vector per free column f, with 1 at f and -row[f] at each row's pivot.
+    Its rows are reduced, so x is free on the indices without a pivot: one
+    vector per free index f, with 1 at f and -row[f] at each row's pivot.
     This is the basis read off the reduced row-echelon form, which depends
     only on the span of the rows, not on the order they arrived in.  A row's
-    entries off its pivot all lie in free columns, so one pass over them
-    lists, per free column, the rows that meet it.
+    entries off its pivot all lie at free indices past the pivot, so one pass
+    over the rows in pivot order lists, per free index, the rows that meet
+    it in increasing pivot order.
     """
-    zero, one = basis.field.zero, basis.field.one
+    rows, one = basis._rows, basis.field.one
     meets = {}
-    for p, row in basis._rows.items():
-        for fcol, c in row.items():
-            meets.setdefault(fcol, []).append((p, c))
-    out = []
-    for fcol in range(n):
-        if fcol in basis._rows:
-            continue
-        x = [zero] * n
-        x[fcol] = one
-        for p, c in meets.get(fcol, ()):
-            x[p] = -c
-        out.append(x)
-    return out
-
-
-def nullspace(A, field):
-    """Basis of the right nullspace of A (vectors x with A x = 0)."""
-    return _null_basis(RowBasis(field, A), len(A[0]) if A else 0)
+    for p in sorted(rows):
+        for fcol, c in rows[p].items():
+            meets.setdefault(fcol, []).append((p, -c))
+    return [meets.get(fcol, []) + [(fcol, one)] for fcol in range(n) if fcol not in rows]
 
 
 def sparse_nullspace(equations, n, field):
-    """Basis of the x in field^n that satisfy every equation sum_c a_c x_c = 0.
+    """Basis of the x of length n that satisfy every equation
+    sum_c a_c x_c = 0.
 
-    Each equation is a sparse row: (column, coefficient) pairs, repeated
-    columns summed.  The equations fill one RowBasis and the basis is read
-    straight off it, as ``nullspace`` reads it off the dense system.  No
-    equations leave the whole space: the unit vectors.  Once the rows reach
-    rank n the solution is 0 and no further equation is read.
+    Each equation is (index, coefficient) pairs in any order, repeated
+    indices summed.  The equations fill one RowBasis and the basis is read
+    straight off it.  No equations leave the whole space: the unit vectors.
+    Once the rows reach rank n the solution is 0 and no further equation is
+    read.
     """
-    zero = field.zero
     basis = RowBasis(field)
     for eq in equations if n else ():
-        row = [zero] * n
+        row = {}
         for c, a in eq:
-            row[c] = row[c] + a if row[c] else a
-        if basis.add(row) and basis.dim == n:
+            v = row.get(c)
+            row[c] = a if v is None else v + a
+        if basis.add(_canon(row)) and basis.dim == n:
             break
     return _null_basis(basis, n)
 
 
 class Quotient:
-    """field^n modulo the span of some dense vectors, on the free columns.
+    """The vectors of length n modulo the span of some vectors, on the free
+    indices.
 
-    The vectors fill one RowBasis ``sub``.  The columns without a pivot
+    The vectors fill one RowBasis ``sub``.  The indices without a pivot
     (``free``) index a basis of the quotient: a vector reduced against
     ``sub`` has its image in the free entries of the residual.
     """
@@ -452,15 +394,14 @@ class Quotient:
         self.sub = RowBasis(field, vectors)
         self.free = [j for j in range(n) if j not in self.sub._rows]
         # the rows are reduced, so reducing vec subtracts vec[p] times each
-        # row with pivot p: per pivot, the row's nonzero entries, all in free
-        # columns, by their position among the free columns
+        # row with pivot p: per pivot, the row's nonzero entries, all at free
+        # indices, by their position among the free indices
         self._position = {j: k for k, j in enumerate(self.free)}
         self._rows = {p: [(self._position[j], a) for j, a in row.items()]
                       for p, row in self.sub._rows.items()}
 
     def project(self, vec):
-        """The image of the sparse vector vec in the quotient, in free-column
-        coordinates, as a sparse column."""
+        """The image of vec in the quotient, in free-index coordinates."""
         out = {}
         for j, c in vec:
             k = self._position.get(j)
@@ -477,11 +418,7 @@ class Quotient:
         matrix does not map the subspace into itself."""
         one = self.field.one
         for p, row in self.sub._rows.items():
-            img = {}
-            _add_into(img, cols[p], one)
-            for c, x in row.items():
-                _add_into(img, cols[c], x)
-            if self.project(img.items()):
+            if self.project(_image(cols, [(p, one), *row.items()])):
                 return None
         return [self.project(cols[j]) for j in self.free]
 
@@ -494,11 +431,10 @@ def inverse(A, m, field):
     if m != n:
         return None
     try:
-        span = Span([_dense(col, n, field.zero) for col in A], field)
+        span = Span(A, n, field)
     except ValueError:
         return None
     return [span.coords([(j, field.one)]) for j in range(n)]
-
 
 def intertwines(X, src_gens, tgt_gens):
     """True when X g_src = g_tgt X for every generator pair."""
@@ -546,8 +482,9 @@ def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=Non
     out = []
     for sol in sparse_nullspace(equations(), len(entries), field):
         X = [[] for _ in range(ns)]
-        for (t, s), x in zip(entries, sol):
-            if x:
-                X[s].append((t, x))
+        # the unknowns run row-major, so each column gets increasing rows
+        for k, x in sol:
+            t, s = entries[k]
+            X[s].append((t, x))
         out.append(X)
     return out

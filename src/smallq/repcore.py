@@ -508,7 +508,7 @@ class Submodule:
 
     def __init__(self, parent: WeightModule, basis_rows, basis_weights):
         self.parent = parent
-        self.basis = basis_rows            # independent row vectors over the field
+        self.basis = basis_rows            # independent vectors over the field
         self.basis_weights = basis_weights
 
     @property
@@ -520,19 +520,12 @@ class Submodule:
 
 
 def _weight_components(module, vec):
-    """Split a vector into weight-homogeneous components."""
+    """Split a vector into weight-homogeneous components: (weight,
+    component) pairs in increasing weight order."""
     by_weight = {}
-    for idx, x in enumerate(vec):
-        if x:
-            by_weight.setdefault(module.weights[idx], []).append((idx, x))
-    zero = module.params.field.zero
-    out = []
-    for w, entries in sorted(by_weight.items()):
-        comp = [zero] * module.dim
-        for idx, x in entries:
-            comp[idx] = x
-        out.append((w, comp))
-    return out
+    for idx, x in vec:
+        by_weight.setdefault(module.weights[idx], []).append((idx, x))
+    return sorted(by_weight.items())
 
 
 def _generator_matrices(module):
@@ -617,11 +610,9 @@ def maximal_proper_submodule(module: WeightModule) -> Submodule:
             f"a generator column of {module.name} has more than one nonzero entry")
     reaches_top = _reach(graph[1], _top(module.weights, range(module.dim)),
                          range(module.dim))
-    field = module.params.field
+    one = module.params.field.one
     keep = [r for r in range(module.dim) if r not in reaches_top]
-    rows = [[field.one if k == r else field.zero for k in range(module.dim)]
-            for r in keep]
-    return Submodule(module, rows, [module.weights[r] for r in keep])
+    return Submodule(module, [[(r, one)] for r in keep], [module.weights[r] for r in keep])
 
 
 def submodule_as_module(sub: Submodule, name=None) -> WeightModule:
@@ -713,10 +704,8 @@ def composition_factors(module: WeightModule):
 def _peel(module, factors):
     if module.dim == 0:
         return
-    field = module.params.field
     top = _top(module.weights, range(module.dim))
-    seed = [field.one if k == top else field.zero for k in range(module.dim)]
-    closure = submodule_closure(module, [seed])
+    closure = submodule_closure(module, [[(top, module.params.field.one)]])
     w_mod = submodule_as_module(closure)
     max_sub = maximal_proper_submodule(w_mod)
     hw = module.weights[top]

@@ -203,7 +203,12 @@ class CycloElem:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
-        xd, yd = self.den, other.den
+        try:
+            yd = other.den
+        except AttributeError:
+            # neither an int nor a CycloElem, as in __mul__
+            return NotImplemented
+        xd = self.den
         if xd == yd:
             return self._make([a + b for a, b in zip(self.num, other.num)], xd)
         return self._make([a * yd + b * xd for a, b in zip(self.num, other.num)], xd * yd)
@@ -213,7 +218,11 @@ class CycloElem:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
-        xd, yd = self.den, other.den
+        try:
+            yd = other.den
+        except AttributeError:
+            return NotImplemented
+        xd = self.den
         if xd == yd:
             return self._make([a - b for a, b in zip(self.num, other.num)], xd)
         return self._make([a * yd - b * xd for a, b in zip(self.num, other.num)], xd * yd)
@@ -403,8 +412,14 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.from_int(other)
+        try:
+            terms = other.c.items()
+        except AttributeError:
+            # neither an int nor a LaurentPoly: let the other operand's
+            # reflected method answer
+            return NotImplemented
         out = dict(self.c)
-        for e, a in other.c.items():
+        for e, a in terms:
             b = out.get(e)
             if b is None:
                 out[e] = a
@@ -421,6 +436,8 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.from_int(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from dense import rows
+from dense import rows, sparse
 
 from smallq import frobenius
 from smallq.frobenius import (
@@ -105,10 +105,9 @@ def test_small_invariants_of_mixed_tensor():
         for w_vec in inv_w.basis:
             for j in range(V.dim):
                 vec = [f.zero] * M.dim
-                for i, c in enumerate(w_vec):
-                    if c:
-                        vec[i * V.dim + j] = c
-                assert rb.contains(vec), lam
+                for i, c in w_vec:
+                    vec[i * V.dim + j] = c
+                assert rb.contains(sparse(vec)), lam
 
 
 def test_mixed_tensor_zeta_route_consistency():

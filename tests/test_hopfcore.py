@@ -5,7 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from dense import columns, entries, rows
+from dense import columns, entries, rows, sparse
 
 from smallq import blocks, hopfcore
 from smallq.cli import main
@@ -652,11 +652,11 @@ def test_group_submodule_rejects_unstable_span(s3_triple):
     T = s3_triple
     f = T.field
     reg = hopfcore.regular_module(T.group, f)
-    line = [f.one] + [f.zero] * (T.group.n - 1)
+    line = sparse([f.one] + [f.zero] * (T.group.n - 1))
     with pytest.raises(StructureError, match="not a submodule"):
         reg.submodule([line])
     # the sum of all group elements spans the trivial submodule
-    trivial = reg.submodule([[f.one] * T.group.n])
+    trivial = reg.submodule([sparse([f.one] * T.group.n)])
     assert all(mat_eq(m, [[(0, f.one)]]) for m in trivial.mats)
 
 

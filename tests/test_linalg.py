@@ -2,11 +2,22 @@
 intertwines kernels over the cyclotomic fields at ell 4 and 6, the
 sparse-column matrix kernels against naive dense references, and the
 sparse-row RowBasis with everything built on it against the dense row basis
-it replaced.  Every kernel output is checked to be in the one stored form:
-per column, rows strictly increasing and no zero entry."""
+it replaced.  Every kernel output is checked to be in the one stored form of
+a vector and a matrix column: indices strictly increasing and no zero
+entry.  The dense oracles take dense lists; the kernels get the same vectors
+through ``dense.sparse``."""
 
 import pytest
-from dense import columns, rows, sparse
+from dense import (
+    DenseRowBasis,
+    canonical,
+    columns,
+    dense_basis,
+    dense_coords,
+    dense_spin,
+    rows,
+    sparse,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,10 +39,8 @@ from smallq.linalg import (
     mat_scale,
     mat_sub,
     mat_sum,
-    nullspace,
     rank,
     restrict,
-    rref,
     sparse_nullspace,
     spin,
     transpose,
@@ -64,8 +73,12 @@ def span_case(draw, min_k=0, spare=0):
     n = draw(st.integers(max(1, min_k + spare), 5))
     k = draw(st.integers(min_k, n - spare))
     basis = [draw(vectors(field, n)) for _ in range(k)]
-    assume(rank(basis, field) == k)
+    assume(rank(sparse_all(basis), field) == k)
     return field, n, basis
+
+
+def sparse_all(vecs):
+    return [sparse(v) for v in vecs]
 
 
 def combination(field, n, basis, coeffs):
@@ -79,27 +92,11 @@ def combination(field, n, basis, coeffs):
 def assert_canonical(mat):
     """The stored form: per column, rows strictly increasing, no zero entry."""
     for col in mat:
-        assert all(a for _, a in col), col
-        assert all(r1 < r2 for (r1, _), (r2, _) in zip(col, col[1:])), col
+        assert canonical(col), col
 
 
 def coords_or_none(vec):
     return None if vec is None else sparse(vec)
-
-
-def old_solve(basis, target, field):
-    """The solver Span replaces: one rref of [B | target] per target."""
-    if not basis:
-        return None if any(target) else []
-    k = len(basis)
-    aug = [[b[r] for b in basis] + [target[r]] for r in range(len(target))]
-    rows, pivots = rref(aug, field)
-    x = [field.zero] * k
-    for row, p in zip(rows, pivots):
-        if p == k:
-            return None
-        x[p] = row[k]
-    return x
 
 
 @SETTINGS
@@ -107,7 +104,7 @@ def old_solve(basis, target, field):
 def test_coords_recovers_coefficients(data):
     field, n, basis = data.draw(span_case())
     coeffs = data.draw(vectors(field, len(basis)))
-    got = Span(basis, field).coords(sparse(combination(field, n, basis, coeffs)))
+    got = Span(sparse_all(basis), n, field).coords(sparse(combination(field, n, basis, coeffs)))
     assert_canonical([got])
     assert got == sparse(coeffs)
 
@@ -119,14 +116,14 @@ def test_coords_outside_span_is_none(data):
     coeffs = data.draw(vectors(field, len(basis)))
     rb = RowBasis(field)
     for b in basis:
-        rb.add(b)
+        rb.add(sparse(b))
     # a coordinate vector outside the span exists because len(basis) < n
     outside = next(e for e in ([field.one if i == j else field.zero for i in range(n)]
-                               for j in range(n)) if not rb.contains(e))
+                               for j in range(n)) if not rb.contains(sparse(e)))
     scale = data.draw(elems(field))
     assume(scale)
     vec = combination(field, n, basis + [outside], coeffs + [scale])
-    assert Span(basis, field).coords(sparse(vec)) is None
+    assert Span(sparse_all(basis), n, field).coords(sparse(vec)) is None
 
 
 @SETTINGS
@@ -137,15 +134,15 @@ def test_dependent_inputs_raise(data):
     at = data.draw(st.integers(0, len(basis)))
     dependent = basis[:at] + [combination(field, n, basis, coeffs)] + basis[at:]
     with pytest.raises(ValueError):
-        Span(dependent, field)
+        Span(sparse_all(dependent), n, field)
 
 
 @pytest.mark.parametrize("ell", sorted(FIELDS))
 def test_empty_span(ell):
     field = FIELDS[ell]
-    span = Span([], field)
+    span = Span([], 2, field)
     assert span.coords([]) == []
-    assert span.coords([(1, field.zero)]) == []
+    assert span.coords(sparse([field.zero, field.zero])) == []
     assert span.coords([(1, field.one)]) is None
 
 
@@ -167,13 +164,15 @@ def test_coords_match_rref_solve_on_nullspace_basis(data):
     field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 5))
     A = [data.draw(vectors(field, n)) for _ in range(m)]
-    basis = nullspace(A, field)
-    span = Span(basis, field)
+    basis = dense_basis(field, A)[0].null_basis(n)
+    null = sparse_nullspace(sparse_all(A), n, field)
+    assert null == sparse_all(basis)
+    span = Span(null, n, field)
     coeffs = data.draw(vectors(field, len(basis)))
     inside = combination(field, n, basis, coeffs)
-    assert span.coords(sparse(inside)) == sparse(old_solve(basis, inside, field)) == sparse(coeffs)
+    assert span.coords(sparse(inside)) == sparse(dense_coords(basis, inside, field)) == sparse(coeffs)
     anything = data.draw(vectors(field, n))
-    assert span.coords(sparse(anything)) == coords_or_none(old_solve(basis, anything, field))
+    assert span.coords(sparse(anything)) == coords_or_none(dense_coords(basis, anything, field))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +225,14 @@ def test_intertwiner_space_matches_kronecker_nullity(case):
             assert naive_mul(X, S, zero) == naive_mul(T, X, zero)
         flat = [x for row in X for x in row]
         assert not any(flat[i] for i in range(nt * ns) if i not in allowed)
-    assert rank([[x for row in X for x in row] for X in dense_homs], field) == len(homs)
+    assert rank([sparse([x for row in X for x in row]) for X in dense_homs], field) == len(homs)
     # vec(X S - T X) = (kron(I, S^T) - kron(T, I)) vec(X), X flattened row-major
     system = []
     for S, T in pairs:
         K = naive_sub(naive_kron(dense_identity(nt, one, zero), [list(c) for c in zip(*S)]),
                       naive_kron(T, dense_identity(ns, one, zero)))
         system.extend([row[i] for i in allowed] for row in K)
-    assert len(homs) == len(allowed) - rank(system, field)
+    assert len(homs) == len(allowed) - rank(sparse_all(system), field)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def spun_case(draw):
     n = draw(st.integers(1, 4))
     gens = [draw(sparse_square(field, n)) for _ in range(draw(st.integers(1, 2)))]
     seeds = [draw(vectors(field, n)) for _ in range(draw(st.integers(1, 2)))]
-    basis = spin([columns(g) for g in gens], seeds, field).sorted_rows()
+    basis = spin([columns(g) for g in gens], sparse_all(seeds), field).sorted_rows()
     assume(basis)
     return field, gens, basis
 
@@ -457,7 +456,7 @@ def spun_case(draw):
 def test_restrict_matches_matrix_oracle(case):
     # the spin is stable, so every generator restricts: g B^T = B^T Y
     field, gens, basis = case
-    Bt = [list(c) for c in zip(*basis)]
+    Bt = rows(basis, len(gens[0]), field.zero)
     ys = restrict([columns(g) for g in gens], basis, field)
     assert ys is not None and len(ys) == len(gens)
     for g, Y in zip(gens, ys):
@@ -472,7 +471,7 @@ def test_restrict_matches_matrix_oracle(case):
 def test_quotient_induced_matches_matrix_oracle(case):
     # g e_f - sum_r Y[r][j] e_{free r} lies in the subspace, for f = free[j]
     field, gens, basis = case
-    n = len(basis[0])
+    n = len(gens[0])
     quot = Quotient(basis, n, field)
     for g in gens:
         Y = quot.induced(columns(g))
@@ -483,7 +482,7 @@ def test_quotient_induced_matches_matrix_oracle(case):
             diff = [g[r][fcol] for r in range(n)]
             for r, frow in enumerate(quot.free):
                 diff[frow] = diff[frow] - Y[r][j]
-            assert rank(basis + [diff], field) == len(basis)
+            assert rank(basis + [sparse(diff)], field) == len(basis)
 
 
 def _shift(field, n):
@@ -494,7 +493,7 @@ def _shift(field, n):
 @pytest.mark.parametrize("ell", sorted(FIELDS))
 def test_restrict_rejects_unstable_span(ell):
     field = FIELDS[ell]
-    first = [field.one, field.zero, field.zero]
+    first = sparse([field.one, field.zero, field.zero])
     cols = [identity(3, field.one), columns(_shift(field, 3))]
     assert restrict(cols[:1], [first], field) == [[[(0, field.one)]]]
     assert restrict(cols, [first], field) is None
@@ -505,10 +504,10 @@ def test_quotient_induced_rejects_unstable_subspace(ell):
     field = FIELDS[ell]
     shift = columns(_shift(field, 3))
     # the last coordinate line is stable under the shift, the first is not
-    stable = Quotient([[field.zero, field.zero, field.one]], 3, field)
+    stable = Quotient([sparse([field.zero, field.zero, field.one])], 3, field)
     assert mat_eq(stable.induced(shift),
                   columns([[field.zero, field.zero], [field.one, field.zero]]))
-    assert Quotient([[field.one, field.zero, field.zero]], 3, field).induced(shift) is None
+    assert Quotient([sparse([field.one, field.zero, field.zero])], 3, field).induced(shift) is None
 
 
 @SETTINGS
@@ -537,7 +536,7 @@ def test_inverse_matches_naive(data):
     A = data.draw(sparse_square(field, n))
     inv = inverse(columns(A), n, field)
     if inv is None:
-        assert rank(A, field) < n
+        assert rank(sparse_all(A), field) < n
     else:
         assert_canonical(inv)
         ident = dense_identity(n, field.one, field.zero)
@@ -562,88 +561,6 @@ def test_block_diag():
 
 # back-substitution faults show only on some inputs: draw more of them
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
-
-
-class DenseRowBasis:
-    """The dense reduced row basis, kept as the oracle of ``RowBasis``: every
-    reduce and back-substitution sweeps all columns of every row."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                for j in range(len(vec)):
-                    r = row[j]
-                    if r:
-                        vec[j] = vec[j] - c * r
-        return vec
-
-    def add(self, vec):
-        vec = self.reduce(vec)
-        for p, c in enumerate(vec):
-            if c:
-                if c != self.field.one:
-                    inv = c.inverse()
-                    vec = [inv * a for a in vec]
-                for i, row in enumerate(self.rows):
-                    d = row[p]
-                    if d:
-                        self.rows[i] = [a - d * b for a, b in zip(row, vec)]
-                self.rows.append(vec)
-                self.pivots.append(p)
-                return True
-        return False
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    def sorted_rows(self):
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return [self.rows[i] for i in order]
-
-    def free(self, n):
-        return [j for j in range(n) if j not in self.pivots]
-
-    def null_basis(self, n):
-        out = []
-        for fcol in self.free(n):
-            x = [self.field.zero] * n
-            x[fcol] = self.field.one
-            for row, p in zip(self.rows, self.pivots):
-                if row[fcol]:
-                    x[p] = -row[fcol]
-            out.append(x)
-        return out
-
-    def project(self, vec, n):
-        res = self.reduce(vec)
-        return [res[j] for j in self.free(n)]
-
-
-def dense_basis(field, vectors):
-    basis = DenseRowBasis(field)
-    accepted = [basis.add(v) for v in vectors]
-    return basis, accepted
-
-
-def dense_coords(basis_vectors, vec, field):
-    """Coordinates of vec on independent vectors from one dense elimination
-    of the columns [b_0 .. b_{k-1} | vec], or None outside their span."""
-    k = len(basis_vectors)
-    aug = [[b[r] for b in basis_vectors] + [vec[r]] for r in range(len(vec))]
-    rb, _ = dense_basis(field, aug)
-    x = [field.zero] * k
-    for row, p in zip(rb.rows, rb.pivots):
-        if p == k:
-            return None
-        x[p] = row[k]
-    return x
 
 
 def dense_induced(field, vectors, n, gen):
@@ -703,17 +620,16 @@ def probes(draw, field, n, vecs):
 def test_rowbasis_matches_dense_oracle(data):
     field, n, vecs = data.draw(oracle_case())
     dense, accepted = dense_basis(field, vecs)
-    sparse = RowBasis(field)
-    assert [sparse.add(v) for v in vecs] == accepted
-    assert sparse.pivots == dense.pivots and sparse.dim == len(dense.rows)
-    assert sparse.sorted_rows() == dense.sorted_rows()
-    assert rref(vecs, field) == (dense.sorted_rows(), sorted(dense.pivots))
+    rb = RowBasis(field)
+    assert [rb.add(sparse(v)) for v in vecs] == accepted
+    assert rb.pivots == dense.pivots and rb.dim == len(dense.rows)
+    assert rb.sorted_rows() == sparse_all(dense.sorted_rows())
     for vec in data.draw(probes(field, n, vecs)):
-        assert sparse.contains(vec) == dense.contains(vec)
-        assert sparse.reduce(vec) == {j: a for j, a in enumerate(dense.reduce(vec)) if a}
-    copy = sparse.copy()
-    copy.add([field.one] * n)
-    assert sparse.sorted_rows() == dense.sorted_rows()
+        assert rb.contains(sparse(vec)) == dense.contains(vec)
+        assert rb.reduce(sparse(vec)) == {j: a for j, a in enumerate(dense.reduce(vec)) if a}
+    copy = rb.copy()
+    copy.add(sparse([field.one] * n))
+    assert rb.sorted_rows() == sparse_all(dense.sorted_rows())
 
 
 @ORACLE_SETTINGS
@@ -722,7 +638,7 @@ def test_span_coords_match_dense_oracle(data):
     field, n, vecs = data.draw(oracle_case())
     _, accepted = dense_basis(field, vecs)
     independent = [v for v, ok in zip(vecs, accepted) if ok]
-    span = Span(independent, field)
+    span = Span(sparse_all(independent), n, field)
     for vec in data.draw(probes(field, n, vecs)):
         assert span.coords(sparse(vec)) == coords_or_none(dense_coords(independent, vec, field))
 
@@ -732,7 +648,7 @@ def test_span_coords_match_dense_oracle(data):
 def test_quotient_matches_dense_oracle(data):
     field, n, vecs = data.draw(oracle_case())
     dense, _ = dense_basis(field, vecs)
-    quot = Quotient(vecs, n, field)
+    quot = Quotient(sparse_all(vecs), n, field)
     assert quot.free == dense.free(n)
     for vec in data.draw(probes(field, n, vecs)):
         got = quot.project(sparse(vec))
@@ -740,24 +656,17 @@ def test_quotient_matches_dense_oracle(data):
         assert got == sparse(dense.project(vec, n))
     gens = [data.draw(sparse_square(field, n)) for _ in range(2)]
     # a subspace stable under the generators, spun with the dense basis
-    stable = DenseRowBasis(field)
-    queue = [v for v in vecs if stable.add(v)]
-    while queue:
-        vec = queue.pop()
-        for g in gens:
-            img = [sum((g[r][c] * vec[c] for c in range(n)), field.zero) for r in range(n)]
-            if stable.add(img):
-                queue.append(img)
+    stable = dense_spin(field, gens, vecs)
     for subspace in (vecs, stable.rows):
         for g in gens:
             expected = dense_induced(field, subspace, n, g)
-            got = Quotient(subspace, n, field).induced(columns(g))
+            got = Quotient(sparse_all(subspace), n, field).induced(columns(g))
             if expected is None:
                 assert got is None
             else:
                 assert_canonical(got)
                 assert got == [sparse(col) for col in expected]
-    assert all(Quotient(stable.rows, n, field).induced(columns(g)) is not None
+    assert all(Quotient(sparse_all(stable.rows), n, field).induced(columns(g)) is not None
                for g in gens)
 
 
@@ -765,8 +674,8 @@ def test_quotient_matches_dense_oracle(data):
 @given(st.data())
 def test_nullspaces_match_dense_oracle(data):
     field, n, vecs = data.draw(oracle_case())
-    expected = dense_basis(field, vecs)[0].null_basis(n)
-    assert nullspace(vecs, field) == (expected if vecs else [])
+    expected = sparse_all(dense_basis(field, vecs)[0].null_basis(n))
+    assert sparse_nullspace(sparse_all(vecs), n, field) == expected
     # each equation as (column, coefficient) pairs, one column split in two
     equations = []
     for vec in vecs:
@@ -795,6 +704,53 @@ def test_sparse_nullspace_reads_no_equation_past_full_rank(data):
             seen.add(vec)
             yield [(c, a) for c, a in enumerate(vec) if a]
 
-    expected = dense_basis(field, vecs)[0].null_basis(n)
+    expected = sparse_all(dense_basis(field, vecs)[0].null_basis(n))
     assert sparse_nullspace(equations(), n, field) == expected
-    assert nullspace(vecs, field) == (expected if vecs else [])
+
+
+def assert_one_form(got, expected):
+    """The vectors a kernel returned are in the one stored form and equal
+    the dense oracle's vectors."""
+    for vec in got:
+        assert canonical(vec), vec
+    assert got == sparse_all(expected)
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_vector_kernels_return_the_one_form(data):
+    field, n, vecs = data.draw(oracle_case())
+    dense, accepted = dense_basis(field, vecs)
+    independent = [v for v, ok in zip(vecs, accepted) if ok]
+    gens = [data.draw(sparse_square(field, n)) for _ in range(2)]
+    # each equation with its first column split in two
+    equations = []
+    for vec in sparse_all(vecs):
+        if vec:
+            (c, a), rest = vec[0], vec[1:]
+            vec = [(c, a - field.one), (c, field.one)] + rest
+        equations.append(vec)
+    span = Span(sparse_all(independent), n, field)
+    quot = Quotient(sparse_all(vecs), n, field)
+    probe_vecs = data.draw(probes(field, n, vecs))
+    coords = [(span.coords(sparse(v)), dense_coords(independent, v, field)) for v in probe_vecs]
+    outputs = [
+        (RowBasis(field, sparse_all(vecs)).sorted_rows(), dense.sorted_rows()),
+        (sparse_nullspace(equations, n, field), dense.null_basis(n)),
+        ([c for c, _ in coords if c is not None], [x for _, x in coords if x is not None]),
+        ([quot.project(sparse(v)) for v in probe_vecs], [dense.project(v, n) for v in probe_vecs]),
+        (spin([columns(g) for g in gens], sparse_all(vecs), field).sorted_rows(),
+         dense_spin(field, gens, vecs).sorted_rows()),
+    ]
+    assert [c is None for c, _ in coords] == [x is None for _, x in coords]
+    for got, expected in outputs:
+        assert_one_form(got, expected)
+        # negative controls: an unsorted vector and a kept zero entry fail
+        for k, vec in enumerate(got):
+            if len(vec) > 1:
+                with pytest.raises(AssertionError):
+                    assert_one_form(got[:k] + [vec[::-1]] + got[k + 1:], expected)
+            j = min(set(range(n + 1)) - {i for i, _ in vec})
+            padded = sorted(vec + [(j, field.zero)], key=lambda e: e[0])
+            with pytest.raises(AssertionError):
+                assert_one_form(got[:k] + [padded] + got[k + 1:], expected)

@@ -1,7 +1,7 @@
 """Weyl modules, relation checking, tensor products, composition series."""
 
 import pytest
-from dense import columns, entries, rows
+from dense import columns, entries, rows, sparse
 
 from smallq import repcore, scalars
 from smallq.cli import main
@@ -31,7 +31,7 @@ A1 = build_root_datum("A1")
 
 def basis_vector(module, k):
     f = module.params.field
-    return [f.one if i == k else f.zero for i in range(module.dim)]
+    return sparse([f.one if i == k else f.zero for i in range(module.dim)])
 
 
 def test_weyl_module_basics():
@@ -231,7 +231,7 @@ def test_submodule_as_module_unreduced_basis():
     # by W's own matrices, so restricting must give them back unchanged
     w = weyl_module(3, P4)
     two = w.params.field.from_int(2)
-    rows = [[two * x for x in basis_vector(w, k)] for k in range(w.dim)]
+    rows = [[(j, two * x) for j, x in basis_vector(w, k)] for k in range(w.dim)]
     m = submodule_as_module(repcore.Submodule(w, rows, list(w.weights)))
     for fam, sub_fam in ((w.z.efam, m.z.efam), (w.z.ffam, m.z.ffam)):
         assert len(sub_fam) == len(fam)
@@ -303,7 +303,7 @@ def _field_path_maximal_submodule(module):
     basis = RowBasis(module.params.field)
     for b in range(module.dim):
         closure = submodule_closure(module, [basis_vector(module, b)])
-        if not any(row[top] for row in closure.basis):
+        if not any(j == top for row in closure.basis for j, _ in row):
             for row in closure.basis:
                 basis.add(row)
     return basis.sorted_rows()
@@ -360,8 +360,7 @@ def test_composition_factors_closed_form(monkeypatch):
         for module in (m for m in seen if m.dim <= 31):
             sub = maximal_proper_submodule(module)
             assert mat_eq(sub.basis, _field_path_maximal_submodule(module)), module.name
-            one = module.params.field.one
-            assert sub.basis_weights == [module.weights[row.index(one)] for row in sub.basis]
+            assert sub.basis_weights == [module.weights[row[0][0]] for row in sub.basis]
 
 
 def _count_field_calls(monkeypatch):

@@ -19,6 +19,7 @@ from smallq.scalars import (
     qfact,
     qint,
 )
+from smallq.scalars import _long_div
 
 P4 = QParams(4)
 P6 = QParams(6)
@@ -229,6 +230,28 @@ def test_laurent_refuses_cyclotomic_coefficients():
         ring.v * zeta
     with pytest.raises(TypeError):
         zeta * ring.v
+
+
+def test_mixed_sums_are_type_errors():
+    # a Laurent polynomial and a cyclotomic scalar neither add nor subtract,
+    # in either order; an int still does, on both sides
+    ring = R4
+    v, zeta = ring.v, ring.field.zeta()
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y in ((v, zeta), (zeta, v)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert v + 1 == 1 + v == ring.from_int_dict({0: 1, 1: 1})
+    assert (v + 1) - 1 == v and 1 - v == -(v - 1)
+    assert zeta + 1 == 1 + zeta != zeta and (zeta + 1) - 1 == zeta and 1 - zeta == -(zeta - 1)
+
+
+def test_long_div_refuses_a_non_integer_quotient_coefficient():
+    # (1 + x) / (1 + 2x): the leading quotient coefficient would be 1/2
+    with pytest.raises(ExactDivisionError):
+        _long_div([1, 1], [1, 2])
+    a = [2, 3, 1]
+    assert _long_div(a, [1, 1]) == [2, 1] and not any(a)
 
 
 def test_qparams_validation():
