@@ -377,7 +377,7 @@ def hom_small(src: WeightModule, tgt: WeightModule, sc=False):
     f = src.params.field
     vsrc = restrict_to_small(src, sc=sc)
     vtgt = restrict_to_small(tgt, sc=sc)
-    return intertwiner_space(vsrc.gens(), vtgt.gens(), f,
+    return intertwiner_space(vsrc.gens(), vtgt.gens(), src.dim, tgt.dim, f,
                              src_blocks=vsrc.classes, tgt_blocks=vtgt.classes)
 
 
@@ -385,13 +385,13 @@ def hom_big(src: WeightModule, tgt: WeightModule):
     """Basis of big-quantum-group intertwiners (weight preserving)."""
     f = src.params.field
     return intertwiner_space(_generator_matrices(src), _generator_matrices(tgt),
-                             f, src_blocks=src.weights, tgt_blocks=tgt.weights)
+                             src.dim, tgt.dim, f, src_blocks=src.weights, tgt_blocks=tgt.weights)
 
 
 def hom_dual_group(V1: DualGroupRep, V2: DualGroupRep):
     """Basis of dual-group morphisms V1 -> V2 (e, f and grading equivariant)."""
     f = V1.params.field
-    return intertwiner_space(V1.e + V1.f, V2.e + V2.f, f,
+    return intertwiner_space(V1.e + V1.f, V2.e + V2.f, V1.dim, V2.dim, f,
                              src_blocks=V1.weights, tgt_blocks=V2.weights)
 
 

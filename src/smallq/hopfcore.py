@@ -62,7 +62,11 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 class GroupTable:
-    """Finite group given by element names and a full multiplication table."""
+    """Finite group given by element names and a full multiplication table.
+
+    ``gens`` is a greedy generating set: each element, in index order, that
+    the ones before it do not generate.  It is empty for the trivial group.
+    """
 
     def __init__(self, names, mult):
         self.names = list(names)
@@ -70,6 +74,12 @@ class GroupTable:
         self.n = len(self.names)
         self.mult = mult            # mult[i][j] = index of product
         self._validate()
+        self.gens = []
+        generated = {self.identity}
+        for x in range(self.n):
+            if x not in generated:
+                self.gens.append(x)
+                generated = set(self.generated(self.gens))
 
     def _validate(self):
         n = self.n
@@ -250,6 +260,11 @@ class CoalgebraFD:
         # only now is C* known to be associative and unital, which the
         # reduced module-law check needs
         self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim)
+
+    def at_gens(self, mats):
+        """The members of ``mats``, one per basis element of C, at the
+        generating set J: every one when J is None."""
+        return mats if self.gens is None else [mats[s] for s in self.gens]
 
     def _validate(self):
         f = self.field
@@ -470,8 +485,20 @@ def _pushforward(mat, m, mats):
 
 
 def comodule_hom_space(M1: ComoduleFD, M2: ComoduleFD):
-    """Basis of comodule maps M1 -> M2 over the shared coalgebra."""
-    return intertwiner_space(M1.mats, M2.mats, M1.coalg.field)
+    """Basis of comodule maps M1 -> M2 over the shared coalgebra C.
+
+    The equations X R1_s = R2_s X are read for s in the generating set J of
+    C* only (see ``_generating_set``; every s when there is none).  That
+    suffices, by the induction in ``_check_module``'s docstring: the counit
+    law gives R1_e = R2_e = I, and every other k is the one term of
+    R_i R_s = mu R_k, mu != 0, with s in J and i reached before k, so
+    mu X R1_k = X R1_i R1_s = R2_i X R1_s = R2_i R2_s X = mu R2_k X once X
+    intertwines at i.  The same holds wherever X R1_s = R2_s X on J is
+    asked of comodules over C: ``hom_cat`` and the colinearity checks of
+    ``adjunction_unit`` and ``adjunction_counit``.
+    """
+    C = M1.coalg
+    return intertwiner_space(C.at_gens(M1.mats), C.at_gens(M2.mats), M1.dim, M2.dim, C.field)
 
 
 def find_iso(homs, m, field):
@@ -754,15 +781,30 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
 # cotensor, induction, de-equivariantization, adjunction
 # ---------------------------------------------------------------------------
 
-def cotensor(right, left, field):
+def cotensor(right, left, dim_r, dim_l, field):
     """Kernel of rho_r (x) id - id (x) rho_l inside the tensor product.
 
-    ``right`` and ``left`` are the coaction matrices of a right and a left
-    comodule over one coalgebra: entry (y, x) of S_c is the coefficient of
-    y (x) c in rho_r(x), entry (z, w) of R_c that of c (x) z in rho_l(w).
-    Returns basis vectors over the flattened index x * dim_l + w.
+    ``right`` and ``left`` are coaction matrices of a right and a left
+    comodule over one coalgebra C, of dimensions dim_r and dim_l, paired by
+    index: entry (y, x) of S_c is the coefficient of y (x) c in rho_r(x),
+    entry (z, w) of R_c that of c (x) z in rho_l(w).  The kernel is the v
+    with (S_c (x) I) v = (I (x) R_c) v for every c.  Callers pass the pairs
+    at the generating set J of C* only (see ``_generating_set``; every pair
+    when there is none), and the kernel is the same.  Both families are
+    modules over C*: R_i R_t = sum_c delta_c[(t, i)] R_c, and the right
+    coassociativity gives S_t S_i = sum_c delta_c[(t, i)] S_c, the same
+    combination.  If v satisfies the equations at t and at i, then
+    (S_t S_i (x) I) v = (S_t (x) I)(I (x) R_i) v = (I (x) R_i)(S_t (x) I) v
+    = (I (x) R_i R_t) v.  Along the walk of ``_generating_set``, with t in J,
+    i reached before k and R_i R_t = mu R_k, mu != 0, this says
+    mu (S_k (x) I) v = mu (I (x) R_k) v.  The counit laws give S_e = I and
+    R_e = I, which covers e, so by induction v satisfies every equation.
+    With J empty (a one-dimensional C) the kernel is the whole product.
+
+    Returns basis vectors over the flattened index x * dim_l + w, read off
+    the reduced row-echelon form of the equations, which depends only on
+    the kernel.
     """
-    dim_r, dim_l = len(right[0]), len(left[0])
     eqs = {}
     for x in range(dim_r):
         for w in range(dim_l):
@@ -809,7 +851,8 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     """
     f = T.field
     m = M.dim
-    basis = cotensor(a_right_comodule_of_A(T), M.mats, f)
+    a = T.a
+    basis = cotensor(a.at_gens(a_right_comodule_of_A(T)), a.at_gens(M.mats), T.A.dim, m, f)
 
     def lift(mat):
         """mat (x) I_M."""
@@ -883,13 +926,14 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
             return mat + [[] for _ in range(N.dim - x)], ind, rep
         mat.append(coords)
     rep.ok("lands-in-cotensor")
-    # O-equivariance and A-colinearity
+    # O-equivariance and A-colinearity, the latter on the generating set of
+    # A* (see ``comodule_hom_space``)
     if intertwines(mat, N.act, ind.act):
         rep.ok("O-equivariant")
     else:
         rep.fail("O-equivariant", "unit does not intertwine the O-action",
                  counterexample=N.name)
-    if intertwines(mat, N.comodule.mats, ind.comodule.mats):
+    if intertwines(mat, T.A.at_gens(N.comodule.mats), T.A.at_gens(ind.comodule.mats)):
         rep.ok("A-colinear")
     else:
         rep.fail("A-colinear", "unit does not intertwine the A-coaction",
@@ -929,8 +973,8 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
         return None, Q2, rep
     rep.ok("descends")
     mat = [c_on_s[fc] for fc in quot.free]
-    # a-colinearity
-    if intertwines(mat, Q2.mats, M.mats):
+    # a-colinearity, on the generating set of a* (see ``comodule_hom_space``)
+    if intertwines(mat, T.a.at_gens(Q2.mats), T.a.at_gens(M.mats)):
         rep.ok("a-colinear")
     else:
         rep.fail("a-colinear", "counit is not a comodule map",
@@ -940,8 +984,15 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
 
 def hom_cat(T: TripleFD, N1: TripleObject, N2: TripleObject):
     """Basis of Cat-morphisms: the maps that intertwine the coaction matrices
-    of A (so they are A-colinear) and the O-action (O-equivariant)."""
-    return intertwiner_space(N1.comodule.mats + N1.act, N2.comodule.mats + N2.act, T.field)
+    of A (so they are A-colinear) and the O-action (O-equivariant).
+
+    The coaction matrices are those at the generating set of A*, as in
+    ``comodule_hom_space``.  The O-action is taken whole: O's pointwise
+    product has no generating set of basis elements.
+    """
+    A = T.A
+    return intertwiner_space(A.at_gens(N1.comodule.mats) + N1.act,
+                             A.at_gens(N2.comodule.mats) + N2.act, N1.dim, N2.dim, T.field)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1135,15 @@ def comodule_direct_sum(M1: ComoduleFD, M2: ComoduleFD) -> ComoduleFD:
 # ---------------------------------------------------------------------------
 
 class GroupModule:
-    """Module over a group algebra: one matrix per group element."""
+    """Module over a group algebra: one matrix per group element.
+
+    Spins and Hom spaces read the matrices of the generating set
+    ``table.gens`` only.  A span stable under the generators is stable
+    under every product of them, and a map X with X g = g' X for the
+    generators commutes the same way with every product of them.  In a
+    finite group those products are the whole group, since g^-1 is the
+    power g^(o-1) for g of order o, and the identity acts as I.
+    """
 
     def __init__(self, table, field, mats, name=""):
         self.table = table
@@ -1093,8 +1152,11 @@ class GroupModule:
         self.dim = len(mats[0]) if mats else 0
         self.name = name
 
+    def gen_mats(self):
+        return [self.mats[g] for g in self.table.gens]
+
     def spin(self, vec):
-        return spin(self.mats, [vec], self.field).sorted_rows()
+        return spin(self.gen_mats(), [vec], self.field).sorted_rows()
 
     def submodule(self, rows, name=""):
         """The module on the span of ``rows``, an independent basis, in its coordinates."""
@@ -1104,10 +1166,11 @@ class GroupModule:
         return GroupModule(self.table, self.field, mats, name=name)
 
     def end_dim(self):
-        return len(intertwiner_space(self.mats, self.mats, self.field))
+        return self.hom_dim(self)
 
     def hom_dim(self, other):
-        return len(intertwiner_space(self.mats, other.mats, self.field))
+        return len(intertwiner_space(self.gen_mats(), other.gen_mats(), self.dim, other.dim,
+                                     self.field))
 
 
 def regular_module(table: GroupTable, field) -> GroupModule:
@@ -1122,13 +1185,7 @@ def abelian_characters(table: GroupTable, field):
     if f.n % e != 0:
         raise StructureError(
             f"field Q(zeta_{f.n}) does not contain the needed roots of unity")
-    # greedy generating set
-    gens = []
-    generated = {table.identity}
-    for x in range(table.n):
-        if x not in generated:
-            gens.append(x)
-            generated = set(table.generated(gens))
+    gens = table.gens
     choices = []
     for g in gens:
         o = table.order_of(g)

@@ -441,16 +441,19 @@ def intertwines(X, src_gens, tgt_gens):
     return all(mat_mul(X, S) == mat_mul(T, X) for S, T in zip(src_gens, tgt_gens))
 
 
-def intertwiner_space(src_gens, tgt_gens, field, src_blocks=None, tgt_blocks=None):
-    """Matrices X with X g_src = g_tgt X for every generator pair.
+def intertwiner_space(src_gens, tgt_gens, ns, nt, field, src_blocks=None, tgt_blocks=None):
+    """Matrices X with X g_src = g_tgt X for every generator pair, X from
+    the source of dimension ns to the target of dimension nt.
 
-    Optional block labels (one per basis vector) restrict X to entries whose
-    source and target labels agree, which is how grading constraints enter.
-    Returns a list of matrices forming a basis of the space: the
-    ``sparse_nullspace`` basis over the allowed entries in row-major order.
+    The dimensions are arguments, not read off the generators: a generating
+    set may be empty (a one-dimensional coalgebra, a trivial group), and
+    then every X is an intertwiner.  Optional block labels (one per basis
+    vector) restrict X to entries whose source and target labels agree,
+    which is how grading constraints enter.  Returns a list of matrices
+    forming a basis of the space: the ``sparse_nullspace`` basis over the
+    allowed entries in row-major order, which depends only on the space, so
+    any generating set of the acting algebra gives the same basis.
     """
-    ns = len(src_gens[0]) if src_gens else 0
-    nt = len(tgt_gens[0]) if tgt_gens else 0
     if src_blocks is None:
         src_blocks = [0] * ns
     if tgt_blocks is None:

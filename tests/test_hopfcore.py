@@ -35,6 +35,7 @@ from smallq.hopfcore import (
     find_iso,
     finite_group_triple,
     group_simples,
+    hom_cat,
     hopf_of_functions,
     identity_point,
     induce,
@@ -59,12 +60,14 @@ from smallq.hopfcore import (
 from smallq.linalg import (
     combine,
     identity,
+    intertwiner_space,
     intertwines,
     inverse,
     kron,
     mat_eq,
     mat_mul,
     mat_scale,
+    spin,
 )
 from smallq.scalars import CycloField
 
@@ -131,7 +134,7 @@ def test_cotensor_examples():
     triv = CoalgebraFD(f, [{(0, 0): f.one}], [f.one])
     rho_r = [{(0, 0): f.one}, {(0, 1): f.one}]
     rho_l = [{(0, 0): f.one}, {(0, 1): f.one}]
-    basis = cotensor(_columns_of(rho_r, triv.dim, f), _columns_of(rho_l, triv.dim, f), f)
+    basis = cotensor(_columns_of(rho_r, triv.dim, f), _columns_of(rho_l, triv.dim, f), 2, 2, f)
     assert len(basis) == 4
     # functions on Z/2: graded lines pair iff the degrees match
     z2 = CoalgebraFD(f, [{(0, 0): f.one, (1, 1): f.one},
@@ -143,7 +146,7 @@ def test_cotensor_examples():
             # left line of degree d2
             rr = [{(d1, 0): f.one}]
             ll = [{(d2, 0): f.one}]
-            got = len(cotensor(_columns_of(rr, z2.dim, f), _columns_of(ll, z2.dim, f), f))
+            got = len(cotensor(_columns_of(rr, z2.dim, f), _columns_of(ll, z2.dim, f), 1, 1, f))
             assert got == (1 if d1 == d2 else 0)
 
 
@@ -1156,3 +1159,111 @@ def test_first_factor_twist_breaks_compatibility_on_d6_centre():
             expected = gamma == ident
             assert hopfcore._respects_action(act, N.comodule.mats, T.O, T.iota_left) == expected
             assert _respects_action_by_kron(act, N.comodule.mats, T.O, T.iota_left) == expected
+
+
+# ---------------------------------------------------------------------------
+# Hom spaces, cotensors and spins on a generating set
+# ---------------------------------------------------------------------------
+
+def test_hom_spaces_and_cotensors_on_gens_equal_every_matrix(group_triple):
+    # the generating set J gives the same bases as every coaction matrix:
+    # the cotensor behind each Ind(M), Hom_Cat(N, Ind(M)) and Hom_a(Psi(N), M)
+    # on every pair the equivalence check visits, and Hom_a between catalog
+    # members
+    T = group_triple
+    f = T.field
+    assert len(T.A.gens) < T.A.dim - 1 and len(T.a.gens) < T.a.dim
+    a_cat, cat = standard_catalogs(T)
+    S = hopfcore.a_right_comodule_of_A(T)
+    inds = [induce(T, M) for M in a_cat]
+    for M, ind in zip(a_cat, inds):
+        assert ind.carrier_basis == cotensor(S, M.mats, T.A.dim, M.dim, f)
+        for M2 in a_cat:
+            assert comodule_hom_space(M, M2) == intertwiner_space(M.mats, M2.mats, M.dim,
+                                                                  M2.dim, f)
+    for N in cat:
+        Q, _ = psi(T, N)
+        for M, ind in zip(a_cat, inds):
+            assert hom_cat(T, N, ind) == intertwiner_space(
+                N.comodule.mats + N.act, ind.comodule.mats + ind.act, N.dim, ind.dim, f)
+            assert comodule_hom_space(Q, M) == intertwiner_space(Q.mats, M.mats, Q.dim,
+                                                                 M.dim, f)
+
+
+def test_group_modules_on_gens_equal_every_matrix(group_triple):
+    # Hom dimensions and spins of group modules read table.gens only
+    T = group_triple
+    f = T.field
+    for table in (T.group, T.a_table):
+        assert table.generated(table.gens) == list(range(table.n))
+        reg = hopfcore.regular_module(table, f)
+        mods = group_simples(table, f) + [reg]
+        for W in mods:
+            for V in mods:
+                assert W.hom_dim(V) == len(intertwiner_space(W.mats, V.mats, W.dim, V.dim, f))
+        for x in range(table.n):
+            seed = [(0, f.one), (x, f.one)] if x else [(0, f.one)]
+            assert reg.spin(seed) == spin(reg.mats, [seed], f).sorted_rows()
+
+
+def _s3_character(T, sign):
+    G = T.group
+    A3 = set(T.subgroup)
+    mats = [[[(0, T.field.one if g in A3 or not sign else -T.field.one)]] for g in range(G.n)]
+    return module_to_comodule(T, GroupModule(G, T.field, mats, name="sign" if sign else "1"))
+
+
+def test_a_set_that_does_not_generate_gives_larger_answers(s3_triple):
+    # negative control: the rotation r alone generates A3, not S3.  On it the
+    # sign character looks trivial: a nonzero Hom from sign to trivial, and a
+    # cotensor over functions on S3 twice the size
+    T = s3_triple
+    f = T.field
+    r, i = T.group.index["r"], T.group.index["i"]
+    assert T.A.gens == [r, i]
+    sign, triv = _s3_character(T, True), _s3_character(T, False)
+    assert comodule_hom_space(sign, triv) == []
+    assert len(intertwiner_space([sign.mats[r]], [triv.mats[r]], 1, 1, f)) == 1
+    # A as a right A-comodule: the (A, A, A) triple has a = A and pi = id
+    AAA = degenerate_triple_all_equal(T.A)
+    S = hopfcore.a_right_comodule_of_A(AAA)
+    assert AAA.a.gens == [r, i]
+    assert len(cotensor(AAA.a.at_gens(S), AAA.a.at_gens(sign.mats), T.A.dim, 1, f)) == 1
+    assert len(cotensor(S, sign.mats, T.A.dim, 1, f)) == 1
+    assert len(cotensor([S[r]], [sign.mats[r]], T.A.dim, 1, f)) == 2
+
+
+def test_hom_space_over_the_one_dimensional_coalgebra():
+    # J is empty: every map between comodules over k is a comodule map
+    f = CycloField(4)
+    C = CoalgebraFD(f, [{(0, 0): f.one}], [f.one])
+    assert C.gens == []
+    M2 = ComoduleFD(C, [identity(2, f.one)])
+    M3 = ComoduleFD(C, [identity(3, f.one)])
+    units = [[[(t, f.one)] if s == s0 else [] for s in range(2)]
+             for t in range(3) for s0 in range(2)]
+    assert comodule_hom_space(M2, M3) == units
+    assert len(cotensor([], [], 2, 3, f)) == 6
+    # the trivial group: no generators, the one simple is the trivial module
+    trivial = GroupTable(["e"], [[0]])
+    assert trivial.gens == []
+    assert [s.dim for s in group_simples(trivial, f)] == [1]
+    assert hopfcore.regular_module(trivial, f).end_dim() == 1
+
+
+def _dihedral_table(m):
+    # r^k s^b, with s r = r^-1 s
+    elems = [(k, b) for b in (0, 1) for k in range(m)]
+    index = {x: n for n, x in enumerate(elems)}
+    mult = [[index[((k1 - k2 if b1 else k1 + k2) % m, b1 ^ b2)] for k2, b2 in elems]
+            for k1, b1 in elems]
+    return GroupTable([f"r{k}" + "s" * b for k, b in elems], mult)
+
+
+def test_group_simples_d8():
+    # the dihedral group of order 16: four characters and three planes
+    table = _dihedral_table(8)
+    assert table.gens == [1, 8]
+    simples = group_simples(table, CycloField(table.exponent()))
+    assert [s.dim for s in simples] == [1, 1, 1, 1, 2, 2, 2]
+    assert all(s.end_dim() == 1 for s in simples)

@@ -212,7 +212,7 @@ def test_intertwiner_space_matches_kronecker_nullity(case):
     field, ns, nt, pairs, (src_blocks, tgt_blocks) = case
     zero, one = field.zero, field.one
     homs = intertwiner_space([columns(S) for S, _ in pairs], [columns(T) for _, T in pairs],
-                             field, src_blocks=src_blocks, tgt_blocks=tgt_blocks)
+                             ns, nt, field, src_blocks=src_blocks, tgt_blocks=tgt_blocks)
     allowed = [t * ns + s for t in range(nt) for s in range(ns)
                if src_blocks is None or src_blocks[s] == tgt_blocks[t]]
     dense_homs = []
@@ -521,7 +521,7 @@ def test_intertwines_matches_intertwiner_space(case):
     src, tgt = [columns(S) for S, _ in pairs], [columns(T) for _, T in pairs]
     moved = any(any(S[0][1:]) or any(row[0] for row in T[1:]) or S[0][0] != T[0][0]
                 for S, T in pairs)
-    for X in intertwiner_space(src, tgt, field):
+    for X in intertwiner_space(src, tgt, ns, nt, field):
         assert intertwines(X, src, tgt)
         bad = rows(X, nt, field.zero)
         bad[0][0] = bad[0][0] + field.one
