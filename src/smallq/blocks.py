@@ -347,7 +347,7 @@ def finite_block_bijection(T) -> Report:
     # condition (*): twisting by pullback comodules preserves the blocks
     ok_star = True
     star_witness = None
-    quot_simples = group_simples(T.quotient_group, f)
+    quot_simples = group_simples(T.quotient_group, T.O)
     for qs in quot_simples:
         FV = O_comodule_pullback(T, qs)
         for i, N in enumerate(A_simp):

@@ -111,29 +111,32 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="smallq")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--type", default=None, dest="cartan_type")
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--window", default=None)
-        p.add_argument("--suite", default=None)
+    # each subcommand registers only the flags it reads: any other is a
+    # usage error (exit 2), and so is the same key in a --config file
+    def common(p, root_datum):
+        if root_datum:
+            p.add_argument("--type", default=None, dest="cartan_type")
+            p.add_argument("--ell", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "text"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--config", default=None)
         p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("linkage", help="block tables from the dot action")
-    common(p)
+    common(p, root_datum=True)
+    p.add_argument("--window", default=None)
+    p.add_argument("--suite", default=None)
 
     p = sub.add_parser("frobenius-check", help="Frobenius/small-group suites")
-    common(p)
+    common(p, root_datum=True)
     p.add_argument("--corrupt", action="store_true",
                    help="perturb one module entry (negative control)")
     p.add_argument("--max-weyl", type=int, default=None)
     p.add_argument("--max-tensor", type=int, default=None)
 
     p = sub.add_parser("triple-verify", help="(O, A, a) triple verification")
-    common(p)
+    common(p, root_datum=False)
     # one source of the group table: both given is a usage error (exit 2)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--group", default=None, help="path to a group table file")
@@ -145,6 +148,7 @@ def build_parser():
 
 
 SUITES = ("verify", "predict")
+FORMATS = ("json", "text")
 
 # frobenius-check catalog budget: larger sizes are refused with exit 2
 MAX_WEYL = 40
@@ -166,19 +170,23 @@ def resolve_config(args):
         renames = {"type": "cartan_type"}
         for k, v in file_cfg.items():
             key = renames.get(k, k)
+            # the keys are the flags the subcommand registers
+            if key not in _DEFAULTS or not hasattr(args, key):
+                raise UsageError(f"config key {k!r} is not read by {args.command}")
             if key in ("ell", "seed", "max_weyl", "max_tensor"):
                 try:
                     v = int(v)
                 except ValueError:
                     raise UsageError(f"{k} must be an integer") from None
             cfg[key] = v
-    for key in ("cartan_type", "ell", "window", "suite", "seed", "out",
-                "format", "max_weyl", "max_tensor"):
+    for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if cfg["suite"] not in SUITES:
         raise UsageError(f"unknown suite {cfg['suite']!r} (use {' or '.join(SUITES)})")
+    if cfg["format"] not in FORMATS:
+        raise UsageError(f"unknown format {cfg['format']!r} (use {' or '.join(FORMATS)})")
     for key in ("max_weyl", "max_tensor"):
         if cfg[key] < 0:
             raise UsageError(f"--{key.replace('_', '-')} must be non-negative")

@@ -4,9 +4,9 @@ Everything is a structure tensor over an exact cyclotomic field: coalgebras
 carry a comultiplication tensor and counit, Hopf algebras add multiplication,
 unit and antipode, comodules carry their coaction matrices.  All axioms are
 asserted at construction time as exact identities.  Every matrix is its
-sparse columns (see ``linalg``): coaction and action matrices, group-module
-matrices, the maps between carriers and the structure maps ``iota``, ``pi``,
-``ract`` and ``antipode`` of a triple or Hopf algebra alike.
+sparse columns (see ``linalg``): coaction and action matrices, the maps
+between carriers and the structure maps ``iota``, ``pi``, ``ract`` and
+``antipode`` of a triple or Hopf algebra alike.
 
 The engine realizes the induction functor Ind(M) = (A (x) M)^a as an exact
 cotensor nullspace, the de-equivariantization Psi(N) = C (x)_O N as an exact
@@ -16,9 +16,11 @@ Spec(O), and the reconstruction of A-comodules from equivariant objects.
 
 Finite-group triples O = functions(H''/H'), A = functions(H''),
 a = functions(H') are the verifiable instances; group tables are ingested
-from a plain-text format (one line per product) and simple modules are found
-by exact character/spin decomposition of the regular representation, which
-works over the cyclotomic splitting field Q(zeta_exponent).
+from a plain-text format (one line per product) and simple comodules are
+found by exact character/spin decomposition of the regular comodule of the
+function coalgebra, which works over the cyclotomic splitting field
+Q(zeta_exponent).  A group representation is such a comodule: R_g is the
+action of g^-1.
 """
 
 from __future__ import annotations
@@ -1131,52 +1133,8 @@ def comodule_direct_sum(M1: ComoduleFD, M2: ComoduleFD) -> ComoduleFD:
 
 
 # ---------------------------------------------------------------------------
-# simple modules of a finite group over a splitting cyclotomic field
+# simple comodules of functions on a finite group, splitting cyclotomic field
 # ---------------------------------------------------------------------------
-
-class GroupModule:
-    """Module over a group algebra: one matrix per group element.
-
-    Spins and Hom spaces read the matrices of the generating set
-    ``table.gens`` only.  A span stable under the generators is stable
-    under every product of them, and a map X with X g = g' X for the
-    generators commutes the same way with every product of them.  In a
-    finite group those products are the whole group, since g^-1 is the
-    power g^(o-1) for g of order o, and the identity acts as I.
-    """
-
-    def __init__(self, table, field, mats, name=""):
-        self.table = table
-        self.field = field
-        self.mats = mats
-        self.dim = len(mats[0]) if mats else 0
-        self.name = name
-
-    def gen_mats(self):
-        return [self.mats[g] for g in self.table.gens]
-
-    def spin(self, vec):
-        return spin(self.gen_mats(), [vec], self.field).sorted_rows()
-
-    def submodule(self, rows, name=""):
-        """The module on the span of ``rows``, an independent basis, in its coordinates."""
-        mats = restrict(self.mats, rows, self.field)
-        if mats is None:
-            raise StructureError("not a submodule")
-        return GroupModule(self.table, self.field, mats, name=name)
-
-    def end_dim(self):
-        return self.hom_dim(self)
-
-    def hom_dim(self, other):
-        return len(intertwiner_space(self.gen_mats(), other.gen_mats(), self.dim, other.dim,
-                                     self.field))
-
-
-def regular_module(table: GroupTable, field) -> GroupModule:
-    mats = [[[(table.mult[g][x], field.one)] for x in range(table.n)] for g in range(table.n)]
-    return GroupModule(table, field, mats, name="regular")
-
 
 def abelian_characters(table: GroupTable, field):
     """All characters of an abelian group, values in the cyclotomic field."""
@@ -1221,24 +1179,30 @@ def abelian_characters(table: GroupTable, field):
     return chars
 
 
-def group_simples(table: GroupTable, field):
-    """All simple modules over the group algebra, exact, splitting field."""
-    f = field
-    reg = regular_module(table, f)
+def group_simples(table: GroupTable, coalg: CoalgebraFD):
+    """The simple comodules of the function coalgebra ``coalg`` of a group,
+    exact over a splitting field, found by splitting its regular comodule.
+
+    The regular coaction matrix R_g is left translation by g^-1, so the
+    projectors, sums over group elements h, take R at h^-1.  Spins and the
+    Schur and independence tests read the matrices at the generating set of
+    the dual algebra only, as ``comodule_hom_space`` does.
+    """
+    f = coalg.field
+    reg = coaction_matrices(coalg.delta, coalg.dim)
+    inv_of = table.inverse
     comm = table.commutator_subgroup()
     quot, rep_of = table.quotient(comm)
     chars = abelian_characters(quot, f)
-    simples = []
-    for chi in chars:
-        mats = [[[(0, chi[rep_of[g]])]] for g in range(table.n)]
-        simples.append(GroupModule(table, f, mats, name=f"chi{len(simples)}"))
-    total = sum(s.dim ** 2 for s in simples)
+    simples = [ComoduleFD(coalg, [[[(0, chi[rep_of[inv_of[g]]])]] for g in range(table.n)],
+                          name=f"chi{k}") for k, chi in enumerate(chars)]
+    total = len(simples)
     if total == table.n:
         return simples
-    # complement of the one-dimensional isotypics inside the regular module
+    # complement of the one-dimensional isotypics inside the regular comodule
     inv = f.from_int(table.n).inverse()
-    proj_sum = combine(((g, chi[rep_of[table.inverse[g]]] * inv)
-                        for chi in chars for g in range(table.n)), reg.mats)
+    proj_sum = combine(((inv_of[g], chi[rep_of[inv_of[g]]] * inv)
+                        for chi in chars for g in range(table.n)), reg)
     # kernel of the summed projector is the remaining isotypic part
     comp = sparse_nullspace(transpose(proj_sum, table.n), table.n, f)
     candidates = list(comp)
@@ -1255,8 +1219,8 @@ def group_simples(table: GroupTable, field):
             powers.append(table.mult[g][powers[-1]])
         for j in range(o):
             # sum_t zeta_o^(-j t) g^t, applied to each u in comp
-            proj = combine([(h, f.zeta((-(f.n // o) * j * t) % f.n))
-                            for t, h in enumerate(powers)], reg.mats)
+            proj = combine([(inv_of[h], f.zeta((-(f.n // o) * j * t) % f.n))
+                            for t, h in enumerate(powers)], reg)
             candidates += [v for v in mat_mul(proj, comp) if v]
     rng = random.Random(11)
     tries = 0
@@ -1271,30 +1235,21 @@ def group_simples(table: GroupTable, field):
             v = mat_mul(comp, [[(k, c) for k, c in enumerate(coeffs) if c]])[0]
             if not v:
                 continue
-        rows = reg.spin(v)
-        W = reg.submodule(rows, name=f"S{len(simples)}")
-        if W.end_dim() != 1:
+        rows = spin(coalg.at_gens(reg), [v], f).sorted_rows()
+        mats = restrict(reg, rows, f)
+        W = coalg.at_gens(mats)
+        d = len(rows)
+        # Schur: a simple candidate has a one-dimensional End, and a new one
+        # no map from any simple found so far
+        if len(intertwiner_space(W, W, d, d, f)) != 1:
             continue
-        if any(W.hom_dim(s) for s in simples):
+        if any(intertwiner_space(W, coalg.at_gens(s.mats), d, s.dim, f) for s in simples):
             continue
-        simples.append(W)
-        total += W.dim ** 2
+        simples.append(ComoduleFD(coalg, mats, name=f"S{len(simples)}"))
+        total += d ** 2
     if total != table.n:
-        raise StructureError("could not split the regular module into simples")
+        raise StructureError("could not split the regular comodule into simples")
     return simples
-
-
-def module_to_comodule(T: TripleFD, mod: GroupModule, side="A") -> ComoduleFD:
-    """Group module -> comodule over the function coalgebra.
-
-    rho(m) = sum_g delta_g (x) g^{-1}.m; the inverse makes the coaction
-    coassociative for nonabelian groups and recovers Delta on the regular
-    module.
-    """
-    coalg = T.A if side == "A" else T.a
-    table = T.group if side == "A" else T.a_table
-    mats = [mod.mats[table.inverse[g]] for g in range(table.n)]
-    return ComoduleFD(coalg, mats, name=mod.name)
 
 
 def a_simples(T: TripleFD):
@@ -1310,17 +1265,14 @@ def A_simples(T: TripleFD):
 def _simples(T: TripleFD, side):
     out = T._simples.get(side)
     if out is None:
-        table = T.group if side == "A" else T.a_table
-        out = T._simples[side] = [module_to_comodule(T, s, side=side)
-                                  for s in group_simples(table, T.field)]
+        out = T._simples[side] = (group_simples(T.group, T.A) if side == "A"
+                                  else group_simples(T.a_table, T.a))
     return out
 
 
-def O_comodule_pullback(T: TripleFD, mod: GroupModule) -> ComoduleFD:
-    """O-comodule (module over the quotient group) pushed to an A-comodule."""
-    quot = T.quotient_group
-    mats = _pushforward(T.iota, T.A.dim, [mod.mats[quot.inverse[q]] for q in range(quot.n)])
-    return ComoduleFD(T.A, mats, name=f"F*({mod.name})")
+def O_comodule_pullback(T: TripleFD, V: ComoduleFD) -> ComoduleFD:
+    """An O-comodule pushed forward along iota to an A-comodule."""
+    return ComoduleFD(T.A, _pushforward(T.iota, T.A.dim, V.mats), name=f"F*({V.name})")
 
 
 def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> ComoduleFD:

@@ -372,6 +372,48 @@ def test_config_file(capsys, tmp_path):
     assert len(rows) == 4
 
 
+def test_config_key_a_subcommand_does_not_read_exit_2(capsys, tmp_path):
+    # a misspelt key, a key another subcommand reads, and a setting that is
+    # no flag are refused before any work, not ignored
+    cfg = tmp_path / "run.cfg"
+    for command, line in (("linkage", "windwo=0..900"),
+                          ("linkage", "max_weyl=3"),
+                          ("linkage", "timing=1"),
+                          ("frobenius-check", "window=0..3"),
+                          ("frobenius-check", "suite=predict"),
+                          ("triple-verify", "ell=7"),
+                          ("triple-verify", "type=G2")):
+        cfg.write_text(f"{line}\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "triple-verify":
+            argv += ["--fixture", "z4_z2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", line
+        key = line.split("=")[0]
+        assert f"config key {key!r} is not read by {command}" in err
+        assert "Traceback" not in err
+
+
+def test_config_unknown_format_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=0..7\nformat=xml\n")
+    code, out, err = run_cli(["linkage", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "unknown format 'xml'" in err
+
+
+def test_flag_a_subcommand_does_not_read_exit_2(capsys):
+    for argv in (["triple-verify", "--fixture", "z4_z2", "--type", "G2"],
+                 ["triple-verify", "--fixture", "z4_z2", "--ell", "7"],
+                 ["triple-verify", "--fixture", "z4_z2", "--window", "0..3"],
+                 ["triple-verify", "--fixture", "z4_z2", "--suite", "verify"],
+                 ["frobenius-check", "--ell", "4", "--window", "0..3"],
+                 ["frobenius-check", "--ell", "4", "--suite", "predict"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments" in err
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(["linkage", "--type", "A1", "--ell", "4",
                             "--window", "0..7", "--format", "text"], capsys)

@@ -5,7 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from dense import columns, entries, rows, sparse
+from dense import columns, entries, rows
 
 from smallq import blocks, hopfcore
 from smallq.cli import main
@@ -14,7 +14,6 @@ from smallq.hopfcore import (
     CoalgebraFD,
     ComoduleFD,
     EquivariantObject,
-    GroupModule,
     GroupTable,
     HopfAlgebraFD,
     StructureError,
@@ -39,7 +38,6 @@ from smallq.hopfcore import (
     hopf_of_functions,
     identity_point,
     induce,
-    module_to_comodule,
     object_A,
     object_O,
     object_O_tensor,
@@ -246,48 +244,34 @@ def test_find_iso_negative_control(z4_triple, s3_triple):
     # isomorphism found is invertible and intertwines the coactions
     T = s3_triple
     f = T.field
-    V = next(s for s in group_simples(T.group, f) if s.dim == 2)
+    V = next(s for s in group_simples(T.group, T.A) if s.dim == 2)
     P = columns([[f.one, f.one], [f.zero, f.one]])
     P_inv = inverse(P, 2, f)
-    W = GroupModule(T.group, f, [mat_mul(mat_mul(P_inv, m), P) for m in V.mats], name="V'")
-    M1, M2 = module_to_comodule(T, V), module_to_comodule(T, W)
-    X = find_iso(comodule_hom_space(M1, M2), M2.dim, f)
-    assert X is not None and inverse(X, M2.dim, f) is not None
-    for R1, R2 in zip(M1.mats, M2.mats):
+    W = ComoduleFD(T.A, [mat_mul(mat_mul(P_inv, m), P) for m in V.mats], name="V'")
+    X = find_iso(comodule_hom_space(V, W), W.dim, f)
+    assert X is not None and inverse(X, W.dim, f) is not None
+    for R1, R2 in zip(V.mats, W.mats):
         assert mat_eq(mat_mul(X, R1), mat_mul(R2, X))
 
 
-def _block_diag(m1, m2, zero):
-    n1, n2 = len(m1), len(m2)
-    out = [[zero] * (n1 + n2) for _ in range(n1 + n2)]
-    for r in range(n1):
-        out[r][:n1] = m1[r]
-    for r in range(n2):
-        out[n1 + r][n1:] = m2[r]
-    return out
-
-
 def test_comodule_hom_space_character_oracle(z4_triple, s3_triple):
-    # dim Hom(M1, M2) = (1/|G|) sum_g chi1(g^-1) chi2(g), with the characters
-    # taken as traces of the group-module matrices
+    # dim Hom(M1, M2) = (1/|G|) sum_g chi1(g^-1) chi2(g).  g acts on a
+    # comodule over functions on G as R_{g^-1}, so the character of a simple
+    # is g -> tr R_{g^-1}; a direct sum adds characters, a tensor multiplies
     for T in (z4_triple, s3_triple):
         f, G = T.field, T.group
-        simples = [(s, module_to_comodule(T, s)) for s in group_simples(G, f)]
+        simples = [(c, [sum((entries(c.mats[G.inverse[g]]).get((i, i), f.zero)
+                             for i in range(c.dim)), f.zero) for g in range(G.n)])
+                   for c in group_simples(G, T.A)]
         objs = list(simples)
-        for (s1, c1), (s2, c2) in itertools.combinations_with_replacement(simples, 2):
-            mod = GroupModule(G, f, [columns(_block_diag(rows(a, s1.dim, f.zero),
-                                                         rows(b, s2.dim, f.zero), f.zero))
-                                     for a, b in zip(s1.mats, s2.mats)])
-            objs.append((mod, comodule_direct_sum(c1, c2)))
+        for (c1, chi1), (c2, chi2) in itertools.combinations_with_replacement(simples, 2):
+            objs.append((comodule_direct_sum(c1, c2), [x + y for x, y in zip(chi1, chi2)]))
         # the last simple is the largest: 2 (x) 2 = 1 + 1' + 2 on S3
-        s, c = simples[-1]
-        objs.append((GroupModule(G, f, [kron(m, m) for m in s.mats]),
-                     comodule_tensor(c, c, T.A)))
-        chars = [[sum((entries(m).get((i, i), f.zero) for i in range(mod.dim)), f.zero)
-                  for m in mod.mats] for mod, _ in objs]
+        c, chi = simples[-1]
+        objs.append((comodule_tensor(c, c, T.A), [x * x for x in chi]))
         order_inv = f.from_int(G.n).inverse()
-        for (_, c1), chi1 in zip(objs, chars):
-            for (_, c2), chi2 in zip(objs, chars):
+        for c1, chi1 in objs:
+            for c2, chi2 in objs:
                 inner = sum((chi1[G.inverse[g]] * chi2[g] for g in range(G.n)),
                             f.zero) * order_inv
                 assert f.from_int(len(comodule_hom_space(c1, c2))) == inner
@@ -476,7 +460,7 @@ def test_hom_adjunction_spot(z4_triple):
 def test_group_simples_sum_of_squares():
     table, _ = load_fixture("s3_a3")
     f = CycloField(6)
-    simples = group_simples(table, f)
+    simples = group_simples(table, hopf_of_functions(table, f))
     assert sum(s.dim ** 2 for s in simples) == 6
 
 
@@ -509,7 +493,7 @@ def test_quaternion_triple_stress():
     table = quaternion_table()
     assert table.exponent() == 4
     f = CycloField(4)
-    simples = group_simples(table, f)
+    simples = group_simples(table, hopf_of_functions(table, f))
     assert sorted(s.dim for s in simples) == [1, 1, 1, 1, 2]
     T = finite_group_triple(table, ["e", "i", "me", "mi"])
     assert (T.O.dim, T.A.dim, T.a.dim) == (2, 8, 4)
@@ -650,18 +634,6 @@ def test_simples_built_once_per_triple(monkeypatch):
 # ---------------------------------------------------------------------------
 # the restrict / descend / intertwines kernels in the triple engine
 # ---------------------------------------------------------------------------
-
-def test_group_submodule_rejects_unstable_span(s3_triple):
-    T = s3_triple
-    f = T.field
-    reg = hopfcore.regular_module(T.group, f)
-    line = sparse([f.one] + [f.zero] * (T.group.n - 1))
-    with pytest.raises(StructureError, match="not a submodule"):
-        reg.submodule([line])
-    # the sum of all group elements spans the trivial submodule
-    trivial = reg.submodule([sparse([f.one] * T.group.n)])
-    assert all(mat_eq(m, [[(0, f.one)]]) for m in trivial.mats)
-
 
 def _perturbed(mat, m, field):
     """A copy of mat, a matrix with m rows, with its first nonzero entry
@@ -1191,26 +1163,31 @@ def test_hom_spaces_and_cotensors_on_gens_equal_every_matrix(group_triple):
 
 
 def test_group_modules_on_gens_equal_every_matrix(group_triple):
-    # Hom dimensions and spins of group modules read table.gens only
+    # group modules are comodules over functions on the group: their Hom
+    # spaces, and the spins that split the regular one, read the matrices at
+    # the generating set of the dual algebra only
     T = group_triple
     f = T.field
-    for table in (T.group, T.a_table):
-        assert table.generated(table.gens) == list(range(table.n))
-        reg = hopfcore.regular_module(table, f)
-        mods = group_simples(table, f) + [reg]
+    for table, C in ((T.group, T.A), (T.a_table, T.a)):
+        assert table.generated(C.gens) == list(range(table.n))
+        reg = ComoduleFD(C, coaction_matrices(C.delta, C.dim), name="regular")
+        mods = group_simples(table, C) + [reg]
         for W in mods:
             for V in mods:
-                assert W.hom_dim(V) == len(intertwiner_space(W.mats, V.mats, W.dim, V.dim, f))
+                assert comodule_hom_space(W, V) == intertwiner_space(W.mats, V.mats, W.dim,
+                                                                     V.dim, f)
         for x in range(table.n):
             seed = [(0, f.one), (x, f.one)] if x else [(0, f.one)]
-            assert reg.spin(seed) == spin(reg.mats, [seed], f).sorted_rows()
+            assert (spin(C.at_gens(reg.mats), [seed], f).sorted_rows()
+                    == spin(reg.mats, [seed], f).sorted_rows())
 
 
 def _s3_character(T, sign):
-    G = T.group
+    # a character with chi(g^-1) = chi(g), so R_g = chi(g)
     A3 = set(T.subgroup)
-    mats = [[[(0, T.field.one if g in A3 or not sign else -T.field.one)]] for g in range(G.n)]
-    return module_to_comodule(T, GroupModule(G, T.field, mats, name="sign" if sign else "1"))
+    mats = [[[(0, T.field.one if g in A3 or not sign else -T.field.one)]]
+            for g in range(T.group.n)]
+    return ComoduleFD(T.A, mats, name="sign" if sign else "1")
 
 
 def test_a_set_that_does_not_generate_gives_larger_answers(s3_triple):
@@ -1244,11 +1221,13 @@ def test_hom_space_over_the_one_dimensional_coalgebra():
              for t in range(3) for s0 in range(2)]
     assert comodule_hom_space(M2, M3) == units
     assert len(cotensor([], [], 2, 3, f)) == 6
-    # the trivial group: no generators, the one simple is the trivial module
+    # the trivial group: no generators, the one simple is the trivial comodule
     trivial = GroupTable(["e"], [[0]])
-    assert trivial.gens == []
-    assert [s.dim for s in group_simples(trivial, f)] == [1]
-    assert hopfcore.regular_module(trivial, f).end_dim() == 1
+    k = hopf_of_functions(trivial, f)
+    assert trivial.gens == k.gens == []
+    assert [s.dim for s in group_simples(trivial, k)] == [1]
+    reg = ComoduleFD(k, coaction_matrices(k.delta, k.dim))
+    assert len(comodule_hom_space(reg, reg)) == 1
 
 
 def _dihedral_table(m):
@@ -1264,6 +1243,22 @@ def test_group_simples_d8():
     # the dihedral group of order 16: four characters and three planes
     table = _dihedral_table(8)
     assert table.gens == [1, 8]
-    simples = group_simples(table, CycloField(table.exponent()))
+    simples = group_simples(table, hopf_of_functions(table, CycloField(table.exponent())))
     assert [s.dim for s in simples] == [1, 1, 1, 1, 2, 2, 2]
-    assert all(s.end_dim() == 1 for s in simples)
+    assert all(len(comodule_hom_space(s, s)) == 1 for s in simples)
+
+
+def test_function_coalgebra_generators_are_the_group_generators():
+    # the generating set J of the dual of functions on a group is the
+    # greedy generating set of the group, so comodule spins and Hom spaces
+    # read the group elements a group-module computation would read
+    tables = [quaternion_table()] + [_dihedral_table(m) for m in range(3, 13)]
+    sources = [load_fixture(n) for n in ("z4_z2", "s3_a3", "d6_centre", "s3_bad")]
+    for table, sub in sources + [_golden_d4()]:
+        idx = table.subgroup_indices(sub)
+        tables += [table, table.subgroup_table(idx)]
+        if table.is_normal(idx):
+            tables.append(table.quotient(idx)[0])
+    for table in tables:
+        f = CycloField(table.exponent())
+        assert hopf_of_functions(table, f).gens == table.gens
