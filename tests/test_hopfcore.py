@@ -1,5 +1,7 @@
 """The (O, A, a) triple engine on finite-group instances."""
 
+import functools
+import hashlib
 import itertools
 from importlib import resources
 from pathlib import Path
@@ -1239,13 +1241,76 @@ def _dihedral_table(m):
     return GroupTable([f"r{k}" + "s" * b for k, b in elems], mult)
 
 
-def test_group_simples_d8():
-    # the dihedral group of order 16: four characters and three planes
-    table = _dihedral_table(8)
-    assert table.gens == [1, 8]
-    simples = group_simples(table, hopf_of_functions(table, CycloField(table.exponent())))
-    assert [s.dim for s in simples] == [1, 1, 1, 1, 2, 2, 2]
-    assert all(len(comodule_hom_space(s, s)) == 1 for s in simples)
+def _a4_table():
+    # the even permutations of 0..3, closed from a 3-cycle and a double
+    # transposition in the order the closure meets them
+    def mul(p, q):          # apply q first, then p
+        return tuple(p[q[i]] for i in range(4))
+    elems, frontier = [(0, 1, 2, 3)], [(0, 1, 2, 3)]
+    while frontier:
+        new = [mul(x, g) for x in frontier for g in ((1, 2, 0, 3), (1, 0, 3, 2))]
+        frontier = [y for n, y in enumerate(new) if y not in elems and y not in new[:n]]
+        elems += frontier
+    index = {x: n for n, x in enumerate(elems)}
+    return GroupTable(["".join(map(str, x)) for x in elems],
+                      [[index[mul(x, y)] for y in elems] for x in elems])
+
+
+SIMPLE_TABLES = {"Q8": quaternion_table, "A4": _a4_table,
+                 **{f"D{m}": (lambda m=m: _dihedral_table(m)) for m in range(3, 13)}}
+
+
+@functools.lru_cache(maxsize=None)
+def _simples_of(name):
+    table = SIMPLE_TABLES[name]()
+    return table, group_simples(table, hopf_of_functions(table, CycloField(table.exponent())))
+
+
+SIMPLE_DIMS = {
+    "Q8": [1, 1, 1, 1, 2], "A4": [1, 1, 1, 3],
+    "D3": [1, 1, 2], "D4": [1, 1, 1, 1, 2], "D5": [1, 1, 2, 2],
+    "D6": [1, 1, 1, 1, 2, 2], "D7": [1, 1, 2, 2, 2], "D8": [1, 1, 1, 1, 2, 2, 2],
+    "D9": [1, 1, 2, 2, 2, 2], "D10": [1, 1, 1, 1, 2, 2, 2, 2],
+    "D11": [1, 1, 2, 2, 2, 2, 2], "D12": [1, 1, 1, 1, 2, 2, 2, 2, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_TABLES))
+def test_group_simples_dimensions_and_schur(name):
+    # the split of the regular comodule: sum d^2 = |G|, a one-dimensional
+    # End per simple and no map between two of them
+    table, simples = _simples_of(name)
+    if name == "D8":
+        assert table.gens == [1, 8]
+    assert [s.dim for s in simples] == SIMPLE_DIMS[name]
+    assert sum(s.dim ** 2 for s in simples) == table.n
+    for s, t in itertools.product(simples, repeat=2):
+        assert len(comodule_hom_space(s, t)) == (1 if s is t else 0)
+
+
+# sha256 of repr of every simple's name and coaction matrices, per table: the
+# bases the split picks, which the induced coactions and reports build on
+SIMPLES_DIGEST = {
+    "A4": "8c62c3d56f1d72edd197566b73ac39e8e9670fe6c6bee751eb8f7567e0a5f52f",
+    "D10": "2f9e2170531ca10118ca822465e44753f92d0c7d10a61aee801e6572effb9123",
+    "D11": "df5b58d74868cdf996cd4b2e4ab924f182ff550d5bd5b77f9cc0b4bcf39c1efc",
+    "D12": "7cdf42e3b73237efb81d4598d59bc1c5569d67a4d3bd09a7d96e33d455f1b956",
+    "D3": "71fd337fe4ad1c928975591373f7939c8ac10fbe8f45620da072bf8b8204d740",
+    "D4": "548b45f909d4f5e16e3ade5aa3c6be35021371e75387adb3940ee2f72fb54340",
+    "D5": "49c513fa63136fa38e49bcc79bc688f3296796f3a53c889b6894bbb3f3c51254",
+    "D6": "ebe91ab83a07c74f640bbd5a0c4c969416e7be0a8d0ac4bee2aa10578d92afd1",
+    "D7": "0387c21a781a2f7cfbb99f74e11934de11852faf1236cacc5798b7022c9c562c",
+    "D8": "9cf807ba108f6c7471719212c7d8a68c6284e58660b89334e7f9687612791743",
+    "D9": "220b34ecd30ad404c2d3cb2dffcbb5cb148beb795b598519a2d68deed17a7a4b",
+    "Q8": "5edd2cf84519d6f329459658bcb8886704469267dbe498f8764e1da284d092ad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_TABLES))
+def test_group_simples_digest(name):
+    _, simples = _simples_of(name)
+    text = repr([(s.name, s.mats) for s in simples])
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMPLES_DIGEST[name]
 
 
 def test_function_coalgebra_generators_are_the_group_generators():
