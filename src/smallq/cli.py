@@ -13,7 +13,8 @@ Subcommands:
 
 Reports are emitted as JSON (default) or text.  With a fixed config and seed
 the JSON output is byte-identical across runs; timing is only included when
---timing is passed, precisely so that default reports stay stable.
+--timing is passed, precisely so that default reports stay stable.  No
+computation draws random numbers: --seed only sets params.seed in the report.
 
 frobenius-check refuses a catalog beyond its budget with exit 2: --max-weyl
 at most 40 and --max-tensor at most 8, whether the size comes from a flag or

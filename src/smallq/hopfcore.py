@@ -25,7 +25,6 @@ action of g^-1.
 
 from __future__ import annotations
 
-import random
 from math import gcd
 
 from .linalg import (
@@ -1028,8 +1027,11 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
                  counterexample=f"O basis index {j}")
 
     # (ii): invariants of the right a-comodule structure on A
-    # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x
-    inv_basis = _fixed_vectors(a_right_comodule_of_A(T), gl, f)
+    # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x: a map
+    # into A from the one-dimensional comodule with R_c = [g_c]
+    S, g = a_right_comodule_of_A(T), dict(gl)
+    line = [[[(0, g[c])] if c in g else []] for c in range(len(S))]
+    inv_basis = [X[0] for X in intertwiner_space(line, S, 1, T.A.dim, f)]
     span = RowBasis(f, T.iota)
     if len(inv_basis) == span.dim and all(span.contains(v) for v in inv_basis):
         rep.ok("ii", f"A^a has dimension {len(inv_basis)} = dim O")
@@ -1054,21 +1056,20 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
         rep.skip("iv_a", "no freeness witness found (flatness unknown)")
 
     # (iv b): exactness and faithfulness witnesses on the catalog
-    simples = catalog if catalog is not None else None
-    if simples is None:
+    if catalog is None:
         rep.skip("iv_b", "no catalog supplied")
     else:
         okb = True
         detail = []
-        dims = [induce(T, M).dim for M in simples]
-        for M, d in zip(simples, dims):
+        dims = [induce(T, M).dim for M in catalog]
+        for M, d in zip(catalog, dims):
             if M.dim > 0 and d == 0:
                 okb = False
                 detail.append(f"Ind({M.name}) = 0")
         # additivity on split exact sequences from pairs
-        for i1 in range(len(simples)):
-            for i2 in range(i1, len(simples)):
-                M1, M2 = simples[i1], simples[i2]
+        for i1 in range(len(catalog)):
+            for i2 in range(i1, len(catalog)):
+                M1, M2 = catalog[i1], catalog[i2]
                 d_sum = induce(T, comodule_direct_sum(M1, M2)).dim
                 if d_sum != dims[i1] + dims[i2]:
                     okb = False
@@ -1078,22 +1079,6 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
         else:
             rep.fail("iv_b", "; ".join(detail), counterexample=detail[0])
     return rep
-
-
-def _fixed_vectors(cols, values, field):
-    """Basis of the vectors v with M_k v = values_k v for every k, the
-    values given as a sparse column.  One sparse equation per (k, row)."""
-    n = len(cols[0])
-    values = dict(values)
-    eqs = {}
-    for k, M in enumerate(cols):
-        s = values.get(k)
-        for x in range(n):
-            for y, v in M[x]:
-                eqs.setdefault((k, y), []).append((x, v))
-            if s is not None:
-                eqs.setdefault((k, x), []).append((x, -s))
-    return sparse_nullspace(eqs.values(), n, field)
 
 
 def _freeness_witness(T: TripleFD):
@@ -1185,11 +1170,19 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
 
     The regular coaction matrix R_g is left translation by g^-1, so the
     projectors, sums over group elements h, take R at h^-1.  Spins and the
-    Schur and independence tests read the matrices at the generating set of
-    the dual algebra only, as ``comodule_hom_space`` does.
+    Schur and novelty tests read the matrices at the generating set of the
+    dual algebra only, as ``comodule_hom_space`` does.
+
+    The answer carries its certificate.  The group algebra is semisimple, so
+    a comodule with a one-dimensional End is simple, one with no map from a
+    simple kept earlier is new, and distinct simples with sum d^2 = |G| are
+    all of them.  A span with total + d^2 > |G| is therefore no new simple
+    and is passed over untested.  One deterministic pass over the candidates
+    either reaches that sum or raises ``StructureError``.
     """
     f = coalg.field
     reg = coaction_matrices(coalg.delta, coalg.dim)
+    gens = coalg.at_gens(reg)
     inv_of = table.inverse
     comm = table.commutator_subgroup()
     quot, rep_of = table.quotient(comm)
@@ -1205,51 +1198,44 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
                         for chi in chars for g in range(table.n)), reg)
     # kernel of the summed projector is the remaining isotypic part
     comp = sparse_nullspace(transpose(proj_sum, table.n), table.n, f)
-    candidates = list(comp)
-    # character projections along cyclic subgroups: a non-scalar finite-order
-    # matrix has several eigenvalues, so projecting onto one of them cuts a
-    # split two-dimensional block down to rank one -- deterministic seeds for
-    # the spin, no luck required
-    for g in range(table.n):
-        o = table.order_of(g)
-        if o == 1:
-            continue
-        powers = [table.identity]          # g^t, t < o
-        for _ in range(o - 1):
-            powers.append(table.mult[g][powers[-1]])
-        for j in range(o):
-            # sum_t zeta_o^(-j t) g^t, applied to each u in comp
-            proj = combine([(inv_of[h], f.zeta((-(f.n // o) * j * t) % f.n))
-                            for t, h in enumerate(powers)], reg)
-            candidates += [v for v in mat_mul(proj, comp) if v]
-    rng = random.Random(11)
-    tries = 0
-    max_tries = 200 + len(candidates)
-    while total < table.n and tries < max_tries:
-        tries += 1
-        if candidates:
-            v = candidates.pop(0)
-        else:
-            # last resort: random field coefficients
-            coeffs = [f.elem([rng.randint(-2, 2) for _ in range(f.degree)]) for _ in comp]
-            v = mat_mul(comp, [[(k, c) for k, c in enumerate(coeffs) if c]])[0]
-            if not v:
+
+    def candidates():
+        # the basis of the complement, then its character projections along
+        # cyclic subgroups: a non-scalar finite-order matrix has several
+        # eigenvalues, so projecting onto one of them cuts a split
+        # two-dimensional block down to rank one
+        yield from comp
+        for g in range(table.n):
+            o = table.order_of(g)
+            if o == 1:
                 continue
-        rows = spin(coalg.at_gens(reg), [v], f).sorted_rows()
-        mats = restrict(reg, rows, f)
-        W = coalg.at_gens(mats)
+            powers = [table.identity]          # g^t, t < o
+            for _ in range(o - 1):
+                powers.append(table.mult[g][powers[-1]])
+            for j in range(o):
+                # sum_t zeta_o^(-j t) g^t, applied to each u in comp
+                proj = combine([(inv_of[h], f.zeta((-(f.n // o) * j * t) % f.n))
+                                for t, h in enumerate(powers)], reg)
+                yield from (v for v in mat_mul(proj, comp) if v)
+
+    for v in candidates():
+        rows = spin(gens, [v], f).sorted_rows()
         d = len(rows)
+        if total + d ** 2 > table.n:
+            continue
+        W = restrict(gens, rows, f)
         # Schur: a simple candidate has a one-dimensional End, and a new one
         # no map from any simple found so far
         if len(intertwiner_space(W, W, d, d, f)) != 1:
             continue
         if any(intertwiner_space(W, coalg.at_gens(s.mats), d, s.dim, f) for s in simples):
             continue
-        simples.append(ComoduleFD(coalg, mats, name=f"S{len(simples)}"))
+        # the span is stable under the generators, so under every R_g
+        simples.append(ComoduleFD(coalg, restrict(reg, rows, f), name=f"S{len(simples)}"))
         total += d ** 2
-    if total != table.n:
-        raise StructureError("could not split the regular comodule into simples")
-    return simples
+        if total == table.n:
+            return simples
+    raise StructureError("could not split the regular comodule into simples")
 
 
 def a_simples(T: TripleFD):
@@ -1306,14 +1292,12 @@ def standard_catalogs(T: TripleFD):
     return a_cat, cat
 
 
-def verify_equivalence(T: TripleFD, catalogs=None) -> Report:
+def verify_equivalence(T: TripleFD) -> Report:
     """Both adjunction transformations are bijective on the full catalog."""
     rep = Report(f"equivalence[{T.name}]")
     f = T.field
-    if catalogs is None:
-        catalogs = standard_catalogs(T)
-    a_cat, cat = catalogs
-    cond = check_conditions(T, catalog=[M for M in a_cat])
+    a_cat, cat = standard_catalogs(T)
+    cond = check_conditions(T, catalog=a_cat)
     rep.extend(cond, prefix="cond/")
     for N in cat:
         mat, ind, urep = adjunction_unit(T, N)
@@ -1454,8 +1438,11 @@ def equivariant_reconstruct(T: TripleFD, E: EquivariantObject):
     carrying the descended A-coaction.  Returns (A-comodule, inclusion)."""
     f = T.field
     N = E.N
-    # x is coinvariant when rho_o(x) = 1 (x) x, that is R_o x = 1_o x
-    basis = _fixed_vectors(E.gamma.mats, _canon(T.O.unit), f)
+    # x is coinvariant when rho_o(x) = 1 (x) x, that is R_o x = 1_o x: a map
+    # into N from the one-dimensional comodule with R_o = [1_o]
+    unit = T.O.unit
+    line = [[[(0, unit[o])] if unit.get(o) else []] for o in range(T.O.dim)]
+    basis = [X[0] for X in intertwiner_space(line, E.gamma.mats, 1, N.dim, f)]
     # descended A-coaction on the coinvariants
     mats = restrict(N.comodule.mats, basis, f)
     if mats is None:

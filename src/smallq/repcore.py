@@ -348,20 +348,19 @@ def direct_sum(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
 def relation_check(module: WeightModule) -> Report:
     """Evaluate every defining relation as an exact matrix identity at zeta.
 
-    The K-relations hold structurally through the grading (re-verified), the
-    E-F commutator is compared against the K-binomial scalar rule, Serre
-    relations are checked for every pair of distinct vertices, and when the
-    generic layer is available the divided powers are checked against plain
-    powers, X^ell_i = [ell_i]! X^(ell_i) in Z[v, v^-1].
+    The K-relations hold structurally through the grading, which each layer
+    passed when it came into existence (a lazy generic layer on the read
+    below), the E-F commutator is compared against the K-binomial scalar
+    rule, Serre relations are checked for every pair of distinct vertices,
+    and when the generic layer is available the divided powers are checked
+    against plain powers, X^ell_i = [ell_i]! X^(ell_i) in Z[v, v^-1].
     """
     rep = Report(f"relations[{module.name}]")
     params = module.params
     datum = module.datum
     f = params.field
     try:
-        for layer in (module.z, module.g):
-            if layer is not None:
-                _check_grading(module, layer)
+        module.g        # builds, and so checks, a lazy generic layer
         rep.ok("grading", "all generator entries shift weights by the prescribed roots")
     except LatticeError as exc:
         rep.fail("grading", str(exc), counterexample=str(exc))

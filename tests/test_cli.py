@@ -307,7 +307,7 @@ def test_twist_coherence_builds_each_inner_twist_once(capsys, monkeypatch):
 def test_triple_verify_engine_fault_is_a_failed_check(capsys, monkeypatch):
     # a StructureError after the table parsed: a failed check carrying its
     # message, the checks before it kept, exit 1 and no traceback
-    def broken(T, catalogs=None):
+    def broken(T):
         raise hopfcore.StructureError("engine fault for the test")
 
     monkeypatch.setattr(hopfcore, "verify_equivalence", broken)

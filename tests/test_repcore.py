@@ -614,3 +614,14 @@ def test_generic_layer_that_breaks_the_grading_raises_on_first_read():
             lazy.g
     with pytest.raises(LatticeError, match="violates the grading"):
         repcore.WeightModule(A1, P4, w.weights, w.z, bad, name="W(4)")
+
+
+def test_relation_check_reads_a_lazy_generic_layer_first():
+    # a lazily built generic layer is checked on every read until it passes,
+    # so relation_check, which reads it, raises on a broken one
+    w = weyl_module(4, P4)
+    bad = repcore.GenSet(w.g.efam, w.g.efam)
+    lazy = repcore.WeightModule(A1, P4, w.weights, w.z, lambda: bad, name="W(4)")
+    with pytest.raises(LatticeError, match=r"F_0\^\(1\) entry \(\d+,\d+\) violates"):
+        repcore.relation_check(lazy)
+    assert repcore.relation_check(w).passed
