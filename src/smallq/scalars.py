@@ -381,7 +381,9 @@ class LaurentPoly:
 
     No zero coefficient is stored, so each value has one form: ``==`` is a
     dict comparison and ``hash`` agrees with it.  The constructor drops any
-    zero it is given and refuses a coefficient that is not an int.
+    zero it is given and refuses a coefficient that is not an int; the
+    arithmetic below, whose results are ints with no zero by construction,
+    goes through ``_trusted`` and skips that scan.
     """
 
     __slots__ = ("ring", "c")
@@ -429,7 +431,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(self.ring, out)
+        return _trusted(self.ring, out)
 
     __radd__ = __add__
 
@@ -444,7 +446,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: -a for e, a in self.c.items()})
+        return _trusted(self.ring, {e: -a for e, a in self.c.items()})
 
     def __mul__(self, other):
         ring = self.ring
@@ -452,18 +454,26 @@ class LaurentPoly:
             # Z has no zero divisors: a nonzero scalar keeps every term
             if not other:
                 return ring.zero
-            return LaurentPoly(ring, {e: a * other for e, a in self.c.items()})
+            return _trusted(ring, {e: a * other for e, a in self.c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.c or not other.c:
+        p, q = self.c, other.c
+        if not p or not q:
             return ring.zero
+        # a one-term factor b v^k is a shift by k and a scale by b, and Z has
+        # no zero divisors
+        if len(p) == 1:
+            p, q = q, p
+        if len(q) == 1:
+            (k, b), = q.items()
+            return _trusted(ring, {e + k: a * b for e, a in p.items()})
         acc = {}
         get = acc.get
-        for e1, c1 in self.c.items():
-            for e2, c2 in other.c.items():
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
                 k = e1 + e2
                 acc[k] = get(k, 0) + c1 * c2
-        return LaurentPoly(ring, {e: a for e, a in acc.items() if a})
+        return _trusted(ring, {e: a for e, a in acc.items() if a})
 
     __rmul__ = __mul__
 
@@ -482,7 +492,7 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         if k == 0:
             return self
-        return LaurentPoly(self.ring, {e + k: a for e, a in self.c.items()})
+        return _trusted(self.ring, {e + k: a for e, a in self.c.items()})
 
     def eval_zeta(self) -> CycloElem:
         """Evaluate at v = zeta, the generator of the ring's field."""
@@ -527,7 +537,7 @@ class LaurentPoly:
         if any(a):
             raise ExactDivisionError("non-exact Laurent division")
         shift = lo_n - lo_d
-        return LaurentPoly(ring, {i + shift: c for i, c in enumerate(q) if c})
+        return _trusted(ring, {i + shift: c for i, c in enumerate(q) if c})
 
     def __repr__(self):
         if not self.c:
@@ -541,6 +551,14 @@ class LaurentPoly:
                 ve = "v" if e == 1 else f"v^{e}"
                 parts.append(ve if coeff == "1" else f"({coeff})*{ve}")
         return " + ".join(parts)
+
+
+def _trusted(ring, coeffs: dict) -> LaurentPoly:
+    """A LaurentPoly on coeffs, unchecked: every value a nonzero int."""
+    p = object.__new__(LaurentPoly)
+    p.ring = ring
+    p.c = coeffs
+    return p
 
 
 # ---------------------------------------------------------------------------

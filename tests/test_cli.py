@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import smallq
-from smallq import blocks, hopfcore
+from smallq import blocks, cli, hopfcore
 from smallq.cli import MAX_A1_WINDOW, MAX_WINDOW_WEIGHTS, main, parse_window, UsageError
 
 
@@ -171,6 +172,46 @@ def test_frobenius_check_corrupt_empty_catalog_exit_2(capsys):
     fails = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert fails == ["relations[W(0)(x)W(1)+corrupted]",
                      "commutator[W(0)(x)W(1)+corrupted]"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_frobenius_check_streams_its_catalog(capsys, monkeypatch, corrupt):
+    # only the tensor factors W(0..2) are kept: a W(lam) above them is dead
+    # before the next entry is built, and so is every earlier tensor product
+    max_weyl, max_tensor = 6, 2
+    weyls, tensors = [], []
+
+    def assert_dropped():
+        assert [lam for lam, ref in weyls if lam > max_tensor and ref()] == []
+        assert [k for k, ref in enumerate(tensors) if ref()] == []
+
+    def weyl_module(lam, *args, **kwargs):
+        assert_dropped()
+        module = build_weyl(lam, *args, **kwargs)
+        weyls.append((lam, weakref.ref(module)))
+        return module
+
+    def tensor_product(M, N, *args, **kwargs):
+        assert_dropped()
+        module = build_tensor(M, N, *args, **kwargs)
+        tensors.append(weakref.ref(module))
+        return module
+
+    build_weyl, build_tensor = cli.weyl_module, cli.tensor_product
+    monkeypatch.setattr(cli, "weyl_module", weyl_module)
+    monkeypatch.setattr(cli, "tensor_product", tensor_product)
+    code, out, _ = run_cli(["frobenius-check", "--ell", "4", "--max-weyl", str(max_weyl),
+                            "--max-tensor", str(max_tensor)]
+                           + ["--corrupt"] * corrupt, capsys)
+    assert code == (1 if corrupt else 0)
+    assert [lam for lam, _ in weyls] == list(range(max_weyl + 1))
+    assert len(tensors) == (max_tensor + 1) ** 2
+    assert_dropped()
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[:4] == ["relations[W(0)]", "commutator[W(0)]",
+                         "relations[W(1)+corrupted]" if corrupt else "relations[W(1)]",
+                         "commutator[W(1)+corrupted]" if corrupt else "commutator[W(1)]"]
+    assert names[2 * (max_weyl + 1)] == "relations[W(0)(x)W(0)]"
 
 
 def _refused_linkage(capsys, argv):

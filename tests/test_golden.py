@@ -13,7 +13,10 @@ restricted submodules and quotients), before it was peeled on index sets.
 The ell 8 frobenius-check file (Weyl modules up to
 W(20), tensor products of W(0..6)) was written while Laurent polynomials
 still boxed every integer coefficient into the cyclotomic field; it is the
-one report that builds generic families of high degree. The triple-verify files were written before the triple
+one report that builds generic families of high degree. The ell 6
+frobenius-check file is the catalog at both budget caps (W(0..40), tensor
+products of W(0..8)); it was written while the whole catalog was built
+before its first entry was checked. The triple-verify files were written before the triple
 engine stored its induced objects; the D4 table next to them is a seeded
 relabelling of the dihedral group over its rotations. The D6 report was
 written when ``twist`` moved the point to the last Sweedler factor; D6 over
@@ -46,6 +49,8 @@ CASES = [
     ("frobenius-check_ell4.json", ["frobenius-check", "--ell", "4"]),
     ("frobenius-check_ell8_20-6.json",
      ["frobenius-check", "--ell", "8", "--max-weyl", "20", "--max-tensor", "6"]),
+    ("frobenius-check_ell6_40-8.json",
+     ["frobenius-check", "--ell", "6", "--max-weyl", "40", "--max-tensor", "8"]),
     ("triple-verify_z4_z2.json", ["triple-verify", "--fixture", "z4_z2"]),
     ("triple-verify_s3_a3.json", ["triple-verify", "--fixture", "s3_a3"]),
     ("triple-verify_D4_seed0.json",

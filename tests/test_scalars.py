@@ -461,6 +461,46 @@ def test_laurent_constructor_drops_zero_coefficients():
     assert LaurentPoly(ring, {0: 0, 1: 3}).c == {1: 3}
 
 
+# a coefficient of +-1, or one far past a machine word
+wide_coeff = st.one_of(st.sampled_from((1, -1)),
+                       st.integers(-10 ** 30, 10 ** 30).filter(bool))
+
+
+@st.composite
+def one_term(draw, ring):
+    """b v^k, k negative as often as not."""
+    return ring.from_int_dict({draw(st.integers(-40, 40)): draw(wide_coeff)})
+
+
+@st.composite
+def wide_laurent(draw, ring):
+    """The zero polynomial, one term, or several, with wide coefficients."""
+    return ring.from_int_dict(draw(st.dictionaries(
+        st.integers(-40, 40), wide_coeff, max_size=5)))
+
+
+@PROPERTY_SETTINGS
+@given(ell_values, st.data())
+def test_one_term_products_match_dict_convolution(ell, data):
+    # a one-term factor b v^k is a shift by k and a scale by b, on either side
+    ring = TOWER[ell].vring
+    m = data.draw(one_term(ring))
+    p = data.draw(st.one_of(wide_laurent(ring), one_term(ring), int_laurent(ring)))
+    (k, b), = m.c.items()
+    expected = naive_mul(m.c, p.c)
+    for got in (m * p, p * m):
+        assert got.c == expected
+        assert got == p.shift(k) * b and hash(got) == hash(p.shift(k) * b)
+        assert_canonical(got)
+    assert m * ring.zero == ring.zero * m == ring.zero
+    # int scaling, the other product without a convolution
+    n = data.draw(wide_coeff)
+    for got in (p * n, n * p, -p):
+        assert_canonical(got)
+    assert (p * n).c == (n * p).c == {e: a * n for e, a in p.c.items()}
+    assert p * 0 == 0 * p == ring.zero
+
+
 # ---------------------------------------------------------------------------
 # products with a unit or near-unit factor, against a convolution mod Phi_n
 # ---------------------------------------------------------------------------
