@@ -20,11 +20,14 @@ frobenius-check checks its catalog as a stream: it keeps the tensor factors
 W(0..max(max-tensor, 1)) and builds, checks and drops every other entry in
 turn, so peak memory no longer grows with the catalog (VmHWM 20-21 MB with
 both caps, against a 15 MB floor for an empty catalog).  It refuses a
-catalog beyond its budget with exit 2: --max-weyl at most 40 and --max-tensor
-at most 8, whether the size comes from a flag or from --config.  At ell 6
-each cap alone takes about 1.2-1.4 s (W(0..40)) and 1.7-2.2 s (every
-W(a) (x) W(b) with a, b <= 8) on a shared 2-core x86 VM, and the cost grows
-steeply with the size.  In the same way linkage --type A1 --suite
+catalog beyond its budget with exit 2: --max-weyl at most 40, --max-tensor
+at most 8 and --ell at most 16 (MAX_ELL), whether the value comes from a
+flag or from --config.  At ell 6 each cap alone takes about 0.5-0.7 s
+(W(0..40)) and 1.0 s (every W(a) (x) W(b) with a, b <= 8) on a shared
+2-core x86 VM, both together 1.5 s; both take 3-4 s at ell 10 and 8.5 s at
+ell 16, and the cost grows steeply with the size.  Past the ell budget the
+generic binomials of the commutator identity dominate: at ell 120 the
+catalog W(0..1) alone took 100 s.  In the same way linkage --type A1 --suite
 verify refuses a window whose top is above 320 (MAX_A1_WINDOW).  The window
 0..320 takes about 1.5 s at ell 4, 2 s at ell 6 and 2.3 s at ell 10 on the
 same VM (0..160: 0.5 s, 0.7 s and 0.6 s); building the Weyl modules is most
@@ -155,9 +158,10 @@ def build_parser():
 SUITES = ("verify", "predict")
 FORMATS = ("json", "text")
 
-# frobenius-check catalog budget: larger sizes are refused with exit 2
+# frobenius-check budget: a larger catalog size or ell is refused with exit 2
 MAX_WEYL = 40
 MAX_TENSOR = 8
+MAX_ELL = 16
 # linkage --type A1 --suite verify budget: a larger window top exits 2
 MAX_A1_WINDOW = 320
 # linkage budget for every type and suite: a window of more weights exits 2
@@ -289,15 +293,16 @@ def cmd_frobenius_check(args):
     datum = _datum(cfg)
     if datum.cartan_type != "A1":
         raise UsageError("frobenius-check runs on type A1")
-    params = make_params(cfg, datum)
-    rep = Report("frobenius-check")
     max_weyl = int(cfg["max_weyl"])
     max_tensor = int(cfg["max_tensor"])
-    for key, size, cap in (("max_weyl", max_weyl, MAX_WEYL),
+    for key, size, cap in (("ell", cfg["ell"], MAX_ELL),
+                           ("max_weyl", max_weyl, MAX_WEYL),
                            ("max_tensor", max_tensor, MAX_TENSOR)):
         if size > cap:
             raise UsageError(f"--{key.replace('_', '-')} {size} is above the "
-                             f"catalog budget of {cap}")
+                             f"frobenius-check budget of {cap}")
+    params = make_params(cfg, datum)
+    rep = Report("frobenius-check")
 
     # only the tensor factors are kept (W(1) also serves the Hecke
     # structure); every other entry is built, checked and dropped in turn

@@ -16,8 +16,12 @@ factors.  Kernels may share a column between their inputs and their output;
 nothing changes a column in place.
 
 The kernels work for any scalar with +, -, * and truthiness (zero test) and
-no zero divisors, so a product of nonzero entries is never a zero entry; the
-elimination routines need a field (CycloElem) because they invert pivots.
+no zero divisors, so a product of nonzero entries is never a zero entry:
+CycloElem, LaurentPoly and Python ints alike (``repcore.packed_residual``
+runs the generic identities through ``mat_mul`` and ``combine`` on ints).
+The elimination routines need a field (CycloElem) because they invert
+pivots.  The kernels that pair two lists -- the columns of two matrices, or
+source and target generators -- refuse lists of unequal length.
 """
 
 from __future__ import annotations
@@ -69,11 +73,11 @@ def _col_sum(x, y):
 
 
 def mat_sum(A, B):
-    return [_col_sum(x, y) for x, y in zip(A, B)]
+    return [_col_sum(x, y) for x, y in zip(A, B, strict=True)]
 
 
 def mat_sub(A, B):
-    return [_col_sum(x, [(r, -b) for r, b in y]) for x, y in zip(A, B)]
+    return [_col_sum(x, [(r, -b) for r, b in y]) for x, y in zip(A, B, strict=True)]
 
 
 def mat_scale(A, s):
@@ -125,7 +129,7 @@ def combine(terms, mats):
     """sum_k c_k M_k over the (k, c_k) terms."""
     acc = [{} for _ in mats[0]]
     for k, c in terms:
-        for d, col in zip(acc, mats[k]):
+        for d, col in zip(acc, mats[k], strict=True):
             _add_into(d, col, c)
     return [_canon(d) for d in acc]
 
@@ -438,7 +442,7 @@ def inverse(A, m, field):
 
 def intertwines(X, src_gens, tgt_gens):
     """True when X g_src = g_tgt X for every generator pair."""
-    return all(mat_mul(X, S) == mat_mul(T, X) for S, T in zip(src_gens, tgt_gens))
+    return all(mat_mul(X, S) == mat_mul(T, X) for S, T in zip(src_gens, tgt_gens, strict=True))
 
 
 def intertwiner_space(src_gens, tgt_gens, ns, nt, field, src_blocks=None, tgt_blocks=None):
@@ -470,7 +474,7 @@ def intertwiner_space(src_gens, tgt_gens, ns, nt, field, src_blocks=None, tgt_bl
     # (X S - T X)[t, s] = sum_k X[t][k] S[k][s] - sum_k T[t][k] X[k][s].
     # The basis does not depend on the order of the equations; grouping them
     # by s first measured cheaper than going generator by generator.
-    pairs = [(S, transpose(T, nt)) for S, T in zip(src_gens, tgt_gens)]
+    pairs = [(S, transpose(T, nt)) for S, T in zip(src_gens, tgt_gens, strict=True)]
 
     def equations():
         for s in range(ns):

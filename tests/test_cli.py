@@ -308,6 +308,26 @@ def test_max_tensor_above_budget_exit_2(capsys, tmp_path):
     _refused_catalog(capsys, tmp_path, "max_tensor", 9, 8)
 
 
+def test_ell_above_budget_exit_2(capsys, tmp_path, monkeypatch):
+    # without the budget, ell 120 with only W(0..1) ran for 100 s (the
+    # generic binomials of the commutator identity); the budget is read
+    # before any module is built, from a flag and from --config
+    code, _, _ = run_cli(["frobenius-check", "--ell", str(cli.MAX_ELL), "--max-weyl", "1",
+                          "--max-tensor", "0"], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "weyl_module", None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ell=120\nmax_weyl=1\nmax_tensor=0\n")
+    for argv in (["frobenius-check", "--ell", "18", "--max-weyl", "0", "--max-tensor", "0"],
+                 ["frobenius-check", "--ell", "120", "--max-weyl", "1", "--max-tensor", "0"],
+                 ["frobenius-check", "--config", str(cfg)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--ell" in err and str(cli.MAX_ELL) in err
+    assert cli.MAX_ELL == 16
+
+
 def test_triple_verify_fixture(capsys):
     code, out, _ = run_cli(["triple-verify", "--fixture", "z4_z2"], capsys)
     assert code == 0

@@ -16,7 +16,10 @@ still boxed every integer coefficient into the cyclotomic field; it is the
 one report that builds generic families of high degree. The ell 6
 frobenius-check file is the catalog at both budget caps (W(0..40), tensor
 products of W(0..8)); it was written while the whole catalog was built
-before its first entry was checked. The triple-verify files were written before the triple
+before its first entry was checked. The ell 12 frobenius-check file (Weyl
+modules up to W(24), tensor products of W(0..5)) was written while the
+divided-power and generic commutator identities were still decided in
+Laurent matrix arithmetic. The triple-verify files were written before the triple
 engine stored its induced objects; the D4 table next to them is a seeded
 relabelling of the dihedral group over its rotations. The D6 report was
 written when ``twist`` moved the point to the last Sweedler factor; D6 over
@@ -51,6 +54,8 @@ CASES = [
      ["frobenius-check", "--ell", "8", "--max-weyl", "20", "--max-tensor", "6"]),
     ("frobenius-check_ell6_40-8.json",
      ["frobenius-check", "--ell", "6", "--max-weyl", "40", "--max-tensor", "8"]),
+    ("frobenius-check_ell12_24-5.json",
+     ["frobenius-check", "--ell", "12", "--max-weyl", "24", "--max-tensor", "5"]),
     ("triple-verify_z4_z2.json", ["triple-verify", "--fixture", "z4_z2"]),
     ("triple-verify_s3_a3.json", ["triple-verify", "--fixture", "s3_a3"]),
     ("triple-verify_D4_seed0.json",

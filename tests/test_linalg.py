@@ -415,6 +415,22 @@ def test_combine_matches_naive(data):
     assert mat_eq(got, columns(expected))
 
 
+def test_pairing_kernels_refuse_unequal_lengths():
+    # a bare zip pairs the common prefix and drops the rest: mat_sum would
+    # return one column, and intertwines would never look at the second
+    # source generator
+    f = FIELDS[4]
+    two, one = [[(0, f.one)], [(1, f.one)]], [[(0, f.one)]]
+    ident = identity(2, f.one)
+    calls = [lambda: mat_sum(two, one), lambda: mat_sub(one, two),
+             lambda: combine([(0, f.one), (1, f.one)], [two, one]),
+             lambda: intertwines(ident, [ident, two], [ident]),
+             lambda: intertwiner_space([ident, two], [ident], 2, 2, f)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 @SETTINGS
 @given(st.data())
 def test_specialize_matches_eval_zeta(data):

@@ -1,11 +1,23 @@
 """Weyl modules, relation checking, tensor products, composition series."""
 
+from functools import reduce
+
 import pytest
 from dense import columns, entries, rows, sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallq import repcore, scalars
 from smallq.cli import main
-from smallq.linalg import RowBasis, mat_eq, mat_pow, mat_scale
+from smallq.linalg import (
+    RowBasis,
+    mat_eq,
+    mat_is_zero,
+    mat_mul,
+    mat_pow,
+    mat_scale,
+    mat_sum,
+)
 from smallq.repcore import (
     composition_factors,
     corrupt_module,
@@ -22,7 +34,7 @@ from smallq.repcore import (
 )
 from smallq.repcore import _coproduct_families, _specialize
 from smallq.rootdata import DotOrbits, build_root_datum
-from smallq.scalars import LatticeError, QParams, qfact
+from smallq.scalars import LatticeError, LaurentPoly, QParams, qfact
 
 P4 = QParams(4)
 P6 = QParams(6)
@@ -488,17 +500,18 @@ def test_corrupt_module_failure_details(case):
     assert failures == expected
 
 
-def _raise_generic(module, sym):
-    """module with the first nonzero entry (row-major) of its generic E_0
-    (sym "E") or F_0 (sym "F") raised by v; the zeta layer is left as it is."""
+def _raise_generic(module, sym, a=1):
+    """module with the first nonzero entry (row-major) of its generic
+    E_0^(a) (sym "E") or F_0^(a) (sym "F") raised by v; the zeta layer is
+    left as it is."""
     ring = module.params.vring
     efam = [list(fam) for fam in module.g.efam]
     ffam = [list(fam) for fam in module.g.ffam]
     fam = efam if sym == "E" else ffam
-    target = fam[0][1]
+    target = fam[0][a]
     r, c = repcore._first_entry(target)
     raised = [(r, target[c][0][1] + ring.v)] + target[c][1:]
-    fam[0][1] = target[:c] + [raised] + target[c + 1:]
+    fam[0][a] = target[:c] + [raised] + target[c + 1:]
     return repcore.WeightModule(module.datum, module.params, module.weights, module.z,
                                 repcore.GenSet(efam, ffam), name=module.name)
 
@@ -550,6 +563,140 @@ def test_generic_layer_failure_details(case):
     failures = [(c.name, c.status, c.details, c.counterexample)
                 for c in relation_check(bad).failures()]
     assert failures == GENERIC_CASES[case]
+
+
+# (ell, module, raised generator): every failing check of relation_check when
+# the first entry of the top divided power E_0^(ell) or F_0^(ell) is raised
+# by v. The plain power and the commutator are untouched, so divided-power
+# fails alone, and its residual is -v [ell]!. The modules are the smallest
+# ones on which the top divided power acts: their weights span at least
+# 2 ell. The strings were written before the generic identities were decided
+# on packed integers.
+_TOP4 = ("(-1)*v^7 + (-3)*v^5 + (-5)*v^3 + (-6)*v + (-5)*v^-1 + (-3)*v^-3 + "
+         "(-1)*v^-5")
+_TOP6 = ("(-1)*v^16 + (-5)*v^14 + (-14)*v^12 + (-29)*v^10 + (-49)*v^8 + "
+         "(-71)*v^6 + (-90)*v^4 + (-101)*v^2 + -101 + (-90)*v^-2 + (-71)*v^-4 + "
+         "(-49)*v^-6 + (-29)*v^-8 + (-14)*v^-10 + (-5)*v^-12 + (-1)*v^-14")
+_TOP12 = ("(-1)*v^67 + (-11)*v^65 + (-65)*v^63 + (-274)*v^61 + (-923)*v^59 + "
+          "(-2640)*v^57 + (-6655)*v^55 + (-15159)*v^53 + (-31758)*v^51 + "
+          "(-61997)*v^49 + (-113906)*v^47 + (-198497)*v^45 + (-330121)*v^43 + "
+          "(-526581)*v^41 + (-808896)*v^39 + (-1200626)*v^37 + (-1726701)*v^35 + "
+          "(-2411747)*v^33 + (-3277965)*v^31 + (-4342688)*v^29 + (-5615807)*v^27 + "
+          "(-7097310)*v^25 + (-8775209)*v^23 + (-10624132)*v^21 + "
+          "(-12604826)*v^19 + (-14664752)*v^17 + (-16739858)*v^15 + "
+          "(-18757500)*v^13 + (-20640357)*v^11 + (-22311069)*v^9 + "
+          "(-23697232)*v^7 + (-24736324)*v^5 + (-25380120)*v^3 + (-25598186)*v + "
+          "(-25380120)*v^-1 + (-24736324)*v^-3 + (-23697232)*v^-5 + "
+          "(-22311069)*v^-7 + (-20640357)*v^-9 + (-18757500)*v^-11 + "
+          "(-16739858)*v^-13 + (-14664752)*v^-15 + (-12604826)*v^-17 + "
+          "(-10624132)*v^-19 + (-8775209)*v^-21 + (-7097310)*v^-23 + "
+          "(-5615807)*v^-25 + (-4342688)*v^-27 + (-3277965)*v^-29 + "
+          "(-2411747)*v^-31 + (-1726701)*v^-33 + (-1200626)*v^-35 + "
+          "(-808896)*v^-37 + (-526581)*v^-39 + (-330121)*v^-41 + (-198497)*v^-43 + "
+          "(-113906)*v^-45 + (-61997)*v^-47 + (-31758)*v^-49 + (-15159)*v^-51 + "
+          "(-6655)*v^-53 + (-2640)*v^-55 + (-923)*v^-57 + (-274)*v^-59 + "
+          "(-65)*v^-61 + (-11)*v^-63 + (-1)*v^-65")
+_DIV = "divided power disagrees with plain power"
+GENERIC_TOP_CASES = {
+    (4, (4,), "E"): [("divided-power[E_0]", "fail", _DIV, "entry (0,4) = " + _TOP4)],
+    (4, (4,), "F"): [("divided-power[F_0]", "fail", _DIV, "entry (4,0) = " + _TOP4)],
+    (4, (2, 3), "E"): [("divided-power[E_0]", "fail", _DIV, "entry (0,7) = " + _TOP4)],
+    (4, (2, 3), "F"): [("divided-power[F_0]", "fail", _DIV, "entry (7,0) = " + _TOP4)],
+    (6, (6,), "E"): [("divided-power[E_0]", "fail", _DIV, "entry (0,6) = " + _TOP6)],
+    (6, (6,), "F"): [("divided-power[F_0]", "fail", _DIV, "entry (6,0) = " + _TOP6)],
+    (6, (2, 5), "E"): [("divided-power[E_0]", "fail", _DIV, "entry (0,11) = " + _TOP6)],
+    (6, (2, 5), "F"): [("divided-power[F_0]", "fail", _DIV, "entry (11,0) = " + _TOP6)],
+    (12, (5, 7), "E"): [("divided-power[E_0]", "fail", _DIV, "entry (0,47) = " + _TOP12)],
+    (12, (5, 7), "F"): [("divided-power[F_0]", "fail", _DIV, "entry (47,0) = " + _TOP12)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERIC_TOP_CASES), ids=str)
+def test_generic_top_family_failure_details(case):
+    # (lam,) is W(lam), (a, b) is W(a)(x)W(b)
+    ell, lams, sym = case
+    params = QParams(ell)
+    module = reduce(tensor_product, [weyl_module(lam, params) for lam in lams])
+    bad = _raise_generic(module, sym, params.ell_i[0])
+    failures = [(c.name, c.status, c.details, c.counterexample)
+                for c in relation_check(bad).failures()]
+    assert failures == GENERIC_TOP_CASES[case]
+    fact = qfact(params.ell_i[0], 1, params.vring)
+    assert failures[0][3].endswith(repr(-(params.vring.v * fact)))
+
+
+# ---------------------------------------------------------------------------
+# the generic identities at v = 2^k against Laurent matrix arithmetic
+# ---------------------------------------------------------------------------
+
+RING = P4.vring
+
+
+@st.composite
+def laurent(draw, zero_ok=True):
+    """A LaurentPoly with exponents in -30..30 and coefficients +-1 up to
+    +-10^30; zero when zero_ok allows it."""
+    size = draw(st.integers(0 if zero_ok else 1, 4))
+    exps = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size, unique=True))
+    coeffs = {e: draw(st.sampled_from([1, -1]) | st.integers(-10**30, 10**30).filter(bool))
+              for e in exps}
+    return LaurentPoly(RING, coeffs)
+
+
+@st.composite
+def laurent_matrix(draw, n):
+    """An n x n Laurent matrix with zero entries and empty columns."""
+    cols = []
+    for _ in range(n):
+        col = [(r, draw(laurent())) for r in range(n) if draw(st.booleans())]
+        cols.append([(r, p) for r, p in col if p])
+    return cols
+
+
+def laurent_residual(terms, n):
+    """sum_t c_t A_t1 ... A_tm in Laurent matrix arithmetic; a power of one
+    matrix through mat_pow."""
+    acc = [[] for _ in range(n)]
+    for c, mats in terms:
+        if all(A is mats[0] for A in mats):
+            prod = mat_pow(mats[0], len(mats), RING.one)
+        else:
+            prod = reduce(mat_mul, mats)
+        acc = mat_sum(acc, mat_scale(prod, c))
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_residual_matches_laurent_arithmetic(data):
+    n = data.draw(st.integers(1, 3))
+    pool = [data.draw(laurent_matrix(n)) for _ in range(data.draw(st.integers(1, 3)))]
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        terms.append((data.draw(laurent(zero_ok=False)), picks))
+    if data.draw(st.booleans()):
+        # a power of one matrix, as X^ell_i in the divided-power check
+        terms.append((data.draw(laurent(zero_ok=False)), [pool[0]] * data.draw(st.integers(2, 4))))
+    if data.draw(st.booleans()):
+        # subtract every term again, premultiplied: an identity that holds,
+        # with terms at other offsets
+        terms += [(-c, [reduce(mat_mul, mats)]) for c, mats in terms]
+    expected = laurent_residual(terms, n)
+    R, k, o = repcore.packed_residual(terms)
+    assert all(type(x) is int for col in R for _, x in col)
+    assert mat_is_zero(R) == mat_is_zero(expected)
+    assert [[(r, repcore._unpack(x, k, o, RING)) for r, x in col] for col in R] == expected
+
+
+def test_packed_residual_width_separates_v_from_2():
+    # negative control: at v = 2^1, v and 2 pack to the same int, so k = 1
+    # would call v - 2 = 0; the bound 2^(k-1) > 2 forbids that width
+    v, two, one = RING.v, RING.from_int(2), RING.one
+    assert repcore._pack(v, 1, 0) == repcore._pack(two, 1, 0)
+    R, k, o = repcore.packed_residual([(one, [[[(0, v)]]]), (-one, [[[(0, two)]]])])
+    assert k == 3
+    assert repcore._unpack(R[0][0][1], k, o, RING) == v - two
 
 
 # ---------------------------------------------------------------------------
