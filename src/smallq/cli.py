@@ -4,7 +4,7 @@ Subcommands:
 
   linkage          predicted blocks for a weight window (plus observed
                    Weyl-module linkage and the inclusion check for A1 with
-                   --suite verify)
+                   --suite verify, the default; rank 2 takes --suite predict)
   frobenius-check  relation checks on the Weyl/tensor catalog, the
                    commutator identity, pullback/reconstruct round trips and
                    Hecke structures
@@ -24,8 +24,8 @@ catalog beyond its budget with exit 2: --max-weyl at most 40, --max-tensor
 at most 8 and --ell at most 16 (MAX_ELL), whether the value comes from a
 flag or from --config.  At ell 6 each cap alone takes about 0.5-0.7 s
 (W(0..40)) and 1.0 s (every W(a) (x) W(b) with a, b <= 8) on a shared
-2-core x86 VM, both together 1.5 s; both take 3-4 s at ell 10 and 8.5 s at
-ell 16, and the cost grows steeply with the size.  Past the ell budget the
+2-core x86 VM; both together take 1.4 s at ell 6, 2.6 s at ell 10 and
+5.5 s at ell 16 (single runs), and the cost grows steeply with the size.  Past the ell budget the
 generic binomials of the commutator identity dominate: at ell 120 the
 catalog W(0..1) alone took 100 s.  In the same way linkage --type A1 --suite
 verify refuses a window whose top is above 320 (MAX_A1_WINDOW).  The window
@@ -255,6 +255,9 @@ def cmd_linkage(args):
     cfg = resolve_config(args)
     cfg["timing"] = args.timing
     datum = _datum(cfg)
+    if datum.rank > 1 and cfg["suite"] == "verify":
+        raise UsageError(f"linkage --suite verify observes type A1 only; use "
+                         f"--suite predict for {datum.cartan_type}")
     params = make_params(cfg, datum)
     if cfg["window"] is None:
         raise UsageError("linkage requires --window")
@@ -263,7 +266,7 @@ def cmd_linkage(args):
     if weights > MAX_WINDOW_WEIGHTS:
         raise UsageError(f"--window {cfg['window']} has {weights} weights, above "
                          f"the budget of {MAX_WINDOW_WEIGHTS}")
-    observe = datum.cartan_type == "A1" and cfg["suite"] == "verify" and window[0][1] >= 0
+    observe = cfg["suite"] == "verify" and window[0][1] >= 0
     if observe and window[0][1] > MAX_A1_WINDOW:
         raise UsageError(f"--window top {window[0][1]} is above the A1 verify "
                          f"budget of {MAX_A1_WINDOW}")

@@ -7,13 +7,14 @@ v hold Python-int coefficients, and meet the field only when they are
 evaluated at v = zeta.  No floating point is used anywhere: identity checks
 downstream are exact coefficient comparisons.
 
-One long division in Z, ``_long_div``, serves the cyclotomic polynomials and
-exact Laurent division; one table, x^k mod Phi_n for k < n, gives the powers
-of zeta, the reduction rows of ``_mul_mod_phi`` and the Galois conjugations
-of ``CycloElem.inverse``.
+One long division in Z, ``_long_div``, serves the cyclotomic polynomials
+alone: nothing divides a Laurent polynomial.  One table, x^k mod Phi_n for
+k < n, gives the powers of zeta, the reduction rows of ``_mul_mod_phi`` and
+the Galois conjugations of ``CycloElem.inverse``.
 
 The q-combinatorics ([m]_d, [m]_d!, [m over t]_d) live here as well, since
-they are the structure constants of everything built on top.
+they are the structure constants of everything built on top.  The Gaussian
+binomials come from Pascal's rule, with shifts and sums only (``qbinom``).
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ class LaurentPoly:
         out = self.ring.one
         base = self
         if k < 0:
-            raise ValueError("use exact_div for negative powers")
+            raise ValueError("negative power of a Laurent polynomial")
         while k:
             if k & 1:
                 out = out * base
@@ -510,34 +511,6 @@ class LaurentPoly:
                 for j in range(d):
                     vec[j] += cnt * row[j]
         return CycloElem(f, tuple(vec), 1)
-
-    def _dense(self):
-        """(least exponent, ascending list of the coefficients, 0 in the gaps)."""
-        if not self.c:
-            return 0, []
-        lo, hi = min(self.c), max(self.c)
-        dense = [0] * (hi - lo + 1)
-        for e, a in self.c.items():
-            dense[e - lo] = a
-        return lo, dense
-
-    def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in Z[v, v^-1]; ExactDivisionError when the quotient
-        is not there."""
-        ring = self.ring
-        if not den.c:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self.c:
-            return ring.zero
-        lo_n, a = self._dense()
-        lo_d, b = den._dense()
-        if len(a) < len(b):
-            raise ExactDivisionError("degree too small for exact division")
-        q = _long_div(a, b)
-        if any(a):
-            raise ExactDivisionError("non-exact Laurent division")
-        shift = lo_n - lo_d
-        return _trusted(ring, {i + shift: c for i, c in enumerate(q) if c})
 
     def __repr__(self):
         if not self.c:
@@ -597,19 +570,37 @@ def qfact(m: int, d: int, ring: LaurentRing) -> LaurentPoly:
 
 
 def qbinom(m: int, t: int, d: int, ring: LaurentRing) -> LaurentPoly:
-    """[m over t]_d for any integer m and t >= 0; always a Laurent polynomial."""
+    """[m over t]_d for any integer m and t >= 0, by Pascal's rule
+    [m over t] = v^(-dt) [m-1 over t] + v^(d(m-t)) [m-1 over t-1] for 0 < t < m,
+    with [m over 0] = [m over m] = 1 and [m over t] = 0 for t > m >= 0.  A
+    negative m is reflected: [m over t] = (-1)^t [t-m-1 over t].
+
+    The ring's cache is filled iteratively, with the [tt+k over tt], tt <= t
+    and k <= m - t, that [m over t] reads.
+    """
     if t < 0:
         raise ValueError("lower index must be nonnegative")
+    table = ring._qbinom
     key = (m, t, d)
-    out = ring._qbinom.get(key)
+    out = table.get(key)
     if out is not None:
         return out
-    out = ring.one
-    for s in range(1, t + 1):
-        out = (out * qint(m - s + 1, d, ring)).exact_div(qint(s, d, ring))
-        if not out:
-            break
-    ring._qbinom[key] = out
+    if m < 0:
+        out = qbinom(t - m - 1, t, d, ring)
+        if t % 2:
+            out = -out
+    elif t > m:
+        out = ring.zero
+    else:
+        for tt in range(t + 1):
+            for k in range(m - t + 1):
+                entry = (tt + k, tt, d)
+                if entry not in table:
+                    table[entry] = ring.one if not tt or not k else (
+                        table[tt + k - 1, tt, d].shift(-d * tt)
+                        + table[tt + k - 1, tt - 1, d].shift(d * k))
+        return table[key]
+    table[key] = out
     return out
 
 

@@ -60,6 +60,21 @@ def test_linkage_prediction_only_rank2(capsys):
     assert len(data["artifacts"]["block_table"]["rows"]) == 16
 
 
+def test_linkage_verify_on_rank2_exit_2(capsys, monkeypatch):
+    # verify observes A1 only; on rank 2, named or by default, it is refused
+    # before any work rather than reporting the prediction as "verify"
+    def reached(window, params, datum):
+        raise AssertionError("the prediction ran")
+
+    monkeypatch.setattr(blocks, "predicted_blocks", reached)
+    for cartan_type in ("A2", "B2", "G2"):
+        argv = ["linkage", "--type", cartan_type, "--ell", "6", "--window", "0..3x0..3"]
+        for suite in (["--suite", "verify"], []):
+            code, out, err = run_cli(argv + suite, capsys)
+            assert code == 2 and out == "", (cartan_type, suite)
+            assert "--suite predict" in err and cartan_type in err
+
+
 def test_linkage_negative_window_joined_form(capsys):
     code, out, _ = run_cli(["linkage", "--type", "A1", "--ell", "4",
                             "--window=-3..3"], capsys)

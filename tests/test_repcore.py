@@ -733,6 +733,21 @@ def test_linkage_expands_only_binomials_below_ell_i(ell, monkeypatch, capsys):
     assert calls and all(0 <= m < li and t < li for m, t, _ in calls), calls
 
 
+def test_frobenius_check_reads_generic_binomials_in_pascal_range(monkeypatch, capsys):
+    # qbinom fills O(m t) Pascal entries per (m, t): cheap only while no
+    # caller asks for m far above t.  The generic layer of W(0..12) reads
+    # m <= 12 and qbinom_zeta reads m < ell_i, each with t <= ell_i
+    params = QParams(6)
+    monkeypatch.setattr(params.vring, "_qbinom_zeta", {})
+    calls = _record_generic_qbinom(monkeypatch, scalars, repcore)
+    argv = ["frobenius-check", "--ell", "6", "--max-weyl", "12", "--max-tensor", "5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    li = params.ell_i[0]
+    assert max(m for m, _, _ in calls) == 12
+    assert all(0 <= m <= 12 and t <= li for m, t, _ in calls), calls
+
+
 def test_weyl_generic_layer_is_built_on_first_read(monkeypatch):
     calls = _record_generic_qbinom(monkeypatch, repcore)
     w = weyl_module(12, P4)
