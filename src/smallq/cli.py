@@ -266,7 +266,10 @@ def cmd_linkage(args):
     if weights > MAX_WINDOW_WEIGHTS:
         raise UsageError(f"--window {cfg['window']} has {weights} weights, above "
                          f"the budget of {MAX_WINDOW_WEIGHTS}")
-    observe = cfg["suite"] == "verify" and window[0][1] >= 0
+    observe = cfg["suite"] == "verify"
+    if observe and window[0][1] < 0:
+        raise UsageError(f"--window {cfg['window']} has no dominant weight for the "
+                         f"A1 verify suite to observe; use --suite predict")
     if observe and window[0][1] > MAX_A1_WINDOW:
         raise UsageError(f"--window top {window[0][1]} is above the A1 verify "
                          f"budget of {MAX_A1_WINDOW}")

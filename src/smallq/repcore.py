@@ -5,17 +5,22 @@ and the divided powers E_i^(ell_i), F_i^(ell_i).  The torus acts implicitly
 through the grading, and the K-binomial elements act on a weight-lam vector
 by the exact scalar [<coroot_i, lam> + m over t]_{d_i} evaluated at zeta.
 
-Matrices are built generically (Laurent polynomials in v) whenever possible
-and specialized late.  Every divided power comes from one of two formulas:
-the closed form on a Weyl module, F^(a) v_k = [k+a over a] v_{k+a} and
-E^(a) v_k = [lam-k+a over a] v_{k-a}, and on a tensor product the coproduct
-expansion of E^(n) and F^(n) in the factors' divided-power families.  The
-expansion runs in the generic layer when both factors carry one and at zeta
-otherwise (modules pulled back along the quantum Frobenius, or quotients,
-carry only the specialized layer).  relation_check checks the divided
-powers against plain powers in the generic layer: Z[v, v^-1] is a domain,
-so X^(a) = X^a / [a]! exactly when [a]! X^(a) = X^a, and the tests check
-both formulas that way for every a up to ell_i.
+A module carries a zeta layer (entries in Q(zeta)) and, where it has one, a
+generic layer (Laurent polynomials in v), each built in its own ring; no
+layer is specialized from the other.  Every divided power comes from one of
+two formulas: the closed form on a Weyl module, F^(a) v_k = [k+a over a]
+v_{k+a} and E^(a) v_k = [lam-k+a over a] v_{k-a}, and on a tensor product
+the coproduct expansion of E^(n) and F^(n) in the factors' divided-power
+families.  The zeta layer of a tensor product is that expansion at zeta.
+Its generic layer, present when both factors carry every generic family,
+is the expansion in Z[v, v^-1] of Lusztig's generators E, F, E^(ell_i) and
+F^(ell_i) only, built on its first read: those are the matrices the
+generic identities of relation_check read (modules pulled back along the
+quantum Frobenius, or quotients, carry only the zeta layer).
+relation_check checks the divided powers against plain powers in the
+generic layer: Z[v, v^-1] is a domain, so X^(a) = X^a / [a]! exactly when
+[a]! X^(a) = X^a, and the tests check both formulas that way for every a
+up to ell_i, on a tensor product against the full expansion.
 
 Explicit Weyl modules are provided for A1, which is where all matrix-level
 verification happens; higher-rank types only exercise the combinatorial
@@ -52,6 +57,9 @@ class GenSet:
 
     efam[i][a] is the matrix of E_i^(a) for a = 0..ell_i (efam[i][0] = id,
     efam[i][1] = E_i, efam[i][ell_i] = the divided power); same for ffam.
+    The generic layer of a tensor product holds only a in {0, 1, ell_i},
+    Lusztig's generators; its other families are None, and ``matrices`` and
+    ``reshaped`` raise on them.
     """
 
     __slots__ = ("efam", "ffam")
@@ -72,12 +80,20 @@ class GenSet:
     def div_f(self, i):
         return self.ffam[i][-1]
 
+    def complete(self):
+        """Whether every family a = 0..ell_i is built."""
+        return all(m is not None for fam in self.efam + self.ffam for m in fam)
+
     def matrices(self):
         """Every family matrix in one list, the E families first."""
+        if not self.complete():
+            raise ValueError("a divided-power family of this layer was not built")
         return [m for fam in self.efam + self.ffam for m in fam]
 
     def reshaped(self, mats):
         """A GenSet of this shape holding ``mats``, given in ``matrices`` order."""
+        if not self.complete():
+            raise ValueError("a divided-power family of this layer was not built")
         it = iter(mats)
         fams = [[next(it) for _ in fam] for fam in self.efam + self.ffam]
         return GenSet(fams[:len(self.efam)], fams[len(self.efam):])
@@ -161,14 +177,16 @@ def _diag(entries):
 
 def _check_grading(module, layer):
     """Every nonzero entry of the layer must connect weights differing by the
-    right root."""
+    right root; a family that was not built is skipped."""
     datum = module.datum
     for i in range(datum.rank):
         alpha = datum.alpha[i]
         for a, mat in enumerate(layer.efam[i]):
-            _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
+            if mat is not None:
+                _check_shift(module, mat, tuple(a * x for x in alpha), f"E_{i}^({a})")
         for a, mat in enumerate(layer.ffam[i]):
-            _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
+            if mat is not None:
+                _check_shift(module, mat, tuple(-a * x for x in alpha), f"F_{i}^({a})")
 
 
 def _check_shift(module, mat, shift, label):
@@ -272,33 +290,36 @@ def tensor_product(M: WeightModule, N: WeightModule, name=None) -> WeightModule:
 
     E acts by E (x) 1 + K (x) E and F by F (x) K^{-1} + 1 (x) F.  Every
     divided power comes from the coproduct expansion of the factors'
-    divided-power families (``_coproduct_families``): in the generic layer,
-    then specialized, when both factors carry one, and at zeta otherwise.
+    divided-power families (``_coproduct_families``).  The zeta layer is the
+    expansion at zeta.  When both factors' generic layers carry every family,
+    the generic layer is the expansion of E_i, F_i, E_i^(ell_i) and
+    F_i^(ell_i) alone, built on its first read; otherwise (a pulled-back or
+    quotient factor, or a tensor product) there is none.
     """
     if M.params != N.params or M.datum is not N.datum and M.datum != N.datum:
         raise ValueError("tensor factors must share params and root datum")
     datum, params = M.datum, M.params
     weights = [tuple(a + b for a, b in zip(M.weights[im], N.weights[jn]))
                for im in range(M.dim) for jn in range(N.dim)]
-    label = name or f"{M.name}(x){N.name}"
-    if M.has_generic() and N.has_generic():
-        gens = _coproduct_families(M, N, "g")
-        return WeightModule(datum, params, weights, _specialize(gens),
-                            gens, name=label)
-    return WeightModule(datum, params, weights, _coproduct_families(M, N, "z"), None,
-                        name=label)
+    generic = None
+    if all(X.has_generic() and X.g.complete() for X in (M, N)):
+        generic = lambda: _coproduct_families(M, N, "g", lusztig_only=True)
+    return WeightModule(datum, params, weights, _coproduct_families(M, N, "z"), generic,
+                        name=name or f"{M.name}(x){N.name}")
 
 
-def _coproduct_families(M, N, layer) -> GenSet:
+def _coproduct_families(M, N, layer, lusztig_only=False) -> GenSet:
     """Divided powers on M (x) N from the factors' families in one layer:
 
         E^(n) = sum_{a+b=n} v^{d a b} E^(a) K^b (x) E^(b),
         F^(n) = sum_{a+b=n} v^{d a b} F^(a) (x) F^(b) K^{-a}.
 
     layer "g" is the generic one, where x v^k is a shift of a Laurent
-    polynomial; layer "z" is the specialization, where it is x zeta^k.  K
-    and v^{dab} act on the columns of one factor, so they are folded into one
-    column twist of that factor before the kron.
+    polynomial; layer "z" is the zeta one, where it is x zeta^k.  Both read
+    every family of the factors' layer.  K and v^{dab} act on the columns of
+    one factor, so they are folded into one column twist of that factor
+    before the kron.  With ``lusztig_only`` only n in {0, 1, ell_i} is
+    expanded and the other families are None.
     """
     params = M.params
     if layer == "g":
@@ -310,19 +331,21 @@ def _coproduct_families(M, N, layer) -> GenSet:
     efam, ffam = [], []
     for i in range(M.datum.rank):
         d = params.d[i]
+        li = params.ell_i[i]
         me, mf, ne, nf = mg.efam[i], mg.ffam[i], ng.efam[i], ng.ffam[i]
         mw = [M.pairing(i, c) for c in range(M.dim)]
         nw = [N.pairing(i, c) for c in range(N.dim)]
+        orders = {0, 1, li} if lusztig_only else range(li + 1)
         # column c of v^{dab} E^(a) K^b gains v^{d b (a + <alpha, wt c>)}, column
         # c of v^{dab} F^(b) K^{-a} gains v^{d a (b - <alpha, wt c>)}
         efam.append([reduce(mat_sum, (
             kron(_twist_columns(me[a], [d * (n - a) * (a + w) for w in mw], twist),
-                 ne[n - a]) for a in range(n + 1)))
-            for n in range(params.ell_i[i] + 1)])
+                 ne[n - a]) for a in range(n + 1))) if n in orders else None
+            for n in range(li + 1)])
         ffam.append([reduce(mat_sum, (
             kron(mf[a], _twist_columns(nf[n - a], [d * a * (n - a - w) for w in nw],
-                                       twist)) for a in range(n + 1)))
-            for n in range(params.ell_i[i] + 1)])
+                                       twist)) for a in range(n + 1))) if n in orders else None
+            for n in range(li + 1)])
     return GenSet(efam, ffam)
 
 

@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,26 @@ def test_linkage_verify_on_rank2_exit_2(capsys, monkeypatch):
             code, out, err = run_cli(argv + suite, capsys)
             assert code == 2 and out == "", (cartan_type, suite)
             assert "--suite predict" in err and cartan_type in err
+
+
+def test_linkage_verify_on_negative_window_exit_2(capsys, monkeypatch):
+    # an A1 window whose top is negative holds no Weyl module to observe:
+    # verify, named or by default, is refused before any work rather than
+    # reporting the prediction alone as "verify"
+    argv = ["linkage", "--type", "A1", "--ell", "4"]
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "predicted_blocks", lambda *a: 1 / 0)
+        for window in ("--window=-5..-1", "--window=-1..-1", "--window=2..-3"):
+            for suite in (["--suite", "verify"], []):
+                code, out, err = run_cli(argv + [window] + suite, capsys)
+                assert code == 2 and out == "", (window, suite)
+                assert window.split("=")[1] in err and "--suite predict" in err
+    code, out, _ = run_cli(argv + ["--window=-5..-1", "--suite", "predict"], capsys)
+    assert code == 0 and json.loads(out)["params"]["suite"] == "predict"
+    # a window that reaches 0 is still observed, with the same bytes
+    code, out, _ = run_cli(argv + ["--window=-3..3"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "7254142f19ea20514e49b77474f0f3f8"
 
 
 def test_linkage_negative_window_joined_form(capsys):

@@ -112,21 +112,12 @@ def test_tensor_relation_check():
 def test_matrix_divide_exact_tensor_oracle():
     # X^a / [a]! on W(1) (x) W(1) at ell=4 is the coproduct expansion X^(a),
     # a = 0..4: Z[v, v^-1] is a domain, so [a]! X^(a) = X^a says exactly that
-    M = tensor_product(weyl_module(1, P4), weyl_module(1, P4))
+    W1 = weyl_module(1, P4)
+    G = _coproduct_families(W1, W1, "g")
     ring = P4.vring
-    for fam in (M.g.efam[0], M.g.ffam[0]):
+    for fam in (G.efam[0], G.ffam[0]):
         for a in range(5):
             assert _is_power_over_factorial(fam[a], fam[1], a, 1, ring), a
-
-
-def test_zeta_route_matches_division_route():
-    for params in (P4, P6):
-        M, N = weyl_module(2, params), weyl_module(1, params)
-        gen_route = tensor_product(M, N)
-        z = _coproduct_families(M, N, "z")
-        for a in range(params.ell_i[0] + 1):
-            assert mat_eq(z.efam[0][a], gen_route.z.efam[0][a])
-            assert mat_eq(z.ffam[0][a], gen_route.z.ffam[0][a])
 
 
 def _is_power_over_factorial(div, mat, a, d, ring):
@@ -144,11 +135,15 @@ def test_divided_powers_match_exact_division(ell):
     d, li = params.d[0], params.ell_i[0]
     weyl = [weyl_module(lam, params) for lam in range(21)]
     tensors = [tensor_product(weyl[a], weyl[b]) for a in range(5) for b in range(5)]
-    for m in weyl + tensors:
-        for fam in (m.g.efam[0], m.g.ffam[0]):
+    # a tensor product's generic layer holds Lusztig's generators only: the
+    # oracle reads the full coproduct expansion
+    generic = [w.g for w in weyl] + [_coproduct_families(weyl[a], weyl[b], "g")
+                                     for a in range(5) for b in range(5)]
+    for m, g in zip(weyl + tensors, generic):
+        for fam in (g.efam[0], g.ffam[0]):
             for a in range(li + 1):
                 assert _is_power_over_factorial(fam[a], fam[1], a, d, ring), (m.name, a)
-        specialized = _specialize(m.g)
+        specialized = _specialize(g)
         for fam, spec in ((m.z.efam, specialized.efam), (m.z.ffam, specialized.ffam)):
             assert all(mat_eq(x, y) for x, y in zip(fam[0], spec[0])), m.name
     # the relation check still re-derives the divided powers generically
@@ -164,15 +159,79 @@ def test_divided_power_oracle_negative_control():
     # one doubled entry of a divided power, on the closed form and on the
     # coproduct expansion, breaks [a]! X^(a) = X^a
     ring = P4.vring
-    for m in (weyl_module(6, P4), tensor_product(weyl_module(2, P4), weyl_module(3, P4))):
-        for fam in (m.g.efam[0], m.g.ffam[0]):
+    w6 = weyl_module(6, P4)
+    expansion = _coproduct_families(weyl_module(2, P4), weyl_module(3, P4), "g")
+    for name, g in (("W(6)", w6.g), ("W(2)(x)W(3)", expansion)):
+        for fam in (g.efam[0], g.ffam[0]):
             for a in (2, 4):
                 assert _is_power_over_factorial(fam[a], fam[1], a, 1, ring)
                 div = [list(col) for col in fam[a]]
                 c = next(c for c, col in enumerate(div) if col)
                 r, x = div[c][0]
                 div[c][0] = (r, x + x)
-                assert not _is_power_over_factorial(div, fam[1], a, 1, ring), (m.name, a)
+                assert not _is_power_over_factorial(div, fam[1], a, 1, ring), (name, a)
+
+
+def _catalog_tensors(params):
+    """The tensor products of the frobenius-check catalog, W(0..5)^2, with
+    their factors."""
+    weyl = [weyl_module(lam, params) for lam in range(6)]
+    return [(tensor_product(M, N), M, N) for M in weyl for N in weyl]
+
+
+def test_zeta_route_matches_division_route():
+    # on every tensor of the frobenius-check catalog, the zeta layer,
+    # expanded at zeta, is the full generic expansion at v = zeta on every
+    # family; the generic layer is that expansion on Lusztig's generators and
+    # holds no other family
+    for ell in (4, 6, 12):
+        params = QParams(ell)
+        li = params.ell_i[0]
+        for t, M, N in _catalog_tensors(params):
+            full = _coproduct_families(M, N, "g")
+            specialized = _specialize(full)
+            assert t.z.efam == specialized.efam and t.z.ffam == specialized.ffam, t.name
+            g = t.g
+            for fam, ref in ((g.efam[0], full.efam[0]), (g.ffam[0], full.ffam[0])):
+                assert [a for a, m in enumerate(fam) if m is not None] == [0, 1, li]
+                assert all(fam[a] == ref[a] for a in (0, 1, li)), (ell, t.name)
+
+
+def test_tensor_layers_wrong_zeta_twist_negative_control(monkeypatch):
+    # zeta^-k in place of zeta^k in the column twist of the zeta expansion
+    # must break the agreement with the specialized generic expansion
+    field = type(P4.field)
+    tensors = _catalog_tensors(P4)
+    disagree = []
+    for t, M, N in tensors:
+        specialized = _specialize(_coproduct_families(M, N, "g"))
+        with monkeypatch.context() as m:
+            m.setattr(field, "zeta", lambda self, k, real=field.zeta: real(self, -k))
+            twisted = _coproduct_families(M, N, "z")
+        assert t.z.efam == specialized.efam and t.z.ffam == specialized.ffam
+        if (twisted.efam, twisted.ffam) != (specialized.efam, specialized.ffam):
+            disagree.append(t.name)
+    # a twist moves every expansion in which both factors have a weight
+    # other than 0
+    assert disagree == [t.name for t, M, N in tensors if M.dim > 1 and N.dim > 1]
+
+
+def test_lusztig_only_generic_layer():
+    # the middle families of a tensor product's generic layer are never
+    # built: reading them as a whole raises, the grading check skips them,
+    # and a tensor product with such a factor goes by the zeta route
+    w2, w3 = weyl_module(2, P4), weyl_module(3, P4)
+    t = tensor_product(w2, w3)
+    g = t.g
+    assert g.efam[0][2] is None and g.ffam[0][3] is None and not g.complete()
+    for read in (g.matrices, lambda: g.reshaped([])):
+        with pytest.raises(ValueError, match="not built"):
+            read()
+    assert relation_check(t).passed
+    for left, right in ((t, w2), (w2, t)):
+        tt = tensor_product(left, right)
+        assert not tt.has_generic() and tt.z.complete()
+        assert relation_check(tt).passed
 
 
 @pytest.mark.parametrize("ell", [4, 6])
@@ -746,6 +805,42 @@ def test_frobenius_check_reads_generic_binomials_in_pascal_range(monkeypatch, ca
     li = params.ell_i[0]
     assert max(m for m, _, _ in calls) == 12
     assert all(0 <= m <= 12 and t <= li for m, t, _ in calls), calls
+
+
+def test_frobenius_check_expands_generic_tensor_families_of_lusztig_generators_only(
+        monkeypatch, capsys):
+    # every tensor of the catalog expands its zeta layer in full, at zeta,
+    # and its generic layer on a in {0, 1, ell_i} only; no layer is
+    # specialized from the generic one
+    li = QParams(6).ell_i[0]
+    real, real_kron = repcore._coproduct_families, repcore.kron
+    krons, built = [], []
+
+    def recording(M, N, layer, lusztig_only=False):
+        before = len(krons)
+        gens = real(M, N, layer, lusztig_only)
+        families = [[a for a, m in enumerate(fam) if m is not None]
+                    for fam in gens.efam + gens.ffam]
+        built.append((layer, families, len(krons) - before))
+        return gens
+
+    def specialize(gens):
+        raise AssertionError("a generic layer was specialized")
+
+    monkeypatch.setattr(repcore, "_coproduct_families", recording)
+    monkeypatch.setattr(repcore, "kron", lambda A, B: krons.append(1) or real_kron(A, B))
+    monkeypatch.setattr(repcore, "_specialize", specialize)
+    argv = ["frobenius-check", "--ell", "6", "--max-weyl", "12", "--max-tensor", "5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    generic = [b for b in built if b[0] == "g"]
+    # one kron per term a + b = n of each E^(n) and F^(n) that is expanded
+    assert generic and all(b == ("g", [[0, 1, li]] * 2, 2 * (1 + 2 + li + 1))
+                           for b in generic)
+    assert len(generic) == 36
+    full = sum(n + 1 for n in range(li + 1))
+    assert all(b[1:] == ([list(range(li + 1))] * 2, 2 * full)
+               for b in built if b[0] == "z")
 
 
 def test_weyl_generic_layer_is_built_on_first_read(monkeypatch):
