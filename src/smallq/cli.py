@@ -36,8 +36,8 @@ refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
 VM and writes 6-7.5 MB of JSON.
-triple-verify takes about 0.17 s on the D4 table of
-tests/golden/triple-verify_D4_seed0.group and 0.4 s on --fixture d6_centre
+triple-verify takes about 0.24 s on the D4 table of
+tests/golden/triple-verify_D4_seed0.group and 0.55 s on --fixture d6_centre
 on the same VM.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or

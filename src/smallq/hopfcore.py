@@ -246,8 +246,9 @@ class CoalgebraFD:
     """delta[i] = {(j, k): c} meaning Delta(b_i) = sum c * b_j (x) b_k.
 
     ``dual_mult`` holds the structure constants of the dual algebra C* (see
-    ``_dual_mult``) and ``gens`` a generating set of C* for the module laws
-    of its comodules (see ``_generating_set``), or None.
+    ``_dual_mult``), ``regular`` the coaction matrices of C on itself, and
+    ``gens`` a generating set of C* for the module laws of its comodules, or
+    None, with ``walk`` the rest of its walk (see ``_generating_set``).
     """
 
     def __init__(self, field, delta, eps, name=""):
@@ -257,10 +258,12 @@ class CoalgebraFD:
         self.eps = eps
         self.name = name or f"coalg(dim={self.dim})"
         self.dual_mult = _dual_mult(self)
+        self.regular = coaction_matrices(delta, self.dim)
         self._validate()
         # only now is C* known to be associative and unital, which the
         # reduced module-law check needs
-        self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim)
+        self.walk = []
+        self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim, self.walk)
 
     def at_gens(self, mats):
         """The members of ``mats``, one per basis element of C, at the
@@ -271,8 +274,7 @@ class CoalgebraFD:
         f = self.field
         # coassociativity and the left counit law: C coacting on itself
         # through Delta is a comodule; every pair is checked
-        regular = coaction_matrices(self.delta, self.dim)
-        _check_module(regular, self.dual_mult, list(enumerate(self.eps)), f.one,
+        _check_module(self.regular, self.dual_mult, list(enumerate(self.eps)), f.one,
                       f"{self.name}: comultiplication not coassociative",
                       f"{self.name}: counit law fails")
         for i in range(self.dim):
@@ -344,33 +346,41 @@ def _check_module(cols, mult, unit, one, product_msg, unit_msg, gens=None):
             raise StructureError(product_msg)
 
 
-def _generating_set(mult, unit, dim):
+def _generating_set(mult, unit, dim, walk=None):
     """A generating set J of an algebra for the reduced check of
     ``_check_module``, or None when the unit is not one basis element b_e
     with coefficient 1.
 
     A walk from e: an index is reached when it is e, or the one term k, with
-    a nonzero coefficient, of a product b_i b_s with i reached and s in J.
-    The least unreached index joins J until every index is reached.  The
-    algebra must be associative and unital (for b_e b_s = b_s); callers pass
-    the structure constants of an algebra whose laws were checked.
+    a nonzero coefficient c, of a product b_i b_s with i reached and s in J.
+    The least unreached index joins J, reached as b_e b_s, until every index
+    is reached.  Each other k is c^-1 b_i b_s, and the steps (k, i, s, c)
+    are appended to ``walk``, when given, in the order reached: i is in J
+    or an earlier step's k.  The algebra must be associative and unital
+    (for b_e b_s = b_s); callers pass the structure constants of an algebra
+    whose laws were checked.
     """
     unit = [(k, u) for k, u in unit if u]
     if len(unit) != 1 or unit[0][1] != 1:
         return None
-    gens, order = [], [unit[0][0]]
+    gens, order, steps = [], [unit[0][0]], []
     reached = set(order)
     while len(order) < dim:
         s = min(set(range(dim)) - reached)
         gens.append(s)
         for i in order:             # walks the indices appended below too
             for t in gens:
-                prod = [k for k, c in mult.get((i, t), {}).items() if c]
-                if len(prod) == 1 and prod[0] not in reached:
-                    reached.add(prod[0])
-                    order.append(prod[0])
+                prod = [(k, c) for k, c in mult.get((i, t), {}).items() if c]
+                if len(prod) == 1 and prod[0][0] not in reached:
+                    (k, c), = prod
+                    reached.add(k)
+                    order.append(k)
+                    if i != order[0]:
+                        steps.append((k, i, t, c))
         if s not in reached:
             return None
+    if walk is not None:
+        walk.extend(steps)
     return gens
 
 
@@ -417,7 +427,7 @@ class HopfAlgebraFD(CoalgebraFD):
         # and coacting by Delta, satisfies the compatibility law of Cat
         n = self.dim
         left = self.left_products
-        if not _respects_action(left, coaction_matrices(self.delta, n), self, left):
+        if not _respects_action(left, self.regular, self, left):
             raise StructureError(f"{self.name}: comultiplication is not an algebra map")
         # eps is an algebra map exactly when its values, as 1 x 1 matrices, are
         # an A-module
@@ -511,10 +521,7 @@ def find_iso(homs, m, field):
     nonzero map from a simple object is injective, so a basis element is
     invertible exactly when source and target are isomorphic.
     """
-    for X in homs:
-        if inverse(X, m, field) is not None:
-            return X
-    return None
+    return next((X for X in homs if inverse(X, m, field) is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +551,9 @@ class TripleFD:
 
     iota is a dim A x dim O matrix, pi a dim a x dim A matrix and ract[j] the
     dim a x dim a matrix of the right action of the j-th basis element of A.
-    ``iota_left[i]`` is the left product by iota(e_i) on A: the O-action on
-    A, built once per triple.
+    Built once per triple: ``iota_left[i]``, the left product by iota(e_i)
+    on A, is the O-action on A, and ``right_coact`` is A as a right
+    a-comodule (``a_right_comodule_of_A``).
     """
 
     def __init__(self, O, A, a, iota, pi, ract, name=""):
@@ -561,6 +569,7 @@ class TripleFD:
         self._induced = {}          # coaction value -> Ind object; see ``induce``
         self._simples = {}          # "a" / "A" -> simple comodules; see ``a_simples``
         self._validate()
+        self.right_coact = a_right_comodule_of_A(self)
 
     def group_like(self):
         """pi(1_A): the distinguished group-like element of a, as a sparse column."""
@@ -589,7 +598,7 @@ def _check_coalgebra_map(mat, src: CoalgebraFD, tgt: CoalgebraFD, msg):
     coalgebra map: exactly then is (mat (x) id) Delta_src a tgt-coaction on
     src (apply id (x) id (x) eps_src to its coassociativity, eps_src to its
     counit law)."""
-    mats = _pushforward(mat, tgt.dim, coaction_matrices(src.delta, src.dim))
+    mats = _pushforward(mat, tgt.dim, src.regular)
     _check_module(mats, tgt.dual_mult, list(enumerate(tgt.eps)), tgt.field.one, msg, msg,
                   tgt.gens)
 
@@ -681,7 +690,7 @@ def trivial_a_comodule(T: TripleFD) -> ComoduleFD:
 
 def regular_a_comodule(T: TripleFD) -> ComoduleFD:
     """a coacting on itself through its comultiplication."""
-    return ComoduleFD(T.a, coaction_matrices(T.a.delta, T.a.dim), name="a")
+    return ComoduleFD(T.a, T.a.regular, name="a")
 
 
 class TripleObject:
@@ -759,8 +768,7 @@ def object_O(T: TripleFD) -> TripleObject:
 
 
 def object_A(T: TripleFD) -> TripleObject:
-    regular = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
-    return TripleObject(T, T.iota_left, regular, name="A")
+    return TripleObject(T, T.iota_left, ComoduleFD(T.A, T.A.regular, name="A"), name="A")
 
 
 def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
@@ -772,8 +780,7 @@ def object_O_tensor(T: TripleFD, N: ComoduleFD, name="") -> TripleObject:
     O = T.O
     ident = identity(N.dim, T.field.one)
     act = [kron(L, ident) for L in O.left_products]
-    coact_O = ComoduleFD(T.A, _pushforward(T.iota, T.A.dim, coaction_matrices(O.delta, O.dim)),
-                         name="O")
+    coact_O = ComoduleFD(T.A, _pushforward(T.iota, T.A.dim, O.regular), name="O")
     return TripleObject(T, act, comodule_tensor(coact_O, N, T.A),
                         name=name or f"O(x){N.name}")
 
@@ -847,29 +854,37 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
 
     On A (x) M the A-coaction Delta (x) id is the family of matrices
     R_b (x) I_M, with R_b the coaction matrices of A on itself, and the
-    O-action is lm_i (x) I_M, with lm_i the left product by iota(e_i).  Both
-    are restricted to the cotensor.
+    O-action is lm_i (x) I_M, with lm_i the left product by iota(e_i).  The
+    O-action and R_s (x) I_M for s in the generating set J of A* are
+    restricted to the cotensor, and the rest follow by the induction in
+    ``_check_module``'s docstring: the counit law gives R_e = I, and on the
+    walk of ``_generating_set``, R_i R_s = c R_k with s in J and i before k.
+    R_i and R_s keep the cotensor, so R_k does, and as the basis is
+    independent its restriction is the unique one ``restrict`` would give:
+    c^-1 times the product of the restrictions of R_i and R_s.
     """
-    f = T.field
-    m = M.dim
-    a = T.a
-    basis = cotensor(a.at_gens(a_right_comodule_of_A(T)), a.at_gens(M.mats), T.A.dim, m, f)
+    f, m, A, a = T.field, M.dim, T.A, T.a
+    basis = cotensor(a.at_gens(T.right_coact), a.at_gens(M.mats), A.dim, m, f)
 
     def lift(mat):
         """mat (x) I_M."""
         return [[(r * m + x, a) for r, a in col] for col in mat for x in range(m)]
 
-    coact = [lift(R) for R in coaction_matrices(T.A.delta, T.A.dim)]
-    act = [lift(L) for L in T.iota_left]
-    mats = restrict(coact + act, basis, f)
+    coact = [lift(R) for R in A.at_gens(A.regular)]
+    mats = restrict(coact + [lift(L) for L in T.iota_left], basis, f)
     if mats is None:
         # the message names the family that leaves the cotensor
         if restrict(coact, basis, f) is None:
             raise StructureError("induced coaction leaves the cotensor subspace")
         raise StructureError(
             "O-action does not preserve the cotensor subspace: condition (ii) fails")
-    comodule = ComoduleFD(T.A, mats[:T.A.dim], name=name)
-    obj = TripleObject(T, mats[T.A.dim:], comodule, name=name)
+    R = dict(zip(A.at_gens(range(A.dim)), mats))     # s -> restricted R_s, s in J
+    for k, i, s, c in A.walk:
+        P = mat_mul(R[i], R[s])
+        R[k] = P if c == 1 else mat_scale(P, f.one / c)
+    ident = identity(len(basis), f.one)         # R_e: e is neither in J nor on the walk
+    comodule = ComoduleFD(A, [R.get(k, ident) for k in range(A.dim)], name=name)
+    obj = TripleObject(T, mats[len(coact):], comodule, name=name)
     obj.carrier_basis = basis
     return obj
 
@@ -1014,13 +1029,10 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     rep = Report(f"conditions[{T.name}]")
     f = T.field
     # (i)
-    ok = True
     gl = T.group_like()
-    for j, img in enumerate(mat_mul(T.pi, T.iota)):
-        if img != mat_scale([gl], T.O.eps[j])[0]:
-            ok = False
-            break
-    if ok:
+    j = next((j for j, img in enumerate(mat_mul(T.pi, T.iota))
+              if img != mat_scale([gl], T.O.eps[j])[0]), None)
+    if j is None:
         rep.ok("i", "pi . iota factors through the counit")
     else:
         rep.fail("i", "pi . iota does not factor through the counit",
@@ -1029,7 +1041,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     # (ii): invariants of the right a-comodule structure on A
     # x is invariant when rho_r(x) = x (x) g, that is S_c x = g_c x: a map
     # into A from the one-dimensional comodule with R_c = [g_c]
-    S, g = a_right_comodule_of_A(T), dict(gl)
+    S, g = T.right_coact, dict(gl)
     line = [[[(0, g[c])] if c in g else []] for c in range(len(S))]
     inv_basis = [X[0] for X in intertwiner_space(line, S, 1, T.A.dim, f)]
     span = RowBasis(f, T.iota)
@@ -1059,22 +1071,15 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
     if catalog is None:
         rep.skip("iv_b", "no catalog supplied")
     else:
-        okb = True
-        detail = []
         dims = [induce(T, M).dim for M in catalog]
-        for M, d in zip(catalog, dims):
-            if M.dim > 0 and d == 0:
-                okb = False
-                detail.append(f"Ind({M.name}) = 0")
+        detail = [f"Ind({M.name}) = 0" for M, d in zip(catalog, dims) if M.dim > 0 and d == 0]
         # additivity on split exact sequences from pairs
         for i1 in range(len(catalog)):
             for i2 in range(i1, len(catalog)):
                 M1, M2 = catalog[i1], catalog[i2]
-                d_sum = induce(T, comodule_direct_sum(M1, M2)).dim
-                if d_sum != dims[i1] + dims[i2]:
-                    okb = False
+                if induce(T, comodule_direct_sum(M1, M2)).dim != dims[i1] + dims[i2]:
                     detail.append(f"Ind not additive on {M1.name}(+){M2.name}")
-        if okb:
+        if not detail:
             rep.ok("iv_b", "induction exact on split sequences, faithful on simples")
         else:
             rep.fail("iv_b", "; ".join(detail), counterexample=detail[0])
@@ -1181,7 +1186,7 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
     either reaches that sum or raises ``StructureError``.
     """
     f = coalg.field
-    reg = coaction_matrices(coalg.delta, coalg.dim)
+    reg = coalg.regular
     gens = coalg.at_gens(reg)
     inv_of = table.inverse
     comm = table.commutator_subgroup()
@@ -1353,14 +1358,7 @@ def points_of_O(T: TripleFD):
 
 def point_convolution(T: TripleFD, g1, g2):
     """Group law on points: (g1 * g2)(f) = sum g1(f_1) g2(f_2)."""
-    f = T.field
-    out = []
-    for i in range(T.O.dim):
-        s = f.zero
-        for (j, k), c in T.O.delta[i].items():
-            s = s + c * g1[j] * g2[k]
-        out.append(s)
-    return out
+    return [sum((c * g1[j] * g2[k] for (j, k), c in d.items()), T.field.zero) for d in T.O.delta]
 
 
 def twist(T: TripleFD, gamma, N: TripleObject, name="") -> TripleObject:
@@ -1428,8 +1426,7 @@ def equivariant_of(T: TripleFD, P: ComoduleFD) -> EquivariantObject:
     N = object_O_tensor(T, P, name=f"O(x){P.name}")
     ident = identity(P.dim, T.field.one)
     name = f"equiv({P.name})"
-    gamma = ComoduleFD(T.O, [kron(R, ident) for R in coaction_matrices(T.O.delta, T.O.dim)],
-                       name=name)
+    gamma = ComoduleFD(T.O, [kron(R, ident) for R in T.O.regular], name=name)
     return EquivariantObject(N, gamma, name=name)
 
 

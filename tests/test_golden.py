@@ -23,10 +23,15 @@ Laurent matrix arithmetic. The triple-verify files were written before the tripl
 engine stored its induced objects; the D4 table next to them is a seeded
 relabelling of the dihedral group over its rotations. The D6 report was
 written when ``twist`` moved the point to the last Sweedler factor; D6 over
-its centre is the one fixture with a nonabelian quotient. triple-details.json
-holds every check of the triple engine's suites on the same three triples;
-it was written before the triple engine's restrictions and comodule-map
-checks went through the ``linalg.restrict`` / ``intertwines`` kernels.
+its centre is the one fixture with a nonabelian quotient. The Q8 table is the
+seed-0 relabelling of the quaternion group over <i> that the bench draws
+(``group_table("Q8", 0)`` in bench/groups.py); its report, byte-identical to
+the D4 one, was written while Ind still restricted all |A| coaction matrices
+of A, before it derived them along the walk of the generating set.
+triple-details.json holds every check of the triple engine's suites on the
+same three triples; it was written before the triple engine's restrictions
+and comodule-map checks went through the ``linalg.restrict`` /
+``intertwines`` kernels.
 """
 
 import json
@@ -61,6 +66,8 @@ CASES = [
     ("triple-verify_D4_seed0.json",
      ["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]),
     ("triple-verify_d6_centre.json", ["triple-verify", "--fixture", "d6_centre"]),
+    ("triple-verify_Q8_seed0.json",
+     ["triple-verify", "--group", str(GOLDEN / "triple-verify_Q8_seed0.group")]),
 ]
 
 

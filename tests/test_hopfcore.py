@@ -1327,3 +1327,163 @@ def test_function_coalgebra_generators_are_the_group_generators():
     for table in tables:
         f = CycloField(table.exponent())
         assert hopf_of_functions(table, f).gens == table.gens
+
+
+# ---------------------------------------------------------------------------
+# Ind restricted at the generating set, the rest along the walk
+# ---------------------------------------------------------------------------
+
+INDUCE_CASES = {
+    **GROUP_TRIPLES,
+    "Q8_seed0": lambda: parse_group_text((GOLDEN / "triple-verify_Q8_seed0.group").read_text()),
+}
+
+
+def _induced_by_every_matrix(T, M, basis):
+    """(coaction, action) of Ind(M) as first built: every one of the |A|
+    regular coaction matrices of A, and the O-action, each tensored with
+    I_M and restricted to the carrier basis."""
+    f = T.field
+    ident = identity(M.dim, f.one)
+    regular = coaction_matrices(T.A.delta, T.A.dim)
+    return (hopfcore.restrict([kron(R, ident) for R in regular], basis, f),
+            hopfcore.restrict([kron(L, ident) for L in T.iota_left], basis, f))
+
+
+def _capture_builds(monkeypatch):
+    """The (M, object) pairs ``_build_induced`` returns from now on."""
+    built = []
+    real = hopfcore._build_induced
+    monkeypatch.setattr(hopfcore, "_build_induced",
+                        lambda T, M, name: built.append((M, real(T, M, name))) or built[-1][1])
+    return built
+
+
+def _mismatches(T, built):
+    """The names of the built objects that differ from the oracle."""
+    out = []
+    for M, obj in built:
+        coact, act = _induced_by_every_matrix(T, M, obj.carrier_basis)
+        if obj.comodule.mats != coact or obj.act != act:
+            out.append(M.name)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(INDUCE_CASES))
+def test_induced_coaction_along_the_walk_equals_every_matrix(case, monkeypatch):
+    # every object the equivalence check induces: the coaction matrices
+    # derived along the walk are those restrict gives on all |A| matrices
+    T = finite_group_triple(*INDUCE_CASES[case]())
+    built = _capture_builds(monkeypatch)
+    assert verify_equivalence(T).passed
+    assert len(built) >= len(standard_catalogs(T)[0])
+    assert len(T.A.walk) == T.A.dim - 1 - len(T.A.gens) > 0
+    assert _mismatches(T, built) == []
+
+
+@pytest.mark.parametrize("case,differs", [("z4_z2", False), ("s3_a3", True),
+                                          ("D4_seed0", True)])
+def test_reversed_walk_product_negative_control(case, differs, monkeypatch):
+    # R_s R_i in place of R_i R_s: on a nonabelian group some induced
+    # coaction differs from the oracle (and fails its comodule law, checked
+    # off here so the oracle sees it); on the abelian z4_z2 nothing changes
+    T = finite_group_triple(*INDUCE_CASES[case]())
+    T.A.walk = [(k, s, i, c) for k, i, s, c in T.A.walk]
+    monkeypatch.setattr(ComoduleFD, "_validate", lambda self: None)
+    monkeypatch.setattr(TripleObject, "_validate", lambda self: None)
+    built = _capture_builds(monkeypatch)
+    for M in standard_catalogs(T)[0]:
+        induce(T, M)
+    assert bool(_mismatches(T, built)) == differs
+
+
+def _rescaled_triple(T, lam):
+    """T with A's basis b_g replaced by lam[g] b_g (lam at the unit 1): the
+    structure maps of A, iota, pi and the right action rewritten in it.  The
+    dual algebra's walk then has R_i R_s = c R_k with c != 1."""
+    f, A = T.field, T.A
+    inv = [f.one / x for x in lam]
+    delta = [{(x, y): c * lam[g] * inv[x] * inv[y] for (x, y), c in d.items()}
+             for g, d in enumerate(A.delta)]
+    eps = [e * x for e, x in zip(A.eps, lam)]
+    mult = {(i, j): {k: c * lam[i] * lam[j] * inv[k] for k, c in p.items()}
+            for (i, j), p in A.mult.items()}
+    unit = {k: u * inv[k] for k, u in A.unit.items()}
+    antipode = [[(r, s * lam[g] * inv[r]) for r, s in col] for g, col in enumerate(A.antipode)]
+    A2 = HopfAlgebraFD(f, delta, eps, mult, unit, antipode, name="A'")
+    iota = [[(r, v * inv[r]) for r, v in col] for col in T.iota]
+    pi = [mat_scale([col], x)[0] for col, x in zip(T.pi, lam)]
+    ract = [mat_scale(R, x) for R, x in zip(T.ract, lam)]
+    return hopfcore.TripleFD(T.O, A2, T.a, iota, pi, ract, name="rescaled")
+
+
+def test_walk_scales_by_the_inverse_coefficient(s3_triple, monkeypatch):
+    # functions on S3 with every basis element but the unit doubled: each
+    # step of the walk has c = 1/2, and Ind(M) still equals the oracle;
+    # leaving c^-1 out breaks that equality
+    T = s3_triple
+    f = T.field
+    e = T.group.identity
+    two = f.from_int(2)
+    T2 = _rescaled_triple(T, [f.one if g == e else two for g in range(T.A.dim)])
+    assert T2.A.gens == T.A.gens
+    assert [c for *_, c in T2.A.walk] == [f.one / two] * len(T.A.walk)
+    a_cat, _ = standard_catalogs(T)
+    built = _capture_builds(monkeypatch)
+    assert check_conditions(T2, catalog=a_cat).passed
+    for M in a_cat:
+        induce(T2, M)
+    assert len(built) > len(a_cat) and _mismatches(T2, built) == []
+    # negative control: the product without its scale
+    T3 = _rescaled_triple(T, [f.one if g == e else two for g in range(T.A.dim)])
+    monkeypatch.setattr(hopfcore, "mat_scale", lambda mat, s: mat)
+    monkeypatch.setattr(ComoduleFD, "_validate", lambda self: None)
+    monkeypatch.setattr(TripleObject, "_validate", lambda self: None)
+    del built[:]
+    for M in a_cat:
+        induce(T3, M)
+    assert _mismatches(T3, built) == [M.name for M, _ in built]
+
+
+def test_d4_induce_traffic(monkeypatch, capsys):
+    # one relabelled D4 table through the CLI, 25 Ind builds: each restricts
+    # |J| + dim O = 2 + 2 generators; A's regular coaction matrices are
+    # built once per coalgebra, A as a right a-comodule once per triple
+    seen = {"restrict": [], "in_build": [], "coaction": [], "coalgebras": [],
+            "right": 0, "triples": 0}
+    real_restrict, real_build = hopfcore.restrict, hopfcore._build_induced
+    real_coaction, real_right = hopfcore.coaction_matrices, hopfcore.a_right_comodule_of_A
+    real_dual, real_triple = hopfcore._dual_mult, hopfcore.TripleFD._validate
+
+    def build(T, M, name):
+        start = len(seen["restrict"])
+        obj = real_build(T, M, name)
+        seen["in_build"].append(seen["restrict"][start:])
+        return obj
+
+    def right(T):
+        seen["right"] += 1
+        return real_right(T)
+
+    def triple(self):
+        seen["triples"] += 1
+        return real_triple(self)
+
+    monkeypatch.setattr(hopfcore, "restrict",
+                        lambda gens, *args: seen["restrict"].append(len(gens))
+                        or real_restrict(gens, *args))
+    monkeypatch.setattr(hopfcore, "_build_induced", build)
+    monkeypatch.setattr(hopfcore, "coaction_matrices",
+                        lambda rho, *args: seen["coaction"].append(rho)
+                        or real_coaction(rho, *args))
+    monkeypatch.setattr(hopfcore, "_dual_mult",
+                        lambda C: seen["coalgebras"].append(C) or real_dual(C))
+    monkeypatch.setattr(hopfcore, "a_right_comodule_of_A", right)
+    monkeypatch.setattr(hopfcore.TripleFD, "_validate", triple)
+    assert main(["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]) == 0
+    capsys.readouterr()
+    assert seen["in_build"] == [[4]] * 25
+    deltas = [rho for rho in seen["coaction"]
+              if any(rho is C.delta for C in seen["coalgebras"])]
+    assert len(deltas) == len(seen["coalgebras"]) > 0
+    assert seen["right"] == seen["triples"] == 1
