@@ -36,9 +36,9 @@ refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
 VM and writes 6-7.5 MB of JSON.
-triple-verify takes about 0.24 s on the D4 table of
-tests/golden/triple-verify_D4_seed0.group and 0.55 s on --fixture d6_centre
-on the same VM.
+triple-verify takes about 0.13 s on the D4 table of
+tests/golden/triple-verify_D4_seed0.group and 0.30 s on --fixture d6_centre
+on the same VM (medians of 15 runs).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error, a report that --out cannot write included (no traceback).  A
@@ -267,7 +267,7 @@ def cmd_linkage(args):
         raise UsageError(f"--window {cfg['window']} has {weights} weights, above "
                          f"the budget of {MAX_WINDOW_WEIGHTS}")
     observe = cfg["suite"] == "verify"
-    if observe and window[0][1] < 0:
+    if observe and window[0][1] < max(window[0][0], 0):
         raise UsageError(f"--window {cfg['window']} has no dominant weight for the "
                          f"A1 verify suite to observe; use --suite predict")
     if observe and window[0][1] > MAX_A1_WINDOW:

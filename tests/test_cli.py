@@ -33,7 +33,7 @@ def test_parse_window():
 
 def test_linkage_empty_window(capsys):
     code, out, _ = run_cli(["linkage", "--type", "A1", "--ell", "4",
-                            "--window", "5..2"], capsys)
+                            "--window", "5..2", "--suite", "predict"], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["artifacts"]["block_table"]["rows"] == []
@@ -77,13 +77,14 @@ def test_linkage_verify_on_rank2_exit_2(capsys, monkeypatch):
 
 
 def test_linkage_verify_on_negative_window_exit_2(capsys, monkeypatch):
-    # an A1 window whose top is negative holds no Weyl module to observe:
-    # verify, named or by default, is refused before any work rather than
-    # reporting the prediction alone as "verify"
+    # an A1 window whose top is negative or below its bottom holds no Weyl
+    # module to observe: verify, named or by default, is refused before any
+    # work rather than reporting the prediction alone as "verify"
     argv = ["linkage", "--type", "A1", "--ell", "4"]
     with monkeypatch.context() as m:
         m.setattr(blocks, "predicted_blocks", lambda *a: 1 / 0)
-        for window in ("--window=-5..-1", "--window=-1..-1", "--window=2..-3"):
+        for window in ("--window=-5..-1", "--window=-1..-1", "--window=2..-3",
+                       "--window=5..2"):
             for suite in (["--suite", "verify"], []):
                 code, out, err = run_cli(argv + [window] + suite, capsys)
                 assert code == 2 and out == "", (window, suite)

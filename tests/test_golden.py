@@ -31,7 +31,9 @@ of A, before it derived them along the walk of the generating set.
 triple-details.json holds every check of the triple engine's suites on the
 same three triples; it was written before the triple engine's restrictions
 and comodule-map checks went through the ``linalg.restrict`` /
-``intertwines`` kernels.
+``intertwines`` kernels. Its Q8 and D6 entries were added while condition
+(iv b) still built Ind of every direct sum in full, before it read only
+their carriers.
 """
 
 import json
@@ -86,6 +88,8 @@ TRIPLE_CASES = {
     "z4_z2": lambda: resources.files("smallq").joinpath("fixtures/z4_z2.group").read_text(),
     "s3_a3": lambda: resources.files("smallq").joinpath("fixtures/s3_a3.group").read_text(),
     "D4_seed0": lambda: (GOLDEN / "triple-verify_D4_seed0.group").read_text(),
+    "Q8_seed0": lambda: (GOLDEN / "triple-verify_Q8_seed0.group").read_text(),
+    "d6_centre": lambda: resources.files("smallq").joinpath("fixtures/d6_centre.group").read_text(),
 }
 
 

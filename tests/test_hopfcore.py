@@ -547,12 +547,13 @@ def test_ind_store_builds_each_coaction_once_s3(monkeypatch):
 
 
 def test_ind_store_builds_each_coaction_once_d4(monkeypatch, capsys):
-    # one relabelled D4 table through the CLI: 25 distinct coactions, where
-    # a build per call made 166 objects
+    # one relabelled D4 table through the CLI: 6 distinct coactions, where
+    # a build per call made 166 objects; the direct sums of (iv b) are
+    # carriers only, not Ind objects
     seen = _count_builds(monkeypatch)
     assert main(["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]) == 0
     capsys.readouterr()
-    assert seen["builds"] == len(seen["keys"]) == 25
+    assert seen["builds"] == len(seen["keys"]) == 6
     assert seen["calls"] > seen["builds"]
 
 
@@ -1376,6 +1377,9 @@ def test_induced_coaction_along_the_walk_equals_every_matrix(case, monkeypatch):
     T = finite_group_triple(*INDUCE_CASES[case]())
     built = _capture_builds(monkeypatch)
     assert verify_equivalence(T).passed
+    # and Ind of every pairwise sum of the catalog, the largest objects
+    for M1, M2 in itertools.combinations_with_replacement(standard_catalogs(T)[0], 2):
+        induce(T, comodule_direct_sum(M1, M2))
     assert len(built) >= len(standard_catalogs(T)[0])
     assert len(T.A.walk) == T.A.dim - 1 - len(T.A.gens) > 0
     assert _mismatches(T, built) == []
@@ -1433,6 +1437,8 @@ def test_walk_scales_by_the_inverse_coefficient(s3_triple, monkeypatch):
     assert check_conditions(T2, catalog=a_cat).passed
     for M in a_cat:
         induce(T2, M)
+    for M1, M2 in itertools.combinations_with_replacement(a_cat, 2):
+        induce(T2, comodule_direct_sum(M1, M2))
     assert len(built) > len(a_cat) and _mismatches(T2, built) == []
     # negative control: the product without its scale
     T3 = _rescaled_triple(T, [f.one if g == e else two for g in range(T.A.dim)])
@@ -1445,8 +1451,43 @@ def test_walk_scales_by_the_inverse_coefficient(s3_triple, monkeypatch):
     assert _mismatches(T3, built) == [M.name for M, _ in built]
 
 
+@pytest.mark.parametrize("case", sorted(INDUCE_CASES))
+def test_iv_b_carrier_equals_a_fresh_build(case, monkeypatch):
+    # (iv b) reads only the carrier of each sum M1 (+) M2, and builds Ind of
+    # the catalog members only: the carrier's length is the dimension of
+    # Ind(M1 (+) M2) built in full on a fresh triple
+    T = finite_group_triple(*INDUCE_CASES[case]())
+    a_cat, _ = standard_catalogs(T)
+    sums, real_sum = [], hopfcore.comodule_direct_sum
+    monkeypatch.setattr(hopfcore, "comodule_direct_sum",
+                        lambda M1, M2: sums.append(real_sum(M1, M2)) or sums[-1])
+    built = _capture_builds(monkeypatch)
+    assert check_conditions(T, catalog=a_cat).passed
+    n = len(a_cat)
+    assert len(sums) == n * (n + 1) // 2 and 0 < len(built) <= n
+    fresh = finite_group_triple(*INDUCE_CASES[case]())
+    for S in sums:
+        assert len(hopfcore._carrier(T, S)[1]) == hopfcore._build_induced(fresh, S, "").dim
+
+
+@pytest.mark.parametrize("case", ["z4_z2", "D4_seed0"])
+def test_iv_b_solves_each_sum_negative_control(case, monkeypatch):
+    # a direct sum that returns M1 (+) M1 for M1 (+) M2 fails (iv b) on
+    # chi (+) regular: the check solves the sum's own cotensor rather than
+    # adding up the dimensions it already knows
+    T = finite_group_triple(*INDUCE_CASES[case]())
+    a_cat, _ = standard_catalogs(T)
+    real_sum = hopfcore.comodule_direct_sum
+    monkeypatch.setattr(hopfcore, "comodule_direct_sum", lambda M1, M2: real_sum(M1, M1))
+    (iv_b,) = [c for c in check_conditions(T, catalog=a_cat).checks if c.name == "iv_b"]
+    chi, reg = a_cat[0], a_cat[-2]
+    assert reg.name == regular_a_comodule(T).name
+    assert iv_b.status == "fail"
+    assert f"Ind not additive on {chi.name}(+){reg.name}" in iv_b.details
+
+
 def test_d4_induce_traffic(monkeypatch, capsys):
-    # one relabelled D4 table through the CLI, 25 Ind builds: each restricts
+    # one relabelled D4 table through the CLI, 6 Ind builds: each restricts
     # |J| + dim O = 2 + 2 generators; A's regular coaction matrices are
     # built once per coalgebra, A as a right a-comodule once per triple
     seen = {"restrict": [], "in_build": [], "coaction": [], "coalgebras": [],
@@ -1482,7 +1523,7 @@ def test_d4_induce_traffic(monkeypatch, capsys):
     monkeypatch.setattr(hopfcore.TripleFD, "_validate", triple)
     assert main(["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]) == 0
     capsys.readouterr()
-    assert seen["in_build"] == [[4]] * 25
+    assert seen["in_build"] == [[4]] * 6
     deltas = [rho for rho in seen["coaction"]
               if any(rho is C.delta for C in seen["coalgebras"])]
     assert len(deltas) == len(seen["coalgebras"]) > 0
