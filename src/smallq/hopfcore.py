@@ -566,8 +566,7 @@ class TripleFD:
         self.name = name or "triple"
         self.field = A.field
         self.iota_left = [combine(col, A.left_products) for col in iota]
-        self._induced = {}          # coaction value -> Ind object; see ``induce``
-        self._carriers = {}         # coaction value -> Ind's carrier; see ``_carrier``
+        self._induced = {}          # coaction value -> [carrier, Ind or None]; see ``induce``
         self._simples = {}          # "a" / "A" -> simple comodules; see ``a_simples``
         self._validate()
         self.right_coact = a_right_comodule_of_A(self)
@@ -832,18 +831,18 @@ def cotensor(right, left, dim_r, dim_l, field):
 def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     """Ind(M) = (A (x) M)^a with left A-coaction and O-action by left product.
 
-    Each triple stores the objects it has induced, keyed by the value of the
-    coaction of M.  The first M of a value is built and validated; a later M
-    of the same value gets an object that shares the stored ``act``,
-    ``comodule`` and ``carrier_basis`` and carries its own name and
-    ``induced_from``.  Callers must not mutate what ``induce`` returns.
-    Condition (iv b) reads only the carriers of its sums (``_carrier``).
+    Each triple stores, keyed by the value of the coaction of M, the carrier
+    of Ind(M) and, once built, the object (``_stored``).  The first M of a
+    value is built and validated; a later M of the same value gets an object
+    that shares the stored ``act``, ``comodule`` and ``carrier_basis`` and
+    carries its own name and ``induced_from``.  Callers must not mutate what
+    ``induce`` returns.  Condition (iv b) reads only the carriers of its sums.
     """
     name = name or f"Ind({M.name})"
-    key, _ = _carrier(T, M)
-    built = T._induced.get(key)
+    entry = _stored(T, M)
+    built = entry[1]
     if built is None:
-        obj = T._induced[key] = _build_induced(T, M, name)
+        obj = entry[1] = _build_induced(T, M, name, entry[0])
     else:
         obj = TripleObject(T, built.act, built.comodule, name=name, validate=False)
         obj.carrier_basis = built.carrier_basis
@@ -851,18 +850,22 @@ def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
     return obj
 
 
-def _carrier(T: TripleFD, M: ComoduleFD):
-    """(key, basis): the value of M's coaction, which keys both stores of T,
-    and the carrier of Ind(M), the cotensor basis of A (x) M, solved once."""
+def _stored(T: TripleFD, M: ComoduleFD):
+    """T's entry [carrier, Ind(M) or None] for the value of M's coaction; the
+    carrier is solved once per value."""
     key = (M.dim, tuple(tuple(map(tuple, R)) for R in M.mats))
-    basis = T._carriers.get(key)
-    if basis is None:
-        basis = T._carriers[key] = cotensor(T.a.at_gens(T.right_coact), T.a.at_gens(M.mats),
-                                            T.A.dim, M.dim, T.field)
-    return key, basis
+    entry = T._induced.get(key)
+    if entry is None:
+        entry = T._induced[key] = [_carrier(T, M), None]
+    return entry
 
 
-def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
+def _carrier(T: TripleFD, M: ComoduleFD):
+    """The carrier of Ind(M): the cotensor basis of A (x) M."""
+    return cotensor(T.a.at_gens(T.right_coact), T.a.at_gens(M.mats), T.A.dim, M.dim, T.field)
+
+
+def _build_induced(T: TripleFD, M: ComoduleFD, name, basis=None) -> TripleObject:
     """Ind(M) built from the cotensor, validated; see ``induce``.
 
     On A (x) M the A-coaction Delta (x) id is the family of matrices
@@ -874,10 +877,11 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name) -> TripleObject:
     walk of ``_generating_set``, R_i R_s = c R_k with s in J and i before k.
     R_i and R_s keep the cotensor, so R_k does, and as the basis is
     independent its restriction is the unique one ``restrict`` would give:
-    c^-1 times the product of the restrictions of R_i and R_s.
+    c^-1 times the product of the restrictions of R_i and R_s.  ``basis`` is
+    the carrier from T's store; without it the cotensor is solved here.
     """
     f, m, A = T.field, M.dim, T.A
-    _, basis = _carrier(T, M)
+    basis = _carrier(T, M) if basis is None else basis
 
     def lift(mat):
         """mat (x) I_M."""
@@ -1040,7 +1044,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
            the catalog and faithful on its simple objects.  Each catalog
            member is induced in full; of each sum M1 (+) M2 only the
            carrier is read, the cotensor basis solved from the sum's own
-           coaction (``_carrier``).  Building Ind(M1 (+) M2) would check
+           coaction (``_stored``).  Building Ind(M1 (+) M2) would check
            nothing new: the equations of ``cotensor`` are block diagonal in
            M1 (+) M2, so its cotensor is the direct sum of the summands',
            the O-action and the coaction act blockwise, and the builds of
@@ -1098,7 +1102,7 @@ def check_conditions(T: TripleFD, catalog=None) -> Report:
         for i1 in range(len(catalog)):
             for i2 in range(i1, len(catalog)):
                 M1, M2 = catalog[i1], catalog[i2]
-                if len(_carrier(T, comodule_direct_sum(M1, M2))[1]) != dims[i1] + dims[i2]:
+                if len(_stored(T, comodule_direct_sum(M1, M2))[0]) != dims[i1] + dims[i2]:
                     detail.append(f"Ind not additive on {M1.name}(+){M2.name}")
         if not detail:
             rep.ok("iv_b", "induction exact on split sequences, faithful on simples")

@@ -29,11 +29,11 @@ seed-0 relabelling of the quaternion group over <i> that the bench draws
 the D4 one, was written while Ind still restricted all |A| coaction matrices
 of A, before it derived them along the walk of the generating set.
 triple-details.json holds every check of the triple engine's suites on the
-same three triples; it was written before the triple engine's restrictions
-and comodule-map checks went through the ``linalg.restrict`` /
-``intertwines`` kernels. Its Q8 and D6 entries were added while condition
-(iv b) still built Ind of every direct sum in full, before it read only
-their carriers.
+five triples of ``TRIPLE_CASES``; its first three were written before the
+triple engine's restrictions and comodule-map checks went through the
+``linalg.restrict`` / ``intertwines`` kernels. Its Q8 and D6 entries were
+added while condition (iv b) still built Ind of every direct sum in full,
+before it read only their carriers.
 """
 
 import json

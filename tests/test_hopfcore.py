@@ -1356,7 +1356,7 @@ def _capture_builds(monkeypatch):
     built = []
     real = hopfcore._build_induced
     monkeypatch.setattr(hopfcore, "_build_induced",
-                        lambda T, M, name: built.append((M, real(T, M, name))) or built[-1][1])
+                        lambda T, M, *args: built.append((M, real(T, M, *args))) or built[-1][1])
     return built
 
 
@@ -1467,7 +1467,7 @@ def test_iv_b_carrier_equals_a_fresh_build(case, monkeypatch):
     assert len(sums) == n * (n + 1) // 2 and 0 < len(built) <= n
     fresh = finite_group_triple(*INDUCE_CASES[case]())
     for S in sums:
-        assert len(hopfcore._carrier(T, S)[1]) == hopfcore._build_induced(fresh, S, "").dim
+        assert len(hopfcore._stored(T, S)[0]) == hopfcore._build_induced(fresh, S, "").dim
 
 
 @pytest.mark.parametrize("case", ["z4_z2", "D4_seed0"])
@@ -1496,9 +1496,9 @@ def test_d4_induce_traffic(monkeypatch, capsys):
     real_coaction, real_right = hopfcore.coaction_matrices, hopfcore.a_right_comodule_of_A
     real_dual, real_triple = hopfcore._dual_mult, hopfcore.TripleFD._validate
 
-    def build(T, M, name):
+    def build(T, M, *args):
         start = len(seen["restrict"])
-        obj = real_build(T, M, name)
+        obj = real_build(T, M, *args)
         seen["in_build"].append(seen["restrict"][start:])
         return obj
 
