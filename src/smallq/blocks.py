@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from .frobenius import dual_irrep_sl2, frobenius_pullback, hom_big, restrict_to_small
 from .hopfcore import (
-    A_simples,
     O_comodule_pullback,
-    a_simples,
     comodule_hom_space,
     comodule_tensor,
     find_iso,
-    group_simples,
     induce,
     res_a_comodule,
+    simples,
     trivial_A_comodule,
     trivial_a_comodule,
 )
@@ -280,8 +278,8 @@ def finite_block_bijection(T) -> Report:
     """
     rep = Report(f"block-bijection[{T.name}]")
     f = T.field
-    A_simp = A_simples(T)
-    a_simp = a_simples(T)
+    A_simp = simples(T.A)
+    a_simp = simples(T.a)
     rep.ok("fine-blocks",
            f"A-side simple count {len(A_simp)}, a-side simple count {len(a_simp)} "
            "(injectives are simple here, so fine blocks are singletons)")
@@ -347,8 +345,7 @@ def finite_block_bijection(T) -> Report:
     # condition (*): twisting by pullback comodules preserves the blocks
     ok_star = True
     star_witness = None
-    quot_simples = group_simples(T.quotient_group, T.O)
-    for qs in quot_simples:
+    for qs in simples(T.O):
         FV = O_comodule_pullback(T, qs)
         for i, N in enumerate(A_simp):
             tensored = comodule_tensor(FV, N, T.A)

@@ -36,9 +36,12 @@ refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
 VM and writes 6-7.5 MB of JSON.
-triple-verify takes about 0.13 s on the D4 table of
-tests/golden/triple-verify_D4_seed0.group and 0.30 s on --fixture d6_centre
-on the same VM (medians of 15 runs).
+triple-verify takes about 0.14 s on the D4 table of
+tests/golden/triple-verify_D4_seed0.group and 0.33 s on --fixture d6_centre
+on the same VM (medians of 15 runs).  It refuses, with exit 2, a table of more
+than 32 elements (hopfcore.MAX_GROUP_ORDER, counted from its header: Z/32
+over Z/16 takes 4-5 s, Z/48 13-17 s) and one that repeats a header, element
+or pair.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error, a report that --out cannot write included (no traceback).  A
@@ -418,7 +421,7 @@ def cmd_triple_verify(args):
 
 def _triple_checks(T, rep):
     """The triple-verify suites on T, appended to rep."""
-    rep.extend(hc.check_conditions(T, catalog=hc.a_simples(T)), prefix="cond/")
+    rep.extend(hc.check_conditions(T, catalog=hc.simples(T.a)), prefix="cond/")
     ver = hc.verify_equivalence(T)
     _summarize(rep, ver, "equivalence")
     bij = blocks_mod.finite_block_bijection(T)

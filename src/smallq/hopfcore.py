@@ -20,7 +20,8 @@ from a plain-text format (one line per product) and simple comodules are
 found by exact character/spin decomposition of the regular comodule of the
 function coalgebra, which works over the cyclotomic splitting field
 Q(zeta_exponent).  A group representation is such a comodule: R_g is the
-action of g^-1.
+action of g^-1.  ``simples`` finds them once per coalgebra, from the table
+that ``hopf_of_functions`` records on it; no other check reads a table.
 """
 
 from __future__ import annotations
@@ -198,32 +199,43 @@ class GroupTable:
         return sorted(closed)
 
 
+# budget of the table parser: the triple checks grow steeply with the order
+MAX_GROUP_ORDER = 32
+
+
 def parse_group_text(text: str):
     """Parse the plain-text table format.
 
     Header line "elements: e a b ...", optional "subgroup: e b", then one
-    line "x y -> z" per pair.
+    line "x y -> z" per pair.  A repeated header, element or pair is refused,
+    and so, before any product is looked up, are more than MAX_GROUP_ORDER.
     """
-    names = None
-    subgroup = None
+    headers = {}
     products = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("elements:"):
-            names = line[len("elements:"):].split()
-            continue
-        if line.startswith("subgroup:"):
-            subgroup = line[len("subgroup:"):].split()
+        key = next((k for k in ("elements:", "subgroup:") if line.startswith(k)), None)
+        if key is not None:
+            if key in headers:
+                raise StructureError(f"second '{key}' header")
+            headers[key] = line[len(key):].split()
             continue
         parts = line.split()
         if len(parts) != 4 or parts[2] != "->":
             raise StructureError(f"bad table line: {raw!r}")
+        if (parts[0], parts[1]) in products:
+            raise StructureError(f"product {parts[0]} {parts[1]} given twice")
         products[(parts[0], parts[1])] = parts[3]
+    names = headers.get("elements:")
     if names is None:
         raise StructureError("missing 'elements:' header")
+    if len(names) > MAX_GROUP_ORDER:
+        raise StructureError(f"{len(names)} elements, more than the budget of {MAX_GROUP_ORDER}")
     index = {n: i for i, n in enumerate(names)}
+    if len(index) != len(names):
+        raise StructureError(f"element {next(x for x in names if names.count(x) > 1)} named twice")
     n = len(names)
     mult = [[None] * n for _ in range(n)]
     for (x, y), z in products.items():
@@ -235,7 +247,7 @@ def parse_group_text(text: str):
             if mult[i][j] is None:
                 raise StructureError(
                     f"missing product {names[i]} {names[j]}")
-    return GroupTable(names, mult), subgroup
+    return GroupTable(names, mult), headers.get("subgroup:")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +276,7 @@ class CoalgebraFD:
         # reduced module-law check needs
         self.walk = []
         self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim, self.walk)
+        self._simple_comodules = None       # filled on first use; see ``simples``
 
     def at_gens(self, mats):
         """The members of ``mats``, one per basis element of C, at the
@@ -529,7 +542,8 @@ def find_iso(homs, m, field):
 # ---------------------------------------------------------------------------
 
 def hopf_of_functions(table: GroupTable, field) -> HopfAlgebraFD:
-    """Functions on a finite group: pointwise product, Delta dual to mult."""
+    """Functions on a finite group: pointwise product, Delta dual to mult.
+    The table is kept as ``group`` for ``simples``."""
     f = field
     n = table.n
     delta = [dict() for _ in range(n)]
@@ -542,8 +556,10 @@ def hopf_of_functions(table: GroupTable, field) -> HopfAlgebraFD:
     mult = {(i, i): {i: f.one} for i in range(n)}
     unit = {i: f.one for i in range(n)}
     antipode = [[(table.inverse[g], f.one)] for g in range(n)]
-    return HopfAlgebraFD(f, delta, eps, mult, unit, antipode,
-                         name=f"O[{'x'.join(table.names[:1])}..n={n}]")
+    H = HopfAlgebraFD(f, delta, eps, mult, unit, antipode,
+                      name=f"O[{'x'.join(table.names[:1])}..n={n}]")
+    H.group = table
+    return H
 
 
 class TripleFD:
@@ -553,21 +569,22 @@ class TripleFD:
     dim a x dim a matrix of the right action of the j-th basis element of A.
     Built once per triple: ``iota_left[i]``, the left product by iota(e_i)
     on A, is the O-action on A, and ``right_coact`` is A as a right
-    a-comodule (``a_right_comodule_of_A``).
+    a-comodule (``a_right_comodule_of_A``).  ``sections`` are vectors of A,
+    sparse columns, that ``_freeness_witness`` tries first.
     """
 
-    def __init__(self, O, A, a, iota, pi, ract, name=""):
+    def __init__(self, O, A, a, iota, pi, ract, name="", sections=()):
         self.O = O
         self.A = A
         self.a = a
         self.iota = iota
         self.pi = pi
         self.ract = ract
+        self.sections = list(sections)
         self.name = name or "triple"
         self.field = A.field
         self.iota_left = [combine(col, A.left_products) for col in iota]
         self._induced = {}          # coaction value -> [carrier, Ind or None]; see ``induce``
-        self._simples = {}          # "a" / "A" -> simple comodules; see ``a_simples``
         self._validate()
         self.right_coact = a_right_comodule_of_A(self)
 
@@ -615,9 +632,7 @@ def finite_group_triple(table: GroupTable, subgroup_names, field=None,
     A = hopf_of_functions(table, f)
     quot, rep_of = table.quotient(sub)
     O = hopf_of_functions(quot, f)
-    a_table = table.subgroup_table(sub)
-    a_hopf = hopf_of_functions(a_table, f)
-    a = CoalgebraFD(f, a_hopf.delta, a_hopf.eps, name="a")
+    a = hopf_of_functions(table.subgroup_table(sub), f)
     # iota: pullback of functions along the quotient map
     iota = [[(g, f.one) for g in range(table.n) if rep_of[g] == q] for q in range(quot.n)]
     # pi: restriction of functions to the subgroup
@@ -626,14 +641,10 @@ def finite_group_triple(table: GroupTable, subgroup_names, field=None,
     # right A-module structure: pointwise product with the restriction
     ract = [[[(i, f.one)] if h == g else [] for i, h in enumerate(sub)]
             for g in range(table.n)]
-    triple = TripleFD(O, A, a, iota, pi, ract,
-                      name=name or f"triple({table.n}/{len(sub)})")
-    triple.group = table
-    triple.subgroup = sub
-    triple.quotient_group = quot
-    triple.quotient_rep = rep_of
-    triple.a_table = a_table
-    return triple
+    # sections of the quotient map: the j-th member of every coset
+    sections = [[(g, f.one) for g in sorted(col[j][0] for col in iota)] for j in range(len(sub))]
+    return TripleFD(O, A, a, iota, pi, ract, name=name or f"triple({table.n}/{len(sub)})",
+                    sections=sections)
 
 
 def degenerate_triple_aac(A: HopfAlgebraFD) -> TripleFD:
@@ -1117,13 +1128,7 @@ def _freeness_witness(T: TripleFD):
     if T.A.dim % T.O.dim != 0:
         return None
     k = T.A.dim // T.O.dim
-    candidates = []
-    if hasattr(T, "group"):
-        # sections of the quotient map: the j-th member of every coset
-        cosets = T.group.cosets(T.subgroup)
-        for j in range(k):
-            vec = [(r, f.one) for r in sorted(coset[j] for coset in cosets)]
-            candidates.append((f"section[{j}]", vec))
+    candidates = [(f"section[{j}]", vec) for j, vec in enumerate(T.sections)]
     for x in range(T.A.dim):
         candidates.append((f"basis[{x}]", [(x, f.one)]))
     # last, the unit: when O = A, O.1_A = A is free of rank one
@@ -1194,9 +1199,9 @@ def abelian_characters(table: GroupTable, field):
     return chars
 
 
-def group_simples(table: GroupTable, coalg: CoalgebraFD):
-    """The simple comodules of the function coalgebra ``coalg`` of a group,
-    exact over a splitting field, found by splitting its regular comodule.
+def group_simples(coalg: CoalgebraFD):
+    """The simple comodules of the functions ``coalg`` on the group ``coalg.group``,
+    exact over a splitting field, found by splitting the regular comodule.
 
     The regular coaction matrix R_g is left translation by g^-1, so the
     projectors, sums over group elements h, take R at h^-1.  Spins and the
@@ -1210,6 +1215,7 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
     and is passed over untested.  One deterministic pass over the candidates
     either reaches that sum or raises ``StructureError``.
     """
+    table = coalg.group
     f = coalg.field
     reg = coalg.regular
     gens = coalg.at_gens(reg)
@@ -1217,11 +1223,11 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
     comm = table.commutator_subgroup()
     quot, rep_of = table.quotient(comm)
     chars = abelian_characters(quot, f)
-    simples = [ComoduleFD(coalg, [[[(0, chi[rep_of[inv_of[g]]])]] for g in range(table.n)],
-                          name=f"chi{k}") for k, chi in enumerate(chars)]
-    total = len(simples)
+    out = [ComoduleFD(coalg, [[[(0, chi[rep_of[inv_of[g]]])]] for g in range(table.n)],
+                      name=f"chi{k}") for k, chi in enumerate(chars)]
+    total = len(out)
     if total == table.n:
-        return simples
+        return out
     # complement of the one-dimensional isotypics inside the regular comodule
     inv = f.from_int(table.n).inverse()
     proj_sum = combine(((inv_of[g], chi[rep_of[inv_of[g]]] * inv)
@@ -1258,32 +1264,24 @@ def group_simples(table: GroupTable, coalg: CoalgebraFD):
         # no map from any simple found so far
         if len(intertwiner_space(W, W, d, d, f)) != 1:
             continue
-        if any(intertwiner_space(W, coalg.at_gens(s.mats), d, s.dim, f) for s in simples):
+        if any(intertwiner_space(W, coalg.at_gens(s.mats), d, s.dim, f) for s in out):
             continue
         # the span is stable under the generators, so under every R_g
-        simples.append(ComoduleFD(coalg, restrict(reg, rows, f), name=f"S{len(simples)}"))
+        out.append(ComoduleFD(coalg, restrict(reg, rows, f), name=f"S{len(out)}"))
         total += d ** 2
         if total == table.n:
-            return simples
+            return out
     raise StructureError("could not split the regular comodule into simples")
 
 
-def a_simples(T: TripleFD):
-    """The simple a-comodules, built once per triple; a fresh list per call."""
-    return list(_simples(T, "a"))
-
-
-def A_simples(T: TripleFD):
-    """The simple A-comodules, built once per triple; a fresh list per call."""
-    return list(_simples(T, "A"))
-
-
-def _simples(T: TripleFD, side):
-    out = T._simples.get(side)
-    if out is None:
-        out = T._simples[side] = (group_simples(T.group, T.A) if side == "A"
-                                  else group_simples(T.a_table, T.a))
-    return out
+def simples(C: CoalgebraFD):
+    """The simple C-comodules, found once per coalgebra from its ``group``
+    table; a fresh list per call.  Without a table it raises StructureError."""
+    if C._simple_comodules is None:
+        if getattr(C, "group", None) is None:
+            raise StructureError(f"{C.name}: no simple catalog (no group table recorded)")
+        C._simple_comodules = group_simples(C)
+    return list(C._simple_comodules)
 
 
 def O_comodule_pullback(T: TripleFD, V: ComoduleFD) -> ComoduleFD:
@@ -1317,8 +1315,8 @@ def trivial_A_comodule(T: TripleFD) -> ComoduleFD:
 
 def standard_catalogs(T: TripleFD):
     """(a-comodule catalog, Cat-object catalog) per the verification contract."""
-    a_cat = a_simples(T) + [regular_a_comodule(T), trivial_a_comodule(T)]
-    cat = [object_O(T), object_A(T)] + [object_O_tensor(T, N) for N in A_simples(T)]
+    a_cat = simples(T.a) + [regular_a_comodule(T), trivial_a_comodule(T)]
+    cat = [object_O(T), object_A(T)] + [object_O_tensor(T, N) for N in simples(T.A)]
     return a_cat, cat
 
 
@@ -1493,7 +1491,7 @@ def verify_ideal_prop(T: TripleFD, a_catalog=None) -> Report:
                          counterexample=c.name)
                 return rep
     if a_catalog is None:
-        a_catalog = a_simples(T)
+        a_catalog = simples(T.a)
     for M in a_catalog:
         # Res(Ind(M)) -> M: counit of the plain adjunction
         counit = counit_on_carrier(T, induce(T, M))

@@ -29,7 +29,6 @@ from smallq.frobenius import (
     verify_commutator_identity,
 )
 from smallq.hopfcore import (
-    a_simples,
     check_conditions,
     finite_group_triple,
     identity_point,
@@ -38,6 +37,7 @@ from smallq.hopfcore import (
     parse_group_text,
     point_convolution,
     points_of_O,
+    simples,
     twist,
     verify_equivalence,
 )
@@ -171,9 +171,9 @@ def test_criterion_6_generator_theorem(triples):
     z4 = triples["z4_z2"]
     s3 = triples["s3_a3"]
     assert (z4.O.dim, z4.A.dim, z4.a.dim) == (2, 4, 2)
-    assert len(a_simples(s3)) == 3
+    assert len(simples(s3.a)) == 3
     for name, T in triples.items():
-        cond = check_conditions(T, catalog=a_simples(T))
+        cond = check_conditions(T, catalog=simples(T.a))
         statuses = {c.name: c.status for c in cond.checks}
         assert statuses["i"] == statuses["ii"] == statuses["iii"] == "pass", name
         assert statuses["iv_a"] == "pass", name

@@ -13,6 +13,7 @@ import pytest
 import smallq
 from smallq import blocks, cli, hopfcore
 from smallq.cli import MAX_A1_WINDOW, MAX_WINDOW_WEIGHTS, main, parse_window, UsageError
+from smallq.hopfcore import MAX_GROUP_ORDER
 
 
 def run_cli(argv, capsys):
@@ -441,6 +442,54 @@ def test_triple_verify_group_and_fixture_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert "not allowed with argument" in err and "Traceback" not in err
+
+
+def _z4_text():
+    return (Path(smallq.__file__).parent / "fixtures" / "z4_z2.group").read_text()
+
+
+def _triple_verify_text(text, tmp_path, capsys):
+    path = tmp_path / "t.group"
+    path.write_text(text)
+    code, out, err = run_cli(["triple-verify", "--group", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: group table does not parse: ") and "Traceback" not in err
+    return err
+
+
+def test_triple_verify_refuses_a_pair_given_twice(capsys, tmp_path):
+    # an extra line ahead of the true one: the last line used to win
+    text = _z4_text().replace("a a -> b\n", "a a -> c\na a -> b\n")
+    assert "product a a given twice" in _triple_verify_text(text, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("header", ["elements: e a b c", "subgroup: e"])
+def test_triple_verify_refuses_a_second_header(header, capsys, tmp_path):
+    text = _z4_text() + header + "\n"
+    key = header.split()[0]
+    assert f"second '{key}' header" in _triple_verify_text(text, tmp_path, capsys)
+
+
+def test_triple_verify_refuses_an_element_named_twice(capsys, tmp_path):
+    text = _z4_text().replace("elements: e a b c", "elements: e a b c a")
+    err = _triple_verify_text(text, tmp_path, capsys)
+    assert "element a named twice" in err and "missing product" not in err
+
+
+def test_triple_verify_refuses_a_table_over_the_budget(capsys, tmp_path):
+    # counted from the header alone, before any product is looked for
+    names = " ".join(f"g{i}" for i in range(MAX_GROUP_ORDER + 1))
+    err = _triple_verify_text(f"elements: {names}\nsubgroup: g0\n", tmp_path, capsys)
+    assert f"{MAX_GROUP_ORDER + 1} elements, more than the budget of {MAX_GROUP_ORDER}" in err
+    assert "missing product" not in err
+
+
+def test_group_order_budget_admits_its_bound():
+    # a cyclic group of the budget's order parses
+    n = MAX_GROUP_ORDER
+    lines = [f"elements: {' '.join(f'g{i}' for i in range(n))}"]
+    lines += [f"g{i} g{j} -> g{(i + j) % n}" for i in range(n) for j in range(n)]
+    assert hopfcore.parse_group_text("\n".join(lines))[0].n == n
 
 
 def test_reports_byte_identical(capsys, tmp_path):

@@ -98,7 +98,7 @@ def triple_details(case):
     table, sub = hopfcore.parse_group_text(TRIPLE_CASES[case]())
     T = hopfcore.finite_group_triple(table, sub)
     reports = {
-        "check_conditions": hopfcore.check_conditions(T, catalog=hopfcore.a_simples(T)),
+        "check_conditions": hopfcore.check_conditions(T, catalog=hopfcore.simples(T.a)),
         "verify_equivalence": hopfcore.verify_equivalence(T),
         "finite_block_bijection": blocks.finite_block_bijection(T),
         "verify_ideal_prop": hopfcore.verify_ideal_prop(T),

@@ -12,7 +12,6 @@ from dense import columns, entries, rows
 from smallq import blocks, hopfcore
 from smallq.cli import main
 from smallq.hopfcore import (
-    A_simples,
     CoalgebraFD,
     ComoduleFD,
     EquivariantObject,
@@ -20,7 +19,6 @@ from smallq.hopfcore import (
     HopfAlgebraFD,
     StructureError,
     TripleObject,
-    a_simples,
     adjunction_counit,
     adjunction_unit,
     check_conditions,
@@ -50,6 +48,7 @@ from smallq.hopfcore import (
     regular_a_comodule,
     res_a_comodule,
     shrunk_triple,
+    simples,
     standard_catalogs,
     trivial_A_comodule,
     trivial_a_comodule,
@@ -158,7 +157,7 @@ def _columns_of(rho, cdim, f):
 
 def test_conditions_pass_on_fixtures(z4_triple, s3_triple):
     for T in (z4_triple, s3_triple):
-        rep = check_conditions(T, catalog=a_simples(T))
+        rep = check_conditions(T, catalog=simples(T.a))
         statuses = {c.name: c.status for c in rep.checks}
         assert statuses["i"] == "pass"
         assert statuses["ii"] == "pass"
@@ -204,7 +203,7 @@ def test_induce_examples(z4_triple):
     iso = find_iso([X for X in _cat_homs(T, ind_c, object_O(T))], T.O.dim, f)
     assert iso is not None
     # Ind(Res(N)) is O (x) N
-    N = A_simples(T)[1]
+    N = simples(T.A)[1]
     ind_res = induce(T, res_a_comodule(T, N))
     target = object_O_tensor(T, N)
     assert ind_res.dim == target.dim
@@ -224,7 +223,7 @@ def test_psi_examples(z4_triple):
     Q2, _ = psi(T, object_A(T))
     assert Q2.dim == T.a.dim
     assert find_iso(comodule_hom_space(Q2, regular_a_comodule(T)), T.a.dim, T.field) is not None
-    N = A_simples(T)[1]
+    N = simples(T.A)[1]
     Q3, _ = psi(T, object_O_tensor(T, N))
     assert find_iso(comodule_hom_space(Q3, res_a_comodule(T, N)), N.dim, T.field) is not None
 
@@ -233,7 +232,7 @@ def test_find_iso_negative_control(z4_triple, s3_triple):
     # distinct one-dimensional characters of Z/4: simple, same dimension,
     # not isomorphic -- the answer must be a certified None
     T = z4_triple
-    chars = A_simples(T)
+    chars = simples(T.A)
     assert len(chars) == 4 and all(S.dim == 1 for S in chars)
     for S1, S2 in itertools.permutations(chars, 2):
         assert find_iso(comodule_hom_space(S1, S2), S2.dim, T.field) is None
@@ -246,7 +245,7 @@ def test_find_iso_negative_control(z4_triple, s3_triple):
     # isomorphism found is invertible and intertwines the coactions
     T = s3_triple
     f = T.field
-    V = next(s for s in group_simples(T.group, T.A) if s.dim == 2)
+    V = next(s for s in group_simples(T.A) if s.dim == 2)
     P = columns([[f.one, f.one], [f.zero, f.one]])
     P_inv = inverse(P, 2, f)
     W = ComoduleFD(T.A, [mat_mul(mat_mul(P_inv, m), P) for m in V.mats], name="V'")
@@ -261,10 +260,10 @@ def test_comodule_hom_space_character_oracle(z4_triple, s3_triple):
     # comodule over functions on G as R_{g^-1}, so the character of a simple
     # is g -> tr R_{g^-1}; a direct sum adds characters, a tensor multiplies
     for T in (z4_triple, s3_triple):
-        f, G = T.field, T.group
+        f, G = T.field, T.A.group
         simples = [(c, [sum((entries(c.mats[G.inverse[g]]).get((i, i), f.zero)
                              for i in range(c.dim)), f.zero) for g in range(G.n)])
-                   for c in group_simples(G, T.A)]
+                   for c in group_simples(T.A)]
         objs = list(simples)
         for (c1, chi1), (c2, chi2) in itertools.combinations_with_replacement(simples, 2):
             objs.append((comodule_direct_sum(c1, c2), [x + y for x, y in zip(chi1, chi2)]))
@@ -286,10 +285,10 @@ def test_verify_equivalence_fixtures(z4_triple, s3_triple):
 
 
 def test_simple_counts(z4_triple, s3_triple):
-    assert len(A_simples(z4_triple)) == 4
-    assert len(a_simples(z4_triple)) == 2
-    assert len(a_simples(s3_triple)) == 3          # conjugacy classes of Z/3
-    s3_dims = sorted(s.dim for s in A_simples(s3_triple))
+    assert len(simples(z4_triple.A)) == 4
+    assert len(simples(z4_triple.a)) == 2
+    assert len(simples(s3_triple.a)) == 3          # conjugacy classes of Z/3
+    s3_dims = sorted(s.dim for s in simples(s3_triple.A))
     assert s3_dims == [1, 1, 2]
 
 
@@ -335,7 +334,7 @@ def test_twist_acts_on_the_last_sweedler_factor(z4_triple):
     # identity breaks the compatibility law when it acts on the first
     # Sweedler factor, and none does on the last
     T = finite_group_triple(*load_fixture("d6_centre"))
-    assert T.quotient_group.commutator_subgroup() != [T.quotient_group.identity]
+    assert T.O.group.commutator_subgroup() != [T.O.group.identity]
     ident = identity_point(T)
     for N in (object_O(T), object_A(T)):
         for gamma in points_of_O(T):
@@ -393,7 +392,7 @@ def test_equivariant_round_trips(z4_triple, s3_triple):
     for T in (z4_triple, s3_triple):
         f = T.field
         regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A-reg")
-        catalog = A_simples(T) + [regular_A]
+        catalog = simples(T.A) + [regular_A]
         distinct = 0
         seen = []
         for P in catalog:
@@ -404,8 +403,7 @@ def test_equivariant_round_trips(z4_triple, s3_triple):
             if P.dim < T.A.dim or P is regular_A:
                 pass
         # count of reconstructed simples matches the simple count of the group
-        simples = A_simples(T)
-        recon = [equivariant_reconstruct(T, equivariant_of(T, P))[0] for P in simples]
+        recon = [equivariant_reconstruct(T, equivariant_of(T, P))[0] for P in simples(T.A)]
         for i, Q in enumerate(recon):
             for j, Q2 in enumerate(recon):
                 has_hom = any(any(any(r) for r in X)
@@ -415,7 +413,7 @@ def test_equivariant_round_trips(z4_triple, s3_triple):
 
 def test_equivariant_rejects_incompatible_data(z4_triple):
     T = z4_triple
-    P = A_simples(T)[1]
+    P = simples(T.A)[1]
     E = equivariant_of(T, P)
     from smallq.hopfcore import EquivariantObject
     EquivariantObject(E.N, E.gamma)
@@ -429,7 +427,7 @@ def test_equivariant_of_refuses_a_nonabelian_quotient():
     # D6 over its centre: the quotient S3 is nonabelian, Delta_O is not
     # cocommutative, and equivariant_of says so up front for every simple
     T = finite_group_triple(*load_fixture("d6_centre"))
-    for P in A_simples(T):
+    for P in simples(T.A):
         with pytest.raises(StructureError, match="Delta_O is not cocommutative"):
             equivariant_of(T, P)
 
@@ -451,7 +449,7 @@ def test_ideal_prop(z4_triple, s3_triple):
 def test_hom_adjunction_spot(z4_triple):
     T = z4_triple
     N = object_O(T)
-    for M in a_simples(T):
+    for M in simples(T.a):
         ind = induce(T, M)
         lhs = len(_cat_homs(T, N, ind))
         Q, _ = psi(T, N)
@@ -462,7 +460,7 @@ def test_hom_adjunction_spot(z4_triple):
 def test_group_simples_sum_of_squares():
     table, _ = load_fixture("s3_a3")
     f = CycloField(6)
-    simples = group_simples(table, hopf_of_functions(table, f))
+    simples = group_simples(hopf_of_functions(table, f))
     assert sum(s.dim ** 2 for s in simples) == 6
 
 
@@ -495,11 +493,11 @@ def test_quaternion_triple_stress():
     table = quaternion_table()
     assert table.exponent() == 4
     f = CycloField(4)
-    simples = group_simples(table, hopf_of_functions(table, f))
-    assert sorted(s.dim for s in simples) == [1, 1, 1, 1, 2]
+    found = group_simples(hopf_of_functions(table, f))
+    assert sorted(s.dim for s in found) == [1, 1, 1, 1, 2]
     T = finite_group_triple(table, ["e", "i", "me", "mi"])
     assert (T.O.dim, T.A.dim, T.a.dim) == (2, 8, 4)
-    rep = check_conditions(T, catalog=a_simples(T))
+    rep = check_conditions(T, catalog=simples(T.a))
     assert all(c.status != "fail" for c in rep.checks), rep.failures()
     rep = verify_equivalence(T)
     assert rep.passed, rep.failures()[:3]
@@ -590,7 +588,7 @@ def test_ind_store_negative_control():
     C = trivial_a_comodule(T)
     ind_c = induce(T, C)
     (c, v), = [(c, entries(R)[0, 0]) for c, R in enumerate(C.mats)
-               if R[0] and c != T.a_table.identity]
+               if R[0] and c != T.a.group.identity]
     mats = [[list(col) for col in R] for R in C.mats]
     mats[c][0] = [(0, -v)]
     sign = ComoduleFD(T.a, mats, name="sign")
@@ -618,20 +616,53 @@ def test_ind_store_leaves_reports_unchanged():
             == [(c.name, c.status, c.details) for c in reps[1].checks])
 
 
-def test_simples_built_once_per_triple(monkeypatch):
+def test_simples_built_once_per_coalgebra(monkeypatch, capsys):
     table, sub = load_fixture("s3_a3")
     T = finite_group_triple(table, sub)
     calls = []
     real = hopfcore.group_simples
     monkeypatch.setattr(hopfcore, "group_simples",
                         lambda *args: calls.append(args) or real(*args))
-    for simples in (a_simples, A_simples):
-        first = simples(T)
+    for C in (T.a, T.A):
+        first = simples(C)
         first.append(None)
-        again = simples(T)
+        again = simples(C)
         assert None not in again and again is not first
         assert all(x is y for x, y in zip(first, again))
-    assert len(calls) == 2
+    assert [C for C, in calls] == [T.a, T.A]
+    # a triple-verify run finds the simples of O, A and a once each
+    calls.clear()
+    assert main(["triple-verify", "--fixture", "s3_a3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3 and len({id(C) for C, in calls}) == 3
+
+
+def test_simples_of_a_coalgebra_without_a_group_is_refused(z4_triple):
+    # the one-dimensional C of (A, A, C) is no function coalgebra of a
+    # recorded group: it has no catalog, and asking for one says so
+    C = degenerate_triple_aac(z4_triple.A).a
+    with pytest.raises(StructureError, match="C: no simple catalog"):
+        simples(C)
+
+
+def _suite_checks(T):
+    """(name, status, details) of every check of the four triple suites."""
+    reps = [check_conditions(T, catalog=simples(T.a)), verify_equivalence(T),
+            blocks.finite_block_bijection(T), verify_ideal_prop(T)]
+    return [[(c.name, c.status, c.details) for c in rep.checks] for rep in reps]
+
+
+@pytest.mark.parametrize("name", ["z4_z2", "D4_seed0"])
+def test_engine_reads_no_group_table(name):
+    # with the catalogs found, a triple whose coalgebras forget their group
+    # tables gives every check of an untouched triple, iv_a included
+    stripped, untouched = (finite_group_triple(*GROUP_TRIPLES[name]()) for _ in range(2))
+    for C in (stripped.O, stripped.A, stripped.a):
+        simples(C)
+        del C.group
+    got, want = _suite_checks(stripped), _suite_checks(untouched)
+    assert all(want) and got == want
+    assert ("iv_a", "pass") == got[0][3][:2] and "'section[0]'" in got[0][3][2]
 
 
 # ---------------------------------------------------------------------------
@@ -996,11 +1027,25 @@ def test_generating_set_generates_the_group(group_triple):
     # for functions on a group the dual algebra is the group algebra
     # (opposite product): J must generate the group, from the identity
     T = group_triple
-    for C, table in ((T.A, T.group), (T.a, T.a_table), (T.O, T.quotient_group)):
+    for C, table in ((T.A, T.A.group), (T.a, T.a.group), (T.O, T.O.group)):
         gens = C.gens
         assert gens is not None and table.identity not in gens
         assert table.generated(gens) == list(range(table.n))
         assert gens == sorted(gens)
+
+
+def test_sections_are_the_rows_of_iota(group_triple):
+    # the fibres of G -> G/N are the columns of iota, each in increasing
+    # order; section j takes the j-th member of every fibre
+    T = group_triple
+    G, f = T.A.group, T.field
+    sub = [h for h, col in enumerate(T.pi) if col]
+    fibres = sorted({tuple(sorted(G.mult[g][h] for h in sub)) for g in range(G.n)})
+    assert sorted(tuple(r for r, _ in col) for col in T.iota) == fibres
+    assert len(T.sections) == len(sub)
+    for j, vec in enumerate(T.sections):
+        assert vec == [(r, f.one) for r in sorted(col[j][0] for col in T.iota)]
+        assert sorted(r for r, _ in vec) == sorted(fibre[j] for fibre in fibres)
 
 
 def test_d4_comodules_are_checked_on_two_generators():
@@ -1015,8 +1060,8 @@ def test_reduced_module_check_agrees_with_every_pair(group_triple):
     # one perturbed matrix, generator or not, fails both with the same law
     T = group_triple
     regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
-    a_cat = a_simples(T) + [regular_a_comodule(T)]
-    comodules = (a_cat + A_simples(T) + [regular_A]
+    a_cat = simples(T.a) + [regular_a_comodule(T)]
+    comodules = (a_cat + simples(T.A) + [regular_A]
                  + [induce(T, M).comodule for M in a_cat])
     for M in comodules:
         C = M.coalg
@@ -1035,7 +1080,7 @@ def test_reduced_module_check_agrees_with_every_pair(group_triple):
 def test_corrupted_non_generator_coaction_is_refused(group_triple):
     T = group_triple
     regular_A = ComoduleFD(T.A, coaction_matrices(T.A.delta, T.A.dim), name="A")
-    outside = [c for c in range(T.A.dim) if c not in T.A.gens and c != T.group.identity]
+    outside = [c for c in range(T.A.dim) if c not in T.A.gens and c != T.A.group.identity]
     assert outside
     c = outside[-1]
     mats = list(regular_A.mats)
@@ -1087,7 +1132,7 @@ def _respects_action_by_kron(act, coact, O, left):
 
 def _cat_objects(T):
     _, cat = standard_catalogs(T)
-    a_cat = a_simples(T) + [regular_a_comodule(T)]
+    a_cat = simples(T.a) + [regular_a_comodule(T)]
     return cat + [induce(T, M) for M in a_cat]
 
 
@@ -1104,8 +1149,8 @@ def test_respects_action_matches_the_kronecker_sum(group_triple):
     A = T.A
     coact = coaction_matrices(A.delta, A.dim)
     assert hopfcore._respects_action(A.left_products, coact, A, A.left_products)
-    if T.quotient_group.commutator_subgroup() == [T.quotient_group.identity]:
-        E = equivariant_of(T, A_simples(T)[-1])
+    if T.O.group.commutator_subgroup() == [T.O.group.identity]:
+        E = equivariant_of(T, simples(T.A)[-1])
         for law in (hopfcore._respects_action, _respects_action_by_kron):
             assert law(E.N.act, E.gamma.mats, T.O, T.O.left_products)
 
@@ -1171,10 +1216,10 @@ def test_group_modules_on_gens_equal_every_matrix(group_triple):
     # the generating set of the dual algebra only
     T = group_triple
     f = T.field
-    for table, C in ((T.group, T.A), (T.a_table, T.a)):
+    for table, C in ((T.A.group, T.A), (T.a.group, T.a)):
         assert table.generated(C.gens) == list(range(table.n))
         reg = ComoduleFD(C, coaction_matrices(C.delta, C.dim), name="regular")
-        mods = group_simples(table, C) + [reg]
+        mods = group_simples(C) + [reg]
         for W in mods:
             for V in mods:
                 assert comodule_hom_space(W, V) == intertwiner_space(W.mats, V.mats, W.dim,
@@ -1187,9 +1232,9 @@ def test_group_modules_on_gens_equal_every_matrix(group_triple):
 
 def _s3_character(T, sign):
     # a character with chi(g^-1) = chi(g), so R_g = chi(g)
-    A3 = set(T.subgroup)
+    A3 = {g for g, col in enumerate(T.pi) if col}
     mats = [[[(0, T.field.one if g in A3 or not sign else -T.field.one)]]
-            for g in range(T.group.n)]
+            for g in range(T.A.group.n)]
     return ComoduleFD(T.A, mats, name="sign" if sign else "1")
 
 
@@ -1199,7 +1244,7 @@ def test_a_set_that_does_not_generate_gives_larger_answers(s3_triple):
     # cotensor over functions on S3 twice the size
     T = s3_triple
     f = T.field
-    r, i = T.group.index["r"], T.group.index["i"]
+    r, i = T.A.group.index["r"], T.A.group.index["i"]
     assert T.A.gens == [r, i]
     sign, triv = _s3_character(T, True), _s3_character(T, False)
     assert comodule_hom_space(sign, triv) == []
@@ -1228,7 +1273,7 @@ def test_hom_space_over_the_one_dimensional_coalgebra():
     trivial = GroupTable(["e"], [[0]])
     k = hopf_of_functions(trivial, f)
     assert trivial.gens == k.gens == []
-    assert [s.dim for s in group_simples(trivial, k)] == [1]
+    assert [s.dim for s in group_simples(k)] == [1]
     reg = ComoduleFD(k, coaction_matrices(k.delta, k.dim))
     assert len(comodule_hom_space(reg, reg)) == 1
 
@@ -1264,7 +1309,7 @@ SIMPLE_TABLES = {"Q8": quaternion_table, "A4": _a4_table,
 @functools.lru_cache(maxsize=None)
 def _simples_of(name):
     table = SIMPLE_TABLES[name]()
-    return table, group_simples(table, hopf_of_functions(table, CycloField(table.exponent())))
+    return table, group_simples(hopf_of_functions(table, CycloField(table.exponent())))
 
 
 SIMPLE_DIMS = {
@@ -1427,7 +1472,7 @@ def test_walk_scales_by_the_inverse_coefficient(s3_triple, monkeypatch):
     # leaving c^-1 out breaks that equality
     T = s3_triple
     f = T.field
-    e = T.group.identity
+    e = T.A.group.identity
     two = f.from_int(2)
     T2 = _rescaled_triple(T, [f.one if g == e else two for g in range(T.A.dim)])
     assert T2.A.gens == T.A.gens
