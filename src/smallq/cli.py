@@ -40,8 +40,9 @@ triple-verify takes about 0.14 s on the D4 table of
 tests/golden/triple-verify_D4_seed0.group and 0.33 s on --fixture d6_centre
 on the same VM (medians of 15 runs).  It refuses, with exit 2, a table of more
 than 32 elements (hopfcore.MAX_GROUP_ORDER, counted from its header: Z/32
-over Z/16 takes 4-5 s, Z/48 13-17 s) and one that repeats a header, element
-or pair.
+over Z/16 takes 4-5 s, Z/48 13-17 s), one that repeats a header, element
+or pair, and a subgroup that names an element twice.  A --config file that
+gives a key twice (type and cartan_type are one key) exits 2 too.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error, a report that --out cannot write included (no traceback).  A
@@ -102,7 +103,8 @@ def parse_window(text: str, rank: int):
 
 
 def load_config_file(path):
-    out = {}
+    """The (key, value) pairs of a config file, in file order."""
+    out = []
     try:
         with open(path) as fh:
             for raw in fh:
@@ -112,7 +114,7 @@ def load_config_file(path):
                 if "=" not in line:
                     raise UsageError(f"bad config line {raw!r}")
                 key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
+                out.append((key.strip(), val.strip()))
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return out
@@ -123,7 +125,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand registers only the flags it reads: any other is a
-    # usage error (exit 2), and so is the same key in a --config file
+    # usage error (exit 2), and so is such a key in a --config file
     def common(p, root_datum):
         if root_datum:
             p.add_argument("--type", default=None, dest="cartan_type")
@@ -180,11 +182,16 @@ def resolve_config(args):
     if getattr(args, "config", None):
         file_cfg = load_config_file(args.config)
         renames = {"type": "cartan_type"}
-        for k, v in file_cfg.items():
+        given = {}
+        for k, v in file_cfg:
             key = renames.get(k, k)
             # the keys are the flags the subcommand registers
             if key not in _DEFAULTS or not hasattr(args, key):
                 raise UsageError(f"config key {k!r} is not read by {args.command}")
+            if key in given:
+                alias = f" (as {given[key]!r} before)" if given[key] != k else ""
+                raise UsageError(f"config key {k!r} given twice{alias}")
+            given[key] = k
             if key in ("ell", "seed", "max_weyl", "max_tensor"):
                 try:
                     v = int(v)

@@ -8,11 +8,13 @@ sparse columns (see ``linalg``): coaction and action matrices, the maps
 between carriers and the structure maps ``iota``, ``pi``, ``ract`` and
 ``antipode`` of a triple or Hopf algebra alike.
 
-The engine realizes the induction functor Ind(M) = (A (x) M)^a as an exact
-cotensor nullspace, the de-equivariantization Psi(N) = C (x)_O N as an exact
-quotient, the two adjunction transformations as explicit matrices, the
-conditions (i)-(iv) on a triple as rank computations, twisting by points of
-Spec(O), and the reconstruction of A-comodules from equivariant objects.
+The engine realizes the induction functor Ind(M) = (A (x) M)^a on a Hom
+space (the cotensor is the intertwiners from M's transposed coaction to A's
+right a-coaction; one object per coaction value), the de-equivariantization
+Psi(N) = C (x)_O N as an exact quotient, the two adjunction transformations
+as explicit matrices, the conditions (i)-(iv) on a triple as rank
+computations, twisting by points of Spec(O), and the reconstruction of
+A-comodules from equivariant objects.
 
 Finite-group triples O = functions(H''/H'), A = functions(H''),
 a = functions(H') are the verifiable instances; group tables are ingested
@@ -125,6 +127,8 @@ class GroupTable:
         for nm in names:
             if nm not in self.index:
                 raise StructureError(f"unknown element {nm!r} in subgroup")
+            if self.index[nm] in idx:
+                raise StructureError(f"element {nm!r} named twice in subgroup")
             idx.append(self.index[nm])
         s = set(idx)
         if self.identity not in s:
@@ -708,18 +712,18 @@ class TripleObject:
     """Carrier with an O-action and a compatible A-coaction.
 
     The coaction is an A-comodule (``ComoduleFD``) whose laws were checked
-    when it was built; objects that share one, such as twists and the views
-    ``induce`` returns, do not check them again.
+    when it was built; objects that share one, such as twists, do not check
+    them again.  The O-action and its compatibility with the coaction are
+    checked here.
     """
 
-    def __init__(self, T: TripleFD, act, comodule: ComoduleFD, name="", validate=True):
+    def __init__(self, T: TripleFD, act, comodule: ComoduleFD, name=""):
         self.T = T
         self.act = act              # list over O-basis of carrier matrices
         self.comodule = comodule
         self.dim = comodule.dim
         self.name = name or f"object(dim={self.dim})"
-        if validate:
-            self._validate()
+        self._validate()
 
     def act_sum(self, terms):
         """sum_k c_k act[k] over the (k, c_k) terms."""
@@ -806,59 +810,35 @@ def cotensor(right, left, dim_r, dim_l, field):
     ``right`` and ``left`` are coaction matrices of a right and a left
     comodule over one coalgebra C, of dimensions dim_r and dim_l, paired by
     index: entry (y, x) of S_c is the coefficient of y (x) c in rho_r(x),
-    entry (z, w) of R_c that of c (x) z in rho_l(w).  The kernel is the v
-    with (S_c (x) I) v = (I (x) R_c) v for every c.  Callers pass the pairs
-    at the generating set J of C* only (see ``_generating_set``; every pair
-    when there is none), and the kernel is the same.  Both families are
-    modules over C*: R_i R_t = sum_c delta_c[(t, i)] R_c, and the right
-    coassociativity gives S_t S_i = sum_c delta_c[(t, i)] S_c, the same
-    combination.  If v satisfies the equations at t and at i, then
-    (S_t S_i (x) I) v = (S_t (x) I)(I (x) R_i) v = (I (x) R_i)(S_t (x) I) v
-    = (I (x) R_i R_t) v.  Along the walk of ``_generating_set``, with t in J,
-    i reached before k and R_i R_t = mu R_k, mu != 0, this says
-    mu (S_k (x) I) v = mu (I (x) R_k) v.  The counit laws give S_e = I and
-    R_e = I, which covers e, so by induction v satisfies every equation.
-    With J empty (a one-dimensional C) the kernel is the whole product.
+    entry (z, w) of R_c that of c (x) z in rho_l(w).  Written as the
+    dim_r x dim_l matrix V, a vector v satisfies (S_c (x) I) v = (I (x) R_c) v
+    when S_c V = V R_c^T: V is an intertwiner from the R_c^T to the S_c.
+    These multiply alike, S_t S_i = sum_c delta_c[(t, i)] S_c = (R_i R_t)^T,
+    so the argument of ``comodule_hom_space``, each product's factors
+    swapped, lets callers pass the pairs at the generating set J of C* only
+    (every pair when there is none).
 
-    Returns basis vectors over the flattened index x * dim_l + w, read off
-    the reduced row-echelon form of the equations, which depends only on
-    the kernel.
+    Returns basis vectors over the flattened index x * dim_l + w, the
+    row-major order of the unknowns of ``intertwiner_space``.
     """
-    eqs = {}
-    for x in range(dim_r):
-        for w in range(dim_l):
-            col = x * dim_l + w
-            for c, S in enumerate(right):
-                for y, v in S[x]:
-                    eqs.setdefault((y, c, w), []).append((col, v))
-            for c, R in enumerate(left):
-                for z, v in R[w]:
-                    eqs.setdefault((x, c, z), []).append((col, -v))
-    # sorted keys: the order changes only the elimination cost, and this
-    # order measured cheaper than the order the keys were met in
-    return sparse_nullspace([eqs[k] for k in sorted(eqs)], dim_r * dim_l, field)
+    gens = [transpose(R, dim_l) for R in left]
+    return [sorted((x * dim_l + w, v) for w, col in enumerate(V) for x, v in col)
+            for V in intertwiner_space(gens, right, dim_l, dim_r, field)]
 
 
-def induce(T: TripleFD, M: ComoduleFD, name="") -> TripleObject:
+def induce(T: TripleFD, M: ComoduleFD) -> TripleObject:
     """Ind(M) = (A (x) M)^a with left A-coaction and O-action by left product.
 
     Each triple stores, keyed by the value of the coaction of M, the carrier
     of Ind(M) and, once built, the object (``_stored``).  The first M of a
-    value is built and validated; a later M of the same value gets an object
-    that shares the stored ``act``, ``comodule`` and ``carrier_basis`` and
-    carries its own name and ``induced_from``.  Callers must not mutate what
-    ``induce`` returns.  Condition (iv b) reads only the carriers of its sums.
+    value builds and validates it; every M of that value gets that object,
+    which callers must not mutate.  Condition (iv b) reads only the carriers
+    of its sums.
     """
-    name = name or f"Ind({M.name})"
     entry = _stored(T, M)
-    built = entry[1]
-    if built is None:
-        obj = entry[1] = _build_induced(T, M, name, entry[0])
-    else:
-        obj = TripleObject(T, built.act, built.comodule, name=name, validate=False)
-        obj.carrier_basis = built.carrier_basis
-    obj.induced_from = M
-    return obj
+    if entry[1] is None:
+        entry[1] = _build_induced(T, M, entry[0])
+    return entry[1]
 
 
 def _stored(T: TripleFD, M: ComoduleFD):
@@ -876,7 +856,7 @@ def _carrier(T: TripleFD, M: ComoduleFD):
     return cotensor(T.a.at_gens(T.right_coact), T.a.at_gens(M.mats), T.A.dim, M.dim, T.field)
 
 
-def _build_induced(T: TripleFD, M: ComoduleFD, name, basis=None) -> TripleObject:
+def _build_induced(T: TripleFD, M: ComoduleFD, basis=None) -> TripleObject:
     """Ind(M) built from the cotensor, validated; see ``induce``.
 
     On A (x) M the A-coaction Delta (x) id is the family of matrices
@@ -891,7 +871,7 @@ def _build_induced(T: TripleFD, M: ComoduleFD, name, basis=None) -> TripleObject
     c^-1 times the product of the restrictions of R_i and R_s.  ``basis`` is
     the carrier from T's store; without it the cotensor is solved here.
     """
-    f, m, A = T.field, M.dim, T.A
+    f, m, A, name = T.field, M.dim, T.A, f"Ind({M.name})"
     basis = _carrier(T, M) if basis is None else basis
 
     def lift(mat):
@@ -985,9 +965,9 @@ def adjunction_unit(T: TripleFD, N: TripleObject):
     return mat, ind, rep
 
 
-def counit_on_carrier(T: TripleFD, ind: TripleObject):
-    """eps_A (x) id on the carrier of ind = Ind(M), as a dim M x dim ind matrix."""
-    m = ind.induced_from.dim
+def counit_on_carrier(T: TripleFD, ind: TripleObject, m):
+    """eps_A (x) id on the carrier of ind = Ind(M), dim M = m, as an
+    m x dim ind matrix."""
     out = []
     for vec in ind.carrier_basis:
         col = {}
@@ -1008,7 +988,7 @@ def adjunction_counit(T: TripleFD, M: ComoduleFD):
     rep = Report(f"counit[{M.name}]")
     ind = induce(T, M)
     Q2, quot = psi(T, ind)
-    c_on_s = counit_on_carrier(T, ind)
+    c_on_s = counit_on_carrier(T, ind, M.dim)
     # must kill m.Ind(M), whose reduced basis psi has built; it then factors
     # through the free coordinates of the quotient
     if not mat_is_zero(mat_mul(c_on_s, quot.sub.sorted_rows())):
@@ -1494,7 +1474,7 @@ def verify_ideal_prop(T: TripleFD, a_catalog=None) -> Report:
         a_catalog = simples(T.a)
     for M in a_catalog:
         # Res(Ind(M)) -> M: counit of the plain adjunction
-        counit = counit_on_carrier(T, induce(T, M))
+        counit = counit_on_carrier(T, induce(T, M), M.dim)
         if rank(counit, f) == M.dim:
             rep.ok(f"surjective[{M.name}]")
         else:

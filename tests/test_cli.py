@@ -476,6 +476,24 @@ def test_triple_verify_refuses_an_element_named_twice(capsys, tmp_path):
     assert "element a named twice" in err and "missing product" not in err
 
 
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_triple_verify_refuses_a_subgroup_that_names_an_element_twice(source, capsys,
+                                                                      tmp_path):
+    # the subgroup was deduplicated before: e b e ran as e b and exited 0
+    path = tmp_path / "t.group"
+    text = _z4_text()
+    argv = ["triple-verify", "--group", str(path)]
+    if source == "file":
+        (header,) = [ln for ln in text.splitlines() if ln.startswith("subgroup:")]
+        text = text.replace(header, "subgroup: e b e")
+    else:
+        argv += ["--subgroup", "e,b,e"]
+    path.write_text(text)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "element 'e' named twice in subgroup" in err and "Traceback" not in err
+
+
 def test_triple_verify_refuses_a_table_over_the_budget(capsys, tmp_path):
     # counted from the header alone, before any product is looked for
     names = " ".join(f"g{i}" for i in range(MAX_GROUP_ORDER + 1))
@@ -539,6 +557,23 @@ def test_config_key_a_subcommand_does_not_read_exit_2(capsys, tmp_path):
         key = line.split("=")[0]
         assert f"config key {key!r} is not read by {command}" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["window=0..7", "ell=4", "ell=6"], "config key 'ell' given twice"),
+    (["window=0..7", "window=0..3"], "config key 'window' given twice"),
+    (["window=0..7", "type=A1", "cartan_type=A2"],
+     "config key 'cartan_type' given twice (as 'type' before)"),
+    (["window=0..7", "cartan_type=A1", "type=A1"],
+     "config key 'type' given twice (as 'cartan_type' before)"),
+])
+def test_config_key_given_twice_exit_2(lines, message, capsys, tmp_path):
+    # the last line used to win: ell=4 then ell=6 ran at ell 6
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["linkage", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_config_unknown_format_exit_2(capsys, tmp_path):

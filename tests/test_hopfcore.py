@@ -7,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from dense import columns, entries, rows
+from dense import DenseRowBasis, columns, entries, rows, sparse
 
 from smallq import blocks, hopfcore
 from smallq.cli import main
@@ -525,10 +525,10 @@ def _count_builds(monkeypatch):
         seen["builds"] += 1
         return build(*args, **kwargs)
 
-    def counting_induce(T, M, name=""):
+    def counting_induce(T, M):
         seen["calls"] += 1
         seen["keys"].add(_coaction_key(M))
-        return ind(T, M, name)
+        return ind(T, M)
 
     monkeypatch.setattr(hopfcore, "_build_induced", counting_build)
     monkeypatch.setattr(hopfcore, "induce", counting_induce)
@@ -569,14 +569,14 @@ def test_ind_store_hit_equals_fresh_build(z4_triple, s3_triple):
             induce(T, M)
         stored = len(T._induced)
         for M in a_cat:
-            # an equal-valued twin under a new name hits the store
+            # an equal-valued twin under a new name hits the store and gets
+            # the one stored object
             twin = ComoduleFD(M.coalg, [[list(row) for row in R] for R in M.mats],
                               name=f"twin-{M.name}")
-            for src, name in ((M, "Ind-caller"), (twin, "")):
-                got = induce(T, src, name=name)
-                _assert_same_induced(got, hopfcore._build_induced(T, src, "fresh"))
-                assert got.name == (name or f"Ind({src.name})")
-                assert got.induced_from is src
+            got = induce(T, M)
+            assert induce(T, twin) is got
+            for src in (M, twin):
+                _assert_same_induced(got, hopfcore._build_induced(T, src))
         assert len(T._induced) == stored
 
 
@@ -595,7 +595,7 @@ def test_ind_store_negative_control():
     ind_s = induce(T, sign)
     assert len(T._induced) == 2
     assert ind_s.comodule.mats != ind_c.comodule.mats
-    _assert_same_induced(ind_s, hopfcore._build_induced(T, sign, "fresh"))
+    _assert_same_induced(ind_s, hopfcore._build_induced(T, sign))
     _assert_same_induced(induce(T, C), ind_c)
 
 
@@ -1210,6 +1210,35 @@ def test_hom_spaces_and_cotensors_on_gens_equal_every_matrix(group_triple):
                                                                  M.dim, f)
 
 
+def _dense_cotensor(T, M):
+    """The RREF null basis of S_c (x) I - I (x) R_c stacked over every basis
+    element c of a, each Kronecker product written out densely."""
+    f, n, m = T.field, T.A.dim, M.dim
+    basis = DenseRowBasis(f)
+    for S, R in zip(T.right_coact, M.mats, strict=True):
+        S, R = rows(S, n, f.zero), rows(R, m, f.zero)
+        for y in range(n):
+            for z in range(m):
+                basis.add([(S[y][x] if z == w else f.zero) - (R[z][w] if y == x else f.zero)
+                           for x in range(n) for w in range(m)])
+    return [sparse(v) for v in basis.null_basis(n * m)]
+
+
+@pytest.mark.parametrize("case,sums", [("z4_z2", True), ("s3_a3", True), ("D4_seed0", False)])
+def test_carrier_equals_the_dense_kronecker_null_basis(case, sums):
+    # the stored carrier of Ind(M), flattened at x * dim M + w, is the null
+    # basis of the full Kronecker system over every c, not only J: for each
+    # catalog member and, on the small triples, each sum (iv b) reads
+    T = finite_group_triple(*GROUP_TRIPLES[case]())
+    a_cat, _ = standard_catalogs(T)
+    mods = list(a_cat)
+    if sums:
+        mods += [comodule_direct_sum(M1, M2)
+                 for M1, M2 in itertools.combinations_with_replacement(a_cat, 2)]
+    for M in mods:
+        assert hopfcore._stored(T, M)[0] == _dense_cotensor(T, M), M.name
+
+
 def test_group_modules_on_gens_equal_every_matrix(group_triple):
     # group modules are comodules over functions on the group: their Hom
     # spaces, and the spins that split the regular one, read the matrices at
@@ -1512,7 +1541,7 @@ def test_iv_b_carrier_equals_a_fresh_build(case, monkeypatch):
     assert len(sums) == n * (n + 1) // 2 and 0 < len(built) <= n
     fresh = finite_group_triple(*INDUCE_CASES[case]())
     for S in sums:
-        assert len(hopfcore._stored(T, S)[0]) == hopfcore._build_induced(fresh, S, "").dim
+        assert len(hopfcore._stored(T, S)[0]) == hopfcore._build_induced(fresh, S).dim
 
 
 @pytest.mark.parametrize("case", ["z4_z2", "D4_seed0"])
