@@ -22,10 +22,11 @@ turn, so peak memory no longer grows with the catalog (VmHWM 20-21 MB with
 both caps, against a 15 MB floor for an empty catalog).  It refuses a
 catalog beyond its budget with exit 2: --max-weyl at most 40, --max-tensor
 at most 8 and --ell at most 16 (MAX_ELL), whether the value comes from a
-flag or from --config.  At ell 6 each cap alone takes about 0.5-0.7 s
-(W(0..40)) and 1.0 s (every W(a) (x) W(b) with a, b <= 8) on a shared
-2-core x86 VM; both together take 1.4 s at ell 6, 2.6 s at ell 10 and
-5.5 s at ell 16 (single runs), and the cost grows steeply with the size.  Past the ell budget the
+flag or from --config.  At ell 6 each cap alone takes about 0.24 s
+(W(0..40)) and 0.5 s (every W(a) (x) W(b) with a, b <= 8) on a shared
+2-core x86 VM; both together take 0.67 s at ell 6, 1.5 s at ell 10 and
+3.1 s at ell 16 (medians of 5 single runs), and the cost grows steeply
+with the size.  Past the ell budget the
 generic binomials of the commutator identity dominate: at ell 120 the
 catalog W(0..1) alone took 100 s.  In the same way linkage --type A1 --suite
 verify refuses a window whose top is above 320 (MAX_A1_WINDOW).  The window
@@ -41,7 +42,8 @@ tests/golden/triple-verify_D4_seed0.group and 0.33 s on --fixture d6_centre
 on the same VM (medians of 15 runs).  It refuses, with exit 2, a table of more
 than 32 elements (hopfcore.MAX_GROUP_ORDER, counted from its header: Z/32
 over Z/16 takes 4-5 s, Z/48 13-17 s), one that repeats a header, element
-or pair, and a subgroup that names an element twice.  A --config file that
+or pair, a subgroup that names an element twice, and a --subgroup with an
+empty entry ("" or e,,b).  A --config file that
 gives a key twice (type and cartan_type are one key) exits 2 too.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
@@ -406,8 +408,13 @@ def cmd_triple_verify(args):
         table, sub_names = hc.parse_group_text(text)
     except hc.StructureError as exc:
         raise UsageError(f"group table does not parse: {exc}") from exc
-    if args.subgroup:
-        sub_names = [s for s in args.subgroup.split(",") if s]
+    if args.subgroup is not None:
+        # an empty entry is refused, not dropped: --subgroup "" would
+        # otherwise fall back to the file's subgroup line
+        sub_names = args.subgroup.split(",")
+        if "" in sub_names:
+            raise UsageError(f"--subgroup {args.subgroup!r}: entry "
+                             f"{sub_names.index('') + 1} is empty")
     if not sub_names:
         raise UsageError("no subgroup given (file 'subgroup:' line or --subgroup)")
     try:

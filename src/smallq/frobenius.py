@@ -17,15 +17,16 @@ from __future__ import annotations
 from .linalg import (
     RowBasis,
     block_diag,
+    combine,
     identity,
     intertwiner_space,
     intertwines,
     kron,
+    kron_sum,
     mat_eq,
     mat_is_zero,
     mat_mul,
     mat_sub,
-    mat_sum,
     restrict,
     sparse_nullspace,
     transpose,
@@ -164,8 +165,8 @@ def rep_tensor(V1: DualGroupRep, V2: DualGroupRep) -> DualGroupRep:
     id2 = identity(V2.dim, one)
     weights = [tuple(a + b for a, b in zip(w1, w2))
                for w1 in V1.weights for w2 in V2.weights]
-    e = [mat_sum(kron(V1.e[i], id2), kron(id1, V2.e[i])) for i in range(V1.datum.rank)]
-    fm = [mat_sum(kron(V1.f[i], id2), kron(id1, V2.f[i])) for i in range(V1.datum.rank)]
+    e = [kron_sum([(V1.e[i], id2), (id1, V2.e[i])]) for i in range(V1.datum.rank)]
+    fm = [kron_sum([(V1.f[i], id2), (id1, V2.f[i])]) for i in range(V1.datum.rank)]
     return DualGroupRep(V1.datum, V1.params, weights, e, fm, form=V1.form,
                         name=f"{V1.name}(x){V2.name}")
 
@@ -269,12 +270,14 @@ def verify_commutator_identity(module: WeightModule, i: int = 0) -> Report:
     """
     rep = Report(f"commutator-identity[{module.name}]")
     li = module.params.ell_i[i]
-    lhs = mat_sub(mat_mul(module.z.div_e(i), module.z.div_f(i)),
-                  mat_mul(module.z.div_f(i), module.z.div_e(i)))
-    rhs = [[] for _ in range(module.dim)]
-    for k in range(li):
-        mid = module.kbinom_diag(i, -2 * k, li - k)
-        rhs = mat_sum(rhs, mat_mul(module.z.ffam[i][k], mat_mul(mid, module.z.efam[i][k])))
+    one = module.params.field.one
+    z = module.z
+    # E^(l) F^(l) against F^(l) E^(l) plus the sum, added up by one combine
+    mats = [mat_mul(z.div_f(i), z.div_e(i))]
+    mats += [mat_mul(z.ffam[i][k], mat_mul(module.kbinom_diag(i, -2 * k, li - k),
+                                           z.efam[i][k])) for k in range(li)]
+    lhs = mat_mul(z.div_e(i), z.div_f(i))
+    rhs = combine([(k, one) for k in range(len(mats))], mats)
     if mat_eq(lhs, rhs):
         rep.ok(f"identity[vertex {i}]",
                f"sum over k < {li} matches the divided-power commutator exactly")

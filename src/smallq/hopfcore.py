@@ -41,11 +41,11 @@ from .linalg import (
     intertwines,
     inverse,
     kron,
+    kron_sum,
     mat_is_zero,
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_sum,
     rank,
     restrict,
     sparse_nullspace,
@@ -1272,15 +1272,15 @@ def O_comodule_pullback(T: TripleFD, V: ComoduleFD) -> ComoduleFD:
 def comodule_tensor(M1: ComoduleFD, M2: ComoduleFD, A: HopfAlgebraFD) -> ComoduleFD:
     """Tensor of comodules over a bialgebra: diagonal coaction.
 
-    Its coaction matrix at b sums c R1_a1 (x) R2_a2 over the products
-    a1 a2 whose coefficient at b is c.
+    Its coaction matrix at b is one ``kron_sum`` of c R1_a1 (x) R2_a2 over
+    the products a1 a2 whose coefficient at b is c.
     """
-    n = M1.dim * M2.dim
-    mats = [[[] for _ in range(n)] for _ in range(A.dim)]
+    terms = [[] for _ in range(A.dim)]
     for (a1, a2), prod in A.mult.items():
-        K = kron(M1.mats[a1], M2.mats[a2])
         for b, c in prod.items():
-            mats[b] = mat_sum(mats[b], mat_scale(K, c))
+            terms[b].append((mat_scale(M1.mats[a1], c), M2.mats[a2]))
+    n = M1.dim * M2.dim
+    mats = [kron_sum(t) if t else [[] for _ in range(n)] for t in terms]
     return ComoduleFD(A, mats, name=f"{M1.name}(x){M2.name}")
 
 

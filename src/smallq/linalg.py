@@ -10,10 +10,16 @@ maps of a Hopf algebra or a triple -- and the kernels below take and return
 it.  In that form two vectors or matrices are equal exactly when their lists
 are, so ``mat_eq`` compares lists.  Neither the length of a vector nor the
 number of rows of a matrix is stored: ``Span``, ``Quotient``,
-``sparse_nullspace``, ``transpose`` and ``inverse`` take it, ``restrict``
-and ``kron`` read it from a square matrix and ``block_diag`` from its square
-factors.  Kernels may share a column between their inputs and their output;
-nothing changes a column in place.
+``sparse_nullspace``, ``transpose`` and ``inverse`` take it, ``restrict``,
+``kron`` and ``kron_sum`` read it from a square matrix and ``block_diag``
+from its square factors.  Kernels may share a column between their inputs
+and their output; nothing changes a column in place.
+
+``kron_sum`` is the one kernel for a sum of Kronecker products: the
+coproduct expansion of a tensor product's divided powers
+(``repcore._coproduct_families``), the diagonal coaction of a tensor of
+comodules (``hopfcore.comodule_tensor``) and e (x) 1 + 1 (x) e
+(``frobenius.rep_tensor``).  ``kron`` stays for a lone product.
 
 The kernels work for any scalar with +, -, * and truthiness (zero test) and
 no zero divisors, so a product of nonzero entries is never a zero entry:
@@ -119,6 +125,46 @@ def kron(A, B):
     return [[(i * mb + k, a * b) for i, a in x for k, b in y] for x in A for y in B]
 
 
+def kron_sum(pairs):
+    """sum_t A_t (x) B_t over the nonempty list of (A_t, B_t) pairs, laid out
+    as ``kron``: every A_t has one number of columns, every B_t is square of
+    one size.
+
+    Column j*len(B) + l of the sum gathers the terms whose columns A_t[j] and
+    B_t[l] are both nonzero, in one accumulator.  A lone term needs none: its
+    entries arrive in increasing row order, as in ``kron``.  No Kronecker
+    product of a whole term is formed.
+    """
+    na, mb = len(pairs[0][0]), len(pairs[0][1])
+    if any(len(A) != na or len(B) != mb for A, B in pairs):
+        raise ValueError("kron_sum needs every A_t, and every B_t, of one size")
+    out = []
+    for j in range(na):
+        left = [(x, B) for A, B in pairs if (x := A[j])]
+        if not left:
+            out += [[] for _ in range(mb)]
+            continue
+        if len(left) == 1:
+            x, B = left[0]
+            out += [[(i * mb + k, a * b) for i, a in x for k, b in y] for y in B]
+            continue
+        for l in range(mb):
+            terms = [(x, y) for x, B in left if (y := B[l])]
+            if len(terms) == 1:
+                x, y = terms[0]
+                out.append([(i * mb + k, a * b) for i, a in x for k, b in y])
+                continue
+            acc = {}
+            for x, y in terms:
+                for i, a in x:
+                    i *= mb
+                    for k, b in y:
+                        v = acc.get(i + k)
+                        acc[i + k] = a * b if v is None else v + a * b
+            out.append(_canon(acc))
+    return out
+
+
 def block_diag(A, B):
     """The matrix with the square A and B on its diagonal and zeros elsewhere."""
     n = len(A)
@@ -130,8 +176,9 @@ def combine(terms, mats):
     acc = [{} for _ in mats[0]]
     for k, c in terms:
         for d, col in zip(acc, mats[k], strict=True):
-            _add_into(d, col, c)
-    return [_canon(d) for d in acc]
+            if col:
+                _add_into(d, col, c)
+    return [_canon(d) if d else [] for d in acc]
 
 
 def spin(gens, seeds, field) -> RowBasis:

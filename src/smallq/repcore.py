@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from functools import reduce
 from math import prod
+from operator import add
 
 from .linalg import (
     Quotient,
     block_diag,
     combine,
-    kron,
+    kron_sum,
     mat_is_zero,
     mat_mul,
     mat_pow,
@@ -105,7 +106,9 @@ class WeightModule:
     The generic layer is a GenSet, None, or a function of no arguments that
     builds it; ``g`` then builds it on its first read.  Each layer's grading
     is checked once the layer exists: the zeta layer and a given generic
-    layer at construction, a built one on that first read.
+    layer at construction, a built one on that first read.  The twisted
+    families a tensor product reads off this factor (``twisted``) are kept
+    in the same way, each built on its first read.
     """
 
     def __init__(self, datum, params, weights, zeta_gens: GenSet,
@@ -117,6 +120,7 @@ class WeightModule:
         self._g = generic_gens
         self.name = name or f"module(dim={len(self.weights)})"
         self.form = EllForm(datum, params)
+        self._twists = {}
         _check_grading(self, zeta_gens)
         if isinstance(generic_gens, GenSet):
             _check_grading(self, generic_gens)
@@ -137,6 +141,36 @@ class WeightModule:
     def pairing(self, i, b):
         """<coroot_i, weight of basis vector b>."""
         return self.weights[b][i]
+
+    def twisted(self, layer, sym, i, a, b):
+        """A coproduct term's factor in ``layer`` ("z" or "g"), built on its
+        first read and kept per (layer, sym, i, a, b):
+
+            sym "E": v^{d a b} E_i^(a) K_i^b, whose column c is E_i^(a)'s
+                     times v^{d b (a + <alpha_i, wt c>)};
+            sym "F": v^{d a b} F_i^(b) K_i^{-a}, whose column c is F_i^(b)'s
+                     times v^{d a (b - <alpha_i, wt c>)}.
+
+        x v^k is a shift of a Laurent polynomial in the generic layer and
+        x zeta^k in the zeta layer.  It depends on this module alone, so a
+        factor of many tensor products is twisted once.
+        """
+        key = (layer, sym, i, a, b)
+        mat = self._twists.get(key)
+        if mat is None:
+            d = self.params.d[i]
+            if layer == "g":
+                gens, twist = self.g, LaurentPoly.shift
+            else:
+                zeta = self.params.field.zeta
+                gens, twist = self.z, lambda x, k: x * zeta(k)
+            ws = [w[i] for w in self.weights]
+            if sym == "E":
+                mat = _twist_columns(gens.efam[i][a], [d * b * (a + w) for w in ws], twist)
+            else:
+                mat = _twist_columns(gens.ffam[i][b], [d * a * (b - w) for w in ws], twist)
+            self._twists[key] = mat
+        return mat
 
     def k_diag_zeta(self, i, power=1):
         """Diagonal matrix of K_i^power at zeta."""
@@ -192,11 +226,17 @@ def _check_grading(module, layer):
 def _check_shift(module, mat, shift, label):
     """Raise on the entry, first in row-major order, that breaks the shift."""
     weights = module.weights
+    expected = {}       # per source weight, the weight its image must have
     bad = []
     for c, col in enumerate(mat):
         if col:
-            expected = tuple(w + s for w, s in zip(weights[c], shift))
-            bad += [(r, c) for r, _ in col if weights[r] != expected]
+            w = weights[c]
+            target = expected.get(w)
+            if target is None:
+                target = expected[w] = tuple(map(add, w, shift))
+            for r, _ in col:
+                if weights[r] != target:
+                    bad.append((r, c))
     if bad:
         r, c = min(bad)
         raise LatticeError(f"{label} entry ({r},{c}) violates the grading on {module.name}")
@@ -314,38 +354,25 @@ def _coproduct_families(M, N, layer, lusztig_only=False) -> GenSet:
         E^(n) = sum_{a+b=n} v^{d a b} E^(a) K^b (x) E^(b),
         F^(n) = sum_{a+b=n} v^{d a b} F^(a) (x) F^(b) K^{-a}.
 
-    layer "g" is the generic one, where x v^k is a shift of a Laurent
-    polynomial; layer "z" is the zeta one, where it is x zeta^k.  Both read
-    every family of the factors' layer.  K and v^{dab} act on the columns of
-    one factor, so they are folded into one column twist of that factor
-    before the kron.  With ``lusztig_only`` only n in {0, 1, ell_i} is
-    expanded and the other families are None.
+    layer "g" is the generic one, "z" the zeta one.  Both read every family
+    of the factors' layer.  K and v^{dab} act on the columns of one factor,
+    so they are folded into one column twist of that factor, which the
+    factor keeps (``WeightModule.twisted``); each sum is one ``kron_sum``.
+    With ``lusztig_only`` only n in {0, 1, ell_i} is expanded and the other
+    families are None.
     """
-    params = M.params
-    if layer == "g":
-        mg, ng, twist = M.g, N.g, LaurentPoly.shift
-    else:
-        field = params.field
-        mg, ng = M.z, N.z
-        twist = lambda x, k: x * field.zeta(k)
+    ng, mg = (N.g, M.g) if layer == "g" else (N.z, M.z)
     efam, ffam = [], []
     for i in range(M.datum.rank):
-        d = params.d[i]
-        li = params.ell_i[i]
-        me, mf, ne, nf = mg.efam[i], mg.ffam[i], ng.efam[i], ng.ffam[i]
-        mw = [M.pairing(i, c) for c in range(M.dim)]
-        nw = [N.pairing(i, c) for c in range(N.dim)]
+        li = M.params.ell_i[i]
+        ne, mf = ng.efam[i], mg.ffam[i]
         orders = {0, 1, li} if lusztig_only else range(li + 1)
-        # column c of v^{dab} E^(a) K^b gains v^{d b (a + <alpha, wt c>)}, column
-        # c of v^{dab} F^(b) K^{-a} gains v^{d a (b - <alpha, wt c>)}
-        efam.append([reduce(mat_sum, (
-            kron(_twist_columns(me[a], [d * (n - a) * (a + w) for w in mw], twist),
-                 ne[n - a]) for a in range(n + 1))) if n in orders else None
-            for n in range(li + 1)])
-        ffam.append([reduce(mat_sum, (
-            kron(mf[a], _twist_columns(nf[n - a], [d * a * (n - a - w) for w in nw],
-                                       twist)) for a in range(n + 1))) if n in orders else None
-            for n in range(li + 1)])
+        efam.append([kron_sum([(M.twisted(layer, "E", i, a, n - a), ne[n - a])
+                               for a in range(n + 1)]) if n in orders else None
+                     for n in range(li + 1)])
+        ffam.append([kron_sum([(mf[a], N.twisted(layer, "F", i, a, n - a))
+                               for a in range(n + 1)]) if n in orders else None
+                     for n in range(li + 1)])
     return GenSet(efam, ffam)
 
 
@@ -394,21 +421,22 @@ def relation_check(module: WeightModule) -> Report:
     ring = params.vring
     for i in range(datum.rank):
         for j in range(datum.rank):
-            lhs = mat_sub(mat_mul(module.z.e(i), module.z.f(j)),
-                          mat_mul(module.z.f(j), module.z.e(i)))
+            # E_i F_j against F_j E_i, plus [K_i; 0 over 1] when i = j, added
+            # up by one combine
+            e, fj = module.z.e(i), module.z.f(j)
+            mats = [mat_mul(fj, e)]
             if i == j:
                 d = params.d[i]
-                diag = _diag([qint(module.pairing(i, b), d, ring).eval_zeta()
-                              for b in range(module.dim)])
-                residual = mat_sub(lhs, diag)
-            else:
-                residual = lhs
+                mats.append(_diag([qint(module.pairing(i, b), d, ring).eval_zeta()
+                                   for b in range(module.dim)]))
+            lhs = mat_mul(e, fj)
+            rhs = combine([(k, f.one) for k in range(len(mats))], mats)
             name = f"commutator[E_{i},F_{j}]"
-            if mat_is_zero(residual):
+            if lhs == rhs:
                 rep.ok(name)
             else:
                 rep.fail(name, "nonzero residual matrix",
-                         counterexample=_first_nonzero(residual))
+                         counterexample=_first_nonzero(mat_sub(lhs, rhs)))
 
     one = ring.one
     if module.has_generic():
@@ -530,12 +558,15 @@ def packed_residual(terms):
     mats = {id(A): A for _, factors in terms for A in factors}
     norm, off = {}, {}
     for i, A in mats.items():
-        rows = {}
+        # one walk: the row sums of entry 1-norms and the least exponent
+        rows, low = {}, 0
         for col in A:
             for r, p in col:
-                rows[r] = rows.get(r, 0) + sum(map(abs, p.c.values()))
+                c = p.c
+                rows[r] = rows.get(r, 0) + sum(map(abs, c.values()))
+                low = min(low, min(c))
         norm[i] = max(rows.values(), default=0)
-        off[i] = max((_offset(p) for col in A for _, p in col), default=0)
+        off[i] = -low
     bound = sum(sum(map(abs, c.c.values())) * prod(norm[id(A)] for A in factors)
                 for c, factors in terms)
     k = bound.bit_length() + 1

@@ -116,7 +116,7 @@ class CycloField:
     _instances: dict[int, "CycloField"] = {}
 
     __slots__ = ("n", "phi", "degree", "_red", "_zeta_rows", "_sigma", "_zero_tail",
-                 "zero", "one")
+                 "_zeta_powers", "zero", "one")
 
     def __new__(cls, n: int):
         inst = cls._instances.get(n)
@@ -146,6 +146,9 @@ class CycloField:
         inst._sigma = [[rows[j * k % n] for j in range(d)]
                        for k in range(2, n) if gcd(k, n) == 1]
         inst._zero_tail = (0,) * (d - 1)
+        # the powers of zeta as elements, built once: zeta(k) returns one of
+        # them (CycloElem is immutable, so they are shared)
+        inst._zeta_powers = tuple(CycloElem(inst, row, 1) for row in rows)
         inst.zero = CycloElem(inst, (0,) * d, 1)
         inst.one = CycloElem(inst, tuple(1 if j == 0 else 0 for j in range(d)), 1)
         return inst
@@ -159,7 +162,7 @@ class CycloField:
         return CycloElem(self, num, den)
 
     def zeta(self, k: int = 1) -> "CycloElem":
-        return CycloElem(self, self._zeta_rows[k % self.n], 1)
+        return self._zeta_powers[k % self.n]
 
     def __repr__(self):
         return f"Q(zeta_{self.n})"

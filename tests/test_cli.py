@@ -494,6 +494,16 @@ def test_triple_verify_refuses_a_subgroup_that_names_an_element_twice(source, ca
     assert "element 'e' named twice in subgroup" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, entry", [("", 1), ("e,,b", 2), ("e,b,", 3)])
+def test_triple_verify_refuses_an_empty_subgroup_entry(value, entry, capsys):
+    # "" used to run the file's subgroup line and exit 0, and e,,b to drop
+    # the empty name without a word
+    code, out, err = run_cli(["triple-verify", "--fixture", "z4_z2", "--subgroup", value],
+                             capsys)
+    assert code == 2 and out == ""
+    assert f"--subgroup {value!r}: entry {entry} is empty" in err and "Traceback" not in err
+
+
 def test_triple_verify_refuses_a_table_over_the_budget(capsys, tmp_path):
     # counted from the header alone, before any product is looked for
     names = " ".join(f"g{i}" for i in range(MAX_GROUP_ORDER + 1))

@@ -7,6 +7,8 @@ a vector and a matrix column: indices strictly increasing and no zero
 entry.  The dense oracles take dense lists; the kernels get the same vectors
 through ``dense.sparse``."""
 
+from functools import reduce
+
 import pytest
 from dense import (
     DenseRowBasis,
@@ -32,6 +34,7 @@ from smallq.linalg import (
     intertwines,
     inverse,
     kron,
+    kron_sum,
     mat_eq,
     mat_is_zero,
     mat_mul,
@@ -334,6 +337,45 @@ def test_kron_of_full_matrices(ell):
     K = kron(columns(A), columns(B))
     assert_canonical(K)
     assert mat_eq(K, columns(naive_kron(A, B)))
+    # kron_sum on the non-square A: a lone term is kron itself, terms gather
+    # several rows of each into every column (D's rows interleave with C's,
+    # so the first term's rows do not all come first), a term and its
+    # negative cancel, and all-empty operands add nothing
+    A, B = columns(A), columns(B)
+    C = columns([[f.zeta(r + 2 * c) for c in range(2)] for r in range(2)])
+    D = columns([[f.zero, f.zero], [f.one, f.from_int(2)]])
+    assert kron_sum([(A, C)]) == kron(A, C)
+    for terms in ([(A, B), (A, C)], [(A, D), (A, C)], [(A, D), (A, C), (A, B)]):
+        S = kron_sum(terms)
+        assert_canonical(S)
+        assert S == reduce(mat_sum, (kron(X, Y) for X, Y in terms))
+    assert kron_sum([(A, B), (mat_scale(A, -1), B)]) == [[] for _ in range(4)]
+    assert kron_sum([([[], []], [[], []])]) == [[] for _ in range(4)]
+
+
+@SETTINGS
+@given(st.data())
+def test_kron_sum_matches_summed_krons(data):
+    # over ints and Q(zeta_8), A rectangular and B square, as in kron; the
+    # sum may hold a term and its negative, which cancel to zero, and a term
+    # whose operands have no entries
+    if data.draw(st.booleans()):
+        entries, zero = elems(ZETA8), ZETA8.zero
+    else:
+        entries, zero = st.integers(-3, 3), 0
+    ma, na, nb = (data.draw(st.integers(1, 3)) for _ in range(3))
+    pairs = [(columns(data.draw(matrices(entries, zero, ma, na))),
+              columns(data.draw(matrices(entries, zero, nb, nb))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        A, B = pairs[0]
+        pairs.append((mat_scale(A, -1), B))
+    if data.draw(st.booleans()):
+        pairs.insert(data.draw(st.integers(0, len(pairs))),
+                     ([[] for _ in range(na)], [[] for _ in range(nb)]))
+    got = kron_sum(pairs)
+    assert_canonical(got)
+    assert mat_eq(got, reduce(mat_sum, (kron(A, B) for A, B in pairs)))
 
 
 @SETTINGS
@@ -424,6 +466,8 @@ def test_pairing_kernels_refuse_unequal_lengths():
     ident = identity(2, f.one)
     calls = [lambda: mat_sum(two, one), lambda: mat_sub(one, two),
              lambda: combine([(0, f.one), (1, f.one)], [two, one]),
+             lambda: kron_sum([(two, ident), (one, ident)]),
+             lambda: kron_sum([(ident, ident), (ident, [[(0, f.one)]])]),
              lambda: intertwines(ident, [ident, two], [ident]),
              lambda: intertwiner_space([ident, two], [ident], 2, 2, f)]
     for call in calls:

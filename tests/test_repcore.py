@@ -11,6 +11,7 @@ from smallq import repcore, scalars
 from smallq.cli import main
 from smallq.linalg import (
     RowBasis,
+    kron,
     mat_eq,
     mat_is_zero,
     mat_mul,
@@ -32,7 +33,7 @@ from smallq.repcore import (
     trivial_module,
     weyl_module,
 )
-from smallq.repcore import _coproduct_families, _specialize
+from smallq.repcore import _coproduct_families, _specialize, _twist_columns
 from smallq.rootdata import DotOrbits, build_root_datum
 from smallq.scalars import LatticeError, LaurentPoly, QParams, qfact
 
@@ -199,21 +200,123 @@ def test_zeta_route_matches_division_route():
 
 def test_tensor_layers_wrong_zeta_twist_negative_control(monkeypatch):
     # zeta^-k in place of zeta^k in the column twist of the zeta expansion
-    # must break the agreement with the specialized generic expansion
+    # must break the agreement with the specialized generic expansion.  The
+    # catalog's factors keep the twists their tensor products read, so the
+    # patched expansion runs on fresh factors, whose twists are built under
+    # the patch
     field = type(P4.field)
     tensors = _catalog_tensors(P4)
     disagree = []
     for t, M, N in tensors:
         specialized = _specialize(_coproduct_families(M, N, "g"))
+        fresh = [weyl_module(X.dim - 1, P4) for X in (M, N)]
         with monkeypatch.context() as m:
             m.setattr(field, "zeta", lambda self, k, real=field.zeta: real(self, -k))
-            twisted = _coproduct_families(M, N, "z")
+            twisted = _coproduct_families(*fresh, "z")
         assert t.z.efam == specialized.efam and t.z.ffam == specialized.ffam
         if (twisted.efam, twisted.ffam) != (specialized.efam, specialized.ffam):
             disagree.append(t.name)
     # a twist moves every expansion in which both factors have a weight
     # other than 0
     assert disagree == [t.name for t, M, N in tensors if M.dim > 1 and N.dim > 1]
+
+
+def _fresh_twist(M, layer, sym, i, a, b):
+    """``M.twisted(layer, sym, i, a, b)`` from its formula, with no store."""
+    d = M.params.d[i]
+    ws = [w[i] for w in M.weights]
+    if layer == "g":
+        gens, twist = M.g, LaurentPoly.shift
+    else:
+        gens, twist = M.z, lambda x, k: x * M.params.field.zeta(k)
+    if sym == "E":
+        return _twist_columns(gens.efam[i][a], [d * b * (a + w) for w in ws], twist)
+    return _twist_columns(gens.ffam[i][b], [d * a * (b - w) for w in ws], twist)
+
+
+def _expansion_oracle(M, N, layer):
+    """Every family of M (x) N in one layer as a sum of whole Kronecker
+    products of fresh twists: the coproduct expansion with no store and no
+    kron_sum."""
+    li = M.params.ell_i[0]
+    mg, ng = (M.g, N.g) if layer == "g" else (M.z, N.z)
+    efam = [reduce(mat_sum, (kron(_fresh_twist(M, layer, "E", 0, a, n - a), ng.efam[0][n - a])
+                             for a in range(n + 1))) for n in range(li + 1)]
+    ffam = [reduce(mat_sum, (kron(mg.ffam[0][a], _fresh_twist(N, layer, "F", 0, a, n - a))
+                             for a in range(n + 1))) for n in range(li + 1)]
+    return efam, ffam
+
+
+def _twist_keys(orders):
+    return {(sym, 0, a, n - a) for sym in "EF" for n in orders for a in range(n + 1)}
+
+
+def test_twist_store_holds_fresh_twists():
+    # after the catalog's tensor products are built and their generic layers
+    # read, each factor keeps the zeta twist of every term a + b <= ell_i and
+    # the generic twist of every term of Lusztig's generators, each equal to
+    # _twist_columns applied afresh
+    for ell in (4, 6):
+        params = QParams(ell)
+        li = params.ell_i[0]
+        tensors = _catalog_tensors(params)
+        for t, _, _ in tensors:
+            t.g
+        for M in {id(M): M for _, M, _ in tensors}.values():
+            store = M._twists
+            for layer, orders in (("z", range(li + 1)), ("g", (0, 1, li))):
+                assert {k[1:] for k in store if k[0] == layer} == _twist_keys(orders)
+            for key, mat in store.items():
+                assert mat == _fresh_twist(M, *key), (ell, M.name, key)
+                assert M.twisted(*key) is mat
+
+
+@pytest.mark.parametrize("ell", [4, 6, 12])
+def test_tensor_from_warm_factors_matches_fresh_factors(ell):
+    # W(a) (x) W(b) on factors whose stores every other product of the
+    # catalog has filled equals the product of fresh factors, and both equal
+    # the storeless expansion, in both layers
+    params = QParams(ell)
+    li = params.ell_i[0]
+    weyl = [weyl_module(lam, params) for lam in range(6)]
+    for M in weyl:
+        for N in weyl:
+            tensor_product(M, N).g
+    for a, M in enumerate(weyl):
+        for b, N in enumerate(weyl):
+            warm = tensor_product(M, N)
+            fresh = tensor_product(weyl_module(a, params), weyl_module(b, params))
+            z = _expansion_oracle(M, N, "z")
+            g = [[fam[n] if n in (0, 1, li) else None for n in range(li + 1)]
+                 for fam in _expansion_oracle(M, N, "g")]
+            for t in (warm, fresh):
+                assert (t.z.efam[0], t.z.ffam[0]) == z, (ell, t.name)
+                assert [t.g.efam[0], t.g.ffam[0]] == g, (ell, t.name)
+
+
+def test_twist_store_key_without_b_negative_control(monkeypatch):
+    # a store keyed on (layer, sym, i, a) alone hands the twist of
+    # E^(a) K^b to E^(a) K^b' as well, and that of F^(b) K^-a to
+    # F^(b') K^-a
+    real = repcore.WeightModule.twisted
+
+    def without_b(self, layer, sym, i, a, b):
+        store = self.__dict__.setdefault("_by_a", {})
+        if (layer, sym, i, a) not in store:
+            store[layer, sym, i, a] = real(self, layer, sym, i, a, b)
+        return store[layer, sym, i, a]
+
+    monkeypatch.setattr(repcore.WeightModule, "twisted", without_b)
+    li = P4.ell_i[0]
+    M, N = weyl_module(2, P4), weyl_module(3, P4)
+    # an E twist keeps its family E^(a) and takes a wrong power of v
+    assert _coproduct_families(M, N, "z").efam[0] != _expansion_oracle(M, N, "z")[0]
+    assert any(M.twisted("z", *k) != _fresh_twist(M, "z", *k)
+               for k in _twist_keys(range(li + 1)) if k[0] == "E")
+    # an F twist is of F^(b): it takes a wrong family, and the grading check
+    # refuses the product
+    with pytest.raises(LatticeError, match="F_0"):
+        tensor_product(weyl_module(2, P4), weyl_module(3, P4))
 
 
 def test_lusztig_only_generic_layer():
@@ -813,33 +916,34 @@ def test_frobenius_check_expands_generic_tensor_families_of_lusztig_generators_o
     # and its generic layer on a in {0, 1, ell_i} only; no layer is
     # specialized from the generic one
     li = QParams(6).ell_i[0]
-    real, real_kron = repcore._coproduct_families, repcore.kron
-    krons, built = [], []
+    real, real_kron_sum = repcore._coproduct_families, repcore.kron_sum
+    sums, built = [], []
 
     def recording(M, N, layer, lusztig_only=False):
-        before = len(krons)
+        before = len(sums)
         gens = real(M, N, layer, lusztig_only)
         families = [[a for a, m in enumerate(fam) if m is not None]
                     for fam in gens.efam + gens.ffam]
-        built.append((layer, families, len(krons) - before))
+        built.append((layer, families, sums[before:]))
         return gens
 
     def specialize(gens):
         raise AssertionError("a generic layer was specialized")
 
     monkeypatch.setattr(repcore, "_coproduct_families", recording)
-    monkeypatch.setattr(repcore, "kron", lambda A, B: krons.append(1) or real_kron(A, B))
+    monkeypatch.setattr(repcore, "kron_sum",
+                        lambda pairs: sums.append(len(pairs)) or real_kron_sum(pairs))
     monkeypatch.setattr(repcore, "_specialize", specialize)
     argv = ["frobenius-check", "--ell", "6", "--max-weyl", "12", "--max-tensor", "5"]
     assert main(argv) == 0
     capsys.readouterr()
     generic = [b for b in built if b[0] == "g"]
-    # one kron per term a + b = n of each E^(n) and F^(n) that is expanded
-    assert generic and all(b == ("g", [[0, 1, li]] * 2, 2 * (1 + 2 + li + 1))
-                           for b in generic)
+    # one kron_sum per expanded E^(n) and F^(n), handed one term per a + b = n
+    lusztig = [1, 2, li + 1]
+    assert generic and all(b == ("g", [[0, 1, li]] * 2, lusztig * 2) for b in generic)
     assert len(generic) == 36
-    full = sum(n + 1 for n in range(li + 1))
-    assert all(b[1:] == ([list(range(li + 1))] * 2, 2 * full)
+    full = [n + 1 for n in range(li + 1)]
+    assert all(b[1:] == ([list(range(li + 1))] * 2, full * 2)
                for b in built if b[0] == "z")
 
 

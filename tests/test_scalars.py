@@ -761,5 +761,8 @@ def test_zeta_rows_and_reduction_rows_match_naive_powers():
         assert list(field.phi) == phi_oracle(n), n
         powers = x_powers_mod(phi_oracle(n), max(n, 2 * d - 1))
         assert field._zeta_rows == powers[:n], n
+        # zeta(k) is the power built once with the field, for every k mod n
+        assert all(field.zeta(k) is field.zeta(k - n) and field.zeta(k).num == powers[k]
+                   and field.zeta(k).den == 1 for k in range(n)), n
         # _mul_mod_phi reads x^(d+k) mod Phi_n for k = 0 .. d-2
         assert field._red == powers[d:2 * d - 1], n
