@@ -37,14 +37,15 @@ refuses a window of more than 20,000 weights (MAX_WINDOW_WEIGHTS; an empty
 window has none) before doing any work.  At the budget the prediction takes
 about 1.4 s for A1, 2.8 s for A2, 3.0 s for B2 and 3.3 s for G2 on the same
 VM and writes 6-7.5 MB of JSON.
-triple-verify takes about 0.14 s on the D4 table of
-tests/golden/triple-verify_D4_seed0.group and 0.33 s on --fixture d6_centre
+triple-verify takes about 0.09 s on the D4 table of
+tests/golden/triple-verify_D4_seed0.group and 0.15 s on --fixture d6_centre
 on the same VM (medians of 15 runs).  It refuses, with exit 2, a table of more
 than 32 elements (hopfcore.MAX_GROUP_ORDER, counted from its header: Z/32
-over Z/16 takes 4-5 s, Z/48 13-17 s), one that repeats a header, element
-or pair, a subgroup that names an element twice, and a --subgroup with an
-empty entry ("" or e,,b).  A --config file that
-gives a key twice (type and cartan_type are one key) exits 2 too.
+over Z/16 takes about 2.1 s, Z/48 about 8 s in process with the budget
+raised), one that repeats a header, element or pair, a subgroup that names
+an element twice, and a --subgroup with an empty entry ("" or e,,b).  A
+--config file that gives a key twice (type and cartan_type are one key)
+exits 2 too.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 input error, a report that --out cannot write included (no traceback).  A

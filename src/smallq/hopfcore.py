@@ -3,10 +3,12 @@
 Everything is a structure tensor over an exact cyclotomic field: coalgebras
 carry a comultiplication tensor and counit, Hopf algebras add multiplication,
 unit and antipode, comodules carry their coaction matrices.  All axioms are
-asserted at construction time as exact identities.  Every matrix is its
-sparse columns (see ``linalg``): coaction and action matrices, the maps
-between carriers and the structure maps ``iota``, ``pi``, ``ract`` and
-``antipode`` of a triple or Hopf algebra alike.
+asserted at construction time as exact identities, once per value, per
+coalgebra and per triple: a comodule or Cat-object whose value already
+passed is not checked again, and a value that fails is never stored.  Every
+matrix is its sparse columns (see ``linalg``): coaction and action matrices,
+the maps between carriers and the structure maps ``iota``, ``pi``, ``ract``
+and ``antipode`` of a triple or Hopf algebra alike.
 
 The engine realizes the induction functor Ind(M) = (A (x) M)^a on a Hom
 space (the cotensor is the intertwiners from M's transposed coaction to A's
@@ -281,6 +283,7 @@ class CoalgebraFD:
         self.walk = []
         self.gens = _generating_set(self.dual_mult, list(enumerate(self.eps)), self.dim, self.walk)
         self._simple_comodules = None       # filled on first use; see ``simples``
+        self._valid_comodules = set()       # coaction values that passed; see ``ComoduleFD``
 
     def at_gens(self, mats):
         """The members of ``mats``, one per basis element of C, at the
@@ -475,20 +478,33 @@ class ComoduleFD:
     in this form throughout: the comodule maps M1 -> M2 are the X with
     X R1_c = R2_c X, and a coaction restricts to a subspace or descends to a
     quotient as these matrices do.
+
+    ``key`` is the value of the coaction, built once here; ``_stored`` and
+    the validation read it.  The laws are checked once per value, per
+    coalgebra: C keeps the keys that passed, so a value that fails is
+    checked, and refused, on every construction.  Callers must not mutate
+    ``mats``.
     """
 
     def __init__(self, coalg, mats, name=""):
+        if len(mats) != coalg.dim:
+            raise StructureError(f"{name or 'comodule'}: {len(mats)} coaction matrices "
+                                 f"for a coalgebra of dimension {coalg.dim}")
         self.coalg = coalg
         self.mats = mats
         self.dim = len(mats[0])
         self.name = name or f"comod(dim={self.dim})"
+        self.key = (self.dim, tuple(tuple(map(tuple, R)) for R in mats))
         self._validate()
 
     def _validate(self):
         C = self.coalg
+        if self.key in C._valid_comodules:
+            return
         _check_module(self.mats, C.dual_mult, list(enumerate(C.eps)), C.field.one,
                       f"{self.name}: coaction not coassociative",
                       f"{self.name}: coaction counit law fails", C.gens)
+        C._valid_comodules.add(self.key)
 
 
 def coaction_matrices(rho, cdim):
@@ -589,6 +605,7 @@ class TripleFD:
         self.field = A.field
         self.iota_left = [combine(col, A.left_products) for col in iota]
         self._induced = {}          # coaction value -> [carrier, Ind or None]; see ``induce``
+        self._valid_objects = set()     # object values that passed; see ``TripleObject``
         self._validate()
         self.right_coact = a_right_comodule_of_A(self)
 
@@ -714,15 +731,20 @@ class TripleObject:
     The coaction is an A-comodule (``ComoduleFD``) whose laws were checked
     when it was built; objects that share one, such as twists, do not check
     them again.  The O-action and its compatibility with the coaction are
-    checked here.
+    checked here, once per value, per triple: ``key`` is the action's value
+    with the comodule's key, and T keeps the keys that passed.
     """
 
     def __init__(self, T: TripleFD, act, comodule: ComoduleFD, name=""):
+        if len(act) != T.O.dim:
+            raise StructureError(f"{name or 'object'}: {len(act)} action matrices "
+                                 f"for O of dimension {T.O.dim}")
         self.T = T
         self.act = act              # list over O-basis of carrier matrices
         self.comodule = comodule
         self.dim = comodule.dim
         self.name = name or f"object(dim={self.dim})"
+        self.key = (tuple(tuple(map(tuple, L)) for L in act), comodule.key)
         self._validate()
 
     def act_sum(self, terms):
@@ -731,6 +753,8 @@ class TripleObject:
 
     def _validate(self):
         T = self.T
+        if self.key in T._valid_objects:
+            return
         O = T.O
         _check_module(self.act, O.mult, O.unit.items(), T.field.one,
                       f"{self.name}: action not associative",
@@ -738,6 +762,7 @@ class TripleObject:
         # compatibility: co-ac(f . m) = Delta(f) . co-ac(m)
         if not _respects_action(self.act, self.comodule.mats, O, T.iota_left):
             raise StructureError(f"{self.name}: action/coaction compatibility fails")
+        T._valid_objects.add(self.key)
 
 
 def _respects_action(act, coact, O: HopfAlgebraFD, left):
@@ -842,12 +867,11 @@ def induce(T: TripleFD, M: ComoduleFD) -> TripleObject:
 
 
 def _stored(T: TripleFD, M: ComoduleFD):
-    """T's entry [carrier, Ind(M) or None] for the value of M's coaction; the
-    carrier is solved once per value."""
-    key = (M.dim, tuple(tuple(map(tuple, R)) for R in M.mats))
-    entry = T._induced.get(key)
+    """T's entry [carrier, Ind(M) or None] for the value of M's coaction,
+    ``M.key``; the carrier is solved once per value."""
+    entry = T._induced.get(M.key)
     if entry is None:
-        entry = T._induced[key] = [_carrier(T, M), None]
+        entry = T._induced[M.key] = [_carrier(T, M), None]
     return entry
 
 
@@ -1012,7 +1036,9 @@ def hom_cat(T: TripleFD, N1: TripleObject, N2: TripleObject):
 
     The coaction matrices are those at the generating set of A*, as in
     ``comodule_hom_space``.  The O-action is taken whole: O's pointwise
-    product has no generating set of basis elements.
+    product has no generating set of basis elements.  Where its matrices are
+    diagonal, as on every call of the five golden triples, the kernel takes
+    them as labels, not equations.
     """
     A = T.A
     return intertwiner_space(A.at_gens(N1.comodule.mats) + N1.act,

@@ -492,6 +492,20 @@ def intertwines(X, src_gens, tgt_gens):
     return all(mat_mul(X, S) == mat_mul(T, X) for S, T in zip(src_gens, tgt_gens, strict=True))
 
 
+def _diagonal(A):
+    """The diagonal entries of the square matrix A, None for a zero entry,
+    when every column is empty or holds one entry on the diagonal; else None."""
+    out = []
+    for j, col in enumerate(A):
+        if not col:
+            out.append(None)
+        elif len(col) == 1 and col[0][0] == j:
+            out.append(col[0][1])
+        else:
+            return None
+    return out
+
+
 def intertwiner_space(src_gens, tgt_gens, ns, nt, field, src_blocks=None, tgt_blocks=None):
     """Matrices X with X g_src = g_tgt X for every generator pair, X from
     the source of dimension ns to the target of dimension nt.
@@ -504,32 +518,54 @@ def intertwiner_space(src_gens, tgt_gens, ns, nt, field, src_blocks=None, tgt_bl
     forming a basis of the space: the ``sparse_nullspace`` basis over the
     allowed entries in row-major order, which depends only on the space, so
     any generating set of the acting algebra gives the same basis.
+
+    A pair (S, T) of diagonal matrices (see ``_diagonal``) becomes labels:
+    (X S - T X)[t][s] = X[t][s] (S[s][s] - T[t][t]), so each entry is
+    constrained alone, and X[t][s] is free when the diagonal entries agree
+    and 0 when they differ.  Each such pair appends S[s][s] to the label of
+    source vector s and T[t][t] to that of target vector t, and adds no
+    equation.  The basis is the same: an entry forced to 0 is a pivot whose
+    row in the reduced form is its unit vector, so dropping it and its
+    equation leaves the free unknowns, in the same row-major order, and
+    their vectors unchanged.
     """
-    if src_blocks is None:
-        src_blocks = [0] * ns
-    if tgt_blocks is None:
-        tgt_blocks = [0] * nt
+    src_labels = [[b] for b in ([0] * ns if src_blocks is None else src_blocks)]
+    tgt_labels = [[b] for b in ([0] * nt if tgt_blocks is None else tgt_blocks)]
+    if len(src_labels) != ns or len(tgt_labels) != nt:
+        raise ValueError("intertwiner_space needs one block label per basis vector")
+    # (X S - T X)[t, s] = sum_k X[t][k] S[k][s] - sum_k T[t][k] X[k][s]:
+    # per general pair, S's columns and the rows of -T
+    pairs = []
+    for S, T in zip(src_gens, tgt_gens, strict=True):
+        dS, dT = _diagonal(S), _diagonal(T)
+        if dS is None or dT is None:
+            pairs.append((S, [[(k, -c) for k, c in row] for row in transpose(T, nt)]))
+            continue
+        for label, d in zip(src_labels, dS, strict=True):
+            label.append(d)
+        for label, d in zip(tgt_labels, dT, strict=True):
+            label.append(d)
     # var[t][s]: the unknown X[t][s], or None where the labels differ
+    by_label = {}
+    for s, label in enumerate(src_labels):
+        by_label.setdefault(tuple(label), []).append(s)
     var = [[None] * ns for _ in range(nt)]
     entries = []
-    for t in range(nt):
-        for s in range(ns):
-            if tgt_blocks[t] == src_blocks[s]:
-                var[t][s] = len(entries)
-                entries.append((t, s))
+    for t, label in enumerate(tgt_labels):
+        var_t = var[t]
+        for s in by_label.get(tuple(label), ()):
+            var_t[s] = len(entries)
+            entries.append((t, s))
 
-    # (X S - T X)[t, s] = sum_k X[t][k] S[k][s] - sum_k T[t][k] X[k][s].
     # The basis does not depend on the order of the equations; grouping them
     # by s first measured cheaper than going generator by generator.
-    pairs = [(S, transpose(T, nt)) for S, T in zip(src_gens, tgt_gens, strict=True)]
-
     def equations():
         for s in range(ns):
             for s_cols, t_rows in pairs:
                 for t in range(nt):
                     var_t = var[t]
                     eq = [(var_t[k], c) for k, c in s_cols[s] if var_t[k] is not None]
-                    eq += [(var[k][s], -c) for k, c in t_rows[t] if var[k][s] is not None]
+                    eq += [(var[k][s], c) for k, c in t_rows[t] if var[k][s] is not None]
                     if eq:
                         yield eq
 

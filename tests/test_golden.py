@@ -28,8 +28,12 @@ seed-0 relabelling of the quaternion group over <i> that the bench draws
 (``group_table("Q8", 0)`` in bench/groups.py); its report, byte-identical to
 the D4 one, was written while Ind still restricted all |A| coaction matrices
 of A, before it derived them along the walk of the generating set.
+The Z/16 over Z/8 report and its triple-details.json entry were written
+while ``intertwiner_space`` still turned every diagonal generator pair into
+equations and every comodule and object was validated on each construction;
+every simple there is a character, so that fold carries the most.
 triple-details.json holds every check of the triple engine's suites on the
-five triples of ``TRIPLE_CASES``; its first three were written before the
+six triples of ``TRIPLE_CASES``; its first three were written before the
 triple engine's restrictions and comodule-map checks went through the
 ``linalg.restrict`` / ``intertwines`` kernels. Its Q8 and D6 entries were
 added while condition (iv b) still built Ind of every direct sum in full,
@@ -70,6 +74,8 @@ CASES = [
     ("triple-verify_d6_centre.json", ["triple-verify", "--fixture", "d6_centre"]),
     ("triple-verify_Q8_seed0.json",
      ["triple-verify", "--group", str(GOLDEN / "triple-verify_Q8_seed0.group")]),
+    ("triple-verify_Z16_Z8.json",
+     ["triple-verify", "--group", str(GOLDEN / "triple-verify_Z16_Z8.group")]),
 ]
 
 
@@ -90,6 +96,7 @@ TRIPLE_CASES = {
     "D4_seed0": lambda: (GOLDEN / "triple-verify_D4_seed0.group").read_text(),
     "Q8_seed0": lambda: (GOLDEN / "triple-verify_Q8_seed0.group").read_text(),
     "d6_centre": lambda: resources.files("smallq").joinpath("fixtures/d6_centre.group").read_text(),
+    "Z16_Z8": lambda: (GOLDEN / "triple-verify_Z16_Z8.group").read_text(),
 }
 
 

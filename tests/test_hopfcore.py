@@ -1602,3 +1602,142 @@ def test_d4_induce_traffic(monkeypatch, capsys):
               if any(rho is C.delta for C in seen["coalgebras"])]
     assert len(deltas) == len(seen["coalgebras"]) > 0
     assert seen["right"] == seen["triples"] == 1
+
+
+# ---------------------------------------------------------------------------
+# each comodule value is validated once per coalgebra, each object value
+# once per triple
+# ---------------------------------------------------------------------------
+
+def _law_checks(monkeypatch):
+    """The product messages of the ``_check_module`` calls, in order: a
+    comodule's begin with its name and ': coaction', an object's with its
+    name and ': action'."""
+    seen, real = [], hopfcore._check_module
+
+    def check(cols, mult, unit, one, product_msg, *args, **kwargs):
+        seen.append(product_msg)
+        return real(cols, mult, unit, one, product_msg, *args, **kwargs)
+
+    monkeypatch.setattr(hopfcore, "_check_module", check)
+    return seen
+
+
+def _copy(mats):
+    return [[list(col) for col in R] for R in mats]
+
+
+def _one_entry_changed(mats, field):
+    """mats with the first nonzero entry of its first nonempty column raised
+    by one."""
+    out = _copy(mats)
+    for R in out:
+        for col in R:
+            if col:
+                r, v = col[0]
+                col[0] = (r, v + field.one)
+                return out
+    raise AssertionError("no nonzero entry")
+
+
+def test_comodule_laws_checked_once_per_value_per_coalgebra(monkeypatch):
+    table, sub = load_fixture("s3_a3")
+    T, T2 = finite_group_triple(table, sub), finite_group_triple(table, sub)
+    # a's coaction on itself; building the triple made no comodule
+    mats = T.a.regular
+    seen = _law_checks(monkeypatch)
+    for name in ("first", "second", "third"):
+        ComoduleFD(T.a, _copy(mats), name=name)
+    # an equal value over another coalgebra, with equal structure, is checked
+    ComoduleFD(T2.a, _copy(mats), name="other")
+    assert seen == ["first: coaction not coassociative", "other: coaction not coassociative"]
+    # one coaction entry changed: refused, and checked, on every construction
+    bad = _one_entry_changed(mats, T.field)
+    for name in ("bad1", "bad2"):
+        with pytest.raises(StructureError, match=f"{name}: coaction"):
+            ComoduleFD(T.a, _copy(bad), name=name)
+    assert len(seen) == 4
+    assert not any(key[1] == tuple(tuple(map(tuple, R)) for R in bad)
+                   for key in T.a._valid_comodules)
+
+
+def test_object_laws_checked_once_per_value_per_triple(monkeypatch):
+    table, sub = load_fixture("z4_z2")
+    T, T2 = finite_group_triple(table, sub), finite_group_triple(table, sub)
+    N = object_A(T)
+    seen = _law_checks(monkeypatch)
+    TripleObject(T, _copy(N.act), N.comodule, name="again")
+    for gamma in points_of_O(T):
+        twist(T, gamma, N, name="twisted")
+    # the identity point gives N back, the other point a new action
+    assert [m for m in seen if m.startswith("twisted")] == ["twisted: action not associative"]
+    # the same value on another triple is checked there
+    comodule = ComoduleFD(T2.A, _copy(N.comodule.mats), name="A2")
+    TripleObject(T2, _copy(N.act), comodule, name="other")
+    assert [m for m in seen if ": action" in m] == ["twisted: action not associative",
+                                                      "other: action not associative"]
+    # one action entry changed: refused, and checked, on every construction
+    bad = _one_entry_changed(N.act, T.field)
+    for name in ("bad1", "bad2"):
+        with pytest.raises(StructureError, match=f"{name}: "):
+            TripleObject(T, _copy(bad), N.comodule, name=name)
+    assert sum(m.startswith("bad") for m in seen) == 2
+    assert len(T._valid_objects) == 2
+
+
+def test_ind_store_and_validation_store_read_one_key(monkeypatch):
+    # the key is built once, in the constructor: an equal-valued twin hits
+    # the Ind store and the validation store alike
+    table, sub = load_fixture("s3_a3")
+    T = finite_group_triple(table, sub)
+    catalog = standard_catalogs(T)[0]
+    seen = _law_checks(monkeypatch)
+    for M in catalog:
+        assert M.key == (M.dim, tuple(tuple(map(tuple, R)) for R in M.mats))
+        assert M.key in T.a._valid_comodules
+        assert hopfcore._stored(T, M) is T._induced[M.key]
+        twin = ComoduleFD(T.a, _copy(M.mats), name=f"twin-{M.name}")
+        assert twin.key == M.key
+        assert hopfcore._stored(T, twin) is hopfcore._stored(T, M)
+    assert seen == []
+
+
+def test_d4_validates_each_distinct_value_once(monkeypatch, capsys):
+    # the D4 golden through the CLI: 107 comodules of 42 distinct
+    # (coalgebra, value) pairs, 27 objects of 13 distinct values
+    made = {"comodules": [], "objects": []}
+    com_init, obj_init = ComoduleFD.__init__, TripleObject.__init__
+
+    def comodule(self, coalg, *args, **kwargs):
+        com_init(self, coalg, *args, **kwargs)
+        made["comodules"].append((id(coalg), self.key))
+
+    def obj(self, T, *args, **kwargs):
+        obj_init(self, T, *args, **kwargs)
+        made["objects"].append((id(T), self.key))
+
+    monkeypatch.setattr(ComoduleFD, "__init__", comodule)
+    monkeypatch.setattr(TripleObject, "__init__", obj)
+    seen = _law_checks(monkeypatch)
+    assert main(["triple-verify", "--group", str(GOLDEN / "triple-verify_D4_seed0.group")]) == 0
+    capsys.readouterr()
+    coaction = [m for m in seen if m.endswith(": coaction not coassociative")]
+    action = [m for m in seen if m.endswith(": action not associative")]
+    assert (len(made["comodules"]), len(set(made["comodules"])), len(coaction)) == (107, 42, 42)
+    assert (len(made["objects"]), len(set(made["objects"])), len(action)) == (27, 13, 13)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda T, M, N: ComoduleFD(T.a, M.mats[:-1], name="short"),
+     "short: 1 coaction matrices for a coalgebra of dimension 2"),
+    (lambda T, M, N: ComoduleFD(T.a, M.mats + [M.mats[0]], name="long"),
+     "long: 3 coaction matrices for a coalgebra of dimension 2"),
+    (lambda T, M, N: TripleObject(T, N.act[:-1], N.comodule, name="short"),
+     "short: 1 action matrices for O of dimension 2"),
+    (lambda T, M, N: TripleObject(T, N.act + [N.act[0]], N.comodule),
+     "object: 3 action matrices for O of dimension 2"),
+], ids=["comodule-short", "comodule-long", "object-short", "object-long"])
+def test_wrong_number_of_structure_matrices_is_refused(z4_triple, build, message):
+    T = z4_triple
+    with pytest.raises(StructureError, match=message):
+        build(T, regular_a_comodule(T), object_A(T))

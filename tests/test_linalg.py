@@ -193,14 +193,26 @@ def sparse_square(draw, field, n):
 
 
 @st.composite
+def diagonal_square(draw, field, n):
+    """An n x n diagonal matrix with entries from 0, 1 and zeta: with so few
+    values, diagonal entries of two such matrices both agree and differ."""
+    values = [field.zero, field.one, field.zeta(1)]
+    return [[draw(st.sampled_from(values)) if r == c else field.zero for c in range(n)]
+            for r in range(n)]
+
+
+@st.composite
 def intertwiner_case(draw):
+    """Generator pairs, general or diagonal on both sides (the pairs that
+    ``intertwiner_space`` folds into labels), with optional block labels."""
     field = ZETA8
     ns, nt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     pairs = []
-    for _ in range(draw(st.integers(1, 2))):
-        S = draw(sparse_square(field, ns))
+    for _ in range(draw(st.integers(1, 3))):
+        square = diagonal_square if draw(st.booleans()) else sparse_square
+        S = draw(square(field, ns))
         # equal generators on both sides make the identity an intertwiner
-        T = S if ns == nt and draw(st.booleans()) else draw(sparse_square(field, nt))
+        T = S if ns == nt and draw(st.booleans()) else draw(square(field, nt))
         pairs.append((S, T))
     blocks = None, None
     if draw(st.booleans()):
@@ -236,6 +248,12 @@ def test_intertwiner_space_matches_kronecker_nullity(case):
                       naive_kron(T, dense_identity(ns, one, zero)))
         system.extend([row[i] for i in allowed] for row in K)
     assert len(homs) == len(allowed) - rank(sparse_all(system), field)
+    # the basis itself is the one read off the reduced form of that whole
+    # system, diagonal pairs folded into labels or not
+    basis, _ = dense_basis(field, system)
+    assert [[x for i, x in enumerate(flat) if i in allowed]
+            for flat in ([x for row in X for x in row] for X in dense_homs)] \
+        == basis.null_basis(len(allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +487,13 @@ def test_pairing_kernels_refuse_unequal_lengths():
              lambda: kron_sum([(two, ident), (one, ident)]),
              lambda: kron_sum([(ident, ident), (ident, [[(0, f.one)]])]),
              lambda: intertwines(ident, [ident, two], [ident]),
-             lambda: intertwiner_space([ident, two], [ident], 2, 2, f)]
+             lambda: intertwiner_space([ident, two], [ident], 2, 2, f),
+             # one block label per basis vector, with or without a diagonal
+             # pair whose entries join the labels
+             lambda: intertwiner_space([], [], 2, 2, f, src_blocks=[0, 0, 1]),
+             lambda: intertwiner_space([ident], [ident], 2, 2, f, src_blocks=[0]),
+             lambda: intertwiner_space([ident], [ident], 2, 2, f, tgt_blocks=[0, 0, 1]),
+             lambda: intertwiner_space([identity(3, f.one)], [ident], 2, 2, f)]
     for call in calls:
         with pytest.raises(ValueError):
             call()
